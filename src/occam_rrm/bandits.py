@@ -1,12 +1,11 @@
 """Bandit-style optimizers for settings where the reward model is unknown:
 Beta-Bernoulli Thompson sampling, inner/outer-loop link adaptation, Gaussian
-process surrogates with UCB acquisition, a spatio-temporal GP beam tracker,
-and a contextual bandit for compute offloading.
+process surrogates with UCB acquisition, and a spatio-temporal GP beam
+tracker.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -179,34 +178,6 @@ class GpSurrogate:
         var = self.signal_var - float(v @ v)
         return mean, max(var, 0.0)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "length_scales": self.length_scales.tolist(),
-                "signal_var": self.signal_var,
-                "prior_mean": self.prior_mean,
-                "max_points": self.max_points,
-                "points": [[x.tolist(), y, s] for x, y, s in self.points],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GpSurrogate":
-        d = json.loads(text)
-        s = cls(
-            length_scales=np.asarray(d["length_scales"]),
-            signal_var=d["signal_var"],
-            prior_mean=d["prior_mean"],
-            max_points=d["max_points"],
-        )
-        for x, y, noise in d["points"]:
-            s.add(np.asarray(x), y, noise)
-        return s
-
-
-def gp_posterior(s: GpSurrogate, query) -> tuple[float, float]:
-    return s.posterior(query)
-
 
 def ucb_acquire(s: GpSurrogate, candidates, kappa: float):
     """Argmax of mean + kappa * posterior std over candidates; ties keep the
@@ -282,59 +253,3 @@ def bo_beam_tracker(
             )
         )
     return EpisodeLog(steps=steps, seed=seed, env_name=env.name)
-
-
-# ---------------------------------------------------------------- compute offload
-
-@dataclass
-class LinearGaussianPosterior:
-    """Bayesian linear model over context features with known noise. With a
-    constant feature this reduces to a plain Gaussian belief; zero prior
-    covariance gives a point posterior."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    noise_std: float = 1.0
-
-    def __post_init__(self):
-        self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        self.cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        d = len(self.mean)
-        if self.cov.shape != (d, d):
-            raise ConfigError("cov shape must match mean dimension")
-        if self.noise_std <= 0:
-            raise ConfigError("noise_std must be positive")
-
-    def sample(self, context, rng) -> float:
-        x = np.atleast_1d(np.asarray(context, dtype=float))
-        w = rng.multivariate_normal(self.mean, self.cov, method="svd")
-        return float(w @ x)
-
-    def update(self, context, value: float) -> None:
-        x = np.atleast_1d(np.asarray(context, dtype=float))
-        prec = np.linalg.pinv(self.cov) + np.outer(x, x) / self.noise_std**2
-        cov = np.linalg.pinv(prec)
-        self.mean = cov @ (np.linalg.pinv(self.cov) @ self.mean + x * value / self.noise_std**2)
-        self.cov = cov
-
-
-@dataclass
-class CmabArm:
-    energy: LinearGaussianPosterior
-    delay: LinearGaussianPosterior
-
-
-def cmab_es_select(context, arms: dict, delay_constraint: float, rng) -> str:
-    """Thompson-sample energy and delay per arm; among arms whose sampled
-    delay meets the constraint, return the lowest sampled energy. If every
-    arm violates, fall back to the lowest sampled delay."""
-    if len(arms) < 2:
-        raise ConfigError("need at least two arms")
-    sampled = {
-        name: (arm.energy.sample(context, rng), arm.delay.sample(context, rng))
-        for name, arm in arms.items()
-    }
-    feasible = {k: v for k, v in sampled.items() if v[1] <= delay_constraint}
-    if feasible:
-        return min(feasible, key=lambda k: feasible[k][0])
-    return min(sampled, key=lambda k: sampled[k][1])

@@ -1,14 +1,15 @@
 """Seven radio-resource-management environments plus exact-MDP extraction."""
 
+from ..config import build_from_config
 from ..errors import ConfigError
-from .admission import AdmissionEnv, make_admission_env
-from .beamforming import SERVE_BEST, BeamAction, BeamformingEnv, make_beamforming_env
-from .energy import EnergySavingEnv, es_transition, make_energy_env, normalize_subset
-from .handover import HandoverEnv, load_rsrp_trace_csv, make_handover_env
-from .link_adaptation import LaObs, LinkAdaptEnv, make_link_adapt_env
-from .power import PowerEnv, make_power_env
-from .scheduling import EWMA_FLOOR, SchedulingEnv, make_scheduling_env
-from .tabular import TabularEnv, env_true_mdp, make_tabular_env
+from .admission import AdmissionEnv
+from .beamforming import SERVE_BEST, BeamAction, BeamformingEnv
+from .energy import EnergySavingEnv, es_transition, normalize_subset
+from .handover import HandoverEnv
+from .link_adaptation import LaObs, LinkAdaptEnv
+from .power import PowerEnv
+from .scheduling import EWMA_FLOOR, SchedulingEnv
+from .tabular import TabularEnv, env_true_mdp, tabular_env
 from .types import (
     AdmissionState,
     ChannelMatrix,
@@ -17,15 +18,16 @@ from .types import (
     RsrpField,
 )
 
-ENV_FACTORIES = {
-    "link_adaptation": make_link_adapt_env,
-    "power_control": make_power_env,
-    "beamforming": make_beamforming_env,
-    "scheduling": make_scheduling_env,
-    "energy_saving": make_energy_env,
-    "handover": make_handover_env,
-    "admission_control": make_admission_env,
-    "tabular": make_tabular_env,
+# Each kind's config keys are the keyword arguments of its constructor.
+ENVS = {
+    "link_adaptation": LinkAdaptEnv,
+    "power_control": PowerEnv,
+    "beamforming": BeamformingEnv,
+    "scheduling": SchedulingEnv,
+    "energy_saving": EnergySavingEnv,
+    "handover": HandoverEnv,
+    "admission_control": AdmissionEnv,
+    "tabular": tabular_env,
 }
 
 
@@ -34,10 +36,10 @@ def make_env(cfg: dict):
     if "env" not in cfg:
         raise ConfigError("environment config needs an 'env' discriminator field")
     kind = cfg["env"]
-    factory = ENV_FACTORIES.get(kind)
-    if factory is None:
-        raise ConfigError(f"unknown env {kind!r}; known: {sorted(ENV_FACTORIES)}")
-    return factory(cfg)
+    build = ENVS.get(kind)
+    if build is None:
+        raise ConfigError(f"unknown env {kind!r}; known: {sorted(ENVS)}")
+    return build_from_config(build, {k: v for k, v in cfg.items() if k != "env"}, kind)
 
 
 __all__ = [
@@ -46,7 +48,7 @@ __all__ = [
     "BeamAction",
     "BeamformingEnv",
     "ChannelMatrix",
-    "ENV_FACTORIES",
+    "ENVS",
     "EWMA_FLOOR",
     "EnergySavingEnv",
     "HandoverEnv",
@@ -61,15 +63,7 @@ __all__ = [
     "TabularEnv",
     "env_true_mdp",
     "es_transition",
-    "load_rsrp_trace_csv",
-    "make_admission_env",
-    "make_beamforming_env",
-    "make_energy_env",
     "make_env",
-    "make_handover_env",
-    "make_link_adapt_env",
-    "make_power_env",
-    "make_scheduling_env",
-    "make_tabular_env",
     "normalize_subset",
+    "tabular_env",
 ]

@@ -18,14 +18,6 @@ from .base import RrmEnv
 
 REJECT, ACCEPT, DELAY = 0, 1, 2
 
-AC_DEFAULTS = {
-    "capacity": 10,
-    "classes": None,
-    "strict_feasibility": False,
-    "safety_margin": 1.0,
-    "qos_penalty": 0.0,
-    "discount": DEFAULT_DISCOUNT,
-}
 
 _DEFAULT_CLASSES = [
     {"arrival_rate": 0.25, "departure_rate": 0.02, "demand": 1, "reward": 2.0, "reject_penalty": 1.0},
@@ -241,13 +233,3 @@ class AdmissionEnv(RrmEnv):
         return TabularMdp(
             n_states=S, n_actions=A, transition=P, reward=R, discount=self.discount
         )
-
-
-def make_admission_env(cfg: dict | None = None, **overrides) -> AdmissionEnv:
-    cfg = dict(cfg or {})
-    cfg.update(overrides)
-    cfg.pop("env", None)
-    unknown = set(cfg) - set(AC_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown admission_control config keys: {sorted(unknown)}")
-    return AdmissionEnv(**{**AC_DEFAULTS, **cfg})

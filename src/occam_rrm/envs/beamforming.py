@@ -29,17 +29,6 @@ class BeamAction(NamedTuple):
     serve: object  # beam index or SERVE_BEST
 
 
-BF_DEFAULTS = {
-    "n_beams": 16,
-    "ue_speed": 1.0,
-    "spatial_corr": 2.0,
-    "temporal_corr": None,  # derived from ue_speed when absent
-    "measure_cost": 0.1,
-    "mean_rsrp": -80.0,
-    "rsrp_std": 10.0,
-    "speed_to_corr": 0.01,
-}
-
 _JITTER = 1e-9
 
 
@@ -158,14 +147,3 @@ class BeamformingEnv(RrmEnv):
         self._field = rho * self._field + np.sqrt(1.0 - rho**2) * self._innovation(self.t + 1)
         obs = {b: float(rsrp[b]) for b in measured}
         return StepOutcome(observation=obs, reward=reward, diagnostics=diagnostics)
-
-
-def make_beamforming_env(cfg: dict | None = None, **overrides) -> BeamformingEnv:
-    cfg = dict(cfg or {})
-    cfg.update(overrides)
-    cfg.pop("env", None)
-    unknown = set(cfg) - set(BF_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown beamforming config keys: {sorted(unknown)}")
-    merged = {**BF_DEFAULTS, **cfg}
-    return BeamformingEnv(**merged)

@@ -14,16 +14,6 @@ from .base import RrmEnv
 
 OFF = -1
 
-ES_DEFAULTS = {
-    "n_resources": 4,
-    "capacity": 1.0,
-    "power_draw": 1.0,
-    "activation_delay": 2,
-    "traffic": None,  # defaults to a noisy sinusoid
-    "qos_threshold": 5.0,
-    "qos_weight": 10.0,
-    "energy_weight": 1.0,
-}
 
 _DEFAULT_TRAFFIC = {
     "kind": "sinusoid",
@@ -180,23 +170,9 @@ class EnergySavingEnv(RrmEnv):
         }
         return StepOutcome(observation=self._obs(self.t + 1), reward=reward, diagnostics=diagnostics)
 
-    def planning_state(self) -> tuple:
-        """(status, backlog) snapshot in the representation es_transition uses."""
-        return (tuple(self._status), float(self._backlog))
-
     def all_actions(self) -> list[tuple]:
         """Every resource subset, ordered by size then lexicographically."""
         out = [()]
         for r in range(self.n_resources):
             out += [s + (r,) for s in out]
         return sorted(out, key=lambda s: (len(s), s))
-
-
-def make_energy_env(cfg: dict | None = None, **overrides) -> EnergySavingEnv:
-    cfg = dict(cfg or {})
-    cfg.update(overrides)
-    cfg.pop("env", None)
-    unknown = set(cfg) - set(ES_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown energy_saving config keys: {sorted(unknown)}")
-    return EnergySavingEnv(**{**ES_DEFAULTS, **cfg})

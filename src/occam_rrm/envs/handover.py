@@ -7,8 +7,6 @@ hysteresis, which threshold-and-count policies consume."""
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from ..core import StepOutcome
@@ -17,15 +15,6 @@ from ..rng import STREAM_EXOGENOUS
 from .base import RrmEnv
 from .types import MroObservation
 
-HO_DEFAULTS = {
-    "n_cells": 2,
-    "model": None,  # defaults to the crossing model
-    "noise_std": 4.0,
-    "ho_interruption": 1,
-    "rlf_threshold": -95.0,
-    "pingpong_window": 10,
-    "hysteresis": 3.0,
-}
 
 _DEFAULT_MODEL = {
     "kind": "crossing",
@@ -33,18 +22,6 @@ _DEFAULT_MODEL = {
     "near_rsrp": -60.0,
     "far_rsrp": -100.0,
 }
-
-
-def load_rsrp_trace_csv(path) -> np.ndarray:
-    """Read a trace CSV with columns t, cell_0..cell_{n-1} into [n_steps, n_cells]."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or not rows[0] or rows[0][0] != "t":
-        raise ConfigError(f"{path}: expected header starting with 't'")
-    data = np.asarray([[float(x) for x in row[1:]] for row in rows[1:]], dtype=float)
-    if data.ndim != 2 or data.shape[1] < 2:
-        raise ConfigError(f"{path}: need at least two cell columns")
-    return data
 
 
 class HandoverEnv(RrmEnv):
@@ -177,13 +154,3 @@ class HandoverEnv(RrmEnv):
             "rsrp_serving_true": float(self.true_rsrp_at(self.t)[self._serving]),
         }
         return StepOutcome(observation=self._obs(self.t + 1), reward=reward, diagnostics=diagnostics)
-
-
-def make_handover_env(cfg: dict | None = None, **overrides) -> HandoverEnv:
-    cfg = dict(cfg or {})
-    cfg.update(overrides)
-    cfg.pop("env", None)
-    unknown = set(cfg) - set(HO_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown handover config keys: {sorted(unknown)}")
-    return HandoverEnv(**{**HO_DEFAULTS, **cfg})

@@ -26,18 +26,6 @@ class LaObs(NamedTuple):
     ack: bool | None
 
 
-LA_DEFAULTS = {
-    "n_mcs": 8,
-    "rates": None,  # defaults to 0.5 * (1 + mcs)
-    "s50": None,  # defaults to linspace(0, 14, n_mcs) dB
-    "bler_slope": 1.0,
-    "sinr_mean": 10.0,
-    "ar_coeff": 0.95,
-    "innovation_std": 1.0,
-    "report_noise_std": 0.5,
-}
-
-
 class LinkAdaptEnv(RrmEnv):
     name = "link_adaptation"
 
@@ -125,13 +113,3 @@ class LinkAdaptEnv(RrmEnv):
     def hidden_state(self) -> float:
         """Current true SINR in dB; exposed for exogeneity checks."""
         return self._sinr
-
-
-def make_link_adapt_env(cfg: dict | None = None, **overrides) -> LinkAdaptEnv:
-    cfg = dict(cfg or {})
-    cfg.update(overrides)
-    cfg.pop("env", None)
-    unknown = set(cfg) - set(LA_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown link_adaptation config keys: {sorted(unknown)}")
-    return LinkAdaptEnv(**{**{k: v for k, v in LA_DEFAULTS.items() if v is not None}, **cfg})

@@ -11,15 +11,6 @@ from ..errors import ConfigError, InvalidActionError
 from ..rng import STREAM_EXOGENOUS
 from .base import RrmEnv
 
-PC_DEFAULTS = {
-    "n_channels": 4,
-    "total_power": 4.0,
-    "noise": 1.0,
-    "coherence": 50,
-    "mean_gain": 1.0,
-    "fixed_gains": None,
-}
-
 
 class PowerEnv(RrmEnv):
     name = "power_control"
@@ -88,13 +79,3 @@ class PowerEnv(RrmEnv):
 
     def hidden_state(self) -> np.ndarray:
         return self.gains_at(self.t)
-
-
-def make_power_env(cfg: dict | None = None, **overrides) -> PowerEnv:
-    cfg = dict(cfg or {})
-    cfg.update(overrides)
-    cfg.pop("env", None)
-    unknown = set(cfg) - set(PC_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown power_control config keys: {sorted(unknown)}")
-    return PowerEnv(**{**PC_DEFAULTS, **cfg})

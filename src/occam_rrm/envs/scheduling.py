@@ -14,15 +14,6 @@ from .base import RrmEnv
 
 EWMA_FLOOR = 1e-6
 
-SC_DEFAULTS = {
-    "n_users": 4,
-    "mean_efficiency": None,  # defaults to all ones
-    "fading": "exponential",  # or "none"
-    "arrival_rates": None,  # bits/step; None = full buffer
-    "ewma_alpha": 0.1,
-    "weights": None,  # per-user utility weights, default all ones
-}
-
 
 class SchedulingEnv(RrmEnv):
     name = "scheduling"
@@ -110,13 +101,3 @@ class SchedulingEnv(RrmEnv):
         diagnostics = {"served_user": float(user), "achieved": achieved}
         diagnostics.update({f"thr_{u}": float(served[u]) for u in range(self.n_users)})
         return StepOutcome(observation=self._obs(self.t + 1), reward=reward, diagnostics=diagnostics)
-
-
-def make_scheduling_env(cfg: dict | None = None, **overrides) -> SchedulingEnv:
-    cfg = dict(cfg or {})
-    cfg.update(overrides)
-    cfg.pop("env", None)
-    unknown = set(cfg) - set(SC_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown scheduling config keys: {sorted(unknown)}")
-    return SchedulingEnv(**{**SC_DEFAULTS, **cfg})

@@ -77,29 +77,18 @@ def env_true_mdp(env) -> TabularMdp:
     return hook()
 
 
-def make_tabular_env(cfg: dict | None = None, **overrides) -> TabularEnv:
-    cfg = dict(cfg or {})
-    cfg.update(overrides)
-    cfg.pop("env", None)
-    known = {"transition", "reward", "discount", "initial_state", "reward_noise_std"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ConfigError(f"unknown tabular config keys: {sorted(unknown)}")
-    if "transition" not in cfg or "reward" not in cfg:
-        raise ConfigError("tabular env config needs 'transition' and 'reward'")
-    P = np.asarray(cfg["transition"], dtype=float)
-    R = np.asarray(cfg["reward"], dtype=float)
+def tabular_env(
+    transition, reward, discount=DEFAULT_DISCOUNT, initial_state=0, reward_noise_std=0.0
+) -> TabularEnv:
+    """TabularEnv from nested tables: transition[s][a][s'] and reward[s][a]."""
+    P = np.asarray(transition, dtype=float)
     if P.ndim != 3:
         raise ConfigError("transition must be [n_states][n_actions][n_states]")
     mdp = TabularMdp(
         n_states=P.shape[0],
         n_actions=P.shape[1],
         transition=P,
-        reward=R,
-        discount=float(cfg.get("discount", DEFAULT_DISCOUNT)),
+        reward=np.asarray(reward, dtype=float),
+        discount=float(discount),
     )
-    return TabularEnv(
-        mdp,
-        initial_state=int(cfg.get("initial_state", 0)),
-        reward_noise_std=float(cfg.get("reward_noise_std", 0.0)),
-    )
+    return TabularEnv(mdp, initial_state, reward_noise_std)

@@ -14,248 +14,108 @@ from pathlib import Path
 
 import jsonschema
 
+from . import agents
 from .advisor import advise, usecase_traits
+from .bandits import TRACKER_WINDOW, bo_beam_tracker
+from .config import build_from_config, check_config
 from .core import DEFAULT_DISCOUNT, metrics_summary, run_episode
 from .envs import env_true_mdp, make_env
 from .errors import ConfigError
+from .planning import q_learning, value_iteration
 from .rng import derive_seed
+from .rules import EsThresholds, MroParams
 
 SCHEMA_PATH = Path(__file__).parent / "schemas" / "experiment.schema.json"
-
-_REQUIRED = object()
-
-
-def _solver_cfg(cfg: dict, **spec):
-    """Fill defaults and reject unknown keys; _REQUIRED marks mandatory keys."""
-    extra = set(cfg) - set(spec)
-    if extra:
-        raise ConfigError(f"unknown solver config keys: {sorted(extra)}")
-    out = {}
-    for key, default in spec.items():
-        if key in cfg:
-            out[key] = cfg[key]
-        elif default is _REQUIRED:
-            raise ConfigError(f"solver config missing required key '{key}'")
-        else:
-            out[key] = default
-    return out
 
 
 # ---------------------------------------------------------------- registry
 
-def _agent_runner(build):
-    def run(env_cfg, cfg, horizon, seed):
-        env = make_env(env_cfg)
-        return run_episode(env, build(env, cfg), horizon=horizon, seed=seed)
-
-    return run
-
-
-def _build_illa_olla(env, cfg):
-    from .agents import IllaOllaAgent
-
-    c = _solver_cfg(cfg, step_up=0.01, target_bler=0.1)
-    return IllaOllaAgent(env.s50, step_up=c["step_up"], target_bler=c["target_bler"])
-
-
-def _build_thompson(env, cfg):
-    from .agents import ThompsonMcsAgent
-
-    _solver_cfg(cfg)
-    return ThompsonMcsAgent(env.rates)
-
-
-def _build_fixed_mcs(env, cfg):
-    from .agents import FixedMcsAgent
-
-    return FixedMcsAgent(_solver_cfg(cfg, mcs=_REQUIRED)["mcs"])
-
-
-def _build_water_fill(env, cfg):
-    from .agents import WaterFillAgent
-
-    _solver_cfg(cfg)
-    return WaterFillAgent()
-
-
-def _build_uniform_power(env, cfg):
-    from .agents import UniformPowerAgent
-
-    _solver_cfg(cfg)
-    return UniformPowerAgent()
-
-
-def _build_pf(env, cfg):
-    from .agents import PfAgent
-
-    return PfAgent(_solver_cfg(cfg, ewma_alpha=0.1)["ewma_alpha"])
-
-
-def _build_round_robin(env, cfg):
-    from .agents import RoundRobinAgent
-
-    _solver_cfg(cfg)
-    return RoundRobinAgent()
-
-
-def _build_max_rate(env, cfg):
-    from .agents import MaxRateAgent
-
-    _solver_cfg(cfg)
-    return MaxRateAgent()
-
-
-def _build_dpp(env, cfg):
-    from .agents import DppEnergyAgent
-
-    return DppEnergyAgent(env, v_weight=_solver_cfg(cfg, v_weight=0.0)["v_weight"])
-
-
-def _build_min_energy(env, cfg):
-    from .agents import MinEnergyAgent
-
-    _solver_cfg(cfg)
-    return MinEnergyAgent()
-
-
-def _build_es_thresholds(env, cfg):
-    from .agents import EsThresholdAgent
-    from .rules import EsThresholds
-
-    c = _solver_cfg(cfg, lower=0.3, upper=0.9)
-    return EsThresholdAgent(env, EsThresholds(lower=c["lower"], upper=c["upper"]))
-
-
-def _build_mpc_energy(env, cfg):
-    from .agents import MpcEnergyAgent, es_oracle_predictor, es_persistence_predictor
-
-    c = _solver_cfg(cfg, predictor="oracle", plan_horizon=5, discount=1.0)
-    if c["predictor"] == "oracle":
-        predictor = es_oracle_predictor(env)
-    elif c["predictor"] == "persistence":
-        predictor = es_persistence_predictor()
-    else:
-        raise ConfigError(
-            f"unknown predictor {c['predictor']!r}; known: ['oracle', 'persistence']"
-        )
-    return MpcEnergyAgent(env, predictor, horizon=c["plan_horizon"], discount=c["discount"])
-
-
-def _build_mro(env, cfg):
-    from .agents import MroAgent
-    from .rules import MroParams
-
-    c = _solver_cfg(cfg, hysteresis=3.0, time_to_trigger=3)
-    return MroAgent(MroParams(hysteresis=c["hysteresis"], time_to_trigger=c["time_to_trigger"]))
-
-
-def _build_greedy_ho(env, cfg):
-    from .agents import GreedyHoAgent
-
-    _solver_cfg(cfg)
-    return GreedyHoAgent()
-
-
-def _build_trunk(env, cfg):
-    from .agents import TrunkAgent
-
-    return TrunkAgent(env, _solver_cfg(cfg, thresholds=_REQUIRED)["thresholds"])
-
-
-def _build_accept_all(env, cfg):
-    from .agents import AcceptAllAgent
-
-    _solver_cfg(cfg)
-    return AcceptAllAgent(env.n_classes)
-
-
-def _run_value_iteration(env_cfg, cfg, horizon, seed):
-    from .agents import TablePolicyAgent
-    from .planning import value_iteration
-
-    c = _solver_cfg(cfg, tol=1e-8)
-    env = make_env(env_cfg)
-    mdp = env.mdp if hasattr(env, "mdp") else env_true_mdp(env)
-    table = value_iteration(mdp, tol=c["tol"])
-    return run_episode(env, TablePolicyAgent(env, table.policy), horizon=horizon, seed=seed)
-
-
-def _run_q_learning(env_cfg, cfg, horizon, seed):
-    from .agents import TablePolicyAgent
-    from .planning import q_learning
-
-    c = _solver_cfg(cfg, train_episodes=100, train_horizon=200)
-    env = make_env(env_cfg)
-    qt = q_learning(
-        env,
-        episodes=c["train_episodes"],
-        horizon=c["train_horizon"],
-        seed=derive_seed(seed, 7),
-    )
-    return run_episode(env, TablePolicyAgent(env, qt.greedy_policy()), horizon=horizon, seed=seed)
-
-
-def _run_bo_tracker(env_cfg, cfg, horizon, seed):
-    from .bandits import TRACKER_WINDOW, bo_beam_tracker
-
-    c = _solver_cfg(
-        cfg, budget_per_step=_REQUIRED, kernel=None, kappa=2.0, window=TRACKER_WINDOW
-    )
-    return bo_beam_tracker(
-        make_env(env_cfg),
-        budget_per_step=c["budget_per_step"],
-        kernel=c["kernel"],
-        kappa=c["kappa"],
-        window=c["window"],
-        horizon=horizon,
-        seed=seed,
-    )
-
-
-def _run_knn_tracker(env_cfg, cfg, horizon, seed):
-    from .agents import knn_beam_tracker
-
-    c = _solver_cfg(cfg, budget_per_step=_REQUIRED)
-    return knn_beam_tracker(
-        make_env(env_cfg), budget_per_step=c["budget_per_step"], horizon=horizon, seed=seed
-    )
-
-
-def _run_full_scan(env_cfg, cfg, horizon, seed):
-    from .agents import full_scan_tracker
-
-    _solver_cfg(cfg)
-    return full_scan_tracker(make_env(env_cfg), horizon=horizon, seed=seed)
+LOOP_ARGS = ("env", "horizon", "seed")
 
 
 @dataclass(frozen=True)
 class SolverSpec:
-    envs: tuple
-    run: object  # (env_cfg, solver_cfg, horizon, seed) -> EpisodeLog
+    """A registry row. `agent(env, **cfg)` builds a policy that run_episode
+    drives; a solver with its own loop gives `loop(env, horizon, seed, **cfg)`
+    returning the EpisodeLog instead. The keyword parameters after those
+    define the solver's config keys."""
 
+    envs: tuple
+    agent: object = None
+    loop: object = None
+
+    def build_agent(self, env, cfg: dict):
+        return build_from_config(self.agent, cfg, "solver", env=env)
+
+    def run(self, env_cfg: dict, cfg: dict, horizon: int, seed: int):
+        env = make_env(env_cfg)
+        if self.loop is None:
+            return run_episode(env, self.build_agent(env, cfg), horizon=horizon, seed=seed)
+        check_config(self.loop, cfg, "solver", LOOP_ARGS)
+        return self.loop(env=env, horizon=horizon, seed=seed, **cfg)
+
+
+# Rows call the solver kernels (value_iteration, q_learning, bo_beam_tracker,
+# run_episode) through this module's names at call time instead of storing
+# them, so a wrapper installed on module attributes (perfbench's tracer)
+# sees every call.
+
+
+def _mpc_energy(env, predictor="oracle", plan_horizon=5, discount=1.0):
+    if predictor == "oracle":
+        forecast = agents.es_oracle_predictor(env)
+    elif predictor == "persistence":
+        forecast = agents.es_persistence_predictor()
+    else:
+        raise ConfigError(f"unknown predictor {predictor!r}; known: ['oracle', 'persistence']")
+    return agents.MpcEnergyAgent(env, forecast, horizon=plan_horizon, discount=discount)
+
+
+def _value_iteration(env, tol=1e-8):
+    table = value_iteration(env_true_mdp(env), tol=tol)
+    return agents.TablePolicyAgent(env, table.policy)
+
+
+def _q_learning(env, horizon, seed, train_episodes=100, train_horizon=200):
+    qt = q_learning(env, episodes=train_episodes, horizon=train_horizon, seed=derive_seed(seed, 7))
+    agent = agents.TablePolicyAgent(env, qt.greedy_policy())
+    return run_episode(env, agent, horizon=horizon, seed=seed)
+
+
+def _bo_tracker(env, horizon, seed, budget_per_step, kernel=None, kappa=2.0,
+                window=TRACKER_WINDOW):
+    return bo_beam_tracker(env, budget_per_step, kernel=kernel, kappa=kappa,
+                           horizon=horizon, seed=seed, window=window)
+
+
+LA, PC, BF, SC = ("link_adaptation",), ("power_control",), ("beamforming",), ("scheduling",)
+ES, HO, AC = ("energy_saving",), ("handover",), ("admission_control",)
 
 SOLVERS = {
-    "illa-olla": SolverSpec(("link_adaptation",), _agent_runner(_build_illa_olla)),
-    "thompson-mcs": SolverSpec(("link_adaptation",), _agent_runner(_build_thompson)),
-    "fixed-mcs": SolverSpec(("link_adaptation",), _agent_runner(_build_fixed_mcs)),
-    "water-fill": SolverSpec(("power_control",), _agent_runner(_build_water_fill)),
-    "uniform-power": SolverSpec(("power_control",), _agent_runner(_build_uniform_power)),
-    "proportional-fair": SolverSpec(("scheduling",), _agent_runner(_build_pf)),
-    "round-robin": SolverSpec(("scheduling",), _agent_runner(_build_round_robin)),
-    "max-rate": SolverSpec(("scheduling",), _agent_runner(_build_max_rate)),
-    "dpp-energy": SolverSpec(("energy_saving",), _agent_runner(_build_dpp)),
-    "min-energy": SolverSpec(("energy_saving",), _agent_runner(_build_min_energy)),
-    "es-thresholds": SolverSpec(("energy_saving",), _agent_runner(_build_es_thresholds)),
-    "mpc-energy": SolverSpec(("energy_saving",), _agent_runner(_build_mpc_energy)),
-    "mro": SolverSpec(("handover",), _agent_runner(_build_mro)),
-    "greedy-ho": SolverSpec(("handover",), _agent_runner(_build_greedy_ho)),
-    "trunk": SolverSpec(("admission_control",), _agent_runner(_build_trunk)),
-    "accept-all": SolverSpec(("admission_control",), _agent_runner(_build_accept_all)),
-    "value-iteration": SolverSpec(("tabular", "admission_control"), _run_value_iteration),
-    "q-learning": SolverSpec(("tabular", "admission_control"), _run_q_learning),
-    "bo-tracker": SolverSpec(("beamforming",), _run_bo_tracker),
-    "knn-tracker": SolverSpec(("beamforming",), _run_knn_tracker),
-    "full-scan": SolverSpec(("beamforming",), _run_full_scan),
+    "illa-olla": SolverSpec(LA, lambda env, step_up=0.01, target_bler=0.1:
+                            agents.IllaOllaAgent(env.s50, step_up, target_bler)),
+    "thompson-mcs": SolverSpec(LA, lambda env: agents.ThompsonMcsAgent(env.rates)),
+    "fixed-mcs": SolverSpec(LA, lambda env, mcs: agents.FixedMcsAgent(mcs)),
+    "water-fill": SolverSpec(PC, lambda env: agents.WaterFillAgent()),
+    "uniform-power": SolverSpec(PC, lambda env: agents.UniformPowerAgent()),
+    "proportional-fair": SolverSpec(SC, lambda env, ewma_alpha=0.1: agents.PfAgent(ewma_alpha)),
+    "round-robin": SolverSpec(SC, lambda env: agents.RoundRobinAgent()),
+    "max-rate": SolverSpec(SC, lambda env: agents.MaxRateAgent()),
+    "dpp-energy": SolverSpec(ES, agents.DppEnergyAgent),
+    "min-energy": SolverSpec(ES, lambda env: agents.MinEnergyAgent()),
+    "es-thresholds": SolverSpec(ES, lambda env, lower=0.3, upper=0.9:
+                                agents.EsThresholdAgent(env, EsThresholds(lower, upper))),
+    "mpc-energy": SolverSpec(ES, _mpc_energy),
+    "mro": SolverSpec(HO, lambda env, hysteresis=3.0, time_to_trigger=3:
+                      agents.MroAgent(MroParams(hysteresis, time_to_trigger))),
+    "greedy-ho": SolverSpec(HO, lambda env: agents.GreedyHoAgent()),
+    "trunk": SolverSpec(AC, agents.TrunkAgent),
+    "accept-all": SolverSpec(AC, lambda env: agents.AcceptAllAgent(env.n_classes)),
+    "value-iteration": SolverSpec(("tabular",) + AC, _value_iteration),
+    "q-learning": SolverSpec(("tabular",) + AC, loop=_q_learning),
+    "bo-tracker": SolverSpec(BF, loop=_bo_tracker),
+    "knn-tracker": SolverSpec(BF, loop=agents.knn_beam_tracker),
+    "full-scan": SolverSpec(BF, loop=agents.full_scan_tracker),
 }
 
 ENV_USE_CASE = {

@@ -4,8 +4,7 @@ predictive control with pluggable forecasters."""
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,23 +31,6 @@ class ValueTable:
         self.policy = np.asarray(self.policy, dtype=int)
         if self.values.shape != self.policy.shape:
             raise ConfigError("values and policy must have one entry per state")
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("state,action,value\n")
-        for s, (a, v) in enumerate(zip(self.policy, self.values)):
-            buf.write(f"{s},{int(a)},{float(v)!r}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "ValueTable":
-        lines = text.strip().splitlines()
-        if lines[0] != "state,action,value":
-            raise ConfigError("unexpected value-table CSV header")
-        rows = [line.split(",") for line in lines[1:]]
-        policy = np.array([int(r[1]) for r in rows])
-        values = np.array([float(r[2]) for r in rows])
-        return cls(values=values, policy=policy)
 
 
 def _q_from_values(mdp: TabularMdp, values: np.ndarray) -> np.ndarray:
@@ -113,27 +95,6 @@ class QTable:
     def greedy_policy(self) -> np.ndarray:
         return self.q.argmax(axis=1)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("state,action,value\n")
-        for s in range(self.q.shape[0]):
-            for a in range(self.q.shape[1]):
-                buf.write(f"{s},{a},{float(self.q[s, a])!r}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "QTable":
-        lines = text.strip().splitlines()
-        if lines[0] != "state,action,value":
-            raise ConfigError("unexpected Q-table CSV header")
-        rows = [line.split(",") for line in lines[1:]]
-        n_s = max(int(r[0]) for r in rows) + 1
-        n_a = max(int(r[1]) for r in rows) + 1
-        q = np.zeros((n_s, n_a))
-        for r in rows:
-            q[int(r[0]), int(r[1])] = float(r[2])
-        return cls(q=q, visits=np.zeros_like(q, dtype=int))
-
 
 def hyperbolic_schedule(x0: float, tau: float = SCHEDULE_TAU_DEFAULT):
     """x_t = x0 / (1 + t / tau), the default decay for both learning rate
@@ -166,7 +127,7 @@ def q_learning(
     _require_enumerable(env)
     if episodes < 1 or horizon < 1:
         raise ConfigError("episodes and horizon must be >= 1")
-    alpha = alpha or hyperbolic_schedule(ALPHA0_DEFAULT)
+    alpha = alpha if alpha is not None else hyperbolic_schedule(ALPHA0_DEFAULT)
     epsilon = epsilon if epsilon is not None else hyperbolic_schedule(EPSILON0_DEFAULT)
     actions = env.action_list()
     n_s, n_a = env.n_states, len(actions)
@@ -212,17 +173,6 @@ class Predictor:
         if len(traj) != k:
             raise ConfigError(f"forecast returned {len(traj)} values, wanted {k}")
         return traj
-
-
-def persistence_predictor(extract=lambda obs: obs) -> Predictor:
-    """Future equals present: repeats the extracted current value k times."""
-    return Predictor(lambda obs, k: [extract(obs)] * k)
-
-
-def oracle_predictor(lookup) -> Predictor:
-    """Reads the env's seeded future through `lookup(t)`; the observation is
-    the current step index."""
-    return Predictor(lambda t, k: [lookup(t + 1 + i) for i in range(k)])
 
 
 @dataclass

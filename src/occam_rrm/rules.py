@@ -33,10 +33,6 @@ class PfState:
             raise ConfigError(f"avg_throughput entries must be >= {EWMA_FLOOR}")
 
 
-def pf_state(n_users: int, ewma_alpha: float = 0.1) -> PfState:
-    return PfState(np.full(n_users, EWMA_FLOOR), ewma_alpha)
-
-
 def pf_select(spectral_eff, s: PfState) -> int:
     """User with the best current-rate-to-average ratio; ties take the lowest
     index. Scaling every average by a common factor cannot change the pick."""
@@ -44,17 +40,6 @@ def pf_select(spectral_eff, s: PfState) -> int:
     if eff.shape != s.avg_throughput.shape or eff.size == 0:
         raise ConfigError("need one spectral efficiency per user")
     return int(np.argmax(eff / s.avg_throughput))
-
-
-def pf_update(s: PfState, served: int, achieved: float) -> PfState:
-    if not 0 <= served < len(s.avg_throughput):
-        raise ConfigError(f"served user {served} out of range")
-    if achieved < 0:
-        raise ConfigError("achieved throughput must be nonnegative")
-    a = s.ewma_alpha
-    avg = (1.0 - a) * s.avg_throughput
-    avg[served] += a * achieved
-    return PfState(np.maximum(avg, EWMA_FLOOR), a)
 
 
 # ---------------------------------------------------------------- drift plus penalty

@@ -11,10 +11,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import qmc
 
-from .bandits import GpSurrogate
+from .bandits import GpSurrogate, ucb_acquire
 from .core import DEFAULT_DISCOUNT, discounted_return, run_episode
 from .envs import make_env
 from .errors import ConfigError
+from .experiments import SOLVERS
 from .rng import derive_seed
 
 NM_REFLECT, NM_EXPAND, NM_CONTRACT, NM_SHRINK = 1.0, 2.0, 0.5, 0.5
@@ -85,38 +86,28 @@ class TuneResult:
 
 # ---------------------------------------------------------------- evaluation
 
-def _materialize_mro(env_cfg, theta):
-    from .agents import MroAgent
-    from .rules import MroParams
-
-    hysteresis, ttt = float(theta[0]), int(round(theta[1]))
-    cfg = dict(env_cfg)
-    cfg["hysteresis"] = hysteresis  # env maintains exceed counts with it
-    env = make_env(cfg)
-    return env, MroAgent(MroParams(hysteresis=hysteresis, time_to_trigger=max(ttt, 1)))
+def _mro_family(theta):
+    hysteresis = float(theta[0])
+    ttt = max(int(round(theta[1])), 1)
+    # the env keeps its exceed counts with the same hysteresis
+    return {"hysteresis": hysteresis}, "mro", {"hysteresis": hysteresis, "time_to_trigger": ttt}
 
 
-def _materialize_es(env_cfg, theta):
-    from .agents import EsThresholdAgent
-    from .rules import EsThresholds
-
-    lower = float(theta[0])
+def _es_family(theta):
+    lower = min(float(theta[0]), 1.0 - 1e-6)
     upper = max(float(theta[1]), lower + 1e-6)  # keep the band nonempty
-    env = make_env(dict(env_cfg))
-    return env, EsThresholdAgent(env, EsThresholds(lower=lower, upper=min(upper, 1.0)))
+    return {}, "es-thresholds", {"lower": lower, "upper": min(upper, 1.0)}
 
 
-def _materialize_olla(env_cfg, theta):
-    from .agents import IllaOllaAgent
-
-    env = make_env(dict(env_cfg))
-    return env, IllaOllaAgent(env.s50, step_up=float(theta[0]))
+def _olla_family(theta):
+    return {}, "illa-olla", {"step_up": float(theta[0])}
 
 
-FAMILY_BUILDERS = {
-    "mro": _materialize_mro,
-    "es_thresholds": _materialize_es,
-    "olla_steps": _materialize_olla,
+# family -> theta -> (env config overrides, solver name, solver config)
+FAMILIES = {
+    "mro": _mro_family,
+    "es_thresholds": _es_family,
+    "olla_steps": _olla_family,
 }
 
 
@@ -134,12 +125,18 @@ def evaluate_policy(
     if n_episodes < 1:
         raise ConfigError("n_episodes must be >= 1")
     if materializer is None:
-        if policy.family not in FAMILY_BUILDERS:
+        if policy.family not in FAMILIES:
             raise ConfigError(
                 f"unknown policy family {policy.family!r}; "
-                f"known: {sorted(FAMILY_BUILDERS)} (or pass a materializer)"
+                f"known: {sorted(FAMILIES)} (or pass a materializer)"
             )
-        materializer = FAMILY_BUILDERS[policy.family]
+        overrides, solver, solver_cfg = FAMILIES[policy.family](policy.theta)
+        env_cfg = {**env_cfg, **overrides}
+
+        def materializer(cfg, theta):
+            env = make_env(cfg)
+            return env, SOLVERS[solver].build_agent(env, solver_cfg)
+
     returns = []
     for i in range(n_episodes):
         env, agent = materializer(env_cfg, policy.theta)
@@ -298,12 +295,7 @@ def bo_tune(
         surrogate.add(np.asarray(theta), value, 1e-6)
 
     while len(evaluations) < budget:
-        best_score, best_point = -np.inf, None
-        for point in candidates:
-            mean, var = surrogate.posterior(point)
-            score = mean + kappa * np.sqrt(var)
-            if score > best_score:
-                best_score, best_point = score, point
+        best_point = ucb_acquire(surrogate, candidates, kappa)
         value = _record(objective, tuple(best_point), evaluations)
         surrogate.add(np.asarray(best_point), value, 1e-6)
 
@@ -353,13 +345,3 @@ def fd_ascent(
     theta_best, value = _best(evaluations)
     return TuneResult(theta_best, value, evaluations)
 
-
-def fd_gradient(objective, theta, fd_delta: float) -> np.ndarray:
-    """Unprojected central-difference gradient estimate (diagnostic use)."""
-    theta = np.asarray(theta, dtype=float)
-    grad = np.zeros(len(theta))
-    for i in range(len(theta)):
-        e = np.zeros(len(theta))
-        e[i] = fd_delta
-        grad[i] = (objective(tuple(theta + e)) - objective(tuple(theta - e))) / (2 * fd_delta)
-    return grad

@@ -27,14 +27,14 @@ from occam_rrm.agents import (
 )
 from occam_rrm.core import metrics_summary
 from occam_rrm.envs import (
+    AdmissionEnv,
+    BeamformingEnv,
+    EnergySavingEnv,
+    HandoverEnv,
+    LinkAdaptEnv,
+    PowerEnv,
+    SchedulingEnv,
     TabularEnv,
-    make_admission_env,
-    make_beamforming_env,
-    make_energy_env,
-    make_handover_env,
-    make_link_adapt_env,
-    make_power_env,
-    make_scheduling_env,
 )
 from occam_rrm.planning import value_iteration
 from occam_rrm.rules import EsThresholds, MroParams
@@ -44,7 +44,7 @@ SPIKE_TRACE = [0.0] * 5 + [4.0] + [0.0] * 14
 
 
 def spike_env():
-    return make_energy_env(
+    return EnergySavingEnv(
         n_resources=4,
         activation_delay=2,
         traffic={"trace": SPIKE_TRACE, "noise_std": 0.0},
@@ -99,15 +99,15 @@ def test_dpp_agent_serves_min_energy_agent_drowns():
         qos_threshold=3.0,
     )
     dpp_log = run_episode(
-        make_energy_env(**cfg), DppEnergyAgent(make_energy_env(**cfg)), horizon=200, seed=1
+        EnergySavingEnv(**cfg), DppEnergyAgent(EnergySavingEnv(**cfg)), horizon=200, seed=1
     )
-    lazy_log = run_episode(make_energy_env(**cfg), MinEnergyAgent(), horizon=200, seed=1)
+    lazy_log = run_episode(EnergySavingEnv(**cfg), MinEnergyAgent(), horizon=200, seed=1)
     assert dpp_log.steps[-1].diagnostics["backlog"] < 3.0
     assert lazy_log.steps[-1].diagnostics["backlog"] > 100.0
 
 
 def test_es_threshold_agent_scales_with_demand():
-    env = make_energy_env(
+    env = EnergySavingEnv(
         n_resources=4, activation_delay=0,
         traffic={"kind": "constant", "base": 2.0, "noise_std": 0.0},
     )
@@ -136,17 +136,17 @@ def test_table_policy_agent_follows_vi():
 
 
 def test_water_fill_agent_beats_uniform():
-    wf = run_episode(make_power_env(), WaterFillAgent(), horizon=200, seed=3)
-    un = run_episode(make_power_env(), UniformPowerAgent(), horizon=200, seed=3)
+    wf = run_episode(PowerEnv(), WaterFillAgent(), horizon=200, seed=3)
+    un = run_episode(PowerEnv(), UniformPowerAgent(), horizon=200, seed=3)
     assert wf.rewards.sum() >= un.rewards.sum() - 1e-9
 
 
 def test_scheduling_agents_run_and_differ():
     # heterogeneous mean efficiencies: max-rate starves the weak users
     env_cfg = dict(n_users=4, mean_efficiency=[4.0, 1.0, 0.5, 0.25])
-    pf = run_episode(make_scheduling_env(**env_cfg), PfAgent(), horizon=300, seed=4)
-    rr = run_episode(make_scheduling_env(**env_cfg), RoundRobinAgent(), horizon=300, seed=4)
-    mr = run_episode(make_scheduling_env(**env_cfg), MaxRateAgent(), horizon=300, seed=4)
+    pf = run_episode(SchedulingEnv(**env_cfg), PfAgent(), horizon=300, seed=4)
+    rr = run_episode(SchedulingEnv(**env_cfg), RoundRobinAgent(), horizon=300, seed=4)
+    mr = run_episode(SchedulingEnv(**env_cfg), MaxRateAgent(), horizon=300, seed=4)
     pf_m = metrics_summary([pf], kind="scheduling")
     rr_m = metrics_summary([rr], kind="scheduling")
     mr_m = metrics_summary([mr], kind="scheduling")
@@ -155,16 +155,16 @@ def test_scheduling_agents_run_and_differ():
 
 
 def test_la_agents_smoke():
-    env = make_link_adapt_env()
+    env = LinkAdaptEnv()
     log1 = run_episode(env, IllaOllaAgent(env.s50), horizon=500, seed=5)
-    log2 = run_episode(make_link_adapt_env(), ThompsonMcsAgent(env.rates), horizon=500, seed=5)
-    log3 = run_episode(make_link_adapt_env(), FixedMcsAgent(0), horizon=500, seed=5)
+    log2 = run_episode(LinkAdaptEnv(), ThompsonMcsAgent(env.rates), horizon=500, seed=5)
+    log3 = run_episode(LinkAdaptEnv(), FixedMcsAgent(0), horizon=500, seed=5)
     assert log2.rewards.sum() > 0
     assert log1.rewards.sum() > log3.rewards.sum()
 
 
 def test_trunk_agent_reserves_for_high_priority():
-    env = make_admission_env(
+    env = AdmissionEnv(
         capacity=4,
         classes=[
             {"arrival_rate": 0.1, "departure_rate": 0.05, "reward": 5.0, "reject_penalty": 1.0},
@@ -181,7 +181,7 @@ def test_trunk_agent_reserves_for_high_priority():
 
 
 def test_accept_all_agent_shape():
-    env = make_admission_env(
+    env = AdmissionEnv(
         capacity=20,
         classes=[
             {"arrival_rate": 0.2, "departure_rate": 0.01, "reward": 2.0, "reject_penalty": 1.0},
@@ -197,25 +197,25 @@ def test_handover_agents_smoke():
         n_cells=2, noise_std=4.0,
         model={"kind": "crossing", "period": 400, "near_rsrp": -60.0, "far_rsrp": -90.0},
     )
-    mro = run_episode(make_handover_env(**cfg), MroAgent(MroParams()), horizon=400, seed=8)
-    greedy = run_episode(make_handover_env(**cfg), GreedyHoAgent(), horizon=400, seed=8)
+    mro = run_episode(HandoverEnv(**cfg), MroAgent(MroParams()), horizon=400, seed=8)
+    greedy = run_episode(HandoverEnv(**cfg), GreedyHoAgent(), horizon=400, seed=8)
     assert mro.rewards.sum() >= greedy.rewards.sum()
 
 
 def test_full_scan_tracker_perfect():
-    log = full_scan_tracker(make_beamforming_env(n_beams=8), horizon=60, seed=9)
+    log = full_scan_tracker(BeamformingEnv(n_beams=8), horizon=60, seed=9)
     assert metrics_summary([log], kind="beam").accuracy == 1.0
 
 
 def test_knn_tracker_reasonable_and_replayable():
-    env = make_beamforming_env(n_beams=8, ue_speed=1.0)
+    env = BeamformingEnv(n_beams=8, ue_speed=1.0)
     log = knn_beam_tracker(env, budget_per_step=2, horizon=120, seed=10)
     acc = metrics_summary([log], kind="beam").accuracy
     assert acc > 1.0 / 8  # far better than random serving
-    replayed = replay_episode(make_beamforming_env(n_beams=8, ue_speed=1.0), log)
+    replayed = replay_episode(BeamformingEnv(n_beams=8, ue_speed=1.0), log)
     assert np.array_equal(replayed.rewards, log.rewards)
 
 
 def test_knn_budget_validated():
     with pytest.raises(ConfigError):
-        knn_beam_tracker(make_beamforming_env(), budget_per_step=0)
+        knn_beam_tracker(BeamformingEnv(), budget_per_step=0)

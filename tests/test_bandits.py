@@ -4,14 +4,10 @@ import pytest
 from occam_rrm import ConfigError, GpNumericalError
 from occam_rrm.bandits import (
     BetaPosterior,
-    CmabArm,
     GpSurrogate,
-    LinearGaussianPosterior,
     OllaState,
     beta_update,
     bo_beam_tracker,
-    cmab_es_select,
-    gp_posterior,
     illa_select,
     olla_state,
     olla_step,
@@ -19,7 +15,7 @@ from occam_rrm.bandits import (
     ucb_acquire,
 )
 from occam_rrm.core import metrics_summary
-from occam_rrm.envs import make_beamforming_env, make_link_adapt_env
+from occam_rrm.envs import BeamformingEnv, LinkAdaptEnv
 
 
 # ---------------------------------------------------------------- Thompson
@@ -138,7 +134,7 @@ def test_illa_requires_increasing_table():
 def test_illa_olla_closed_loop_hits_target_bler():
     # Stationary SINR: the offset random walk equalizes empirical BLER with
     # the OLLA target (drift-balance argument).
-    env = make_link_adapt_env(
+    env = LinkAdaptEnv(
         ar_coeff=0.0, innovation_std=0.0, sinr_mean=10.0, report_noise_std=0.0
     )
     target = 0.1
@@ -167,13 +163,13 @@ def test_illa_olla_closed_loop_hits_target_bler():
 
 def test_gp_prior_before_data():
     s = GpSurrogate(length_scales=[1.0], signal_var=2.5, prior_mean=-1.0)
-    assert gp_posterior(s, [0.3]) == (-1.0, 2.5)
+    assert s.posterior([0.3]) == (-1.0, 2.5)
 
 
 def test_gp_noiseless_interpolation():
     s = GpSurrogate(length_scales=[1.0], signal_var=1.0)
     s.add([0.5], 3.0)
-    mean, var = gp_posterior(s, [0.5])
+    mean, var = s.posterior([0.5])
     assert mean == pytest.approx(3.0, abs=1e-6)
     assert var <= 1e-6
 
@@ -198,7 +194,7 @@ def test_gp_matches_dense_solve_oracle():
     s = GpSurrogate(length_scales=[ell], signal_var=sv, prior_mean=m0)
     for x, y, nz in zip(xs, ys, noise):
         s.add(x, y, nz)
-    mean, var = gp_posterior(s, q)
+    mean, var = s.posterior(q)
     assert mean == pytest.approx(want_mean, abs=1e-9)
     assert var == pytest.approx(want_var, abs=1e-9)
 
@@ -229,15 +225,6 @@ def test_gp_window_evicts_oldest():
     s.add([2.0], 3.0)
     assert len(s.points) == 2
     assert s.points[0][0][0] == 1.0
-
-
-def test_gp_json_round_trip():
-    s = GpSurrogate(length_scales=[1.0, 3.0], signal_var=2.0, prior_mean=0.5, max_points=8)
-    s.add([0.0, 1.0], 1.5, 0.1)
-    s.add([1.0, 0.0], -0.5, 0.2)
-    s2 = GpSurrogate.from_json(s.to_json())
-    q = [0.3, 0.3]
-    assert s2.posterior(q) == pytest.approx(s.posterior(q))
 
 
 def test_gp_query_dimension_checked():
@@ -272,7 +259,7 @@ def test_ucb_huge_kappa_prefers_unobserved():
 
 
 def test_tracker_full_budget_perfect():
-    env = make_beamforming_env(n_beams=6, measure_cost=0.0)
+    env = BeamformingEnv(n_beams=6, measure_cost=0.0)
     log = bo_beam_tracker(env, budget_per_step=6, horizon=40, seed=1)
     m = metrics_summary([log], kind="beam")
     assert m.accuracy == 1.0
@@ -280,7 +267,7 @@ def test_tracker_full_budget_perfect():
 
 def test_tracker_static_field_locks_on():
     n_beams = 6
-    env = make_beamforming_env(
+    env = BeamformingEnv(
         n_beams=n_beams, temporal_corr=1 - 1e-9, measure_cost=0.0, spatial_corr=0.5
     )
     log = bo_beam_tracker(
@@ -298,7 +285,7 @@ def test_tracker_static_field_locks_on():
 def test_tracker_slow_ue_beats_fast():
     accs = {}
     for speed in (0.5, 8.0):
-        env = make_beamforming_env(n_beams=8, ue_speed=speed, measure_cost=0.0)
+        env = BeamformingEnv(n_beams=8, ue_speed=speed, measure_cost=0.0)
         log = bo_beam_tracker(env, budget_per_step=2, horizon=200, seed=5)
         accs[speed] = metrics_summary([log], kind="beam").accuracy
     assert accs[0.5] >= accs[8.0]
@@ -307,71 +294,13 @@ def test_tracker_slow_ue_beats_fast():
 def test_tracker_choice_invariant_to_field_shift():
     seqs = []
     for mean in (-80.0, 0.0):
-        env = make_beamforming_env(n_beams=5, mean_rsrp=mean)
+        env = BeamformingEnv(n_beams=5, mean_rsrp=mean)
         log = bo_beam_tracker(env, budget_per_step=2, horizon=60, seed=7)
         seqs.append([s.action for s in log.steps])
     assert seqs[0] == seqs[1]
 
 
 def test_tracker_budget_validated():
-    env = make_beamforming_env()
+    env = BeamformingEnv()
     with pytest.raises(ConfigError):
         bo_beam_tracker(env, budget_per_step=0)
-
-
-# ---------------------------------------------------------------- compute offload
-
-
-def _point(value):
-    return LinearGaussianPosterior(mean=[value], cov=[[0.0]])
-
-
-def test_cmab_infeasible_accelerator_forces_cpu():
-    rng = np.random.default_rng(0)
-    arms = {
-        "cpu": CmabArm(energy=_point(5.0), delay=_point(1.0)),
-        "accelerator": CmabArm(energy=_point(1.0), delay=_point(10.0)),
-    }
-    assert cmab_es_select([1.0], arms, delay_constraint=2.0, rng=rng) == "cpu"
-
-
-def test_cmab_identical_arms_split_evenly():
-    rng = np.random.default_rng(1)
-    mk = lambda: CmabArm(
-        energy=LinearGaussianPosterior(mean=[1.0], cov=[[1.0]]),
-        delay=LinearGaussianPosterior(mean=[0.5], cov=[[0.1]]),
-    )
-    arms = {"cpu": mk(), "accelerator": mk()}
-    n = 10_000
-    picks = sum(
-        cmab_es_select([1.0], arms, delay_constraint=100.0, rng=rng) == "cpu"
-        for _ in range(n)
-    )
-    assert abs(picks / n - 0.5) <= 3 * np.sqrt(0.25 / n)
-
-
-def test_cmab_point_posteriors_deterministic():
-    rng = np.random.default_rng(2)
-    arms = {
-        "cpu": CmabArm(energy=_point(5.0), delay=_point(1.0)),
-        "accelerator": CmabArm(energy=_point(2.0), delay=_point(1.5)),
-    }
-    for _ in range(20):
-        assert cmab_es_select([1.0], arms, delay_constraint=2.0, rng=rng) == "accelerator"
-
-
-def test_cmab_all_infeasible_takes_fastest():
-    rng = np.random.default_rng(3)
-    arms = {
-        "cpu": CmabArm(energy=_point(1.0), delay=_point(8.0)),
-        "accelerator": CmabArm(energy=_point(9.0), delay=_point(4.0)),
-    }
-    assert cmab_es_select([1.0], arms, delay_constraint=1.0, rng=rng) == "accelerator"
-
-
-def test_linear_posterior_update_tightens():
-    p = LinearGaussianPosterior(mean=[0.0], cov=[[10.0]], noise_std=0.5)
-    for _ in range(50):
-        p.update([1.0], 3.0)
-    assert p.mean[0] == pytest.approx(3.0, abs=0.1)
-    assert p.cov[0, 0] < 0.1

@@ -7,6 +7,8 @@ import re
 import pytest
 
 from occam_rrm.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from occam_rrm.config import config_keys
+from occam_rrm.envs import ENVS
 from occam_rrm.errors import ConfigError, PlotDataError
 from occam_rrm.experiments import ExperimentConfig, run_experiment, sweep
 from occam_rrm.plots import emit_plot
@@ -172,6 +174,40 @@ def test_missing_diagnostic_exits_runtime(tmp_path, capsys):
     cfg = la_config(tmp_path, metrics="scheduling")
     assert main(["run", cfg]) == EXIT_RUNTIME
     assert capsys.readouterr().err.startswith("runtime error:")
+
+
+# One cheap solver per env kind for the wrong-typed value sweep.
+CHEAP_SOLVER = {
+    "link_adaptation": "illa-olla",
+    "power_control": "uniform-power",
+    "beamforming": "full-scan",
+    "scheduling": "round-robin",
+    "energy_saving": "min-energy",
+    "handover": "greedy-ho",
+    "admission_control": "accept-all",
+}
+WRONG_TYPED = [
+    (kind, key) for kind in CHEAP_SOLVER for key in sorted(config_keys(ENVS[kind])[0])
+]
+
+
+@pytest.mark.parametrize("kind,key", WRONG_TYPED, ids=[f"{k}.{key}" for k, key in WRONG_TYPED])
+def test_wrong_typed_env_value_exits_config_without_traceback(tmp_path, capsys, kind, key):
+    # Every other key keeps its default and the horizon is tiny, so a value
+    # the env accepts (strict_feasibility coerces "abc" to True) runs fast.
+    cfg = write_config(tmp_path / "cfg.json", {
+        "env": {"env": kind, key: "abc"},
+        "solvers": [{"name": CHEAP_SOLVER[kind]}],
+        "horizon": 5,
+        "seeds": [0],
+        "outputs": str(tmp_path / "out"),
+    })
+    code = main(["run", cfg, "--jobs", "1", "--quiet"])
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    if code == EXIT_CONFIG:
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error:")
 
 
 def test_seed_and_out_dir_overrides(tmp_path, capsys):

@@ -10,18 +10,18 @@ from occam_rrm import (
     run_episode,
 )
 from occam_rrm.envs import (
-    BeamAction,
-    RsrpField,
     SERVE_BEST,
+    AdmissionEnv,
+    BeamAction,
+    BeamformingEnv,
+    EnergySavingEnv,
+    HandoverEnv,
+    LinkAdaptEnv,
+    PowerEnv,
+    RsrpField,
+    SchedulingEnv,
     TabularEnv,
     env_true_mdp,
-    make_admission_env,
-    make_beamforming_env,
-    make_energy_env,
-    make_handover_env,
-    make_link_adapt_env,
-    make_power_env,
-    make_scheduling_env,
 )
 from occam_rrm.static_opt import water_fill
 
@@ -37,13 +37,13 @@ class RngPolicy:
 
 
 def test_la_certain_success_at_floor_mcs():
-    env = make_link_adapt_env(n_mcs=2, s50=[-1000.0, 0.0], rates=[1.0, 2.0])
+    env = LinkAdaptEnv(n_mcs=2, s50=[-1000.0, 0.0], rates=[1.0, 2.0])
     log = run_episode(env, lambda obs: 0, horizon=50, seed=1)
     assert np.all(log.rewards == 1.0)
 
 
 def test_la_certain_failure_at_top_mcs():
-    env = make_link_adapt_env(
+    env = LinkAdaptEnv(
         n_mcs=2, s50=[0.0, 1000.0], rates=[1.0, 2.0], sinr_mean=5.0
     )
     log = run_episode(env, lambda obs: 1, horizon=50, seed=1)
@@ -53,7 +53,7 @@ def test_la_certain_failure_at_top_mcs():
 def test_la_fixed_mcs_binomial_oracle():
     # Constant SINR makes reward Bernoulli(rate, 1 - BLER); check the
     # Monte-Carlo mean against the binomial oracle within 3 sigma.
-    env = make_link_adapt_env(
+    env = LinkAdaptEnv(
         n_mcs=2, s50=[9.0, 12.0], rates=[1.0, 2.0],
         sinr_mean=10.0, ar_coeff=0.0, innovation_std=0.0,
     )
@@ -65,8 +65,8 @@ def test_la_fixed_mcs_binomial_oracle():
 
 
 def test_la_same_seed_identical_logs():
-    env1 = make_link_adapt_env()
-    env2 = make_link_adapt_env()
+    env1 = LinkAdaptEnv()
+    env2 = LinkAdaptEnv()
     pol = lambda obs: 3
     a = run_episode(env1, pol, horizon=200, seed=42)
     b = run_episode(env2, pol, horizon=200, seed=42)
@@ -76,7 +76,7 @@ def test_la_same_seed_identical_logs():
 
 
 def test_la_invalid_mcs():
-    env = make_link_adapt_env(n_mcs=4)
+    env = LinkAdaptEnv(n_mcs=4)
     env.reset(0)
     with pytest.raises(InvalidActionError):
         env.step(4)
@@ -86,7 +86,7 @@ def test_la_exogenous_hidden_state():
     # Bitwise-identical SINR path no matter which MCS sequence runs.
     traces = []
     for policy in (lambda o: 0, lambda o: 7):
-        env = make_link_adapt_env()
+        env = LinkAdaptEnv()
         log = run_episode(env, policy, horizon=300, seed=11)
         traces.append([s.diagnostics["sinr"] for s in log.steps])
     assert traces[0] == traces[1]
@@ -96,21 +96,21 @@ def test_la_exogenous_hidden_state():
 
 
 def test_pc_zero_gain_channel_zero_reward():
-    env = make_power_env(n_channels=2, fixed_gains=[0.0, 1.0], total_power=2.0)
+    env = PowerEnv(n_channels=2, fixed_gains=[0.0, 1.0], total_power=2.0)
     env.reset(0)
     out = env.step([2.0, 0.0])
     assert out.reward == 0.0
 
 
 def test_pc_single_channel_formula():
-    env = make_power_env(n_channels=1, fixed_gains=[1.0], total_power=3.0, noise=1.0)
+    env = PowerEnv(n_channels=1, fixed_gains=[1.0], total_power=3.0, noise=1.0)
     env.reset(0)
     out = env.step([3.0])
     assert out.reward == pytest.approx(np.log2(4.0), abs=1e-12)
 
 
 def test_pc_water_fill_beats_uniform():
-    env = make_power_env(n_channels=4, total_power=4.0, coherence=1)
+    env = PowerEnv(n_channels=4, total_power=4.0, coherence=1)
     obs = env.reset(3)
     for _ in range(50):
         gains = obs["gains"]
@@ -123,7 +123,7 @@ def test_pc_water_fill_beats_uniform():
 
 
 def test_pc_budget_violation_rejected():
-    env = make_power_env(n_channels=2, total_power=1.0)
+    env = PowerEnv(n_channels=2, total_power=1.0)
     env.reset(0)
     with pytest.raises(InvalidActionError):
         env.step([0.8, 0.8])
@@ -132,7 +132,7 @@ def test_pc_budget_violation_rejected():
 
 
 def test_pc_block_fading_and_exogeneity():
-    env = make_power_env(n_channels=3, coherence=10, total_power=1.0)
+    env = PowerEnv(n_channels=3, coherence=10, total_power=1.0)
     env.reset(5)
     g0 = env.gains_at(0)
     assert np.array_equal(g0, env.gains_at(9))
@@ -148,7 +148,7 @@ def test_pc_block_fading_and_exogeneity():
 
 
 def test_bf_full_measurement_perfect_accuracy():
-    env = make_beamforming_env(n_beams=6, measure_cost=0.0)
+    env = BeamformingEnv(n_beams=6, measure_cost=0.0)
     all_beams = tuple(range(6))
     log = run_episode(
         env, lambda obs: BeamAction(measure=all_beams, serve=SERVE_BEST), horizon=100, seed=2
@@ -160,7 +160,7 @@ def test_bf_full_measurement_perfect_accuracy():
 
 def test_bf_temporal_corr_one_rejected():
     with pytest.raises(ConfigError):
-        make_beamforming_env(temporal_corr=1.0)
+        BeamformingEnv(temporal_corr=1.0)
 
 
 def test_bf_iid_beams_single_measurement_uniform_accuracy():
@@ -173,7 +173,7 @@ def test_bf_iid_beams_single_measurement_uniform_accuracy():
             b = int(self.rng.integers(n_beams))
             return BeamAction(measure=(b,), serve=b)
 
-    env = make_beamforming_env(
+    env = BeamformingEnv(
         n_beams=n_beams, spatial_corr=1e-3, temporal_corr=0.0, measure_cost=0.0
     )
     log = run_episode(env, OneBeam(), horizon=horizon, seed=3)
@@ -185,8 +185,8 @@ def test_bf_iid_beams_single_measurement_uniform_accuracy():
 
 
 def test_bf_two_phase_matches_one_shot():
-    env1 = make_beamforming_env(n_beams=5, measure_cost=0.2)
-    env2 = make_beamforming_env(n_beams=5, measure_cost=0.2)
+    env1 = BeamformingEnv(n_beams=5, measure_cost=0.2)
+    env2 = BeamformingEnv(n_beams=5, measure_cost=0.2)
     env1.reset(9)
     env2.reset(9)
     for t in range(20):
@@ -198,7 +198,7 @@ def test_bf_two_phase_matches_one_shot():
 
 
 def test_bf_errors():
-    env = make_beamforming_env(n_beams=4)
+    env = BeamformingEnv(n_beams=4)
     env.reset(0)
     with pytest.raises(InvalidActionError, match="empty serve"):
         env.step(BeamAction(measure=(), serve=SERVE_BEST))
@@ -212,7 +212,7 @@ def test_bf_errors():
 
 
 def test_bf_trace_consistent_with_stepping():
-    env = make_beamforming_env(n_beams=6)
+    env = BeamformingEnv(n_beams=6)
     trace = None
     env.reset(4)
     trace = env.rsrp_trace(30)
@@ -225,7 +225,7 @@ def test_bf_trace_consistent_with_stepping():
 def test_bf_exogenous_field():
     logs = []
     for serve in (0, 3):
-        env = make_beamforming_env(n_beams=4)
+        env = BeamformingEnv(n_beams=4)
         log = run_episode(env, lambda obs, s=serve: s, horizon=50, seed=8)
         logs.append([st.diagnostics["rsrp_optimal"] for st in log.steps])
     assert logs[0] == logs[1]
@@ -248,7 +248,7 @@ def test_sc_single_backlogged_user_dominates():
     cfg = dict(n_users=3, arrival_rates=[1.0, 0.0, 0.0], fading="none")
     totals = []
     for user in range(3):
-        env = make_scheduling_env(**cfg)
+        env = SchedulingEnv(**cfg)
         log = run_episode(env, lambda obs, u=user: u, horizon=100, seed=1)
         totals.append(log.rewards.sum())
     assert totals[0] > totals[1]
@@ -258,7 +258,7 @@ def test_sc_single_backlogged_user_dominates():
 def test_sc_symmetric_users_round_robin_equalizes():
     # Round robin over identical users: each user's EWMA right after its own
     # turn converges to the same value.
-    env = make_scheduling_env(n_users=2, fading="none", ewma_alpha=0.5)
+    env = SchedulingEnv(n_users=2, fading="none", ewma_alpha=0.5)
     env.reset(0)
     snapshots = {0: None, 1: None}
     for t in range(41):
@@ -268,7 +268,7 @@ def test_sc_symmetric_users_round_robin_equalizes():
 
 
 def test_sc_invalid_user():
-    env = make_scheduling_env(n_users=2)
+    env = SchedulingEnv(n_users=2)
     env.reset(0)
     with pytest.raises(InvalidActionError):
         env.step(2)
@@ -278,7 +278,7 @@ def test_sc_endogenous_witness():
     # Two action sequences must disagree on the state trace under one seed.
     traces = []
     for user in (0, 1):
-        env = make_scheduling_env(n_users=2)
+        env = SchedulingEnv(n_users=2)
         env.reset(6)
         trace = []
         for _ in range(10):
@@ -289,7 +289,7 @@ def test_sc_endogenous_witness():
 
 
 def test_sc_reward_is_utility_increment():
-    env = make_scheduling_env(n_users=2, fading="none")
+    env = SchedulingEnv(n_users=2, fading="none")
     from occam_rrm.envs import EWMA_FLOOR
 
     env.reset(0)
@@ -308,7 +308,7 @@ def test_sc_reward_is_utility_increment():
 
 
 def test_es_all_off_no_traffic_zero_reward():
-    env = make_energy_env(
+    env = EnergySavingEnv(
         n_resources=2, traffic={"kind": "constant", "base": 0.0, "noise_std": 0.0}
     )
     log = run_episode(env, lambda obs: (), horizon=30, seed=0)
@@ -316,7 +316,7 @@ def test_es_all_off_no_traffic_zero_reward():
 
 
 def test_es_activation_delay_blocks_service():
-    env = make_energy_env(
+    env = EnergySavingEnv(
         n_resources=1,
         activation_delay=2,
         traffic={"kind": "constant", "base": 1.0, "noise_std": 0.0},
@@ -332,7 +332,7 @@ def test_es_activation_delay_blocks_service():
 
 
 def test_es_no_delay_serves_immediately():
-    env = make_energy_env(
+    env = EnergySavingEnv(
         n_resources=1,
         activation_delay=0,
         traffic={"kind": "constant", "base": 0.5, "noise_std": 0.0},
@@ -342,7 +342,7 @@ def test_es_no_delay_serves_immediately():
 
 
 def test_es_deactivation_is_immediate():
-    env = make_energy_env(
+    env = EnergySavingEnv(
         n_resources=1, activation_delay=0,
         traffic={"kind": "constant", "base": 0.0, "noise_std": 0.0},
     )
@@ -352,7 +352,7 @@ def test_es_deactivation_is_immediate():
 
 
 def test_es_trace_cycles_and_is_pure():
-    env = make_energy_env(traffic={"trace": [1.0, 2.0, 3.0]})
+    env = EnergySavingEnv(traffic={"trace": [1.0, 2.0, 3.0]})
     env.reset(0)
     assert env.traffic_at(4) == 2.0
     before = env.traffic_at(100)
@@ -361,7 +361,7 @@ def test_es_trace_cycles_and_is_pure():
 
 
 def test_es_malformed_subsets():
-    env = make_energy_env(n_resources=2)
+    env = EnergySavingEnv(n_resources=2)
     env.reset(0)
     with pytest.raises(InvalidActionError):
         env.step((5,))
@@ -380,7 +380,7 @@ def _crossing_env(**kw):
         rlf_threshold=-95.0,
     )
     base.update(kw)
-    return make_handover_env(**base)
+    return HandoverEnv(**base)
 
 
 def test_ho_ideal_single_handover_no_penalty():
@@ -446,7 +446,7 @@ def test_ho_exceed_count_resets():
 
 
 def test_ac_accept_all_unconstrained_collects_all_rewards():
-    env = make_admission_env(
+    env = AdmissionEnv(
         capacity=1000,
         classes=[{"arrival_rate": 0.3, "departure_rate": 0.0005, "reward": 2.0, "reject_penalty": 1.0}],
     )
@@ -457,7 +457,7 @@ def test_ac_accept_all_unconstrained_collects_all_rewards():
 
 
 def test_ac_zero_arrivals_zero_reward():
-    env = make_admission_env(
+    env = AdmissionEnv(
         capacity=5,
         classes=[{"arrival_rate": 0.0, "departure_rate": 0.01, "reward": 2.0, "reject_penalty": 1.0}],
     )
@@ -466,7 +466,7 @@ def test_ac_zero_arrivals_zero_reward():
 
 
 def test_ac_used_never_exceeds_capacity():
-    env = make_admission_env(capacity=3)
+    env = AdmissionEnv(capacity=3)
     class RandomRule(RngPolicy):
         def act(self, obs):
             return tuple(self.rng.integers(0, 3, size=2))
@@ -477,7 +477,7 @@ def test_ac_used_never_exceeds_capacity():
 
 
 def test_ac_strict_infeasible_accept_errors():
-    env = make_admission_env(
+    env = AdmissionEnv(
         capacity=1,
         strict_feasibility=True,
         classes=[{"arrival_rate": 0.5, "departure_rate": 0.01, "reward": 1.0, "reject_penalty": 0.1}],
@@ -492,7 +492,7 @@ def test_ac_strict_infeasible_accept_errors():
 
 def test_ac_rate_validation():
     with pytest.raises(ConfigError, match="event rates"):
-        make_admission_env(
+        AdmissionEnv(
             capacity=10,
             classes=[{"arrival_rate": 0.5, "departure_rate": 0.2, "reward": 1.0, "reject_penalty": 0.1}],
         )
@@ -501,7 +501,7 @@ def test_ac_rate_validation():
 def test_ac_endogenous_witness():
     traces = []
     for rule in ((1,), (0,)):
-        env = make_admission_env(
+        env = AdmissionEnv(
             capacity=4,
             classes=[{"arrival_rate": 0.3, "departure_rate": 0.05, "reward": 1.0, "reject_penalty": 0.1}],
         )
@@ -514,7 +514,7 @@ def test_ac_endogenous_witness():
 
 
 def test_ac_three_state_birth_death():
-    env = make_admission_env(
+    env = AdmissionEnv(
         capacity=2,
         classes=[{"arrival_rate": 0.3, "departure_rate": 0.2, "reward": 1.0, "reject_penalty": 0.5}],
     )
@@ -531,7 +531,7 @@ def test_ac_three_state_birth_death():
 
 
 def test_ac_accept_transition_probabilities():
-    env = make_admission_env(
+    env = AdmissionEnv(
         capacity=2,
         classes=[{"arrival_rate": 0.3, "departure_rate": 0.2, "reward": 1.0, "reject_penalty": 0.5}],
     )
@@ -548,7 +548,7 @@ def test_ac_accept_transition_probabilities():
 
 def test_continuous_env_not_tractable():
     with pytest.raises(NotTractableError, match="not tractable"):
-        env_true_mdp(make_beamforming_env())
+        env_true_mdp(BeamformingEnv())
 
 
 def test_single_state_env_extraction():
@@ -602,22 +602,22 @@ class _AcRandom(RngPolicy):
 
 
 REPLAY_CASES = [
-    (make_link_adapt_env, _LaRandom),
-    (make_power_env, _PcRandom),
-    (make_beamforming_env, _BfRandom),
-    (make_scheduling_env, _ScRandom),
-    (make_energy_env, _EsRandom),
-    (make_handover_env, _HoRandom),
-    (make_admission_env, _AcRandom),
+    (LinkAdaptEnv, _LaRandom),
+    (PowerEnv, _PcRandom),
+    (BeamformingEnv, _BfRandom),
+    (SchedulingEnv, _ScRandom),
+    (EnergySavingEnv, _EsRandom),
+    (HandoverEnv, _HoRandom),
+    (AdmissionEnv, _AcRandom),
 ]
 
 
-@pytest.mark.parametrize("factory,policy_cls", REPLAY_CASES, ids=lambda x: getattr(x, "__name__", ""))
-def test_replay_reproduces_rewards(factory, policy_cls):
+@pytest.mark.parametrize("env_cls,policy_cls", REPLAY_CASES, ids=lambda x: getattr(x, "__name__", ""))
+def test_replay_reproduces_rewards(env_cls, policy_cls):
     from occam_rrm import replay_episode
 
-    log = run_episode(factory(), policy_cls(), horizon=120, seed=17)
-    replayed = replay_episode(factory(), log)
+    log = run_episode(env_cls(), policy_cls(), horizon=120, seed=17)
+    replayed = replay_episode(env_cls(), log)
     assert np.array_equal(replayed.rewards, log.rewards)
     for a, b in zip(log.steps, replayed.steps):
         assert a.diagnostics == b.diagnostics

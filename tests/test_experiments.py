@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from occam_rrm.config import config_keys
+from occam_rrm.envs import ENVS, make_env
 from occam_rrm.errors import ConfigError
 from occam_rrm.experiments import (
+    LOOP_ARGS,
     SOLVERS,
     ExperimentConfig,
     check_compatibility,
@@ -265,3 +268,76 @@ def test_registry_covers_every_env():
         "link_adaptation", "power_control", "beamforming", "scheduling",
         "energy_saving", "handover", "admission_control", "tabular",
     }
+
+
+# ---------------------------------------------------------------- config keys
+
+ENV_KEYS = {
+    "link_adaptation": {"n_mcs", "rates", "s50", "bler_slope", "sinr_mean", "ar_coeff",
+                        "innovation_std", "report_noise_std"},
+    "power_control": {"n_channels", "total_power", "noise", "coherence", "mean_gain",
+                      "fixed_gains"},
+    "beamforming": {"n_beams", "ue_speed", "spatial_corr", "temporal_corr", "measure_cost",
+                    "mean_rsrp", "rsrp_std", "speed_to_corr"},
+    "scheduling": {"n_users", "mean_efficiency", "fading", "arrival_rates", "ewma_alpha",
+                   "weights"},
+    "energy_saving": {"n_resources", "capacity", "power_draw", "activation_delay", "traffic",
+                      "qos_threshold", "qos_weight", "energy_weight"},
+    "handover": {"n_cells", "model", "noise_std", "ho_interruption", "rlf_threshold",
+                 "pingpong_window", "hysteresis"},
+    "admission_control": {"capacity", "classes", "strict_feasibility", "safety_margin",
+                          "qos_penalty", "discount"},
+    "tabular": {"transition", "reward", "discount", "initial_state", "reward_noise_std"},
+}
+REQUIRED_ENV_KEYS = {"tabular": {"transition", "reward"}}
+
+# solver -> (accepted keys, required keys)
+SOLVER_KEYS = {
+    "illa-olla": ({"step_up", "target_bler"}, set()),
+    "thompson-mcs": (set(), set()),
+    "fixed-mcs": ({"mcs"}, {"mcs"}),
+    "water-fill": (set(), set()),
+    "uniform-power": (set(), set()),
+    "proportional-fair": ({"ewma_alpha"}, set()),
+    "round-robin": (set(), set()),
+    "max-rate": (set(), set()),
+    "dpp-energy": ({"v_weight"}, set()),
+    "min-energy": (set(), set()),
+    "es-thresholds": ({"lower", "upper"}, set()),
+    "mpc-energy": ({"predictor", "plan_horizon", "discount"}, set()),
+    "mro": ({"hysteresis", "time_to_trigger"}, set()),
+    "greedy-ho": (set(), set()),
+    "trunk": ({"thresholds"}, {"thresholds"}),
+    "accept-all": (set(), set()),
+    "value-iteration": ({"tol"}, set()),
+    "q-learning": ({"train_episodes", "train_horizon"}, set()),
+    "bo-tracker": ({"budget_per_step", "kernel", "kappa", "window"}, {"budget_per_step"}),
+    "knn-tracker": ({"budget_per_step"}, {"budget_per_step"}),
+    "full-scan": (set(), set()),
+}
+
+
+def test_env_config_keys_are_pinned():
+    assert set(ENVS) == set(ENV_KEYS)
+    for kind, keys in ENV_KEYS.items():
+        assert config_keys(ENVS[kind]) == (keys, REQUIRED_ENV_KEYS.get(kind, set())), kind
+        with pytest.raises(ConfigError, match=f"unknown {kind} config keys: \\['bogus'\\]"):
+            make_env({"env": kind, "bogus": 1})
+    with pytest.raises(ConfigError, match="missing required key 'reward'"):
+        make_env({"env": "tabular", "transition": [[[1.0]]]})
+
+
+def test_solver_config_keys_are_pinned():
+    assert set(SOLVERS) == set(SOLVER_KEYS)
+    for name, keys in SOLVER_KEYS.items():
+        spec = SOLVERS[name]
+        fn, given = (spec.agent, ("env",)) if spec.loop is None else (spec.loop, LOOP_ARGS)
+        assert config_keys(fn, given) == keys, name
+        accepted, required = keys
+        env_cfg = {"env": spec.envs[-1]}
+        full = {key: None for key in accepted}
+        with pytest.raises(ConfigError, match="unknown solver config keys: \\['bogus'\\]"):
+            spec.run(env_cfg, {**full, "bogus": 1}, horizon=1, seed=0)
+        for key in required:
+            with pytest.raises(ConfigError, match=f"solver config missing required key '{key}'"):
+                spec.run(env_cfg, {}, horizon=1, seed=0)

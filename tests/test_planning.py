@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 
 from occam_rrm import ConfigError, NotTractableError, TabularMdp
-from occam_rrm.envs import TabularEnv, make_beamforming_env
+from occam_rrm.envs import BeamformingEnv, TabularEnv
 from occam_rrm.planning import (
     DeterministicModel,
     Predictor,
-    QTable,
-    ValueTable,
     bellman_residual,
     hyperbolic_schedule,
     mpc_plan,
-    oracle_predictor,
-    persistence_predictor,
     policy_iteration,
     q_learning,
     value_iteration,
@@ -178,9 +174,16 @@ def test_q_learning_deterministic_in_seed():
     assert np.array_equal(t1.visits, t2.visits)
 
 
+def test_q_learning_zero_learning_rate_leaves_q_at_zero():
+    mdp = TabularMdp(2, 2, np.ones((2, 2, 2)) / 2, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.9)
+    table = q_learning(TabularEnv(mdp), episodes=2, horizon=200, alpha=0.0, seed=3)
+    assert np.all(table.q == 0.0)
+    assert table.visits.sum() == 400
+
+
 def test_q_learning_rejects_continuous_env():
     with pytest.raises(NotTractableError):
-        q_learning(make_beamforming_env(), episodes=1)
+        q_learning(BeamformingEnv(), episodes=1)
 
 
 def test_schedule_validation():
@@ -269,35 +272,7 @@ def test_mpc_deterministic_requires_trajectory():
 # ---------------------------------------------------------------- predictors
 
 
-def test_persistence_predictor_repeats():
-    p = persistence_predictor(extract=lambda obs: obs["traffic"])
-    assert p.predict({"traffic": 2.5}, 3) == [2.5, 2.5, 2.5]
-
-
-def test_oracle_predictor_reads_future():
-    p = oracle_predictor(lambda t: float(t) ** 2)
-    assert p.predict(2, 3) == [9.0, 16.0, 25.0]
-
-
 def test_predictor_length_enforced():
     p = Predictor(lambda obs, k: [0.0] * (k + 1))
     with pytest.raises(ConfigError):
         p.predict(None, 2)
-
-
-# ---------------------------------------------------------------- serialization
-
-
-def test_value_table_csv_round_trip():
-    vt = ValueTable(values=np.array([1.5, -2.25]), policy=np.array([1, 0]))
-    text = vt.to_csv()
-    assert text.splitlines()[0] == "state,action,value"
-    back = ValueTable.from_csv(text)
-    assert np.array_equal(back.values, vt.values)
-    assert np.array_equal(back.policy, vt.policy)
-
-
-def test_q_table_csv_round_trip():
-    q = QTable(q=np.array([[1.0, 2.0], [3.5, -1.0]]), visits=np.zeros((2, 2), dtype=int))
-    back = QTable.from_csv(q.to_csv())
-    assert np.array_equal(back.q, q.q)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from occam_rrm import ConfigError, run_episode
-from occam_rrm.envs import make_energy_env, make_handover_env
+from occam_rrm.envs import EnergySavingEnv, HandoverEnv
 from occam_rrm.envs.types import AdmissionState
 from occam_rrm.rules import (
     STAY,
@@ -14,8 +14,6 @@ from occam_rrm.rules import (
     es_policy,
     mro_policy,
     pf_select,
-    pf_state,
-    pf_update,
     trunk_admit,
 )
 
@@ -53,30 +51,9 @@ def test_pf_select_scale_invariant():
             assert pf_select(eff, PfState(c * avg, 0.5)) == base
 
 
-def test_pf_update_alpha_one_overwrites():
-    s = PfState(np.array([2.0, 3.0]), 1.0)
-    s2 = pf_update(s, 0, 5.0)
-    assert s2.avg_throughput[0] == pytest.approx(5.0)
-    assert s2.avg_throughput[1] == pytest.approx(1e-6)
-
-
-def test_pf_update_tiny_alpha_barely_moves():
-    s = PfState(np.array([2.0, 3.0]), 1e-9)
-    s2 = pf_update(s, 0, 5.0)
-    assert np.allclose(s2.avg_throughput, s.avg_throughput, atol=1e-8)
-
-
 def test_pf_alpha_zero_rejected():
     with pytest.raises(ConfigError):
         PfState(np.array([1.0]), 0.0)
-
-
-def test_pf_repeated_service_converges_geometrically():
-    s = pf_state(2, ewma_alpha=0.1)
-    for _ in range(300):
-        s = pf_update(s, 1, 2.5)
-    assert s.avg_throughput[1] == pytest.approx(2.5, rel=1e-9)
-    assert s.avg_throughput[0] == pytest.approx(1e-6)
 
 
 # ---------------------------------------------------------------- drift plus penalty
@@ -109,7 +86,7 @@ def test_dpp_matches_brute_force():
 def test_dpp_keeps_energy_queue_bounded():
     # Pure max-weight (v=0) must stabilize the backlog when the offered
     # traffic sits inside the service capacity.
-    env = make_energy_env(
+    env = EnergySavingEnv(
         n_resources=4,
         activation_delay=0,
         traffic={"kind": "sinusoid", "base": 1.5, "amplitude": 1.0, "period": 100, "noise_std": 0.1},
@@ -208,7 +185,7 @@ def test_mro_best_rsrp_among_qualifying():
 
 
 def test_mro_infinite_hysteresis_never_fires():
-    env = make_handover_env(
+    env = HandoverEnv(
         n_cells=2, noise_std=0.0, hysteresis=1e9,
         model={"kind": "crossing", "period": 200, "near_rsrp": -60.0, "far_rsrp": -90.0},
     )
@@ -218,7 +195,7 @@ def test_mro_infinite_hysteresis_never_fires():
 
 
 def _first_ho_time(env_hysteresis):
-    env = make_handover_env(
+    env = HandoverEnv(
         n_cells=2, noise_std=0.0, hysteresis=env_hysteresis,
         model={"kind": "crossing", "period": 400, "near_rsrp": -60.0, "far_rsrp": -90.0},
     )
@@ -255,10 +232,10 @@ def test_mro_beats_greedy_under_noise():
     mro_total, greedy_total = 0.0, 0.0
     for seed in range(5):
         mro_total += run_episode(
-            make_handover_env(**cfg), lambda o: mro_policy(o, p), horizon=800, seed=seed
+            HandoverEnv(**cfg), lambda o: mro_policy(o, p), horizon=800, seed=seed
         ).rewards.sum()
         greedy_total += run_episode(
-            make_handover_env(**cfg), greedy, horizon=800, seed=seed
+            HandoverEnv(**cfg), greedy, horizon=800, seed=seed
         ).rewards.sum()
     assert mro_total > greedy_total
 

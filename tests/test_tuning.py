@@ -1,8 +1,7 @@
 """Parameterized-policy evaluation and the three tuners.
 
-Analytic optima anchor the tuner tests: the 1-D quadratic peaks at 3, the
-2-D bowl at (1, 2), and the finite-difference error of theta^4 at 1 is
-exactly 4*delta^2, giving the O(delta^2) ratio check a closed form.
+Analytic optima anchor the tuner tests: the 1-D quadratic peaks at 3 and
+the 2-D bowl at (1, 2).
 """
 
 import json
@@ -17,7 +16,6 @@ from occam_rrm.tuning import (
     bo_tune,
     evaluate_policy,
     fd_ascent,
-    fd_gradient,
     nelder_mead,
 )
 
@@ -80,6 +78,15 @@ def test_es_thresholds_and_olla_families_evaluate():
     la_cfg = {"env": "link_adaptation"}
     olla = ParamPolicy("olla_steps", (0.01,), ((0.001, 0.1),))
     mean, _ = evaluate_policy(la_cfg, olla, n_episodes=2, horizon=50, seed=1)
+    assert np.isfinite(mean)
+
+
+@pytest.mark.parametrize("theta", [(1.0, 1.0), (1.0, 0.5)])
+def test_es_thresholds_family_evaluates_at_the_lower_bound_corner(theta):
+    # lower = 1 leaves no room for upper > lower unless lower is clamped.
+    es_cfg = {"env": "energy_saving", "traffic": {"trace": [2.0], "noise_std": 0.0}}
+    policy = ParamPolicy("es_thresholds", theta, ((0.0, 1.0), (0.0, 1.0)))
+    mean, _ = evaluate_policy(es_cfg, policy, n_episodes=1, horizon=40, seed=1)
     assert np.isfinite(mean)
 
 
@@ -184,6 +191,11 @@ def test_bo_budget_validated():
         bo_tune(lambda th: 0.0, ((0.0, 1.0),), budget=1)
 
 
+def test_bo_negative_kappa_rejected():
+    with pytest.raises(ConfigError, match="kappa"):
+        bo_tune(lambda th: -th[0] ** 2, ((-1.0, 1.0),), budget=4, kappa=-1.0)
+
+
 # ---------------------------------------------------------------- fd ascent
 
 def test_fd_linear_objective_hits_upper_bound():
@@ -191,23 +203,10 @@ def test_fd_linear_objective_hits_upper_bound():
     assert res.best_theta[0] == 1.0
 
 
-def test_fd_gradient_matches_analytic():
-    g = fd_gradient(lambda th: -((th[0] - 3.0) ** 2), (1.0,), 1e-3)
-    assert abs(g[0] - 4.0) < 1e-5
-
-
 def test_fd_step_zero_returns_theta0_only():
     res = fd_ascent(lambda th: -((th[0] - 3.0) ** 2), (1.0,), ((0.0, 5.0),), step=0.0, fd_delta=1e-3)
     assert res.best_theta == (1.0,)
     assert len(res.evaluations) == 1
-
-
-def test_fd_error_scales_quadratically_in_delta():
-    # d/dtheta theta^4 at 1 is 4; central difference error is 4*delta^2.
-    f = lambda th: th[0] ** 4
-    err = {d: abs(fd_gradient(f, (1.0,), d)[0] - 4.0) for d in (1e-2, 1e-3)}
-    ratio = err[1e-2] / err[1e-3]
-    assert 100 / 3 < ratio < 100 * 3
 
 
 def test_fd_delta_validated():
