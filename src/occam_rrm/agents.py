@@ -1,7 +1,9 @@
 """Adapters wiring solver primitives to environment interfaces, so every
-technique runs through run_episode (or a tracker loop) interchangeably."""
+technique runs through run_episode interchangeably."""
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -13,11 +15,13 @@ from .bandits import (
     olla_step,
     thompson_select,
 )
-from .core import EpisodeLog, StepRecord, run_episode
+from .core import EpisodeLog, run_episode
 from .envs.beamforming import SERVE_BEST, BeamAction
+from .envs.types import AdmissionState
 from .errors import ConfigError
 from .planning import DeterministicModel, Predictor, mpc_plan
-from .rules import EsThresholds, MroParams, PfState, dpp_action, es_policy, mro_policy, trunk_admit
+from .rules import (DppState, EsThresholds, MroParams, PfState, dpp_action, es_policy,
+                    mro_policy, pf_select, trunk_admit)
 from .static_opt import water_fill
 
 
@@ -28,11 +32,10 @@ class IllaOllaAgent:
 
     def __init__(self, lookup, step_up: float = 0.01, target_bler: float = 0.1):
         self.lookup = np.asarray(lookup, dtype=float)
-        self.step_up = step_up
-        self.target_bler = target_bler
+        self.initial = olla_state(step_up, target_bler)
 
     def reset(self, seed):
-        self.state = olla_state(self.step_up, self.target_bler)
+        self.state = self.initial
 
     def act(self, obs):
         if obs.ack is not None:
@@ -86,11 +89,9 @@ class PfAgent:
     """Proportional fairness riding the env's own throughput EWMA."""
 
     def __init__(self, ewma_alpha: float = 0.1):
-        self.ewma_alpha = ewma_alpha
+        self.ewma_alpha = float(ewma_alpha)
 
     def act(self, obs):
-        from .rules import pf_select
-
         state = PfState(np.maximum(obs["avg_throughput"], 1e-6), self.ewma_alpha)
         return pf_select(obs["spectral_eff"], state)
 
@@ -124,11 +125,9 @@ class DppEnergyAgent:
         self.capacity = env.capacity
         self.power_draw = env.power_draw
         self.delay = env.activation_delay
-        self.v_weight = v_weight
+        self.v_weight = float(v_weight)
 
     def act(self, obs):
-        from .rules import DppState
-
         status = obs["status"]
 
         def service(subset):
@@ -177,7 +176,7 @@ class MpcEnergyAgent:
             raise ConfigError("horizon must be >= 1")
         self.predictor = predictor
         self.horizon = horizon
-        self.discount = discount
+        self.discount = float(discount)
         actions = env.all_actions()
         capacity, draw, delay = env.capacity, env.power_draw, env.activation_delay
         qos_threshold, qos_weight = env.qos_threshold, env.qos_weight
@@ -246,8 +245,6 @@ class TrunkAgent:
             raise ConfigError("one threshold per priority class required")
 
     def act(self, obs):
-        from .envs.types import AdmissionState
-
         rule = []
         for cls, demand in enumerate(self.demands):
             st = AdmissionState(
@@ -282,39 +279,46 @@ class TablePolicyAgent:
 
 # ---------------------------------------------------------------- beam trackers
 
-def full_scan_tracker(env, horizon: int = 100, seed: int = 0) -> EpisodeLog:
+class FullScanAgent:
     """Measures every beam every step and serves the best: the exhaustive
     baseline with accuracy exactly 1."""
-    all_beams = tuple(range(env.n_beams))
-    policy = lambda obs: BeamAction(measure=all_beams, serve=SERVE_BEST)
-    return run_episode(env, policy, horizon=horizon, seed=seed)
+
+    def __init__(self, env):
+        self.action = BeamAction(measure=tuple(range(env.n_beams)), serve=SERVE_BEST)
+
+    def act(self, obs):
+        return self.action
 
 
-def knn_beam_tracker(env, budget_per_step: int, horizon: int = 100, seed: int = 0) -> EpisodeLog:
+class KnnTrackerAgent:
     """Nearest-neighbor historical predictor: each beam's RSRP is predicted
     by its most recent measurement (1-NN in time); the budget cycles through
     beams round-robin and the freshest picture's argmax is served."""
-    if budget_per_step < 1:
-        raise ConfigError("budget_per_step must be >= 1")
-    n_beams = env.n_beams
-    env.reset(seed)
-    last_seen = np.full(n_beams, -np.inf)
-    cursor = 0
-    steps = []
-    for t in range(horizon):
-        chosen = tuple((cursor + i) % n_beams for i in range(min(budget_per_step, n_beams)))
-        cursor = (cursor + budget_per_step) % n_beams
-        measured = env.measure(chosen)
-        for b, rsrp in measured.items():
-            last_seen[b] = rsrp
-        serve = int(np.argmax(last_seen))
-        out = env.step(serve)
-        steps.append(
-            StepRecord(
-                observation=measured,
-                action=BeamAction(measure=chosen, serve=serve),
-                reward=out.reward,
-                diagnostics=out.diagnostics,
-            )
-        )
-    return EpisodeLog(steps=steps, seed=seed, env_name=env.name)
+
+    def __init__(self, env, budget_per_step: int):
+        self.budget = operator.index(budget_per_step)
+        if self.budget < 1:
+            raise ConfigError("budget_per_step must be >= 1")
+        self.env = env
+
+    def reset(self, seed):
+        self.last_seen = np.full(self.env.n_beams, -np.inf)
+        self.cursor = 0
+
+    def act(self, obs):
+        n = self.env.n_beams
+        chosen = tuple((self.cursor + i) % n for i in range(min(self.budget, n)))
+        self.cursor = (self.cursor + self.budget) % n
+        for b, rsrp in self.env.measure(chosen).items():
+            self.last_seen[b] = rsrp
+        return BeamAction(measure=chosen, serve=int(np.argmax(self.last_seen)))
+
+
+def full_scan_tracker(env, horizon: int = 100, seed: int = 0) -> EpisodeLog:
+    """One episode of FullScanAgent."""
+    return run_episode(env, FullScanAgent(env), horizon=horizon, seed=seed)
+
+
+def knn_beam_tracker(env, budget_per_step: int, horizon: int = 100, seed: int = 0) -> EpisodeLog:
+    """One episode of KnnTrackerAgent."""
+    return run_episode(env, KnnTrackerAgent(env, budget_per_step), horizon=horizon, seed=seed)

@@ -1,16 +1,17 @@
 """Bandit-style optimizers for settings where the reward model is unknown:
 Beta-Bernoulli Thompson sampling, inner/outer-loop link adaptation, Gaussian
 process surrogates with UCB acquisition, and a spatio-temporal GP beam
-tracker.
+tracker agent.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import EpisodeLog, StepRecord
+from .core import EpisodeLog, run_episode
 from .errors import ConfigError, GpNumericalError
 from .envs.beamforming import BeamAction
 
@@ -179,6 +180,15 @@ class GpSurrogate:
         return mean, max(var, 0.0)
 
 
+def ucb_scores(s: GpSurrogate, candidates, kappa: float) -> np.ndarray:
+    """mean + kappa * posterior std of each candidate."""
+    scores = np.empty(len(candidates))
+    for i, cand in enumerate(candidates):
+        mean, var = s.posterior(cand)
+        scores[i] = mean + kappa * np.sqrt(var)
+    return scores
+
+
 def ucb_acquire(s: GpSurrogate, candidates, kappa: float):
     """Argmax of mean + kappa * posterior std over candidates; ties keep the
     first candidate."""
@@ -186,70 +196,60 @@ def ucb_acquire(s: GpSurrogate, candidates, kappa: float):
         raise ConfigError("candidates must be nonempty")
     if kappa < 0:
         raise ConfigError("kappa must be nonnegative")
-    best, best_score = None, -np.inf
-    for cand in candidates:
-        mean, var = s.posterior(cand)
-        score = mean + kappa * np.sqrt(var)
-        if score > best_score:
-            best, best_score = cand, score
-    return best
+    return candidates[int(np.argmax(ucb_scores(s, candidates, kappa)))]
 
 
 # ---------------------------------------------------------------- beam tracking
 
-def bo_beam_tracker(
-    env,
-    budget_per_step: int,
-    kernel: dict | None = None,
-    kappa: float = 2.0,
-    horizon: int = 100,
-    seed: int = 0,
-    window: int = TRACKER_WINDOW,
-    obs_noise: float = 1e-3,
-) -> EpisodeLog:
+class BoTrackerAgent:
     """Track the best beam with a GP over (beam, time).
 
     Each step: score every beam at the current time with UCB, measure the
     top `budget_per_step` beams, fold the measurements into the sliding-window
     surrogate, then serve the posterior-mean argmax beam.
     """
-    if budget_per_step < 1:
-        raise ConfigError("budget_per_step must be >= 1")
-    n_beams = env.n_beams
-    kernel = dict(kernel or {})
-    length_scales = kernel.pop("length_scales", (2.0, 10.0))
-    signal_var = kernel.pop("signal_var", float(getattr(env, "rsrp_std", 10.0)) ** 2)
-    prior_mean = kernel.pop("prior_mean", float(getattr(env, "mean_rsrp", 0.0)))
-    if kernel:
-        raise ConfigError(f"unknown kernel keys: {sorted(kernel)}")
-    surrogate = GpSurrogate(
-        length_scales=np.asarray(length_scales, dtype=float),
-        signal_var=signal_var,
-        prior_mean=prior_mean,
-        max_points=window,
-    )
 
-    env.reset(seed)
-    steps = []
-    for t in range(horizon):
-        scores = np.empty(n_beams)
-        for b in range(n_beams):
-            mean, var = surrogate.posterior((float(b), float(t)))
-            scores[b] = mean + kappa * np.sqrt(var)
-        order = np.argsort(-scores, kind="stable")
-        chosen = tuple(int(b) for b in order[:budget_per_step])
-        measured = env.measure(chosen)
-        for b, rsrp in measured.items():
-            surrogate.add((float(b), float(t)), rsrp, obs_noise)
-        means = [surrogate.posterior((float(b), float(t)))[0] for b in range(n_beams)]
-        serve = int(np.argmax(means))
-        out = env.step(serve)
-        steps.append(
-            StepRecord(
-                observation=measured,
-                action=BeamAction(measure=chosen, serve=serve),
-                reward=out.reward,
-                diagnostics=out.diagnostics,
-            )
+    obs_noise = 1e-3  # measurement noise std the surrogate assumes
+
+    def __init__(self, env, budget_per_step: int, kernel: dict | None = None,
+                 kappa: float = 2.0, window: int = TRACKER_WINDOW):
+        self.budget = operator.index(budget_per_step)
+        if self.budget < 1:
+            raise ConfigError("budget_per_step must be >= 1")
+        if kappa < 0:
+            raise ConfigError("kappa must be nonnegative")
+        kernel = dict(kernel or {})
+        self.gp = dict(
+            length_scales=np.asarray(kernel.pop("length_scales", (2.0, 10.0)), dtype=float),
+            signal_var=kernel.pop("signal_var", float(getattr(env, "rsrp_std", 10.0)) ** 2),
+            prior_mean=kernel.pop("prior_mean", float(getattr(env, "mean_rsrp", 0.0))),
+            max_points=window,
         )
-    return EpisodeLog(steps=steps, seed=seed, env_name=env.name)
+        if kernel:
+            raise ConfigError(f"unknown kernel keys: {sorted(kernel)}")
+        self.env = env
+        self.kappa = kappa
+        self.reset(0)  # a bad kernel or window fails here, not at the first step
+
+    def reset(self, seed):
+        self.surrogate = GpSurrogate(**self.gp)
+        self.t = 0
+
+    def act(self, obs):
+        beams = [(float(b), float(self.t)) for b in range(self.env.n_beams)]
+        self.t += 1
+        order = np.argsort(-ucb_scores(self.surrogate, beams, self.kappa), kind="stable")
+        chosen = tuple(int(b) for b in order[:self.budget])
+        for b, rsrp in self.env.measure(chosen).items():
+            self.surrogate.add(beams[b], rsrp, self.obs_noise)
+        means = [self.surrogate.posterior(q)[0] for q in beams]
+        return BeamAction(measure=chosen, serve=int(np.argmax(means)))
+
+
+def bo_beam_tracker(env, budget_per_step: int, kernel: dict | None = None, kappa: float = 2.0,
+                    horizon: int = 100, seed: int = 0, window: int = TRACKER_WINDOW,
+                    obs_noise: float = 1e-3) -> EpisodeLog:
+    """One episode of BoTrackerAgent."""
+    agent = BoTrackerAgent(env, budget_per_step, kernel=kernel, kappa=kappa, window=window)
+    agent.obs_noise = obs_noise
+    return run_episode(env, agent, horizon=horizon, seed=seed)

@@ -33,10 +33,13 @@ def check_config(fn, cfg: dict, what: str, given=()) -> None:
 
 
 def build_from_config(fn, cfg: dict, what: str, **given):
-    """fn(**given, **cfg) once cfg passes check_config. A TypeError or
-    ValueError from the call means a value of the wrong type or form came in
-    from outside, so it becomes a one-line ConfigError."""
+    """fn(**given, **cfg) once cfg passes check_config, passing only the
+    given values whose names `fn` takes. A TypeError or ValueError from the
+    call means a value of the wrong type or form came in from outside, so it
+    becomes a one-line ConfigError."""
     check_config(fn, cfg, what, given)
+    params = inspect.signature(fn).parameters
+    given = {name: value for name, value in given.items() if name in params}
     try:
         return fn(**given, **cfg)
     except (TypeError, ValueError) as exc:

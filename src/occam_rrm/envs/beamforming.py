@@ -2,11 +2,12 @@
 in time, from which an agent may measure a few beams per step and must pick
 one to serve. Measuring costs a per-beam penalty; the field ignores actions.
 
-A step can be driven two ways. One-shot: step(BeamAction(measure, serve))
-commits a measurement subset and a served beam together, with serve="best"
-meaning the argmax of that subset. Two-phase: call measure(beams) to read the
-current column first, then step(serve) with any beam index; trackers that
-place the served beam through a surrogate use this form.
+A step commits BeamAction(measure, serve): a measurement subset and a served
+beam, with serve="best" meaning the argmax of that subset. A tracker that
+places the served beam from what it measured first calls measure(beams) to
+read the current column, then commits a BeamAction over those same beams;
+the step charges that subset once. A bare beam index after measure() serves
+it with the measured set charged.
 """
 
 from __future__ import annotations
@@ -114,11 +115,11 @@ class BeamformingEnv(RrmEnv):
 
     def _step(self, action):
         if isinstance(action, BeamAction):
-            if self._pending is not None:
-                raise InvalidActionError(
-                    "cannot mix measure() with a BeamAction carrying a measurement set"
-                )
             measured = self._check_beams(action.measure)
+            if self._pending is not None and set(measured) != set(self._pending):
+                raise InvalidActionError(
+                    f"BeamAction measures {measured} but measure() read {self._pending}"
+                )
             serve = action.serve
         else:
             measured = self._pending if self._pending is not None else ()

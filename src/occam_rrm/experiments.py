@@ -16,8 +16,8 @@ import jsonschema
 
 from . import agents
 from .advisor import advise, usecase_traits
-from .bandits import TRACKER_WINDOW, bo_beam_tracker
-from .config import build_from_config, check_config
+from .bandits import BoTrackerAgent
+from .config import build_from_config
 from .core import DEFAULT_DISCOUNT, metrics_summary, run_episode
 from .envs import env_true_mdp, make_env
 from .errors import ConfigError
@@ -30,35 +30,24 @@ SCHEMA_PATH = Path(__file__).parent / "schemas" / "experiment.schema.json"
 
 # ---------------------------------------------------------------- registry
 
-LOOP_ARGS = ("env", "horizon", "seed")
-
-
 @dataclass(frozen=True)
 class SolverSpec:
-    """A registry row. `agent(env, **cfg)` builds a policy that run_episode
-    drives; a solver with its own loop gives `loop(env, horizon, seed, **cfg)`
-    returning the EpisodeLog instead. The keyword parameters after those
-    define the solver's config keys."""
+    """A registry row: `agent(env, **cfg)` builds a policy that run_episode
+    drives. A builder that names `seed` also receives the episode seed. The
+    keyword parameters after those define the solver's config keys."""
 
     envs: tuple
-    agent: object = None
-    loop: object = None
-
-    def build_agent(self, env, cfg: dict):
-        return build_from_config(self.agent, cfg, "solver", env=env)
+    agent: object
 
     def run(self, env_cfg: dict, cfg: dict, horizon: int, seed: int):
         env = make_env(env_cfg)
-        if self.loop is None:
-            return run_episode(env, self.build_agent(env, cfg), horizon=horizon, seed=seed)
-        check_config(self.loop, cfg, "solver", LOOP_ARGS)
-        return self.loop(env=env, horizon=horizon, seed=seed, **cfg)
+        agent = build_from_config(self.agent, cfg, "solver", env=env, seed=seed)
+        return run_episode(env, agent, horizon=horizon, seed=seed)
 
 
-# Rows call the solver kernels (value_iteration, q_learning, bo_beam_tracker,
-# run_episode) through this module's names at call time instead of storing
-# them, so a wrapper installed on module attributes (perfbench's tracer)
-# sees every call.
+# Rows and SolverSpec.run call value_iteration, q_learning and run_episode
+# through this module's names at call time instead of storing them, so a
+# wrapper installed on module attributes (perfbench's tracer) sees every call.
 
 
 def _mpc_energy(env, predictor="oracle", plan_horizon=5, discount=1.0):
@@ -76,16 +65,9 @@ def _value_iteration(env, tol=1e-8):
     return agents.TablePolicyAgent(env, table.policy)
 
 
-def _q_learning(env, horizon, seed, train_episodes=100, train_horizon=200):
+def _q_learning(env, seed, train_episodes=100, train_horizon=200):
     qt = q_learning(env, episodes=train_episodes, horizon=train_horizon, seed=derive_seed(seed, 7))
-    agent = agents.TablePolicyAgent(env, qt.greedy_policy())
-    return run_episode(env, agent, horizon=horizon, seed=seed)
-
-
-def _bo_tracker(env, horizon, seed, budget_per_step, kernel=None, kappa=2.0,
-                window=TRACKER_WINDOW):
-    return bo_beam_tracker(env, budget_per_step, kernel=kernel, kappa=kappa,
-                           horizon=horizon, seed=seed, window=window)
+    return agents.TablePolicyAgent(env, qt.greedy_policy())
 
 
 LA, PC, BF, SC = ("link_adaptation",), ("power_control",), ("beamforming",), ("scheduling",)
@@ -112,10 +94,10 @@ SOLVERS = {
     "trunk": SolverSpec(AC, agents.TrunkAgent),
     "accept-all": SolverSpec(AC, lambda env: agents.AcceptAllAgent(env.n_classes)),
     "value-iteration": SolverSpec(("tabular",) + AC, _value_iteration),
-    "q-learning": SolverSpec(("tabular",) + AC, loop=_q_learning),
-    "bo-tracker": SolverSpec(BF, loop=_bo_tracker),
-    "knn-tracker": SolverSpec(BF, loop=agents.knn_beam_tracker),
-    "full-scan": SolverSpec(BF, loop=agents.full_scan_tracker),
+    "q-learning": SolverSpec(("tabular",) + AC, _q_learning),
+    "bo-tracker": SolverSpec(BF, BoTrackerAgent),
+    "knn-tracker": SolverSpec(BF, agents.KnnTrackerAgent),
+    "full-scan": SolverSpec(BF, agents.FullScanAgent),
 }
 
 ENV_USE_CASE = {
@@ -243,7 +225,8 @@ def resolve_jobs(jobs=None) -> int:
 def run_experiment(cfg: ExperimentConfig, jobs=None) -> Path:
     """Run every (solver, seed) cell, write per-episode CSVs and summary.json,
     and return the summary path. Cells may run in a process pool; outputs are
-    merged in config order, so results never depend on scheduling."""
+    merged in config order, so results never depend on scheduling. The
+    outputs directory ends up holding exactly this run's files."""
     env_kind = cfg.env.get("env")
     for name, _, _ in cfg.solvers:
         check_compatibility(name, env_kind)
@@ -265,6 +248,8 @@ def run_experiment(cfg: ExperimentConfig, jobs=None) -> Path:
     out_dir = Path(cfg.outputs)
     episode_dir = out_dir / "episodes"
     episode_dir.mkdir(parents=True, exist_ok=True)
+    for stale in episode_dir.glob("*.csv"):
+        stale.unlink()
 
     summary = {"config": cfg.to_dict(), "env": env_kind, "solvers": {}}
     for index, (name, label, _) in enumerate(cfg.solvers):
@@ -291,7 +276,9 @@ def run_experiment(cfg: ExperimentConfig, jobs=None) -> Path:
         }
 
     summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    partial = out_dir / "summary.json.partial"
+    partial.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    os.replace(partial, summary_path)
     return summary_path
 
 

@@ -12,6 +12,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .bandits import GpSurrogate, ucb_acquire
+from .config import build_from_config
 from .core import DEFAULT_DISCOUNT, discounted_return, run_episode
 from .envs import make_env
 from .errors import ConfigError
@@ -135,7 +136,7 @@ def evaluate_policy(
 
         def materializer(cfg, theta):
             env = make_env(cfg)
-            return env, SOLVERS[solver].build_agent(env, solver_cfg)
+            return env, build_from_config(SOLVERS[solver].agent, solver_cfg, "solver", env=env)
 
     returns = []
     for i in range(n_episodes):
@@ -251,6 +252,8 @@ def bo_tune(
     the seed."""
     if budget < 2:
         raise ConfigError("budget must be >= 2")
+    if kappa < 0:
+        raise ConfigError("kappa must be nonnegative")
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
     dim = len(bounds)
     lows = np.array([lo for lo, _ in bounds])

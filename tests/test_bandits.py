@@ -4,6 +4,7 @@ import pytest
 from occam_rrm import ConfigError, GpNumericalError
 from occam_rrm.bandits import (
     BetaPosterior,
+    BoTrackerAgent,
     GpSurrogate,
     OllaState,
     beta_update,
@@ -304,3 +305,15 @@ def test_tracker_budget_validated():
     env = BeamformingEnv()
     with pytest.raises(ConfigError):
         bo_beam_tracker(env, budget_per_step=0)
+
+
+@pytest.mark.parametrize("kwargs,fragment", [
+    ({"kappa": -1.0}, "kappa"),
+    ({"kernel": {"length_scale": 1.0}}, "kernel keys"),
+    ({"kernel": {"length_scales": (0.0, 1.0)}}, "length scales"),
+    ({"window": 0}, "max_points"),
+])
+def test_tracker_agent_checks_config_when_built(kwargs, fragment):
+    # an unreset env: nothing may be stepped or measured to find the error
+    with pytest.raises(ConfigError, match=fragment):
+        BoTrackerAgent(BeamformingEnv(), budget_per_step=2, **kwargs)

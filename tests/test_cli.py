@@ -10,7 +10,7 @@ from occam_rrm.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from occam_rrm.config import config_keys
 from occam_rrm.envs import ENVS
 from occam_rrm.errors import ConfigError, PlotDataError
-from occam_rrm.experiments import ExperimentConfig, run_experiment, sweep
+from occam_rrm.experiments import SOLVERS, ExperimentConfig, run_experiment, sweep
 from occam_rrm.plots import emit_plot
 
 
@@ -208,6 +208,44 @@ def test_wrong_typed_env_value_exits_config_without_traceback(tmp_path, capsys, 
     if code == EXIT_CONFIG:
         assert len(err.splitlines()) == 1
         assert err.startswith("config error:")
+
+
+# Valid values for the required solver keys, so only the probed key is wrong.
+REQUIRED_SOLVER_VALUES = {"budget_per_step": 2, "mcs": 1, "thresholds": [0, 2]}
+WRONG_TYPED_SOLVER = [
+    (name, key)
+    for name, spec in SOLVERS.items()
+    for key in sorted(config_keys(spec.agent, ("env", "seed"))[0])
+]
+
+
+@pytest.mark.parametrize("name,key", WRONG_TYPED_SOLVER,
+                         ids=[f"{n}.{key}" for n, key in WRONG_TYPED_SOLVER])
+def test_wrong_typed_solver_value_exits_config_without_traceback(tmp_path, capsys, name, key):
+    spec = SOLVERS[name]
+    required = config_keys(spec.agent, ("env", "seed"))[1]
+    solver_cfg = {k: REQUIRED_SOLVER_VALUES[k] for k in required}
+    solver_cfg[key] = "abc"
+    cfg = write_config(tmp_path / "cfg.json", {
+        "env": {"env": spec.envs[-1]},
+        "solvers": [{"name": name, "config": solver_cfg}],
+        "horizon": 5,
+        "seeds": [0],
+        "outputs": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg, "--jobs", "1", "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error:")
+
+
+def test_label_cannot_leave_episodes_dir(tmp_path, capsys):
+    cfg = la_config(tmp_path, outputs=str(tmp_path / "a" / "out"), solvers=[
+        {"name": "fixed-mcs", "label": "../../escaped", "config": {"mcs": 2}},
+    ])
+    assert main(["run", cfg, "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+    assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]
 
 
 def test_seed_and_out_dir_overrides(tmp_path, capsys):

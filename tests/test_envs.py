@@ -197,6 +197,22 @@ def test_bf_two_phase_matches_one_shot():
         assert out1.diagnostics == out2.diagnostics
 
 
+def test_bf_measure_then_beam_action_charges_the_set_once():
+    env1 = BeamformingEnv(n_beams=5, measure_cost=0.2)
+    env2 = BeamformingEnv(n_beams=5, measure_cost=0.2)
+    env1.reset(9)
+    env2.reset(9)
+    for t in range(20):
+        env1.measure((0, 2))
+        out1 = env1.step(BeamAction(measure=(2, 0), serve=SERVE_BEST))
+        out2 = env2.step(BeamAction(measure=(0, 2), serve=SERVE_BEST))
+        assert out1.reward == out2.reward
+        assert out1.diagnostics == out2.diagnostics
+    env1.measure((0, 2))
+    with pytest.raises(InvalidActionError, match="measure\\(\\) read"):
+        env1.step(BeamAction(measure=(0, 1), serve=0))
+
+
 def test_bf_errors():
     env = BeamformingEnv(n_beams=4)
     env.reset(0)

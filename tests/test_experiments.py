@@ -1,6 +1,7 @@
 """Experiment runner: config validation, output layout, determinism,
 solver/env compatibility, parallel execution, and sweeps."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -10,7 +11,6 @@ from occam_rrm.config import config_keys
 from occam_rrm.envs import ENVS, make_env
 from occam_rrm.errors import ConfigError
 from occam_rrm.experiments import (
-    LOOP_ARGS,
     SOLVERS,
     ExperimentConfig,
     check_compatibility,
@@ -111,6 +111,15 @@ def test_rerun_is_byte_identical(tmp_path):
     assert first == second
 
 
+def test_rerun_with_fewer_seeds_leaves_only_its_files(tmp_path):
+    run_experiment(la_config(tmp_path, seeds=(0, 1)))
+    summary_path = run_experiment(la_config(tmp_path, seeds=(0,)))
+    names = sorted(p.name for p in (tmp_path / "episodes").iterdir())
+    assert names == ["fixed-mcs_seed0_ep0.csv", "illa-olla_seed0_ep0.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["episodes", "summary.json"]
+    assert json.loads(summary_path.read_text())["config"]["seeds"] == [0]
+
+
 def test_parallel_jobs_match_serial(tmp_path):
     serial = json.loads(run_experiment(la_config(tmp_path / "s")).read_text())
     parallel = json.loads(run_experiment(la_config(tmp_path / "p"), jobs=2).read_text())
@@ -135,6 +144,49 @@ def test_beam_experiment_profile(tmp_path):
         assert 0.0 <= entry["metrics"]["accuracy"] <= 1.0
         assert entry["metrics"]["mean_abs_beam_error"] >= 0.0
     assert summary["solvers"]["full-scan"]["metrics"]["accuracy"] == 1.0
+
+
+# sha256 of every episode CSV of the beam trackers and Q-learning at a small
+# fixed config: any change to their decisions, rewards or diagnostics shows.
+GOLDEN_CSV_SHA256 = {
+    "beamforming": {
+        "bo-tracker_seed0_ep0.csv": "d8fe1a94271c85d97f5ef311f40184f4386f050bbd72ca3e667f198f2919b6e7",
+        "bo-tracker_seed1_ep0.csv": "daf540a220dec4f79f26817dd3f79cc009944e2ebc43de4b9b675f386bf4dfce",
+        "full-scan_seed0_ep0.csv": "3765c25adbcdcefeadad82c1136f170738c0375a3e6215fee2ceacf3fcb7fcdd",
+        "full-scan_seed1_ep0.csv": "b90664df7e4d752031dbe54389812880ccb2a0b8a8d0c694526e58e4ef934d0e",
+        "knn-tracker_seed0_ep0.csv": "7beff64537a195a134a047a1b5576993e15b1ea461e009d9c030461400c53dd5",
+        "knn-tracker_seed1_ep0.csv": "294da085e938c69b3f1d95b5f200b14c5de47d5150c292dc6ce275069967bd6b",
+    },
+    "admission_control": {
+        "q-learning_seed0_ep0.csv": "3ae7312edb5e08fa855dbd64b6749f76141fd2f3863592e6fca37e5038f11d9b",
+        "q-learning_seed1_ep0.csv": "be74c828047ab1c040e9c97e53c5025a13ac5054a78a983d899925a6a5bf20e8",
+    },
+}
+GOLDEN_SOLVERS = {
+    "beamforming": [
+        {"name": "knn-tracker", "config": {"budget_per_step": 2}},
+        {"name": "bo-tracker", "config": {"budget_per_step": 2}},
+        {"name": "full-scan"},
+    ],
+    "admission_control": [{"name": "q-learning", "config": {"train_episodes": 5}}],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_SOLVERS))
+def test_episode_csvs_match_golden_bytes(tmp_path, kind):
+    cfg = ExperimentConfig.from_dict({
+        "env": {"env": kind},
+        "solvers": GOLDEN_SOLVERS[kind],
+        "horizon": 40,
+        "seeds": [0, 1],
+        "outputs": str(tmp_path),
+    })
+    run_experiment(cfg)
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in (tmp_path / "episodes").glob("*.csv")
+    }
+    assert digests == GOLDEN_CSV_SHA256[kind]
 
 
 def test_multiple_episodes_per_seed(tmp_path):
@@ -331,8 +383,7 @@ def test_solver_config_keys_are_pinned():
     assert set(SOLVERS) == set(SOLVER_KEYS)
     for name, keys in SOLVER_KEYS.items():
         spec = SOLVERS[name]
-        fn, given = (spec.agent, ("env",)) if spec.loop is None else (spec.loop, LOOP_ARGS)
-        assert config_keys(fn, given) == keys, name
+        assert config_keys(spec.agent, ("env", "seed")) == keys, name
         accepted, required = keys
         env_cfg = {"env": spec.envs[-1]}
         full = {key: None for key in accepted}

@@ -196,6 +196,14 @@ def test_bo_negative_kappa_rejected():
         bo_tune(lambda th: -th[0] ** 2, ((-1.0, 1.0),), budget=4, kappa=-1.0)
 
 
+def test_bo_negative_kappa_rejected_before_any_evaluation():
+    # budget 2 is all initial design, so no acquisition step would ever run
+    calls = []
+    with pytest.raises(ConfigError, match="kappa"):
+        bo_tune(lambda th: calls.append(th) or 0.0, ((-1.0, 1.0),), budget=2, kappa=-1.0)
+    assert calls == []
+
+
 # ---------------------------------------------------------------- fd ascent
 
 def test_fd_linear_objective_hits_upper_bound():
