@@ -17,6 +17,7 @@ from .bandits import (
 )
 from .core import EpisodeLog, run_episode
 from .envs.beamforming import SERVE_BEST, BeamAction
+from .envs.energy import es_transition_batch
 from .envs.types import AdmissionState
 from .errors import ConfigError
 from .planning import DeterministicModel, Predictor, mpc_plan
@@ -169,7 +170,8 @@ class EsThresholdAgent:
 
 class MpcEnergyAgent:
     """Receding-horizon planner over the exact energy-saving dynamics with a
-    forecast traffic trajectory."""
+    forecast traffic trajectory. A planning state is the row (status...,
+    backlog); each depth is stepped with es_transition_batch."""
 
     def __init__(self, env, predictor: Predictor, horizon: int = 5, discount: float = 1.0):
         if horizon < 1:
@@ -178,26 +180,23 @@ class MpcEnergyAgent:
         self.horizon = horizon
         self.discount = float(discount)
         actions = env.all_actions()
-        capacity, draw, delay = env.capacity, env.power_draw, env.activation_delay
+        step = es_transition_batch(actions, env.capacity, env.power_draw, env.activation_delay)
         qos_threshold, qos_weight = env.qos_threshold, env.qos_weight
         energy_weight = env.energy_weight
 
-        from .envs.energy import es_transition
+        def expand(rows, traffic):
+            status, backlog, energy, _ = step(rows[:, :-1], rows[:, -1], traffic)
+            violation = (backlog > qos_threshold).astype(float)
+            rewards = -energy_weight * energy - qos_weight * violation
+            children = np.concatenate((status, backlog[:, :, None]), axis=2)
+            parent = np.repeat(np.arange(len(rows)), len(actions))
+            return parent, rewards.ravel(), children.reshape(-1, rows.shape[1])
 
-        def step(state, subset, traffic):
-            status, backlog = state
-            status2, backlog2, energy, _ = es_transition(
-                status, backlog, subset, traffic, capacity, draw, delay
-            )
-            violation = float(backlog2 > qos_threshold)
-            reward = -energy_weight * energy - qos_weight * violation
-            return (status2, backlog2), reward
-
-        self.model = DeterministicModel(actions=lambda s: actions, step=step)
+        self.model = DeterministicModel(actions=lambda s: actions, expand=expand)
 
     def act(self, obs):
         traj = self.predictor.predict(obs, self.horizon)
-        state = (tuple(obs["status"]), float(obs["backlog"]))
+        state = (*obs["status"], float(obs["backlog"]))
         return mpc_plan(
             self.model, state, self.horizon, exo_trajectory=traj, discount=self.discount
         )

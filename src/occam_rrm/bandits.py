@@ -86,6 +86,8 @@ class OllaState:
 
 def olla_state(step_up: float, target_bler: float, offset: float = 0.0) -> OllaState:
     """Build an OllaState with the balancing step_down derived from step_up."""
+    if not 0.0 < target_bler < 1.0:
+        raise ConfigError("target_bler must lie in (0, 1)")
     down = step_up * (1.0 - target_bler) / target_bler
     return OllaState(offset=offset, step_up=step_up, step_down=down, target_bler=target_bler)
 
@@ -113,7 +115,9 @@ def illa_select(sinr_report: float, offset: float, lookup) -> int:
 @dataclass
 class GpSurrogate:
     """Squared-exponential GP with per-dimension length scales and optional
-    sliding observation window. Exact dense solves; instances stay small."""
+    sliding observation window. Exact dense solves; instances stay small.
+    `posterior` takes one point or a batch of points; a batch costs one
+    kernel matrix and one solve, whatever its size."""
 
     length_scales: np.ndarray
     signal_var: float = 1.0
@@ -142,8 +146,11 @@ class GpSurrogate:
         return x
 
     def kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        d = (a[:, None, :] - b[None, :, :]) / self.length_scales
-        return self.signal_var * np.exp(-0.5 * np.sum(d * d, axis=2))
+        # coordinates first, so each step works on whole (len(a), len(b))
+        # planes rather than on rows of n_dims entries
+        a, b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+        d = (a[:, :, None] - b[:, None, :]) / self.length_scales[:, None, None]
+        return self.signal_var * np.exp(-0.5 * np.sum(d * d, axis=0))
 
     def add(self, x, y: float, noise_std: float = 0.0) -> None:
         x = self._check_query(x)
@@ -168,25 +175,33 @@ class GpSurrogate:
             self._factor = (xs, chol, alpha)
         return self._factor
 
-    def posterior(self, query) -> tuple[float, float]:
-        query = self._check_query(query)
+    def posterior(self, query):
+        """Posterior mean and variance. One point (n_dims coordinates) gives
+        (float, float); an (m, n_dims) array gives two length-m arrays, from
+        one kernel matrix and one solve against the cached Cholesky factor."""
+        points = np.asarray(query, dtype=float)
+        single = points.ndim < 2
+        points = points.reshape(1, -1) if single else points
+        if points.shape[1:] != (self.n_dims,):
+            raise ConfigError(f"query points {points.shape} != (m, {self.n_dims})")
         if not self.points:
-            return self.prior_mean, self.signal_var
-        xs, chol, alpha = self._factorize()
-        k_star = self.kernel(xs, query[None, :])[:, 0]
-        mean = self.prior_mean + float(k_star @ alpha)
-        v = np.linalg.solve(chol, k_star)
-        var = self.signal_var - float(v @ v)
-        return mean, max(var, 0.0)
+            means = np.full(len(points), float(self.prior_mean))
+            var = np.full(len(points), float(self.signal_var))
+        else:
+            xs, chol, alpha = self._factorize()
+            k_star = self.kernel(xs, points)
+            means = self.prior_mean + alpha @ k_star
+            v = np.linalg.solve(chol, k_star)
+            var = np.maximum(self.signal_var - np.einsum("ij,ij->j", v, v), 0.0)
+        if single:
+            return float(means[0]), float(var[0])
+        return means, var
 
 
 def ucb_scores(s: GpSurrogate, candidates, kappa: float) -> np.ndarray:
-    """mean + kappa * posterior std of each candidate."""
-    scores = np.empty(len(candidates))
-    for i, cand in enumerate(candidates):
-        mean, var = s.posterior(cand)
-        scores[i] = mean + kappa * np.sqrt(var)
-    return scores
+    """mean + kappa * posterior std of each row of `candidates`."""
+    means, var = s.posterior(np.asarray(candidates, dtype=float))
+    return means + kappa * np.sqrt(var)
 
 
 def ucb_acquire(s: GpSurrogate, candidates, kappa: float):
@@ -236,13 +251,14 @@ class BoTrackerAgent:
         self.t = 0
 
     def act(self, obs):
-        beams = [(float(b), float(self.t)) for b in range(self.env.n_beams)]
+        n = self.env.n_beams
+        beams = np.column_stack((np.arange(n, dtype=float), np.full(n, float(self.t))))
         self.t += 1
         order = np.argsort(-ucb_scores(self.surrogate, beams, self.kappa), kind="stable")
         chosen = tuple(int(b) for b in order[:self.budget])
         for b, rsrp in self.env.measure(chosen).items():
             self.surrogate.add(beams[b], rsrp, self.obs_noise)
-        means = [self.surrogate.posterior(q)[0] for q in beams]
+        means, _ = self.surrogate.posterior(beams)
         return BeamAction(measure=chosen, serve=int(np.argmax(means)))
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import planning
 from ..core import StepOutcome
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STREAM_EXOGENOUS
@@ -63,6 +64,35 @@ def es_transition(status, backlog, subset, traffic, capacity, power_draw, delay)
     backlog = backlog + traffic
     served = min(backlog, cap)
     return tuple(nxt), backlog - served, energy, served
+
+
+def es_transition_batch(subsets, capacity, power_draw, delay):
+    """Array form of es_transition for a fixed list of subsets.
+
+    Returns step(status, backlog, traffic): for m states, an (m, n) status
+    array and an (m,) backlog array, it gives es_transition's results for
+    every (state, subset) pair as arrays of shape (m, A, n), (m, A), (A,)
+    and (m, A). Sums run in es_transition's order, so every float is equal
+    to the scalar one.
+    """
+    n = len(capacity)
+    member = np.zeros((len(subsets), n), dtype=bool)
+    for a, subset in enumerate(subsets):
+        member[a, list(subset)] = True
+    energy = np.array([float(sum(power_draw[r] for r in set(s))) for s in subsets])
+
+    def step(status, backlog, traffic):
+        status = status[:, None, :]
+        warming = np.where(status == OFF, delay, np.maximum(status - 1, 0))
+        nxt = np.where(member, warming, OFF)
+        cap = np.zeros(nxt.shape[:2])
+        for r in range(n):
+            cap += np.where(nxt[:, :, r] == 0, capacity[r], 0.0)
+        total = (backlog + traffic)[:, None]
+        served = np.minimum(total, cap)
+        return nxt, total - served, energy, served
+
+    return step
 
 
 class EnergySavingEnv(RrmEnv):
@@ -171,7 +201,15 @@ class EnergySavingEnv(RrmEnv):
         return StepOutcome(observation=self._obs(self.t + 1), reward=reward, diagnostics=diagnostics)
 
     def all_actions(self) -> list[tuple]:
-        """Every resource subset, ordered by size then lexicographically."""
+        """Every resource subset, ordered by size then lexicographically.
+        Refuses, before building any, more subsets than the planner's node
+        budget."""
+        n_subsets = 2**self.n_resources
+        if n_subsets > planning.MPC_NODE_BUDGET:
+            raise ConfigError(
+                f"{self.n_resources} resources give {n_subsets} subsets, over the "
+                f"budget {planning.MPC_NODE_BUDGET}; reduce n_resources"
+            )
         out = [()]
         for r in range(self.n_resources):
             out += [s + (r,) for s in out]

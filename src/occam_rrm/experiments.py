@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from copy import deepcopy
 from dataclasses import dataclass
@@ -323,7 +324,9 @@ _PROFILE_COLUMNS = {
 
 def sweep(cfg: ExperimentConfig, param_path: str, values, jobs=None) -> Path:
     """Re-run the experiment once per value of a dotted config parameter and
-    aggregate one CSV row per (value, solver)."""
+    aggregate one CSV row per (value, solver). The outputs directory ends up
+    holding this sweep's `value_NNN/` directories and nothing of a longer
+    earlier sweep."""
     if not values:
         raise ConfigError("sweep needs a nonempty list of values")
     base = cfg.to_dict()
@@ -345,9 +348,15 @@ def sweep(cfg: ExperimentConfig, param_path: str, values, jobs=None) -> Path:
                 + [repr(float(metrics[c])) for c in columns]
             )
 
+    kept = {f"value_{i:03d}" for i in range(len(values))}
+    for stale in out_dir.glob("value_*"):
+        if stale.is_dir() and stale.name not in kept:
+            shutil.rmtree(stale)
     sweep_path = out_dir / "sweep.csv"
-    with open(sweep_path, "w", newline="") as fh:
+    partial = out_dir / "sweep.csv.partial"
+    with open(partial, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["param", "value", "solver"] + list(columns))
         writer.writerows(rows)
+    os.replace(partial, sweep_path)
     return sweep_path

@@ -13,6 +13,7 @@ from .errors import ConfigError, NotTractableError, NumericalError
 from .rng import derive_seed
 
 MPC_NODE_BUDGET = 1_000_000
+MPC_BLOCK_EDGES = 1 << 16  # (state, action) pairs the lookahead steps at once
 
 ALPHA0_DEFAULT = 0.5
 EPSILON0_DEFAULT = 0.2
@@ -178,11 +179,19 @@ class Predictor:
 @dataclass
 class DeterministicModel:
     """Deterministic planning model: `actions(state)` lists choices and
-    `step(state, action, exo)` returns (next_state, reward). States must be
-    hashable for memoization."""
+    `step(state, action, exo)` returns (next_state, reward). Equal states at
+    one depth are planned once, so states must be hashable.
+
+    A model may give `expand(rows, exo)` in place of `step`, to step a whole
+    level at once. Its states are then rows of numbers, two states being
+    equal when every entry is. `rows` is an (m, w) array of states; it
+    returns (parent, rewards, children): for each (state, action) edge, the
+    index of its state row, its reward and its next-state row, with every
+    state's edges in `actions(state)` order."""
 
     actions: callable
-    step: callable
+    step: callable = None
+    expand: callable = None
 
 
 def _mpc_tabular(mdp: TabularMdp, state: int, horizon: int, node_budget: int) -> int:
@@ -200,36 +209,98 @@ def _mpc_tabular(mdp: TabularMdp, state: int, horizon: int, node_budget: int) ->
     return int(q[state].argmax())
 
 
+def _per_state_expansion(model: DeterministicModel, state):
+    """`expand` for a model that only gives `step`: one call per (state,
+    action). Each state is interned to an integer id, so a level is a
+    one-column id array and equal ids are states equal as dict keys."""
+    ids, states = {}, [state]
+
+    def expand(rows, exo):
+        parent, rewards, children = [], [], []
+        for i, sid in enumerate(rows[:, 0].tolist()):
+            s = states[int(sid)]
+            for a in model.actions(s):
+                s2, r = model.step(s, a, exo)
+                if s2 not in ids:
+                    ids[s2] = len(states)
+                    states.append(s2)
+                parent.append(i)
+                rewards.append(r)
+                children.append(ids[s2])
+        return (np.array(parent, dtype=np.intp), np.array(rewards, dtype=float),
+                np.array(children, dtype=float).reshape(-1, 1))
+
+    return expand, np.zeros((1, 1))
+
+
+def _merge_rows(rows: np.ndarray):
+    """Distinct rows (equal when every entry compares ==) and the index of
+    each input row among them."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first], inverse
+
+
+def _expand_level(expand, rows, exo, block: int, merge: bool):
+    """Expand `rows` `block` states at a time, so that a level's temporary
+    arrays stay small. Returns each edge's parent row and reward and, when
+    merging, each edge's index among the distinct next states and those
+    states."""
+    parents, rewards, children, distinct, n_distinct = [], [], [], [], 0
+    for i in range(0, max(len(rows), 1), block):
+        parent, reward, child_rows = expand(rows[i:i + block], exo)
+        parents.append(parent + i)
+        rewards.append(reward)
+        if merge:
+            unique, index = _merge_rows(child_rows)
+            children.append(index + n_distinct)
+            distinct.append(unique)
+            n_distinct += len(unique)
+    parent, reward = np.concatenate(parents), np.concatenate(rewards)
+    if not merge:
+        return parent, reward, None, None
+    next_rows, index = _merge_rows(np.concatenate(distinct))
+    return parent, reward, index[np.concatenate(children)], next_rows
+
+
 def _mpc_deterministic(
     model: DeterministicModel, state, exo_trajectory, discount: float, node_budget: int
-) -> int:
-    horizon = len(exo_trajectory)
-    memo = {}
-    counter = [0]
+):
+    """Level by level: expand every distinct state of a depth against all its
+    actions, merge equal next states, then take the best value backward.
+    The budget counts the distinct states at depths 1..H-1, checked before a
+    depth is expanded."""
+    if model.expand is None:
+        expand, rows = _per_state_expansion(model, state)
+    else:
+        expand, rows = model.expand, np.asarray(state, dtype=float)[None, :]
+    block = max(1, MPC_BLOCK_EDGES // max(1, len(model.actions(state))))
+    levels, counted = [], 0
+    for k, exo in enumerate(exo_trajectory):
+        if k:
+            counted += len(rows)
+            if counted > node_budget:
+                raise ConfigError(
+                    f"lookahead exceeded the node budget {node_budget}; "
+                    "reduce the horizon"
+                )
+        merge = k + 1 < len(exo_trajectory)
+        parent, rewards, child, next_rows = _expand_level(expand, rows, exo, block, merge)
+        levels.append((len(rows), parent, rewards, child))
+        rows = next_rows
 
-    def best_value(s, k):
-        if k == horizon:
-            return 0.0
-        key = (s, k)
-        if key in memo:
-            return memo[key]
-        counter[0] += 1
-        if counter[0] > node_budget:
-            raise ConfigError(
-                f"lookahead exceeded the node budget {node_budget}; "
-                "reduce the horizon"
-            )
-        best = -np.inf
-        for a in model.actions(s):
-            s2, r = model.step(s, a, exo_trajectory[k])
-            best = max(best, r + discount * best_value(s2, k + 1))
-        memo[key] = best
-        return best
-
+    value = 0.0
+    for n_states, parent, rewards, child in reversed(levels):
+        q = rewards + discount * (value if child is None else value[child])
+        value = np.full(n_states, -np.inf)
+        np.fmax.at(value, parent, q)  # skips NaN, as `max(best, v)` from -inf does
+    # q holds the root's edge values; the first strict maximum wins
     best_a, best_v = None, -np.inf
-    for a in model.actions(state):
-        s2, r = model.step(state, a, exo_trajectory[0])
-        v = r + discount * best_value(s2, 1)
+    for a, v in zip(model.actions(state), q.tolist()):
         if v > best_v:
             best_a, best_v = a, v
     return best_a
@@ -246,9 +317,11 @@ def mpc_plan(
     """Exact finite-horizon optimum from the current state; returns only the
     first action (receding horizon, zero terminal value).
 
-    Tabular models run backward induction with the model's own discount;
-    deterministic models take a forecast exogenous trajectory whose length
-    sets the horizon.
+    Tabular models run backward induction with the model's own discount.
+    Deterministic models take a forecast exogenous trajectory whose length
+    sets the horizon; they are searched one depth at a time, every distinct
+    state of a depth expanded once, and `node_budget` bounds the distinct
+    states at depths 1..H-1.
     """
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,35 @@ def test_gp_matches_dense_solve_oracle():
     mean, var = s.posterior(q)
     assert mean == pytest.approx(want_mean, abs=1e-9)
     assert var == pytest.approx(want_var, abs=1e-9)
+
+
+def test_gp_batch_posterior_matches_dense_closed_form():
+    rng = np.random.default_rng(4)
+    ell, sv, m0 = np.array([0.7, 2.0]), 1.5, 0.3
+    s = GpSurrogate(length_scales=ell, signal_var=sv, prior_mean=m0, max_points=6)
+    queries = rng.uniform(0.0, 3.0, size=(25, 2))
+    means, var = s.posterior(queries)
+    assert means.tolist() == [m0] * 25 and var.tolist() == [sv] * 25
+    for _ in range(9):  # three of them slide out of the window
+        s.add(rng.uniform(0.0, 3.0, size=2), rng.normal(), 0.05)
+
+    def k(a, b):
+        return sv * math.exp(-0.5 * sum(((x - y) / l) ** 2 for x, y, l in zip(a, b, ell)))
+
+    xs = [p[0] for p in s.points]
+    ys = np.array([p[1] for p in s.points])
+    gram = np.array([[k(a, b) for b in xs] for a in xs]) + (0.05**2 + 1e-8) * np.eye(len(xs))
+    k_star = np.array([[k(a, q) for q in queries] for a in xs])
+    want_mean = m0 + k_star.T @ np.linalg.solve(gram, ys - m0)
+    want_var = sv - np.sum(k_star * np.linalg.solve(gram, k_star), axis=0)
+
+    means, var = s.posterior(queries)
+    assert means.shape == var.shape == (25,)
+    np.testing.assert_allclose(means, want_mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(var, want_var, rtol=0, atol=1e-12)
+    one = s.posterior(queries[3])
+    assert type(one[0]) is float and type(one[1]) is float
+    assert one == pytest.approx((means[3], var[3]), abs=1e-12)
 
 
 def test_gp_variance_shrinks_with_data():

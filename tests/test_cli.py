@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from occam_rrm import planning
 from occam_rrm.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from occam_rrm.config import config_keys
 from occam_rrm.envs import ENVS
@@ -237,6 +238,32 @@ def test_wrong_typed_solver_value_exits_config_without_traceback(tmp_path, capsy
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("config error:")
+
+
+@pytest.mark.parametrize("target_bler", [0, 1])
+def test_olla_target_bler_at_bounds_exits_config(tmp_path, capsys, target_bler):
+    cfg = la_config(tmp_path, solvers=[{"name": "illa-olla", "config": {"target_bler": target_bler}}])
+    assert main(["run", cfg, "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error:")
+
+
+@pytest.mark.parametrize("solver", ["dpp-energy", "mpc-energy"])
+def test_subset_count_over_budget_exits_config(tmp_path, capsys, monkeypatch, solver):
+    # 2**10 subsets against a budget of 1000: refused before any is built.
+    monkeypatch.setattr(planning, "MPC_NODE_BUDGET", 1000)
+    cfg = write_config(tmp_path / "cfg.json", {
+        "env": {"env": "energy_saving", "n_resources": 10},
+        "solvers": [{"name": solver}],
+        "horizon": 5,
+        "seeds": [0],
+        "outputs": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg, "--jobs", "1", "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error:") and "1024 subsets" in err
 
 
 def test_label_cannot_leave_episodes_dir(tmp_path, capsys):

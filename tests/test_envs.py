@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occam_rrm import (
     ConfigError,
@@ -23,6 +25,7 @@ from occam_rrm.envs import (
     TabularEnv,
     env_true_mdp,
 )
+from occam_rrm.envs.energy import OFF, es_transition, es_transition_batch
 from occam_rrm.static_opt import water_fill
 
 
@@ -374,6 +377,31 @@ def test_es_trace_cycles_and_is_pure():
     before = env.traffic_at(100)
     env.step((0, 1))
     assert env.traffic_at(100) == before
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_es_transition_batch_matches_scalar_bit_for_bit(data):
+    n = data.draw(st.integers(1, 10), label="n")
+    delay = data.draw(st.integers(0, 3), label="delay")
+    value = st.floats(0.0, 5.0)
+    capacity = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+    power_draw = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+    subsets = data.draw(st.lists(
+        st.sets(st.integers(0, n - 1)).map(lambda s: tuple(sorted(s))), min_size=1, max_size=6))
+    statuses = data.draw(st.lists(
+        st.lists(st.integers(OFF, delay), min_size=n, max_size=n), min_size=1, max_size=4))
+    backlogs = data.draw(st.lists(value, min_size=len(statuses), max_size=len(statuses)))
+    traffic = data.draw(value, label="traffic")
+
+    step = es_transition_batch(subsets, capacity, power_draw, delay)
+    status, backlog, energy, served = step(np.array(statuses), np.array(backlogs), traffic)
+    for i, (row, b) in enumerate(zip(statuses, backlogs)):
+        for a, subset in enumerate(subsets):
+            want = es_transition(tuple(row), b, subset, traffic, capacity, power_draw, delay)
+            got = (tuple(status[i, a].tolist()), backlog[i, a], energy[a], served[i, a])
+            assert got[0] == want[0]
+            assert [float(x).hex() for x in got[1:]] == [float(x).hex() for x in want[1:]]
 
 
 def test_es_malformed_subsets():

@@ -146,8 +146,9 @@ def test_beam_experiment_profile(tmp_path):
     assert summary["solvers"]["full-scan"]["metrics"]["accuracy"] == 1.0
 
 
-# sha256 of every episode CSV of the beam trackers and Q-learning at a small
-# fixed config: any change to their decisions, rewards or diagnostics shows.
+# sha256 of every episode CSV of the beam trackers, Q-learning and MPC at a
+# small fixed config: any change to their decisions, rewards or diagnostics
+# shows.
 GOLDEN_CSV_SHA256 = {
     "beamforming": {
         "bo-tracker_seed0_ep0.csv": "d8fe1a94271c85d97f5ef311f40184f4386f050bbd72ca3e667f198f2919b6e7",
@@ -161,6 +162,22 @@ GOLDEN_CSV_SHA256 = {
         "q-learning_seed0_ep0.csv": "3ae7312edb5e08fa855dbd64b6749f76141fd2f3863592e6fca37e5038f11d9b",
         "q-learning_seed1_ep0.csv": "be74c828047ab1c040e9c97e53c5025a13ac5054a78a983d899925a6a5bf20e8",
     },
+    "energy_saving": {
+        "oracle-h3_seed0_ep0.csv": "b09b6157a4d15376fe3ed60f5b00d92c0ff8de6d31c629df78232fb28e910d95",
+        "oracle-h3_seed1_ep0.csv": "6b7595805e10766f31d4179a5c435890f0942f07339f3800c9923a661603eeeb",
+        "oracle-h5_seed0_ep0.csv": "68a367d727ad45013c342f3aff0dd0ef3d1a688995f545d77808a0bc8457bbdd",
+        "oracle-h5_seed1_ep0.csv": "e2be40809df1b2b561aac40a09a5f826eb105ce81457d81820e74b179598e922",
+        "persistence-h3_seed0_ep0.csv": "22377c2a96b8f4710612dee167f9a39a1bdfa6dc5012291260b509801d34eaa3",
+        "persistence-h3_seed1_ep0.csv": "6a36b29764afd6f80efa1d7ddd30249434b6018baa402a1979b2c55b10cf524c",
+        "persistence-h5_seed0_ep0.csv": "052659e334c84b30660ce9a80d5ff904ff1c70ec5602faf9488704fd27fcb89f",
+        "persistence-h5_seed1_ep0.csv": "66515028e6a31b9e18edd3d283099a1fa39d9ce9dde129a82d233cf275a3c6e5",
+    },
+}
+# Uneven capacities and power draws, so that the order of every float sum
+# shows in the MPC digests.
+GOLDEN_ENVS = {
+    "energy_saving": {"env": "energy_saving", "capacity": [0.3, 0.9, 1.7, 0.55],
+                      "power_draw": [0.1, 0.35, 0.9, 0.2], "qos_threshold": 1.5},
 }
 GOLDEN_SOLVERS = {
     "beamforming": [
@@ -169,13 +186,17 @@ GOLDEN_SOLVERS = {
         {"name": "full-scan"},
     ],
     "admission_control": [{"name": "q-learning", "config": {"train_episodes": 5}}],
+    "energy_saving": [
+        {"name": "mpc-energy", "label": f"{p}-h{h}", "config": {"predictor": p, "plan_horizon": h}}
+        for h in (3, 5) for p in ("oracle", "persistence")
+    ],
 }
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_SOLVERS))
 def test_episode_csvs_match_golden_bytes(tmp_path, kind):
     cfg = ExperimentConfig.from_dict({
-        "env": {"env": kind},
+        "env": GOLDEN_ENVS.get(kind, {"env": kind}),
         "solvers": GOLDEN_SOLVERS[kind],
         "horizon": 40,
         "seeds": [0, 1],
@@ -270,6 +291,14 @@ def test_sweep_row_counts_and_paths(tmp_path):
     assert lines[0] == "param,value,solver,mean_reward,discounted_return"
     assert len(lines) == 1 + 4 * 2
     assert (tmp_path / "value_000" / "summary.json").exists()
+
+
+def test_shorter_sweep_leaves_only_its_files(tmp_path):
+    cfg = la_config(tmp_path, seeds=(0,))
+    sweep(cfg, "solvers.1.config.mcs", [0, 1, 2])
+    path = sweep(cfg, "solvers.1.config.mcs", [0])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", "value_000"]
+    assert len(path.read_text().splitlines()) == 1 + 2
 
 
 def test_sweep_errors(tmp_path):

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from occam_rrm import ConfigError, NotTractableError, TabularMdp
-from occam_rrm.envs import BeamformingEnv, TabularEnv
+from occam_rrm import ConfigError, NotTractableError, TabularMdp, planning
+from occam_rrm.agents import MpcEnergyAgent
+from occam_rrm.envs import BeamformingEnv, EnergySavingEnv, TabularEnv
 from occam_rrm.planning import (
     DeterministicModel,
     Predictor,
@@ -239,6 +240,39 @@ def test_mpc_node_budget():
     mdp = random_mdp(rng, 10, 4)
     with pytest.raises(ConfigError, match="reduce the horizon"):
         mpc_plan(mdp, 0, horizon=100, node_budget=1000)
+
+
+def _chain_step(s, a, exo):
+    if a == 1:
+        return min(s + 1, 3), -0.2
+    return s, (0.0, 0.1, 0.3, 1.0)[s]
+
+
+# (root state, distinct states at depths 1..H-1, first action): the counts are those
+# of the memoized recursive planner this level-by-level one replaced.
+ES_BUDGET_TRAJ = [1.5, 2.5, 0.5, 3.0]
+ES_BUDGET_CASES = [((-1, -1, -1, -1, 0.0), 353, (1, 2, 3)), ((0, 2, -1, 1, 1.25), 1140, (0, 1, 3))]
+
+
+@pytest.mark.parametrize("block_edges", [planning.MPC_BLOCK_EDGES, 40])
+def test_mpc_node_budget_counts_distinct_states(monkeypatch, block_edges):
+    # 40 edges: the energy plans expand two states at a time
+    monkeypatch.setattr(planning, "MPC_BLOCK_EDGES", block_edges)
+    chain = DeterministicModel(actions=lambda s: (0, 1), step=_chain_step)
+    for h, n in ((4, 9), (6, 17)):
+        assert mpc_plan(chain, 0, h, exo_trajectory=[None] * h, discount=1.0, node_budget=n) == 1
+        with pytest.raises(ConfigError, match="node budget"):
+            mpc_plan(chain, 0, h, exo_trajectory=[None] * h, discount=1.0, node_budget=n - 1)
+
+    env = EnergySavingEnv(capacity=[0.3, 0.9, 1.7, 0.55], power_draw=[0.1, 0.35, 0.9, 0.2],
+                          qos_threshold=1.5)
+    env.reset(0)
+    agent = MpcEnergyAgent(env, Predictor(lambda obs, k: ES_BUDGET_TRAJ[:k]), horizon=4)
+    for state, n, first in ES_BUDGET_CASES:
+        plan = mpc_plan(agent.model, state, 4, exo_trajectory=ES_BUDGET_TRAJ, node_budget=n)
+        assert plan == first
+        with pytest.raises(ConfigError, match="node budget"):
+            mpc_plan(agent.model, state, 4, exo_trajectory=ES_BUDGET_TRAJ, node_budget=n - 1)
 
 
 def test_mpc_deterministic_model_lookahead():

@@ -4,6 +4,7 @@ Analytic optima anchor the tuner tests: the 1-D quadratic peaks at 3 and
 the 2-D bowl at (1, 2).
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -184,6 +185,27 @@ def test_bo_beats_random_search_on_most_seeds():
         rs_best = max(f((x,)) for x in rng.uniform(0.0, 1.0, size=30))
         wins += bo.best_value >= rs_best
     assert wins >= 80
+
+
+# sha256 of bo_tune(...).to_csv() for two policy families at a small fixed
+# budget: any change in the GP's acquisitions shows.
+BO_GOLDEN = {
+    "mro": ({"env": "handover"}, MRO_BOUNDS,
+            "197b563acb4409a9b5dd57848215adefbe40baad0a4c59ac126dd1b82cdae13c"),
+    "es_thresholds": ({"env": "energy_saving"}, ((0.0, 1.0), (0.0, 1.0)),
+                      "6f38c88718bf8ddce58f14353f069468f2c15d278b8a8957849e19f67a06d9c6"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BO_GOLDEN))
+def test_bo_tune_matches_golden_csv(family):
+    env, bounds, digest = BO_GOLDEN[family]
+
+    def objective(theta):
+        return evaluate_policy(env, ParamPolicy(family, theta, bounds), 2, 60, 0)
+
+    csv = bo_tune(objective, bounds, budget=10, seed=0).to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 
 def test_bo_budget_validated():
