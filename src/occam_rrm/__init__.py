@@ -4,11 +4,8 @@ technique-selection advisor."""
 
 from .core import (
     DEFAULT_DISCOUNT,
-    DEFAULT_HORIZON,
     EpisodeLog,
-    Environment,
     MetricsRecord,
-    Policy,
     ScriptedPolicy,
     StepOutcome,
     StepRecord,
@@ -32,9 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_DISCOUNT",
-    "DEFAULT_HORIZON",
     "ConfigError",
-    "Environment",
     "EpisodeLog",
     "GpNumericalError",
     "InvalidActionError",
@@ -43,7 +38,6 @@ __all__ = [
     "NotTractableError",
     "OccamRrmError",
     "PlotDataError",
-    "Policy",
     "ScriptedPolicy",
     "StepOutcome",
     "StepRecord",

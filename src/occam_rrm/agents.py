@@ -1,5 +1,8 @@
-"""Adapters wiring solver primitives to environment interfaces, so every
-technique runs through run_episode interchangeably."""
+"""Agents: each reads an environment's observations, keeps its own running
+state, and calls a decision rule from rules, bandits, static_opt or planning,
+so every technique runs through run_episode interchangeably. An agent's
+constructor is the one definition of its parameters: their defaults and
+range checks live there, and the rules take plain numbers."""
 
 from __future__ import annotations
 
@@ -7,59 +10,64 @@ import operator
 
 import numpy as np
 
-from .bandits import (
-    BetaPosterior,
-    beta_update,
-    illa_select,
-    olla_state,
-    olla_step,
-    thompson_select,
-)
+from .bandits import illa_select, thompson_select
 from .core import EpisodeLog, run_episode
 from .envs.beamforming import SERVE_BEST, BeamAction
 from .envs.energy import es_transition_batch
-from .envs.types import AdmissionState
 from .errors import ConfigError
-from .planning import DeterministicModel, Predictor, mpc_plan
-from .rules import (DppState, EsThresholds, MroParams, PfState, dpp_action, es_policy,
-                    mro_policy, pf_select, trunk_admit)
+from .planning import DeterministicModel, mpc_plan
+from .rules import dpp_action, es_policy, mro_policy, pf_select, trunk_admit
 from .static_opt import water_fill
 
 
 # ---------------------------------------------------------------- link adaptation
 
 class IllaOllaAgent:
-    """Lookup-table MCS choice corrected by the ACK/NACK offset loop."""
+    """Lookup-table MCS choice corrected by the ACK/NACK offset loop.
 
-    def __init__(self, lookup, step_up: float = 0.01, target_bler: float = 0.1):
+    ACKs arrive with probability 1 - target_bler and push the offset up by
+    step_up; NACKs pull it down by step_down = step_up * (1 - target_bler) /
+    target_bler, so the expected drift vanishes exactly at the target.
+    """
+
+    def __init__(self, lookup, step_up: float, target_bler: float):
+        if not 0.0 < target_bler < 1.0:
+            raise ConfigError("target_bler must lie in (0, 1)")
         self.lookup = np.asarray(lookup, dtype=float)
-        self.initial = olla_state(step_up, target_bler)
+        self.step_up = step_up
+        self.step_down = step_up * (1.0 - target_bler) / target_bler
+        if step_up <= 0 or self.step_down <= 0:
+            raise ConfigError("step sizes must be positive")
 
     def reset(self, seed):
-        self.state = self.initial
+        self.offset = 0.0
 
     def act(self, obs):
         if obs.ack is not None:
-            self.state = olla_step(self.state, obs.ack)
-        return illa_select(obs.sinr_report, self.state.offset, self.lookup)
+            self.offset += self.step_up if obs.ack else -self.step_down
+        return illa_select(obs.sinr_report, self.offset, self.lookup)
 
 
 class ThompsonMcsAgent:
-    """Per-MCS Beta posteriors over ACK probability; picks the throughput
-    maximizer under sampled success rates."""
+    """Per-MCS Beta(alpha, beta) posteriors over ACK probability, starting
+    uniform; picks the throughput maximizer under sampled success rates."""
 
     def __init__(self, rates):
         self.rates = np.asarray(rates, dtype=float)
 
     def reset(self, seed):
         self.rng = np.random.default_rng(seed)
-        self.posteriors = [BetaPosterior() for _ in self.rates]
+        self.alpha = [1.0] * len(self.rates)
+        self.beta = [1.0] * len(self.rates)
         self.last = None
 
     def act(self, obs):
         if obs.ack is not None and self.last is not None:
-            self.posteriors[self.last] = beta_update(self.posteriors[self.last], obs.ack)
-        self.last = thompson_select(self.posteriors, self.rates, self.rng)
+            if obs.ack:
+                self.alpha[self.last] += 1.0
+            else:
+                self.beta[self.last] += 1.0
+        self.last = thompson_select(self.alpha, self.beta, self.rates, self.rng)
         return self.last
 
 
@@ -87,14 +95,11 @@ class UniformPowerAgent:
 # ---------------------------------------------------------------- scheduling
 
 class PfAgent:
-    """Proportional fairness riding the env's own throughput EWMA."""
-
-    def __init__(self, ewma_alpha: float = 0.1):
-        self.ewma_alpha = float(ewma_alpha)
+    """Proportional fairness riding the env's own throughput EWMA, which the
+    env keeps at or above EWMA_FLOOR."""
 
     def act(self, obs):
-        state = PfState(np.maximum(obs["avg_throughput"], 1e-6), self.ewma_alpha)
-        return pf_select(obs["spectral_eff"], state)
+        return pf_select(obs["spectral_eff"], obs["avg_throughput"])
 
 
 class RoundRobinAgent:
@@ -122,11 +127,13 @@ class DppEnergyAgent:
     is its energy draw."""
 
     def __init__(self, env, v_weight: float = 0.0):
+        self.v_weight = float(v_weight)
+        if self.v_weight < 0:
+            raise ConfigError("v_weight must be nonnegative")
         self.actions = env.all_actions()
         self.capacity = env.capacity
         self.power_draw = env.power_draw
         self.delay = env.activation_delay
-        self.v_weight = float(v_weight)
 
     def act(self, obs):
         status = obs["status"]
@@ -141,8 +148,8 @@ class DppEnergyAgent:
             return cap
 
         scored = [([service(sub)], sum(self.power_draw[r] for r in sub)) for sub in self.actions]
-        state = DppState(np.array([obs["backlog"] + obs["traffic"]]), self.v_weight)
-        return self.actions[dpp_action(state, scored)]
+        queue = [obs["backlog"] + obs["traffic"]]
+        return self.actions[dpp_action(queue, scored, self.v_weight)]
 
 
 class MinEnergyAgent:
@@ -156,27 +163,30 @@ class EsThresholdAgent:
     """Keeps the smallest active set whose projected utilization sits inside
     the threshold band; activates resources in index order."""
 
-    def __init__(self, env, thresholds: EsThresholds):
-        self.thresholds = thresholds
+    def __init__(self, env, lower: float = 0.3, upper: float = 0.9):
+        if not (0.0 <= lower < upper <= 1.0):
+            raise ConfigError("need 0 <= lower < upper <= 1")
+        self.lower, self.upper = lower, upper
         self.n = env.n_resources
         self.fleet_capacity = float(np.sum(env.capacity))
 
     def act(self, obs):
         demand = obs["backlog"] + obs["traffic"]
         load = min(demand / self.fleet_capacity, 1.0)
-        k = es_policy(load, self.thresholds, self.n)
+        k = es_policy(load, self.lower, self.upper, self.n)
         return tuple(range(k))
 
 
 class MpcEnergyAgent:
     """Receding-horizon planner over the exact energy-saving dynamics with a
     forecast traffic trajectory. A planning state is the row (status...,
-    backlog); each depth is stepped with es_transition_batch."""
+    backlog); each depth is stepped with es_transition_batch. `forecast(obs,
+    k)` gives the traffic of the next k steps."""
 
-    def __init__(self, env, predictor: Predictor, horizon: int = 5, discount: float = 1.0):
+    def __init__(self, env, forecast, horizon: int = 5, discount: float = 1.0):
         if horizon < 1:
             raise ConfigError("horizon must be >= 1")
-        self.predictor = predictor
+        self.forecast = forecast
         self.horizon = horizon
         self.discount = float(discount)
         actions = env.all_actions()
@@ -195,32 +205,38 @@ class MpcEnergyAgent:
         self.model = DeterministicModel(actions=lambda s: actions, expand=expand)
 
     def act(self, obs):
-        traj = self.predictor.predict(obs, self.horizon)
+        traj = self.forecast(obs, self.horizon)
         state = (*obs["status"], float(obs["backlog"]))
         return mpc_plan(
             self.model, state, self.horizon, exo_trajectory=traj, discount=self.discount
         )
 
 
-def es_oracle_predictor(env) -> Predictor:
+def es_oracle_predictor(env):
     """Perfect traffic forecast reading the env's seeded trajectory. The env
     must be reset so its traffic stream exists; ES observations carry the
     step index."""
-    return Predictor(lambda obs, k: [env.traffic_at(obs["t"] + i) for i in range(k)])
+    return lambda obs, k: [env.traffic_at(obs["t"] + i) for i in range(k)]
 
 
-def es_persistence_predictor() -> Predictor:
-    return Predictor(lambda obs, k: [obs["traffic"]] * k)
+def es_persistence_predictor():
+    """Forecast that the current traffic persists."""
+    return lambda obs, k: [obs["traffic"]] * k
 
 
 # ---------------------------------------------------------------- handover
 
 class MroAgent:
-    def __init__(self, params: MroParams):
-        self.params = params
+    """Time-to-trigger handover on the env's exceed counts; the env applies
+    the hysteresis when it counts."""
+
+    def __init__(self, time_to_trigger: int = 3):
+        if time_to_trigger < 1:
+            raise ConfigError("time_to_trigger must be >= 1")
+        self.time_to_trigger = time_to_trigger
 
     def act(self, obs):
-        return mro_policy(obs, self.params)
+        return mro_policy(obs, self.time_to_trigger)
 
 
 class GreedyHoAgent:
@@ -237,20 +253,26 @@ class GreedyHoAgent:
 # ---------------------------------------------------------------- admission
 
 class TrunkAgent:
+    """Trunk reservation: class k (rank 0 is the highest priority) is
+    admitted while the bandwidth left after it covers thresholds[k]."""
+
     def __init__(self, env, thresholds):
         self.thresholds = np.asarray(thresholds, dtype=float)
         self.demands = [c["demand"] for c in env.classes]
         if len(self.thresholds) != len(self.demands):
             raise ConfigError("one threshold per priority class required")
+        # rank 0 = highest priority = smallest reserve, so entries grow with rank
+        if np.any(np.diff(self.thresholds) < 0):
+            raise ConfigError("thresholds must not decrease with priority rank")
+        if np.any(self.thresholds < 0):
+            raise ConfigError("thresholds must be nonnegative")
 
     def act(self, obs):
-        rule = []
-        for cls, demand in enumerate(self.demands):
-            st = AdmissionState(
-                capacity=obs["capacity"], used=obs["used"], pending_request=(cls, demand)
-            )
-            rule.append(1 if trunk_admit(st, self.thresholds) else 0)
-        return tuple(rule)
+        free = float(obs["capacity"]) - float(obs["used"])
+        return tuple(
+            1 if trunk_admit(free, demand, reserve) else 0
+            for demand, reserve in zip(self.demands, self.thresholds)
+        )
 
 
 class AcceptAllAgent:

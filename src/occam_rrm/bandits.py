@@ -7,7 +7,7 @@ tracker agent.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,83 +19,26 @@ GP_JITTER = 1e-8
 TRACKER_WINDOW = 64
 
 
-# ---------------------------------------------------------------- Beta-Bernoulli
+# ---------------------------------------------------------------- Thompson sampling
 
-@dataclass(frozen=True)
-class BetaPosterior:
-    alpha: float = 1.0
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ConfigError("Beta parameters must be positive")
-
-    @property
-    def mean(self) -> float:
-        return self.alpha / (self.alpha + self.beta)
-
-
-def beta_update(p: BetaPosterior, success: bool) -> BetaPosterior:
-    if success:
-        return BetaPosterior(p.alpha + 1.0, p.beta)
-    return BetaPosterior(p.alpha, p.beta + 1.0)
-
-
-def thompson_select(posteriors, values, rng) -> int:
-    """Sample a success probability per arm and pick the arm maximizing
-    sampled probability times its value. Ties break to the lowest index."""
-    if len(posteriors) == 0:
+def thompson_select(alpha, beta, values, rng) -> int:
+    """Sample each arm's success probability from its Beta(alpha, beta)
+    posterior, in arm order, and pick the arm maximizing sampled probability
+    times its value. Ties break to the lowest index."""
+    if len(values) == 0:
         raise ConfigError("need at least one arm")
     values = np.asarray(values, dtype=float)
-    if values.shape != (len(posteriors),):
+    if values.shape != (len(alpha),) or len(beta) != len(alpha):
         raise ConfigError("one value per arm required")
     if np.any(values < 0):
         raise ConfigError("arm values must be nonnegative")
-    theta = np.array([rng.beta(p.alpha, p.beta) for p in posteriors])
+    if min(alpha) <= 0 or min(beta) <= 0:
+        raise ConfigError("Beta parameters must be positive")
+    theta = np.array([rng.beta(a, b) for a, b in zip(alpha, beta)])
     return int(np.argmax(values * theta))
 
 
-# ---------------------------------------------------------------- ILLA / OLLA
-
-@dataclass(frozen=True)
-class OllaState:
-    """Outer-loop offset state.
-
-    The step sizes satisfy the zero-drift balance at the target BLER: ACKs
-    arrive with probability 1 - target and push the offset up, so
-    step_down = step_up * (1 - target) / target makes the expected drift
-    vanish exactly at the target.
-    """
-
-    offset: float
-    step_up: float
-    step_down: float
-    target_bler: float
-
-    def __post_init__(self):
-        if not (0.0 < self.target_bler < 1.0):
-            raise ConfigError("target_bler must lie in (0, 1)")
-        if self.step_up <= 0 or self.step_down <= 0:
-            raise ConfigError("step sizes must be positive")
-        want = self.step_up * (1.0 - self.target_bler) / self.target_bler
-        if abs(self.step_down - want) > 1e-9 * max(1.0, want):
-            raise ConfigError(
-                "step_down/step_up must equal (1-target_bler)/target_bler"
-            )
-
-
-def olla_state(step_up: float, target_bler: float, offset: float = 0.0) -> OllaState:
-    """Build an OllaState with the balancing step_down derived from step_up."""
-    if not 0.0 < target_bler < 1.0:
-        raise ConfigError("target_bler must lie in (0, 1)")
-    down = step_up * (1.0 - target_bler) / target_bler
-    return OllaState(offset=offset, step_up=step_up, step_down=down, target_bler=target_bler)
-
-
-def olla_step(s: OllaState, ack: bool) -> OllaState:
-    delta = s.step_up if ack else -s.step_down
-    return replace(s, offset=s.offset + delta)
-
+# ---------------------------------------------------------------- ILLA lookup
 
 def illa_select(sinr_report: float, offset: float, lookup) -> int:
     """Highest MCS whose threshold is <= the offset-corrected report; the
@@ -263,9 +206,7 @@ class BoTrackerAgent:
 
 
 def bo_beam_tracker(env, budget_per_step: int, kernel: dict | None = None, kappa: float = 2.0,
-                    horizon: int = 100, seed: int = 0, window: int = TRACKER_WINDOW,
-                    obs_noise: float = 1e-3) -> EpisodeLog:
+                    horizon: int = 100, seed: int = 0, window: int = TRACKER_WINDOW) -> EpisodeLog:
     """One episode of BoTrackerAgent."""
     agent = BoTrackerAgent(env, budget_per_step, kernel=kernel, kappa=kappa, window=window)
-    agent.obs_noise = obs_noise
     return run_episode(env, agent, horizon=horizon, seed=seed)

@@ -1,11 +1,11 @@
-"""Sequential-decision core: environment and policy contracts, the episode
-engine, discounted returns, and metric summaries shared by every solver."""
+"""Sequential-decision core: tabular MDPs, the episode engine and its logs,
+discounted returns, and metric summaries shared by every solver."""
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from .errors import ConfigError, InvalidActionError, MissingDiagnosticError
 from .rng import STREAM_POLICY, derive_seed
 
 DEFAULT_DISCOUNT = 0.99
-DEFAULT_HORIZON = 1000
 
 _ROW_SUM_TOL = 1e-9
 
@@ -151,23 +150,6 @@ def _format_action(action) -> str:
     return repr(float(action))
 
 
-@runtime_checkable
-class Environment(Protocol):
-    """Seeded simulator. reset(seed) returns the first observation; step(action)
-    returns a StepOutcome. Instances are single-run owned, never shared."""
-
-    name: str
-
-    def reset(self, seed: int) -> Any: ...
-
-    def step(self, action) -> StepOutcome: ...
-
-
-@runtime_checkable
-class Policy(Protocol):
-    def act(self, observation) -> Any: ...
-
-
 class ScriptedPolicy:
     """Replays a fixed action sequence; used for replay determinism checks."""
 
@@ -194,7 +176,7 @@ class _CallablePolicy:
         return self._fn(observation)
 
 
-def as_policy(policy) -> Policy:
+def as_policy(policy):
     if hasattr(policy, "act"):
         return policy
     if callable(policy):
@@ -205,11 +187,12 @@ def as_policy(policy) -> Policy:
 def run_episode(env, policy, horizon: int, seed: int) -> EpisodeLog:
     """Run one seeded episode and return its log.
 
-    The policy may expose optional hooks: reset(seed), called once with a
-    policy-stream seed derived from the episode seed, and
-    observe(outcome, action), called after every transition (bandit and RL
-    policies learn through it). Episodes stop after `horizon` steps or when
-    the environment reports done.
+    `env` is a seeded simulator: reset(seed) returns the first observation
+    and step(action) a StepOutcome. `policy` has act(observation) or is a
+    callable; an optional reset(seed) hook is called once with a
+    policy-stream seed derived from the episode seed, and learning policies
+    read outcomes from the next observation. Episodes stop after `horizon`
+    steps or when the environment reports done.
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
@@ -224,8 +207,6 @@ def run_episode(env, policy, horizon: int, seed: int) -> EpisodeLog:
             out = env.step(action)
         except InvalidActionError as exc:
             raise InvalidActionError(f"step {t}: {exc}") from exc
-        if hasattr(pol, "observe"):
-            pol.observe(out, action)
         steps.append(StepRecord(obs, action, out.reward, dict(out.diagnostics)))
         obs = out.observation
         if out.done:

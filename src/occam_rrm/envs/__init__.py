@@ -10,13 +10,7 @@ from .link_adaptation import LaObs, LinkAdaptEnv
 from .power import PowerEnv
 from .scheduling import EWMA_FLOOR, SchedulingEnv
 from .tabular import TabularEnv, env_true_mdp, tabular_env
-from .types import (
-    AdmissionState,
-    ChannelMatrix,
-    MroObservation,
-    QueueState,
-    RsrpField,
-)
+from .types import ChannelMatrix, MroObservation, RsrpField
 
 # Each kind's config keys are the keyword arguments of its constructor.
 ENVS = {
@@ -44,7 +38,6 @@ def make_env(cfg: dict):
 
 __all__ = [
     "AdmissionEnv",
-    "AdmissionState",
     "BeamAction",
     "BeamformingEnv",
     "ChannelMatrix",
@@ -56,7 +49,6 @@ __all__ = [
     "LinkAdaptEnv",
     "MroObservation",
     "PowerEnv",
-    "QueueState",
     "RsrpField",
     "SERVE_BEST",
     "SchedulingEnv",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .. import planning
 from ..errors import ConfigError
 from ..rng import StepStream
 
@@ -27,6 +28,20 @@ class RrmEnv:
         if self._seed is None:
             raise ConfigError(f"{self.name} env used before reset(seed)")
         return self._seed
+
+    def size(self, name: str, value, minimum: int, power: int = 1) -> int:
+        """`value` as an int of at least `minimum`. The env's arrays hold
+        value**power entries; a size asking for more than
+        planning.MPC_NODE_BUDGET of them is refused before any is built."""
+        n = int(value)
+        if n < minimum:
+            raise ConfigError(f"{name} must be >= {minimum}")
+        if n**power > planning.MPC_NODE_BUDGET:
+            raise ConfigError(
+                f"{name} {n} needs {n**power} array entries, over the budget "
+                f"{planning.MPC_NODE_BUDGET}; reduce {name}"
+            )
+        return n
 
     def stream(self, stream_id: int, per_step: int = 1, kind: str = "normal") -> StepStream:
         return StepStream(self.seed, stream_id, per_step=per_step, kind=kind)

@@ -48,9 +48,7 @@ class BeamformingEnv(RrmEnv):
         speed_to_corr=0.01,
     ):
         super().__init__()
-        self.n_beams = int(n_beams)
-        if self.n_beams < 2:
-            raise ConfigError("n_beams must be >= 2")
+        self.n_beams = self.size("n_beams", n_beams, 2, power=2)  # n x n covariance
         self.ue_speed = float(ue_speed)
         self.spatial_corr = float(spatial_corr)
         if self.spatial_corr <= 0:

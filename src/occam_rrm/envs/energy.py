@@ -110,9 +110,7 @@ class EnergySavingEnv(RrmEnv):
         energy_weight=1.0,
     ):
         super().__init__()
-        self.n_resources = int(n_resources)
-        if self.n_resources < 1:
-            raise ConfigError("n_resources must be >= 1")
+        self.n_resources = self.size("n_resources", n_resources, 1)
         self.capacity = self._per_resource(capacity, "capacity")
         self.power_draw = self._per_resource(power_draw, "power_draw")
         self.activation_delay = int(activation_delay)

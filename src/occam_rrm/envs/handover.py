@@ -38,9 +38,7 @@ class HandoverEnv(RrmEnv):
         hysteresis=3.0,
     ):
         super().__init__()
-        self.n_cells = int(n_cells)
-        if self.n_cells < 2:
-            raise ConfigError("n_cells must be >= 2")
+        self.n_cells = self.size("n_cells", n_cells, 2)
         model = dict(model) if model is not None else dict(_DEFAULT_MODEL)
         kind = model.get("kind", "crossing")
         self._trace = None

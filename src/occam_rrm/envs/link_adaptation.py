@@ -41,9 +41,7 @@ class LinkAdaptEnv(RrmEnv):
         report_noise_std=0.5,
     ):
         super().__init__()
-        self.n_mcs = int(n_mcs)
-        if self.n_mcs < 1:
-            raise ConfigError("n_mcs must be >= 1")
+        self.n_mcs = self.size("n_mcs", n_mcs, 1)
         self.rates = (
             np.asarray(rates, dtype=float)
             if rates is not None

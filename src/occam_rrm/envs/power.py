@@ -18,13 +18,11 @@ class PowerEnv(RrmEnv):
     def __init__(self, n_channels=4, total_power=4.0, noise=1.0, coherence=50,
                  mean_gain=1.0, fixed_gains=None):
         super().__init__()
-        self.n_channels = int(n_channels)
+        self.n_channels = self.size("n_channels", n_channels, 1)
         self.total_power = float(total_power)
         self.noise = float(noise)
         self.coherence = int(coherence)
         self.mean_gain = float(mean_gain)
-        if self.n_channels < 1:
-            raise ConfigError("n_channels must be >= 1")
         if self.total_power <= 0:
             raise ConfigError("total_power must be > 0")
         if self.noise <= 0:

@@ -28,9 +28,7 @@ class SchedulingEnv(RrmEnv):
         weights=None,
     ):
         super().__init__()
-        self.n_users = int(n_users)
-        if self.n_users < 2:
-            raise ConfigError("n_users must be >= 2")
+        self.n_users = self.size("n_users", n_users, 2)
         self.mean_efficiency = (
             np.asarray(mean_efficiency, dtype=float)
             if mean_efficiency is not None

@@ -1,4 +1,4 @@
-"""Shared observation/state value types used by the environments and solvers."""
+"""Shared observation value types used by the environments and solvers."""
 
 from __future__ import annotations
 
@@ -63,20 +63,6 @@ class RsrpField:
 
 
 @dataclass
-class QueueState:
-    backlogs: np.ndarray
-    arrivals_rate: np.ndarray
-
-    def __post_init__(self):
-        self.backlogs = np.asarray(self.backlogs, dtype=float)
-        self.arrivals_rate = np.asarray(self.arrivals_rate, dtype=float)
-        if np.any(self.backlogs < 0):
-            raise ConfigError("queue backlogs must be nonnegative")
-        if np.any(self.arrivals_rate < 0):
-            raise ConfigError("arrival rates must be nonnegative")
-
-
-@dataclass
 class MroObservation:
     """Handover measurement snapshot: serving RSRP, neighbor RSRPs and the
     per-neighbor count of consecutive steps the neighbor exceeded serving
@@ -94,21 +80,3 @@ class MroObservation:
         self.neighbor_cells = np.asarray(self.neighbor_cells, dtype=int)
         if np.any(self.exceed_count < 0):
             raise ConfigError("exceed_count must be nonnegative")
-
-
-@dataclass
-class AdmissionState:
-    """Resource utilization plus the request under consideration, if any.
-    pending_request is (priority, demand) or None."""
-
-    capacity: float
-    used: float
-    pending_request: tuple[int, float] | None = None
-
-    def __post_init__(self):
-        self.capacity = float(self.capacity)
-        self.used = float(self.used)
-        if self.capacity <= 0:
-            raise ConfigError("capacity must be positive")
-        if self.used < 0 or self.used > self.capacity + 1e-9:
-            raise ConfigError(f"used {self.used} outside [0, capacity={self.capacity}]")

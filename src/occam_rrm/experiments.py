@@ -24,7 +24,6 @@ from .envs import env_true_mdp, make_env
 from .errors import ConfigError
 from .planning import q_learning, value_iteration
 from .rng import derive_seed
-from .rules import EsThresholds, MroParams
 
 SCHEMA_PATH = Path(__file__).parent / "schemas" / "experiment.schema.json"
 
@@ -33,9 +32,10 @@ SCHEMA_PATH = Path(__file__).parent / "schemas" / "experiment.schema.json"
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """A registry row: `agent(env, **cfg)` builds a policy that run_episode
-    drives. A builder that names `seed` also receives the episode seed. The
-    keyword parameters after those define the solver's config keys."""
+    """A registry row: `agent(**cfg)` builds a policy that run_episode
+    drives, mostly the agent class itself. A builder that names `env` or
+    `seed` also receives the env or the episode seed. Its other keyword
+    parameters are the solver's config keys."""
 
     envs: tuple
     agent: object
@@ -78,20 +78,18 @@ SOLVERS = {
     "illa-olla": SolverSpec(LA, lambda env, step_up=0.01, target_bler=0.1:
                             agents.IllaOllaAgent(env.s50, step_up, target_bler)),
     "thompson-mcs": SolverSpec(LA, lambda env: agents.ThompsonMcsAgent(env.rates)),
-    "fixed-mcs": SolverSpec(LA, lambda env, mcs: agents.FixedMcsAgent(mcs)),
-    "water-fill": SolverSpec(PC, lambda env: agents.WaterFillAgent()),
-    "uniform-power": SolverSpec(PC, lambda env: agents.UniformPowerAgent()),
-    "proportional-fair": SolverSpec(SC, lambda env, ewma_alpha=0.1: agents.PfAgent(ewma_alpha)),
-    "round-robin": SolverSpec(SC, lambda env: agents.RoundRobinAgent()),
-    "max-rate": SolverSpec(SC, lambda env: agents.MaxRateAgent()),
+    "fixed-mcs": SolverSpec(LA, agents.FixedMcsAgent),
+    "water-fill": SolverSpec(PC, agents.WaterFillAgent),
+    "uniform-power": SolverSpec(PC, agents.UniformPowerAgent),
+    "proportional-fair": SolverSpec(SC, agents.PfAgent),
+    "round-robin": SolverSpec(SC, agents.RoundRobinAgent),
+    "max-rate": SolverSpec(SC, agents.MaxRateAgent),
     "dpp-energy": SolverSpec(ES, agents.DppEnergyAgent),
-    "min-energy": SolverSpec(ES, lambda env: agents.MinEnergyAgent()),
-    "es-thresholds": SolverSpec(ES, lambda env, lower=0.3, upper=0.9:
-                                agents.EsThresholdAgent(env, EsThresholds(lower, upper))),
+    "min-energy": SolverSpec(ES, agents.MinEnergyAgent),
+    "es-thresholds": SolverSpec(ES, agents.EsThresholdAgent),
     "mpc-energy": SolverSpec(ES, _mpc_energy),
-    "mro": SolverSpec(HO, lambda env, hysteresis=3.0, time_to_trigger=3:
-                      agents.MroAgent(MroParams(hysteresis, time_to_trigger))),
-    "greedy-ho": SolverSpec(HO, lambda env: agents.GreedyHoAgent()),
+    "mro": SolverSpec(HO, agents.MroAgent),
+    "greedy-ho": SolverSpec(HO, agents.GreedyHoAgent),
     "trunk": SolverSpec(AC, agents.TrunkAgent),
     "accept-all": SolverSpec(AC, lambda env: agents.AcceptAllAgent(env.n_classes)),
     "value-iteration": SolverSpec(("tabular",) + AC, _value_iteration),
@@ -231,7 +229,8 @@ def run_experiment(cfg: ExperimentConfig, jobs=None) -> Path:
     env_kind = cfg.env.get("env")
     for name, _, _ in cfg.solvers:
         check_compatibility(name, env_kind)
-    make_env(cfg.env)  # surface env config errors before any run
+    # built before any run, so env config errors surface first
+    discount = float(getattr(make_env(cfg.env), "discount", DEFAULT_DISCOUNT))
 
     jobs = resolve_jobs(jobs)
     cells = [
@@ -254,8 +253,6 @@ def run_experiment(cfg: ExperimentConfig, jobs=None) -> Path:
 
     summary = {"config": cfg.to_dict(), "env": env_kind, "solvers": {}}
     for index, (name, label, _) in enumerate(cfg.solvers):
-        env = make_env(cfg.env)
-        discount = float(getattr(env, "discount", DEFAULT_DISCOUNT))
         solver_logs = []
         files = []
         per_seed = {}

@@ -163,20 +163,6 @@ def q_learning(
 # ---------------------------------------------------------------- MPC
 
 @dataclass
-class Predictor:
-    """Forecast wrapper: forecast(observation, k) must return exactly k
-    exogenous values."""
-
-    forecast: callable
-
-    def predict(self, obs, k: int):
-        traj = list(self.forecast(obs, k))
-        if len(traj) != k:
-            raise ConfigError(f"forecast returned {len(traj)} values, wanted {k}")
-        return traj
-
-
-@dataclass
 class DeterministicModel:
     """Deterministic planning model: `actions(state)` lists choices and
     `step(state, action, exo)` returns (next_state, reward). Equal states at

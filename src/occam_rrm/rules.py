@@ -1,16 +1,14 @@
 """Stochastic decision rules and parameterized expert policies: proportional
 fairness, drift-plus-penalty, trunk reservation, mobility-robustness handover,
-and threshold-based energy saving. All are pure functions over explicit state;
-update helpers return new state objects."""
+and threshold-based energy saving. All are pure functions of plain numbers
+and arrays; the agents that call them check their parameters once, when they
+are built."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .envs.scheduling import EWMA_FLOOR
-from .envs.types import AdmissionState, MroObservation
+from .envs.types import MroObservation
 from .errors import ConfigError
 
 STAY = 0
@@ -18,57 +16,31 @@ STAY = 0
 
 # ---------------------------------------------------------------- proportional fairness
 
-@dataclass(frozen=True)
-class PfState:
-    avg_throughput: np.ndarray
-    ewma_alpha: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "avg_throughput", np.asarray(self.avg_throughput, dtype=float)
-        )
-        if not (0.0 < self.ewma_alpha <= 1.0):
-            raise ConfigError("ewma_alpha must lie in (0, 1]")
-        if np.any(self.avg_throughput < EWMA_FLOOR):
-            raise ConfigError(f"avg_throughput entries must be >= {EWMA_FLOOR}")
-
-
-def pf_select(spectral_eff, s: PfState) -> int:
+def pf_select(spectral_eff, avg_throughput) -> int:
     """User with the best current-rate-to-average ratio; ties take the lowest
     index. Scaling every average by a common factor cannot change the pick."""
     eff = np.asarray(spectral_eff, dtype=float)
-    if eff.shape != s.avg_throughput.shape or eff.size == 0:
+    avg = np.asarray(avg_throughput, dtype=float)
+    if eff.shape != avg.shape or eff.size == 0:
         raise ConfigError("need one spectral efficiency per user")
-    return int(np.argmax(eff / s.avg_throughput))
+    return int(np.argmax(eff / avg))
 
 
 # ---------------------------------------------------------------- drift plus penalty
 
-@dataclass(frozen=True)
-class DppState:
-    queues: np.ndarray
-    v_weight: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "queues", np.asarray(self.queues, dtype=float))
-        if np.any(self.queues < 0):
-            raise ConfigError("queues must be nonnegative")
-        if self.v_weight < 0:
-            raise ConfigError("v_weight must be nonnegative")
-
-
-def dpp_action(s: DppState, actions) -> int:
+def dpp_action(queues, actions, v_weight: float) -> int:
     """Argmin of v_weight * penalty - sum(queue * service) over the offered
-    actions. Arrivals are action-independent, so they drop out of the drift
-    term. Ties take the lowest index."""
+    (service, penalty) actions. Arrivals are action-independent, so they drop
+    out of the drift term. Ties take the lowest index."""
     if len(actions) == 0:
         raise ConfigError("actions must be nonempty")
+    queues = np.asarray(queues, dtype=float)
     best, best_score = 0, np.inf
     for i, (service, penalty) in enumerate(actions):
         service = np.asarray(service, dtype=float)
-        if service.shape != s.queues.shape:
+        if service.shape != queues.shape:
             raise ConfigError(f"action {i}: service vector shape mismatch")
-        score = s.v_weight * float(penalty) - float(s.queues @ service)
+        score = v_weight * float(penalty) - float(queues @ service)
         if score < best_score:
             best, best_score = i, score
     return best
@@ -76,44 +48,20 @@ def dpp_action(s: DppState, actions) -> int:
 
 # ---------------------------------------------------------------- trunk reservation
 
-def trunk_admit(state: AdmissionState, thresholds) -> bool:
-    """Accept the pending request iff the bandwidth left after admitting it
-    still exceeds the reservation threshold of its priority class (rank 0 is
-    the highest priority and gets the smallest reserve)."""
-    thresholds = np.asarray(thresholds, dtype=float)
-    # rank 0 = highest priority = smallest reserve, so entries grow with rank
-    if np.any(np.diff(thresholds) < 0):
-        raise ConfigError("thresholds must not decrease with priority rank")
-    if np.any(thresholds < 0):
-        raise ConfigError("thresholds must be nonnegative")
-    if state.pending_request is None:
-        raise ConfigError("no pending request to admit")
-    priority, demand = state.pending_request
-    if not 0 <= priority < len(thresholds):
-        raise ConfigError(f"priority {priority} outside threshold table")
-    return bool(state.capacity - state.used - demand >= thresholds[priority])
+def trunk_admit(free: float, demand: float, reserve: float) -> bool:
+    """Accept a request iff the bandwidth left after admitting it, out of the
+    `free` bandwidth, still covers the `reserve` of its priority class."""
+    return bool(free - demand >= reserve)
 
 
 # ---------------------------------------------------------------- handover (MRO)
 
-@dataclass(frozen=True)
-class MroParams:
-    hysteresis: float = 3.0
-    time_to_trigger: int = 3
-
-    def __post_init__(self):
-        if self.hysteresis < 0:
-            raise ConfigError("hysteresis must be nonnegative")
-        if self.time_to_trigger < 1:
-            raise ConfigError("time_to_trigger must be >= 1")
-
-
-def mro_policy(obs: MroObservation, p: MroParams) -> int:
+def mro_policy(obs: MroObservation, time_to_trigger) -> int:
     """Hand over once a neighbor's exceed count strictly surpasses the
     time-to-trigger; among qualifying neighbors, the best-RSRP one wins.
     Returns the env action encoding: 0 stays, cell k maps to k + 1."""
     counts = np.asarray(obs.exceed_count)
-    qualifying = np.flatnonzero(counts > p.time_to_trigger)
+    qualifying = np.flatnonzero(counts > time_to_trigger)
     if len(qualifying) == 0:
         return STAY
     rsrp = np.asarray(obs.rsrp_neighbors, dtype=float)
@@ -123,28 +71,16 @@ def mro_policy(obs: MroObservation, p: MroParams) -> int:
 
 # ---------------------------------------------------------------- energy saving
 
-@dataclass(frozen=True)
-class EsThresholds:
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.lower < self.upper <= 1.0):
-            raise ConfigError("need 0 <= lower < upper <= 1")
-
-
-def es_policy(load: float, t: EsThresholds, n_resources: int) -> int:
+def es_policy(load: float, lower: float, upper: float, n_resources: int) -> int:
     """Smallest active-set size whose projected utilization falls inside the
-    threshold band; failing that, the smallest size keeping utilization under
-    the upper threshold; failing that, everything on.
+    band [lower, upper]; failing that, the smallest size keeping utilization
+    under `upper`; failing that, everything on.
 
     `load` is offered demand as a fraction of full-fleet capacity, so k active
     resources see utilization load * n_resources / k.
     """
     if not (0.0 <= load <= 1.0):
         raise ConfigError("load must lie in [0, 1]")
-    if n_resources < 1:
-        raise ConfigError("n_resources must be >= 1")
 
     def util(k):
         if k == 0:
@@ -152,9 +88,9 @@ def es_policy(load: float, t: EsThresholds, n_resources: int) -> int:
         return load * n_resources / k
 
     for k in range(n_resources + 1):
-        if t.lower <= util(k) <= t.upper:
+        if lower <= util(k) <= upper:
             return k
     for k in range(n_resources + 1):
-        if util(k) <= t.upper:
+        if util(k) <= upper:
             return k
     return n_resources

@@ -88,10 +88,9 @@ class TuneResult:
 # ---------------------------------------------------------------- evaluation
 
 def _mro_family(theta):
-    hysteresis = float(theta[0])
+    # the env applies the hysteresis when it keeps its exceed counts
     ttt = max(int(round(theta[1])), 1)
-    # the env keeps its exceed counts with the same hysteresis
-    return {"hysteresis": hysteresis}, "mro", {"hysteresis": hysteresis, "time_to_trigger": ttt}
+    return {"hysteresis": float(theta[0])}, "mro", {"time_to_trigger": ttt}
 
 
 def _es_family(theta):

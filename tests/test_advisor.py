@@ -1,6 +1,7 @@
 """Decision-tree advisor: totality, path bookkeeping, and the golden
 use-case table."""
 
+import importlib
 import itertools
 
 import pytest
@@ -145,3 +146,13 @@ def test_unknown_use_case_and_variant_errors():
     with pytest.raises(ConfigError, match="analog-hidden-channel"):
         usecase_traits("BF", "nope")
     assert usecase_traits("bf", "default") == usecase_traits("BF", "known-channel")
+
+
+def test_every_solver_hint_resolves():
+    # a rename must not leave a hint naming a function that is gone
+    missing = []
+    for hint in SOLVER_HINTS.values():
+        module, attr = hint.split(".")
+        if not hasattr(importlib.import_module(f"occam_rrm.{module}"), attr):
+            missing.append(hint)
+    assert missing == []

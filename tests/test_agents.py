@@ -37,7 +37,6 @@ from occam_rrm.envs import (
     TabularEnv,
 )
 from occam_rrm.planning import value_iteration
-from occam_rrm.rules import EsThresholds, MroParams
 
 
 SPIKE_TRACE = [0.0] * 5 + [4.0] + [0.0] * 14
@@ -111,7 +110,7 @@ def test_es_threshold_agent_scales_with_demand():
         n_resources=4, activation_delay=0,
         traffic={"kind": "constant", "base": 2.0, "noise_std": 0.0},
     )
-    agent = EsThresholdAgent(env, EsThresholds(lower=0.3, upper=0.9))
+    agent = EsThresholdAgent(env, lower=0.3, upper=0.9)
     obs = env.reset(0)
     sizes = []
     for _ in range(10):
@@ -156,7 +155,7 @@ def test_scheduling_agents_run_and_differ():
 
 def test_la_agents_smoke():
     env = LinkAdaptEnv()
-    log1 = run_episode(env, IllaOllaAgent(env.s50), horizon=500, seed=5)
+    log1 = run_episode(env, IllaOllaAgent(env.s50, 0.01, 0.1), horizon=500, seed=5)
     log2 = run_episode(LinkAdaptEnv(), ThompsonMcsAgent(env.rates), horizon=500, seed=5)
     log3 = run_episode(LinkAdaptEnv(), FixedMcsAgent(0), horizon=500, seed=5)
     assert log2.rewards.sum() > 0
@@ -197,7 +196,7 @@ def test_handover_agents_smoke():
         n_cells=2, noise_std=4.0,
         model={"kind": "crossing", "period": 400, "near_rsrp": -60.0, "far_rsrp": -90.0},
     )
-    mro = run_episode(HandoverEnv(**cfg), MroAgent(MroParams()), horizon=400, seed=8)
+    mro = run_episode(HandoverEnv(**cfg), MroAgent(), horizon=400, seed=8)
     greedy = run_episode(HandoverEnv(**cfg), GreedyHoAgent(), horizon=400, seed=8)
     assert mro.rewards.sum() >= greedy.rewards.sum()
 

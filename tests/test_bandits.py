@@ -4,21 +4,17 @@ import numpy as np
 import pytest
 
 from occam_rrm import ConfigError, GpNumericalError
+from occam_rrm.agents import IllaOllaAgent, ThompsonMcsAgent
 from occam_rrm.bandits import (
-    BetaPosterior,
     BoTrackerAgent,
     GpSurrogate,
-    OllaState,
-    beta_update,
     bo_beam_tracker,
     illa_select,
-    olla_state,
-    olla_step,
     thompson_select,
     ucb_acquire,
 )
 from occam_rrm.core import metrics_summary
-from occam_rrm.envs import BeamformingEnv, LinkAdaptEnv
+from occam_rrm.envs import BeamformingEnv, LaObs, LinkAdaptEnv
 
 
 # ---------------------------------------------------------------- Thompson
@@ -26,94 +22,109 @@ from occam_rrm.envs import BeamformingEnv, LinkAdaptEnv
 
 def test_thompson_single_arm():
     rng = np.random.default_rng(0)
-    assert thompson_select([BetaPosterior(1, 1)], [1.0], rng) == 0
+    assert thompson_select([1.0], [1.0], [1.0], rng) == 0
 
 
 def test_thompson_confident_arm_dominates():
     rng = np.random.default_rng(1)
-    arms = [BetaPosterior(1e6, 1), BetaPosterior(1, 1e6)]
-    picks = sum(thompson_select(arms, [1.0, 1.0], rng) == 0 for _ in range(10_000))
+    alpha, beta = [1e6, 1.0], [1.0, 1e6]
+    picks = sum(thompson_select(alpha, beta, [1.0, 1.0], rng) == 0 for _ in range(10_000))
     assert picks / 10_000 >= 0.999
 
 
 def test_thompson_zero_values_never_win():
     rng = np.random.default_rng(2)
-    arms = [BetaPosterior(100, 1)] * 3
     for _ in range(200):
-        assert thompson_select(arms, [0.0, 0.0, 5.0], rng) == 2
+        assert thompson_select([100.0] * 3, [1.0] * 3, [0.0, 0.0, 5.0], rng) == 2
 
 
 def test_thompson_stochastic_dominance_frequency():
     rng = np.random.default_rng(3)
-    arms = [BetaPosterior(5, 2), BetaPosterior(2, 5)]
     n = 10_000
-    freq = sum(thompson_select(arms, [1.0, 1.0], rng) == 0 for _ in range(n)) / n
+    freq = sum(thompson_select([5.0, 2.0], [2.0, 5.0], [1.0, 1.0], rng) == 0 for _ in range(n)) / n
     assert freq > 0.5 + 3 * np.sqrt(0.25 / n)
 
 
 def test_thompson_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigError):
-        thompson_select([], [], rng)
+        thompson_select([], [], [], rng)
     with pytest.raises(ConfigError):
-        thompson_select([BetaPosterior()], [-1.0], rng)
+        thompson_select([1.0], [1.0], [-1.0], rng)
 
 
 # ---------------------------------------------------------------- Beta updates
 
 
+def one_arm_thompson(acks):
+    """A one-MCS ThompsonMcsAgent after it has seen `acks` on that arm."""
+    agent = ThompsonMcsAgent([1.0])
+    agent.reset(0)
+    agent.act(LaObs(0.0, None))
+    for ack in acks:
+        agent.act(LaObs(0.0, ack))
+    return agent
+
+
 def test_beta_update_success():
-    assert beta_update(BetaPosterior(1, 1), True) == BetaPosterior(2, 1)
+    agent = one_arm_thompson([True])
+    assert (agent.alpha, agent.beta) == ([2.0], [1.0])
 
 
 def test_beta_update_counts_to_mean():
-    p = BetaPosterior(1, 1)
-    for _ in range(30):
-        p = beta_update(p, True)
-    for _ in range(70):
-        p = beta_update(p, False)
-    assert p.mean == pytest.approx(31 / 102)
+    agent = one_arm_thompson([True] * 30 + [False] * 70)
+    assert agent.alpha[0] / (agent.alpha[0] + agent.beta[0]) == pytest.approx(31 / 102)
 
 
 def test_beta_mean_bounded():
     rng = np.random.default_rng(4)
-    p = BetaPosterior(1, 1)
+    agent = one_arm_thompson([])
     for _ in range(500):
-        p = beta_update(p, bool(rng.random() < 0.3))
-        assert 0.0 < p.mean < 1.0
+        agent.act(LaObs(0.0, bool(rng.random() < 0.3)))
+        assert 0.0 < agent.alpha[0] / (agent.alpha[0] + agent.beta[0]) < 1.0
 
 
 def test_beta_positivity_enforced():
     with pytest.raises(ConfigError):
-        BetaPosterior(0.0, 1.0)
+        thompson_select([0.0], [1.0], [1.0], np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- OLLA / ILLA
 
 
+def olla_after(acks, step_up, target_bler):
+    """An IllaOllaAgent after it has seen `acks`."""
+    agent = IllaOllaAgent([0.0, 5.0, 10.0], step_up, target_bler)
+    agent.reset(0)
+    for ack in acks:
+        agent.act(LaObs(0.0, ack))
+    return agent
+
+
 def test_olla_ack_moves_up():
-    s = olla_state(step_up=0.01, target_bler=0.5)
-    assert olla_step(s, True).offset == pytest.approx(0.01)
+    assert olla_after([None, True], step_up=0.01, target_bler=0.5).offset == pytest.approx(0.01)
 
 
 def test_olla_zero_drift_ratio():
     # 10% NACKs must cancel 90% ACKs: step_down = 9 * step_up.
-    s = olla_state(step_up=0.01, target_bler=0.1)
+    s = olla_after([], step_up=0.01, target_bler=0.1)
     assert s.step_down == pytest.approx(9 * s.step_up)
     drift = (1 - 0.1) * s.step_up - 0.1 * s.step_down
     assert drift == pytest.approx(0.0, abs=1e-15)
 
 
 def test_olla_symmetric_steps_cycle():
-    s = olla_state(step_up=0.2, target_bler=0.5)
+    s = olla_after([True, False], step_up=0.2, target_bler=0.5)
     assert s.step_down == pytest.approx(s.step_up)
-    s2 = olla_step(olla_step(s, True), False)
-    assert s2.offset == pytest.approx(s.offset)
+    assert s.offset == pytest.approx(0.0)
 
 
 def test_olla_state_ratio_validated():
-    with pytest.raises(ConfigError):
-        OllaState(offset=0.0, step_up=0.1, step_down=0.1, target_bler=0.1)
+    # step_down = step_up * (1 - target) / target needs step_up > 0 and a
+    # target strictly inside (0, 1)
+    for step_up, target in ((0.0, 0.1), (-0.1, 0.1), (0.1, 0.0), (0.1, 1.0)):
+        with pytest.raises(ConfigError):
+            IllaOllaAgent([0.0, 5.0], step_up, target)
 
 
 def test_illa_below_all_thresholds():
@@ -141,21 +152,11 @@ def test_illa_olla_closed_loop_hits_target_bler():
         ar_coeff=0.0, innovation_std=0.0, sinr_mean=10.0, report_noise_std=0.0
     )
     target = 0.1
-    lookup = env.s50
-
-    class IllaOlla:
-        def reset(self, seed):
-            self.s = olla_state(step_up=0.01, target_bler=target)
-
-        def act(self, obs):
-            if obs.ack is not None:
-                self.s = olla_step(self.s, obs.ack)
-            return illa_select(obs.sinr_report, self.s.offset, lookup)
 
     from occam_rrm import run_episode
 
     n = 100_000
-    log = run_episode(env, IllaOlla(), horizon=n, seed=9)
+    log = run_episode(env, IllaOllaAgent(env.s50, 0.01, target), horizon=n, seed=9)
     acks = np.array([s.diagnostics["ack"] for s in log.steps])
     empirical_bler = 1.0 - acks.mean()
     assert abs(empirical_bler - target) <= 0.03

@@ -3,9 +3,14 @@ and the three SVG renderers."""
 
 import json
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import occam_rrm
 from occam_rrm import planning
 from occam_rrm.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from occam_rrm.config import config_keys
@@ -264,6 +269,43 @@ def test_subset_count_over_budget_exits_config(tmp_path, capsys, monkeypatch, so
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("config error:") and "1024 subsets" in err
+
+
+# Sizes whose arrays would not fit in 2 GiB; n_beams sizes an n x n covariance.
+# json.dumps writes inf as Infinity, which the config loader reads back.
+HUGE_SIZES = [
+    ("energy_saving", "n_resources", 1e9, "min-energy"),
+    ("scheduling", "n_users", 1e9, "round-robin"),
+    ("scheduling", "n_users", float("inf"), "round-robin"),
+    ("handover", "n_cells", 1e9, "greedy-ho"),
+    ("beamforming", "n_beams", 1e5, "full-scan"),
+]
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("kind,key,value,solver", HUGE_SIZES,
+                         ids=[f"{k}={v:g}" for _, k, v, _ in HUGE_SIZES])
+def test_huge_env_size_exits_config_before_allocating(tmp_path, kind, key, value, solver):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "env": {"env": kind, key: value},
+        "solvers": [{"name": solver}],
+        "horizon": 2,
+        "seeds": [0],
+        "outputs": str(tmp_path / "out"),
+    })
+    code = "import sys; from occam_rrm.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(occam_rrm.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "run", cfg, "--jobs", "1", "--quiet"],
+        capture_output=True, text=True, timeout=120, preexec_fn=_limit_address_space,
+        env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("config error:")
 
 
 def test_label_cannot_leave_episodes_dir(tmp_path, capsys):

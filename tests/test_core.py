@@ -150,12 +150,9 @@ def test_policy_hooks_called():
         def act(self, obs):
             return 0
 
-        def observe(self, outcome, action):
-            seen.append(("observe", action))
-
     run_episode(ConstantRewardEnv(), Hooked(), horizon=2, seed=9)
     kinds = [k for k, _ in seen]
-    assert kinds == ["reset", "observe", "observe"]
+    assert kinds == ["reset"]
 
 
 def test_scripted_policy_exhaustion():

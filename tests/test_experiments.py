@@ -146,9 +146,9 @@ def test_beam_experiment_profile(tmp_path):
     assert summary["solvers"]["full-scan"]["metrics"]["accuracy"] == 1.0
 
 
-# sha256 of every episode CSV of the beam trackers, Q-learning and MPC at a
-# small fixed config: any change to their decisions, rewards or diagnostics
-# shows.
+# sha256 of every episode CSV of the beam trackers, Q-learning, MPC, the
+# expert rules and the bandits at a small fixed config: any change to their
+# decisions, rewards or diagnostics shows.
 GOLDEN_CSV_SHA256 = {
     "beamforming": {
         "bo-tracker_seed0_ep0.csv": "d8fe1a94271c85d97f5ef311f40184f4386f050bbd72ca3e667f198f2919b6e7",
@@ -161,8 +161,14 @@ GOLDEN_CSV_SHA256 = {
     "admission_control": {
         "q-learning_seed0_ep0.csv": "3ae7312edb5e08fa855dbd64b6749f76141fd2f3863592e6fca37e5038f11d9b",
         "q-learning_seed1_ep0.csv": "be74c828047ab1c040e9c97e53c5025a13ac5054a78a983d899925a6a5bf20e8",
+        "trunk_seed0_ep0.csv": "2be43b208045e3be6208e0ef09f4b971d7f14a2c0051f59b65ffbebee4992f76",
+        "trunk_seed1_ep0.csv": "c3e18b7b5b3c3f659500705aa9d2897607292b3420db59b7773e2f0370eb84a7",
     },
     "energy_saving": {
+        "dpp-energy_seed0_ep0.csv": "94a25ce351ff91bc3db5659a13a8c802f06483bad49494dec1ed43d79e472a11",
+        "dpp-energy_seed1_ep0.csv": "8e845c6439bed77c1f19a05166f2a33be198a06f037bef3b01fa2f1f09145d72",
+        "es-thresholds_seed0_ep0.csv": "ecfa19f566025465dce6def445a07c2e39c855a5d949f7bf9a243f06861d1208",
+        "es-thresholds_seed1_ep0.csv": "901bdfb337449a7895801b93ec32d81fb6c7ddc412b1dd9deafcd7e39cbf6e1a",
         "oracle-h3_seed0_ep0.csv": "b09b6157a4d15376fe3ed60f5b00d92c0ff8de6d31c629df78232fb28e910d95",
         "oracle-h3_seed1_ep0.csv": "6b7595805e10766f31d4179a5c435890f0942f07339f3800c9923a661603eeeb",
         "oracle-h5_seed0_ep0.csv": "68a367d727ad45013c342f3aff0dd0ef3d1a688995f545d77808a0bc8457bbdd",
@@ -172,12 +178,28 @@ GOLDEN_CSV_SHA256 = {
         "persistence-h5_seed0_ep0.csv": "052659e334c84b30660ce9a80d5ff904ff1c70ec5602faf9488704fd27fcb89f",
         "persistence-h5_seed1_ep0.csv": "66515028e6a31b9e18edd3d283099a1fa39d9ce9dde129a82d233cf275a3c6e5",
     },
+    "handover": {
+        "mro_seed0_ep0.csv": "798af8dd8b80c7005f66813518cb329177609e6eb1a69f912f87ccc27ae5b39e",
+        "mro_seed1_ep0.csv": "903a58443a4dbb2cc4e108ab50cbe591af4d51f946e094d6e26db505b8335eb7",
+    },
+    "link_adaptation": {
+        "illa-olla_seed0_ep0.csv": "46ed82f941e9a7cdca0edd0ff72fb776d286731dbece176257f95f7201bf98d2",
+        "illa-olla_seed1_ep0.csv": "f79dee2a18300b411968b2fa1834a4a29ffe1a7cb322cde4ffa088c9fd5feb5c",
+        "thompson-mcs_seed0_ep0.csv": "594ecf026fe42a2764f6ec57b6d21fd8063dbf3106f30ca17ea45bb23c81d762",
+        "thompson-mcs_seed1_ep0.csv": "0297b6f11f39e6a981404358ff1ffd552fd89aab2fc6b23ebbf16d8db357334a",
+    },
+    "scheduling": {
+        "proportional-fair_seed0_ep0.csv": "500c63cfa7a31a20931144f4d19f39f1e078cd708f4db78c27fc1e8dde957b59",
+        "proportional-fair_seed1_ep0.csv": "7347ecd3711a5e9c61e08bdd6e6a79a6c23d409acf8f1f348b55482cf468359c",
+    },
 }
 # Uneven capacities and power draws, so that the order of every float sum
-# shows in the MPC digests.
+# shows in the MPC digests. A short crossing period, so that MRO hands over
+# inside the horizon (at the default period it stays put for 40 steps).
 GOLDEN_ENVS = {
     "energy_saving": {"env": "energy_saving", "capacity": [0.3, 0.9, 1.7, 0.55],
                       "power_draw": [0.1, 0.35, 0.9, 0.2], "qos_threshold": 1.5},
+    "handover": {"env": "handover", "model": {"kind": "crossing", "period": 20}},
 }
 GOLDEN_SOLVERS = {
     "beamforming": [
@@ -185,11 +207,17 @@ GOLDEN_SOLVERS = {
         {"name": "bo-tracker", "config": {"budget_per_step": 2}},
         {"name": "full-scan"},
     ],
-    "admission_control": [{"name": "q-learning", "config": {"train_episodes": 5}}],
+    "admission_control": [
+        {"name": "q-learning", "config": {"train_episodes": 5}},
+        {"name": "trunk", "config": {"thresholds": [0, 2]}},
+    ],
     "energy_saving": [
         {"name": "mpc-energy", "label": f"{p}-h{h}", "config": {"predictor": p, "plan_horizon": h}}
         for h in (3, 5) for p in ("oracle", "persistence")
-    ],
+    ] + [{"name": "dpp-energy"}, {"name": "es-thresholds"}],
+    "handover": [{"name": "mro"}],
+    "link_adaptation": [{"name": "illa-olla"}, {"name": "thompson-mcs"}],
+    "scheduling": [{"name": "proportional-fair"}],
 }
 
 
@@ -251,10 +279,8 @@ def test_same_solver_twice_needs_labels(tmp_path):
     cfg = ExperimentConfig.from_dict({
         "env": {"env": "handover", "noise_std": 0.0},
         "solvers": [
-            {"name": "mro", "label": "mro-fast", "config": {"hysteresis": 0.0,
-                                                            "time_to_trigger": 1}},
-            {"name": "mro", "label": "mro-slow", "config": {"hysteresis": 10.0,
-                                                            "time_to_trigger": 40}},
+            {"name": "mro", "label": "mro-fast", "config": {"time_to_trigger": 1}},
+            {"name": "mro", "label": "mro-slow", "config": {"time_to_trigger": 40}},
         ],
         "horizon": 400,
         "seeds": [0],
@@ -379,14 +405,14 @@ SOLVER_KEYS = {
     "fixed-mcs": ({"mcs"}, {"mcs"}),
     "water-fill": (set(), set()),
     "uniform-power": (set(), set()),
-    "proportional-fair": ({"ewma_alpha"}, set()),
+    "proportional-fair": (set(), set()),
     "round-robin": (set(), set()),
     "max-rate": (set(), set()),
     "dpp-energy": ({"v_weight"}, set()),
     "min-energy": (set(), set()),
     "es-thresholds": ({"lower", "upper"}, set()),
     "mpc-energy": ({"predictor", "plan_horizon", "discount"}, set()),
-    "mro": ({"hysteresis", "time_to_trigger"}, set()),
+    "mro": ({"time_to_trigger"}, set()),
     "greedy-ho": (set(), set()),
     "trunk": ({"thresholds"}, {"thresholds"}),
     "accept-all": (set(), set()),

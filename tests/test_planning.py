@@ -8,7 +8,6 @@ from occam_rrm.agents import MpcEnergyAgent
 from occam_rrm.envs import BeamformingEnv, EnergySavingEnv, TabularEnv
 from occam_rrm.planning import (
     DeterministicModel,
-    Predictor,
     bellman_residual,
     hyperbolic_schedule,
     mpc_plan,
@@ -267,7 +266,7 @@ def test_mpc_node_budget_counts_distinct_states(monkeypatch, block_edges):
     env = EnergySavingEnv(capacity=[0.3, 0.9, 1.7, 0.55], power_draw=[0.1, 0.35, 0.9, 0.2],
                           qos_threshold=1.5)
     env.reset(0)
-    agent = MpcEnergyAgent(env, Predictor(lambda obs, k: ES_BUDGET_TRAJ[:k]), horizon=4)
+    agent = MpcEnergyAgent(env, lambda obs, k: ES_BUDGET_TRAJ[:k], horizon=4)
     for state, n, first in ES_BUDGET_CASES:
         plan = mpc_plan(agent.model, state, 4, exo_trajectory=ES_BUDGET_TRAJ, node_budget=n)
         assert plan == first
@@ -307,6 +306,7 @@ def test_mpc_deterministic_requires_trajectory():
 
 
 def test_predictor_length_enforced():
-    p = Predictor(lambda obs, k: [0.0] * (k + 1))
-    with pytest.raises(ConfigError):
-        p.predict(None, 2)
+    env = EnergySavingEnv()
+    agent = MpcEnergyAgent(env, lambda obs, k: [0.0] * (k + 1), horizon=2)
+    with pytest.raises(ConfigError, match="length must equal the horizon"):
+        agent.act(env.reset(0))

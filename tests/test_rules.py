@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 from occam_rrm import ConfigError, run_episode
-from occam_rrm.envs import EnergySavingEnv, HandoverEnv
-from occam_rrm.envs.types import AdmissionState
+from occam_rrm.agents import EsThresholdAgent, MroAgent, TrunkAgent
+from occam_rrm.envs import AdmissionEnv, EnergySavingEnv, HandoverEnv
+from occam_rrm.experiments import SOLVERS
 from occam_rrm.rules import (
     STAY,
-    DppState,
-    EsThresholds,
-    MroParams,
-    PfState,
     dpp_action,
     es_policy,
     mro_policy,
@@ -22,13 +19,11 @@ from occam_rrm.rules import (
 
 
 def test_pf_select_direct_ratio():
-    s = PfState(np.array([1.0, 3.0]), 0.1)
-    assert pf_select([2.0, 3.0], s) == 0
+    assert pf_select([2.0, 3.0], np.array([1.0, 3.0])) == 0
 
 
 def test_pf_select_tie_lowest_index():
-    s = PfState(np.array([1.0, 1.0, 1.0]), 0.1)
-    assert pf_select([2.0, 2.0, 2.0], s) == 0
+    assert pf_select([2.0, 2.0, 2.0], np.array([1.0, 1.0, 1.0])) == 0
 
 
 def test_pf_select_matches_brute_force():
@@ -36,9 +31,8 @@ def test_pf_select_matches_brute_force():
     for _ in range(100):
         avg = rng.uniform(0.1, 5.0, size=5)
         eff = rng.uniform(0.0, 4.0, size=5)
-        s = PfState(avg, 0.1)
         oracle = max(range(5), key=lambda u: (eff[u] / avg[u], -u))
-        assert pf_select(eff, s) == oracle
+        assert pf_select(eff, avg) == oracle
 
 
 def test_pf_select_scale_invariant():
@@ -46,30 +40,29 @@ def test_pf_select_scale_invariant():
     for _ in range(50):
         avg = rng.uniform(0.1, 5.0, size=4)
         eff = rng.uniform(0.0, 4.0, size=4)
-        base = pf_select(eff, PfState(avg, 0.5))
+        base = pf_select(eff, avg)
         for c in (1e-3, 7.0, 1e4):
-            assert pf_select(eff, PfState(c * avg, 0.5)) == base
+            assert pf_select(eff, c * avg) == base
 
 
 def test_pf_alpha_zero_rejected():
-    with pytest.raises(ConfigError):
-        PfState(np.array([1.0]), 0.0)
+    # the PF ratio reads the env's own EWMA, so the solver takes no alpha
+    with pytest.raises(ConfigError, match="unknown solver config keys: \\['ewma_alpha'\\]"):
+        SOLVERS["proportional-fair"].run({"env": "scheduling"}, {"ewma_alpha": 0.0}, 1, 0)
 
 
 # ---------------------------------------------------------------- drift plus penalty
 
 
 def test_dpp_zero_v_is_max_weight():
-    s = DppState(np.array([1.0, 4.0]), 0.0)
     actions = [([3.0, 0.0], 100.0), ([0.0, 1.0], 0.0), ([1.0, 1.0], 50.0)]
     # scores: -3, -4, -5 -> action 2
-    assert dpp_action(s, actions) == 2
+    assert dpp_action([1.0, 4.0], actions, 0.0) == 2
 
 
 def test_dpp_empty_queues_minimize_penalty():
-    s = DppState(np.zeros(2), 2.0)
     actions = [([5.0, 5.0], 3.0), ([0.0, 0.0], 1.0), ([9.0, 9.0], 2.0)]
-    assert dpp_action(s, actions) == 1
+    assert dpp_action(np.zeros(2), actions, 2.0) == 1
 
 
 def test_dpp_matches_brute_force():
@@ -77,10 +70,9 @@ def test_dpp_matches_brute_force():
     for _ in range(100):
         q = rng.uniform(0, 10, size=3)
         v = rng.uniform(0, 5)
-        s = DppState(q, v)
         actions = [(rng.uniform(0, 2, size=3), rng.uniform(0, 4)) for _ in range(6)]
         scores = [v * p - q @ np.asarray(sv) for sv, p in actions]
-        assert dpp_action(s, actions) == int(np.argmin(scores))
+        assert dpp_action(q, actions, v) == int(np.argmin(scores))
 
 
 def test_dpp_keeps_energy_queue_bounded():
@@ -99,8 +91,7 @@ def test_dpp_keeps_energy_queue_bounded():
     backlogs = []
     backlog = 0.0
     for t in range(100_000):
-        s = DppState(np.array([backlog]), 0.0)
-        idx = dpp_action(s, [(sv, p) for _, sv, p in actions])
+        idx = dpp_action([backlog], [(sv, p) for _, sv, p in actions], 0.0)
         out = env.step(actions[idx][0])
         backlog = out.diagnostics["backlog"]
         backlogs.append(backlog)
@@ -111,13 +102,11 @@ def test_dpp_keeps_energy_queue_bounded():
 
 
 def test_trunk_high_priority_fits():
-    st = AdmissionState(capacity=10.0, used=0.0, pending_request=(0, 1.0))
-    assert trunk_admit(st, [0.0, 2.0]) is True
+    assert trunk_admit(10.0 - 0.0, 1.0, 0.0) is True
 
 
 def test_trunk_low_priority_reserved_out():
-    st = AdmissionState(capacity=10.0, used=8.0, pending_request=(1, 1.0))
-    assert trunk_admit(st, [0.0, 3.0]) is False
+    assert trunk_admit(10.0 - 8.0, 1.0, 3.0) is False
 
 
 def test_trunk_sweep_matches_rule_oracle():
@@ -125,9 +114,8 @@ def test_trunk_sweep_matches_rule_oracle():
     for used in range(11):
         for priority in range(3):
             for demand in (1.0, 2.0, 3.0):
-                st = AdmissionState(capacity=10.0, used=float(used), pending_request=(priority, demand))
                 want = 10.0 - used - demand >= thresholds[priority]
-                assert trunk_admit(st, thresholds) is want
+                assert trunk_admit(10.0 - used, demand, thresholds[priority]) is want
 
 
 def test_trunk_never_overfills():
@@ -137,21 +125,16 @@ def test_trunk_never_overfills():
         used = rng.uniform(0, cap)
         demand = rng.uniform(0, 10)
         thr = np.sort(rng.uniform(0, 5, size=3))
-        st = AdmissionState(capacity=cap, used=used, pending_request=(int(rng.integers(3)), demand))
-        if trunk_admit(st, thr):
+        if trunk_admit(cap - used, demand, thr[rng.integers(3)]):
             assert used + demand <= cap + 1e-9
 
 
 def test_trunk_threshold_order_validated():
-    st = AdmissionState(capacity=10.0, used=0.0, pending_request=(0, 1.0))
-    with pytest.raises(ConfigError):
-        trunk_admit(st, [4.0, 2.0, 0.0])
-
-
-def test_trunk_requires_pending():
-    st = AdmissionState(capacity=10.0, used=0.0, pending_request=None)
-    with pytest.raises(ConfigError):
-        trunk_admit(st, [0.0])
+    env = AdmissionEnv()  # two priority classes
+    with pytest.raises(ConfigError, match="must not decrease"):
+        TrunkAgent(env, [2.0, 0.0])
+    with pytest.raises(ConfigError, match="nonnegative"):
+        TrunkAgent(env, [-1.0, 0.0])
 
 
 # ---------------------------------------------------------------- MRO handover
@@ -170,18 +153,16 @@ def _obs(counts, rsrp, serving=0, neighbors=(1, 2)):
 
 
 def test_mro_stays_when_no_counts():
-    assert mro_policy(_obs([0, 0], [-70.0, -60.0]), MroParams()) == STAY
+    assert mro_policy(_obs([0, 0], [-70.0, -60.0]), 3) == STAY
 
 
 def test_mro_fires_strictly_above_ttt():
-    p = MroParams(hysteresis=3.0, time_to_trigger=3)
-    assert mro_policy(_obs([3, 0], [-70.0, -90.0]), p) == STAY
-    assert mro_policy(_obs([4, 0], [-70.0, -90.0]), p) == 2  # cell 1 -> action 2
+    assert mro_policy(_obs([3, 0], [-70.0, -90.0]), 3) == STAY
+    assert mro_policy(_obs([4, 0], [-70.0, -90.0]), 3) == 2  # cell 1 -> action 2
 
 
 def test_mro_best_rsrp_among_qualifying():
-    p = MroParams(time_to_trigger=1)
-    assert mro_policy(_obs([5, 5], [-75.0, -65.0]), p) == 3  # cell 2 -> action 3
+    assert mro_policy(_obs([5, 5], [-75.0, -65.0]), 1) == 3  # cell 2 -> action 3
 
 
 def test_mro_infinite_hysteresis_never_fires():
@@ -189,8 +170,7 @@ def test_mro_infinite_hysteresis_never_fires():
         n_cells=2, noise_std=0.0, hysteresis=1e9,
         model={"kind": "crossing", "period": 200, "near_rsrp": -60.0, "far_rsrp": -90.0},
     )
-    p = MroParams(hysteresis=1e9, time_to_trigger=1)
-    log = run_episode(env, lambda obs: mro_policy(obs, p), horizon=400, seed=0)
+    log = run_episode(env, lambda obs: mro_policy(obs, 1), horizon=400, seed=0)
     assert all(a == STAY for a in log.actions)
 
 
@@ -199,8 +179,7 @@ def _first_ho_time(env_hysteresis):
         n_cells=2, noise_std=0.0, hysteresis=env_hysteresis,
         model={"kind": "crossing", "period": 400, "near_rsrp": -60.0, "far_rsrp": -90.0},
     )
-    p = MroParams(time_to_trigger=3)
-    log = run_episode(env, lambda obs: mro_policy(obs, p), horizon=300, seed=0)
+    log = run_episode(env, lambda obs: mro_policy(obs, 3), horizon=300, seed=0)
     for t, a in enumerate(log.actions):
         if a != STAY:
             return t
@@ -220,8 +199,6 @@ def test_mro_beats_greedy_under_noise():
         n_cells=2, noise_std=4.0,
         model={"kind": "crossing", "period": 400, "near_rsrp": -60.0, "far_rsrp": -90.0},
     )
-    p = MroParams(hysteresis=3.0, time_to_trigger=3)
-
     def greedy(obs):
         best = int(np.argmax(obs.rsrp_neighbors))
         cell = obs.neighbor_cells[best]
@@ -232,7 +209,7 @@ def test_mro_beats_greedy_under_noise():
     mro_total, greedy_total = 0.0, 0.0
     for seed in range(5):
         mro_total += run_episode(
-            HandoverEnv(**cfg), lambda o: mro_policy(o, p), horizon=800, seed=seed
+            HandoverEnv(**cfg), lambda o: mro_policy(o, 3), horizon=800, seed=seed
         ).rewards.sum()
         greedy_total += run_episode(
             HandoverEnv(**cfg), greedy, horizon=800, seed=seed
@@ -242,33 +219,31 @@ def test_mro_beats_greedy_under_noise():
 
 def test_mro_params_validated():
     with pytest.raises(ConfigError):
-        MroParams(time_to_trigger=0)
-    with pytest.raises(ConfigError):
-        MroParams(hysteresis=-1.0)
+        MroAgent(time_to_trigger=0)
+    # the env applies the hysteresis, so the solver takes none
+    with pytest.raises(ConfigError, match="unknown solver config keys: \\['hysteresis'\\]"):
+        SOLVERS["mro"].run({"env": "handover"}, {"hysteresis": -1.0}, 1, 0)
 
 
 # ---------------------------------------------------------------- ES thresholds
 
 
 def test_es_zero_traffic_sleeps_everything():
-    t = EsThresholds(lower=0.3, upper=0.7)
-    assert es_policy(0.0, t, 4) == 0
+    assert es_policy(0.0, 0.3, 0.7, 4) == 0
 
 
 def test_es_upper_boundary_inclusive():
-    t = EsThresholds(lower=0.3, upper=0.6)
     # load 0.3 of fleet: k=2 gives utilization exactly 0.6
-    assert es_policy(0.3, t, 4) == 2
+    assert es_policy(0.3, 0.3, 0.6, 4) == 2
 
 
 def test_es_overload_all_on():
-    t = EsThresholds(lower=0.2, upper=0.5)
-    assert es_policy(1.0, t, 3) == 3
+    assert es_policy(1.0, 0.2, 0.5, 3) == 3
 
 
 def test_es_matches_exhaustive_scan():
     rng = np.random.default_rng(4)
-    t = EsThresholds(lower=0.25, upper=0.75)
+    lower, upper = 0.25, 0.75
     n = 5
     for _ in range(200):
         load = float(rng.uniform(0, 1))
@@ -278,16 +253,17 @@ def test_es_matches_exhaustive_scan():
                 return 0.0 if load == 0 else np.inf
             return load * n / k
 
-        in_band = [k for k in range(n + 1) if t.lower <= util(k) <= t.upper]
-        under = [k for k in range(n + 1) if util(k) <= t.upper]
+        in_band = [k for k in range(n + 1) if lower <= util(k) <= upper]
+        under = [k for k in range(n + 1) if util(k) <= upper]
         want = in_band[0] if in_band else (under[0] if under else n)
-        assert es_policy(load, t, n) == want
+        assert es_policy(load, lower, upper, n) == want
 
 
 def test_es_thresholds_validated():
+    env = EnergySavingEnv()
     with pytest.raises(ConfigError):
-        EsThresholds(lower=0.5, upper=0.5)
+        EsThresholdAgent(env, lower=0.5, upper=0.5)
     with pytest.raises(ConfigError):
-        EsThresholds(lower=-0.1, upper=0.5)
+        EsThresholdAgent(env, lower=-0.1, upper=0.5)
     with pytest.raises(ConfigError):
-        es_policy(1.5, EsThresholds(0.1, 0.9), 3)
+        es_policy(1.5, 0.1, 0.9, 3)
