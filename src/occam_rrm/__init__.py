@@ -8,7 +8,6 @@ from .core import (
     MetricsRecord,
     ScriptedPolicy,
     StepOutcome,
-    StepRecord,
     TabularMdp,
     discounted_return,
     metrics_summary,
@@ -40,7 +39,6 @@ __all__ = [
     "PlotDataError",
     "ScriptedPolicy",
     "StepOutcome",
-    "StepRecord",
     "TabularMdp",
     "discounted_return",
     "metrics_summary",

@@ -169,6 +169,8 @@ class EsThresholdAgent:
         self.lower, self.upper = lower, upper
         self.n = env.n_resources
         self.fleet_capacity = float(np.sum(env.capacity))
+        if not self.fleet_capacity > 0:
+            raise ConfigError("es-thresholds needs a positive total capacity")
 
     def act(self, obs):
         demand = obs["backlog"] + obs["traffic"]
@@ -189,6 +191,8 @@ class MpcEnergyAgent:
         self.forecast = forecast
         self.horizon = horizon
         self.discount = float(discount)
+        if not np.isfinite(self.discount):
+            raise ConfigError(f"discount must be finite, got {self.discount}")
         actions = env.all_actions()
         step = es_transition_batch(actions, env.capacity, env.power_draw, env.activation_delay)
         qos_threshold, qos_weight = env.qos_threshold, env.qos_weight

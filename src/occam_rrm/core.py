@@ -4,8 +4,9 @@ discounted returns, and metric summaries shared by every solver."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from operator import itemgetter
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -85,53 +86,31 @@ class StepOutcome:
 
 
 @dataclass
-class StepRecord:
-    """Entry of an EpisodeLog: the observation the policy acted on, the action
-    taken, the reward received, and the step diagnostics."""
-
-    observation: Any
-    action: Any
-    reward: float
-    diagnostics: dict[str, float]
-
-
-@dataclass
 class EpisodeLog:
-    steps: list[StepRecord]
+    """One episode as columns: the action taken at each step, the rewards,
+    and one array per diagnostic key."""
+
+    actions: list
+    rewards: np.ndarray
+    diagnostics: dict[str, np.ndarray]
     seed: int
     env_name: str
 
     def __len__(self):
-        return len(self.steps)
-
-    @property
-    def rewards(self) -> np.ndarray:
-        return np.array([s.reward for s in self.steps], dtype=float)
-
-    @property
-    def actions(self) -> list:
-        return [s.action for s in self.steps]
-
-    def diagnostic_keys(self) -> list[str]:
-        keys: set[str] = set()
-        for s in self.steps:
-            keys.update(s.diagnostics)
-        return sorted(keys)
+        return len(self.rewards)
 
     def to_csv(self, path) -> None:
         """Write one row per step with columns t, action, reward and the
-        union of diagnostic keys in sorted order."""
-        keys = self.diagnostic_keys()
+        diagnostic keys in sorted order."""
+        keys = sorted(self.diagnostics)
+        columns = [self.rewards.tolist()] + [self.diagnostics[k].tolist() for k in keys]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "action", "reward"] + keys)
-            for t, s in enumerate(self.steps):
-                row = [t, _format_action(s.action), repr(float(s.reward))]
-                row += [
-                    repr(float(s.diagnostics[k])) if k in s.diagnostics else ""
-                    for k in keys
-                ]
-                writer.writerow(row)
+            writer.writerows(
+                [t, _format_action(action), *map(repr, values)]
+                for t, (action, *values) in enumerate(zip(self.actions, *columns))
+            )
 
 
 def _format_action(action) -> str:
@@ -192,7 +171,9 @@ def run_episode(env, policy, horizon: int, seed: int) -> EpisodeLog:
     callable; an optional reset(seed) hook is called once with a
     policy-stream seed derived from the episode seed, and learning policies
     read outcomes from the next observation. Episodes stop after `horizon`
-    steps or when the environment reports done.
+    steps or when the environment reports done. The first step's
+    diagnostic keys are the log's columns; a later step with other keys
+    raises MissingDiagnosticError.
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
@@ -200,30 +181,40 @@ def run_episode(env, policy, horizon: int, seed: int) -> EpisodeLog:
     obs = env.reset(seed)
     if hasattr(pol, "reset"):
         pol.reset(derive_seed(seed, STREAM_POLICY))
-    steps: list[StepRecord] = []
+    actions, rewards, diagnostics = [], [], []
     for t in range(horizon):
         action = pol.act(obs)
         try:
             out = env.step(action)
         except InvalidActionError as exc:
             raise InvalidActionError(f"step {t}: {exc}") from exc
-        steps.append(StepRecord(obs, action, out.reward, dict(out.diagnostics)))
+        if t == 0:
+            keys = frozenset(out.diagnostics)
+        elif out.diagnostics.keys() != keys:
+            raise MissingDiagnosticError(
+                f"step {t}: diagnostic keys {sorted(out.diagnostics)} != {sorted(keys)}")
+        actions.append(action)
+        rewards.append(out.reward)
+        diagnostics.append(dict(out.diagnostics))
         obs = out.observation
         if out.done:
             break
-    return EpisodeLog(steps=steps, seed=seed, env_name=getattr(env, "name", type(env).__name__))
+    columns = {k: np.fromiter(map(itemgetter(k), diagnostics), float, len(diagnostics))
+               for k in sorted(keys)}
+    return EpisodeLog(actions, np.array(rewards, dtype=float), columns, seed,
+                      getattr(env, "name", type(env).__name__))
 
 
 def replay_episode(env, log: EpisodeLog) -> EpisodeLog:
     """Re-run a log's action sequence on a fresh env with the log's seed."""
-    return run_episode(env, ScriptedPolicy(log.actions), len(log.steps), log.seed)
+    return run_episode(env, ScriptedPolicy(log.actions), len(log), log.seed)
 
 
-def discounted_return(rewards: Iterable[float], discount: float) -> float:
+def discounted_return(rewards: Sequence[float], discount: float) -> float:
     """Sum of discount**t * rewards[t]; the finite-horizon objective."""
     if not (0.0 <= discount < 1.0):
         raise ConfigError(f"discount must lie in [0, 1), got {discount}")
-    r = np.asarray(list(rewards), dtype=float)
+    r = np.asarray(rewards, dtype=float)
     if r.size == 0:
         return 0.0
     return float(r @ np.power(discount, np.arange(r.size)))
@@ -261,11 +252,18 @@ SERVED_BEAM_KEY = "served_beam"
 OPTIMAL_BEAM_KEY = "optimal_beam"
 
 
+def _reads(kind: str, key: str) -> bool:
+    """Whether metric profile `kind` reads diagnostic `key`."""
+    if kind == "scheduling":
+        return key.startswith(THROUGHPUT_PREFIX)
+    return kind == "beam" and key in (SERVED_BEAM_KEY, OPTIMAL_BEAM_KEY)
+
+
 def _gather(logs: list[EpisodeLog], key: str) -> np.ndarray:
-    vals = [s.diagnostics[key] for log in logs for s in log.steps if key in s.diagnostics]
-    if not vals:
-        raise MissingDiagnosticError(f"profile requires diagnostic '{key}'")
-    return np.asarray(vals, dtype=float)
+    try:
+        return np.concatenate([log.diagnostics[key] for log in logs])
+    except KeyError:
+        raise MissingDiagnosticError(f"profile requires diagnostic '{key}'") from None
 
 
 def metrics_summary(
@@ -283,7 +281,7 @@ def metrics_summary(
         raise ConfigError("metrics_summary needs at least one episode log")
     if kind not in METRIC_PROFILES:
         raise ConfigError(f"unknown metrics profile {kind!r}; known: {METRIC_PROFILES}")
-    all_rewards = np.concatenate([log.rewards for log in logs]) if logs else np.array([])
+    all_rewards = np.concatenate([log.rewards for log in logs])
     if all_rewards.size == 0:
         raise ConfigError("episode logs contain no steps")
     mean_reward = float(all_rewards.mean())
@@ -291,29 +289,22 @@ def metrics_summary(
     rec = MetricsRecord(mean_reward=mean_reward, discounted_return=ret)
 
     if kind == "scheduling":
-        users = sorted(
-            {
-                k
-                for log in logs
-                for s in log.steps
-                for k in s.diagnostics
-                if k.startswith(THROUGHPUT_PREFIX)
-            }
-        )
+        users = sorted(k for k in logs[0].diagnostics if _reads(kind, k))
         if not users:
             raise MissingDiagnosticError(
                 f"profile 'scheduling' requires '{THROUGHPUT_PREFIX}<user>' diagnostics"
             )
-        rec.sum_log_throughput = float(
-            sum(np.log(_gather(logs, k).mean()) for k in users)
-        )
+        rec.sum_log_throughput = float(sum(np.log(_gather(logs, k).mean()) for k in users))
     elif kind == "beam":
         served = _gather(logs, SERVED_BEAM_KEY)
         optimal = _gather(logs, OPTIMAL_BEAM_KEY)
-        if served.size != optimal.size:
-            raise MissingDiagnosticError(
-                f"'{SERVED_BEAM_KEY}' and '{OPTIMAL_BEAM_KEY}' logged on different steps"
-            )
         rec.accuracy = float(np.mean(served == optimal))
         rec.mean_abs_beam_error = float(np.mean(np.abs(served - optimal)))
     return rec
+
+
+def metric_columns(log: EpisodeLog, kind: str) -> EpisodeLog:
+    """`log` cut down to what metrics_summary(kind) reads: its rewards and
+    the profile's diagnostic columns, without the actions."""
+    kept = {k: v for k, v in log.diagnostics.items() if _reads(kind, k)}
+    return replace(log, actions=[], diagnostics=kept)

@@ -5,6 +5,7 @@ optional process pool, and deterministic CSV/JSON reports."""
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import shutil
@@ -18,8 +19,8 @@ import jsonschema
 from . import agents
 from .advisor import advise, usecase_traits
 from .bandits import BoTrackerAgent
-from .config import build_from_config
-from .core import DEFAULT_DISCOUNT, metrics_summary, run_episode
+from .config import build_from_config, check_config
+from .core import DEFAULT_DISCOUNT, metric_columns, metrics_summary, run_episode
 from .envs import env_true_mdp, make_env
 from .errors import ConfigError
 from .planning import q_learning, value_iteration
@@ -151,11 +152,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        schema = json.loads(SCHEMA_PATH.read_text())
-        try:
-            jsonschema.validate(raw, schema)
-        except jsonschema.ValidationError as exc:
-            raise ConfigError(f"config invalid at {exc.json_path}: {exc.message}") from exc
+        error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(raw))
+        if error is not None:
+            raise ConfigError(f"config invalid at {error.json_path}: {error.message}")
         seeds = raw.get("seeds", [0])
         if isinstance(seeds, dict):
             seeds = [derive_seed(seeds["base"], i) for i in range(seeds["count"])]
@@ -187,6 +186,15 @@ class ExperimentConfig:
         }
 
 
+@functools.cache
+def _schema_validator():
+    """The shipped schema, checked once, as a validator that is built once."""
+    schema = json.loads(SCHEMA_PATH.read_text())
+    validator_cls = jsonschema.validators.validator_for(schema)
+    validator_cls.check_schema(schema)
+    return validator_cls(schema)
+
+
 def load_config(path) -> ExperimentConfig:
     try:
         raw = json.loads(Path(path).read_text())
@@ -200,13 +208,21 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------- execution
 
 def _run_cell(args):
-    """One (solver, seed) cell; top level so a process pool can ship it."""
-    env_cfg, name, solver_cfg, horizon, n_episodes, seed = args
+    """Run one (solver, seed) cell, write its CSVs into `episodes` and return
+    its logs cut down to the metric columns; top level, for the pool."""
+    cfg, name, label, solver_cfg, seed, episodes = args
     runner = SOLVERS[name].run
-    return [
-        runner(env_cfg, solver_cfg, horizon, derive_seed(seed, ep))
-        for ep in range(n_episodes)
-    ]
+    episodes.mkdir(parents=True, exist_ok=True)
+    logs = []
+    for ep in range(cfg.n_episodes):
+        log = runner(cfg.env, solver_cfg, cfg.horizon, derive_seed(seed, ep))
+        log.to_csv(episodes / _episode_file(label, seed, ep))
+        logs.append(metric_columns(log, cfg.metrics))
+    return logs
+
+
+def _episode_file(label, seed, ep) -> str:
+    return f"{label}_seed{seed}_ep{ep}.csv"
 
 
 def resolve_jobs(jobs=None) -> int:
@@ -226,45 +242,63 @@ def run_experiment(cfg: ExperimentConfig, jobs=None) -> Path:
     and return the summary path. Cells may run in a process pool; outputs are
     merged in config order, so results never depend on scheduling. The
     outputs directory ends up holding exactly this run's files."""
-    env_kind = cfg.env.get("env")
-    for name, _, _ in cfg.solvers:
-        check_compatibility(name, env_kind)
-    # built before any run, so env config errors surface first
-    discount = float(getattr(make_env(cfg.env), "discount", DEFAULT_DISCOUNT))
+    out_dir = Path(cfg.outputs)
+    _run_all([cfg], out_dir / "episodes.partial", jobs)
+    return out_dir / "summary.json"
 
+
+def _run_all(cfgs, staging: Path, jobs) -> list[dict]:
+    """Check every config, run all their cells (in one process pool when
+    jobs > 1) and return each config's summary. Cells write their CSVs under
+    `staging`, which becomes the configs' `episodes/` only once every cell
+    and summary succeeded; on a failure the outputs are left as they were."""
+    discounts = []
+    for cfg in cfgs:
+        for name, _, solver_cfg in cfg.solvers:
+            check_compatibility(name, cfg.env.get("env"))
+            check_config(SOLVERS[name].agent, solver_cfg, "solver", ("env", "seed"))
+        discounts.append(float(getattr(make_env(cfg.env), "discount", DEFAULT_DISCOUNT)))
     jobs = resolve_jobs(jobs)
     cells = [
-        (index, seed, (cfg.env, name, solver_cfg, cfg.horizon, cfg.n_episodes, seed))
-        for index, (name, _, solver_cfg) in enumerate(cfg.solvers)
+        (cfg, name, label, solver_cfg, seed, staging / str(i))
+        for i, cfg in enumerate(cfgs)
+        for name, label, solver_cfg in cfg.solvers
         for seed in cfg.seeds
     ]
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_cell, [args for _, _, args in cells]))
-    else:
-        results = [_run_cell(args) for _, _, args in cells]
-    by_cell = {(index, seed): logs for (index, seed, _), logs in zip(cells, results)}
+    shutil.rmtree(staging, ignore_errors=True)
+    try:
+        if jobs > 1 and len(cells) > 1:
+            pool = ProcessPoolExecutor(max_workers=jobs)
+            try:
+                results = list(pool.map(_run_cell, cells))
+            finally:
+                pool.shutdown(cancel_futures=True)
+        else:
+            results = [_run_cell(args) for args in cells]
+        results = iter(results)  # consumed in the order the cells were listed
+        summaries = [_summary(cfg, discount, results) for cfg, discount in zip(cfgs, discounts)]
+        for i, (cfg, summary) in enumerate(zip(cfgs, summaries)):
+            out_dir = Path(cfg.outputs)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            shutil.rmtree(out_dir / "episodes", ignore_errors=True)
+            os.replace(staging / str(i), out_dir / "episodes")
+            partial = out_dir / "summary.json.partial"
+            partial.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+            os.replace(partial, out_dir / "summary.json")
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return summaries
 
-    out_dir = Path(cfg.outputs)
-    episode_dir = out_dir / "episodes"
-    episode_dir.mkdir(parents=True, exist_ok=True)
-    for stale in episode_dir.glob("*.csv"):
-        stale.unlink()
 
-    summary = {"config": cfg.to_dict(), "env": env_kind, "solvers": {}}
-    for index, (name, label, _) in enumerate(cfg.solvers):
-        solver_logs = []
-        files = []
-        per_seed = {}
+def _summary(cfg: ExperimentConfig, discount: float, results) -> dict:
+    summary = {"config": cfg.to_dict(), "env": cfg.env.get("env"), "solvers": {}}
+    for name, label, _ in cfg.solvers:
+        solver_logs, files, per_seed = [], [], {}
         for seed in cfg.seeds:
-            logs = by_cell[(index, seed)]
+            logs = next(results)
             solver_logs.extend(logs)
-            for ep, log in enumerate(logs):
-                rel = f"episodes/{label}_seed{seed}_ep{ep}.csv"
-                log.to_csv(out_dir / rel)
-                files.append(rel)
-            seed_metrics = metrics_summary(logs, kind="basic", discount=discount)
-            per_seed[str(seed)] = seed_metrics.to_dict()
+            files += [f"episodes/{_episode_file(label, seed, ep)}" for ep in range(len(logs))]
+            per_seed[str(seed)] = metrics_summary(logs, "basic", discount).to_dict()
         record = metrics_summary(solver_logs, kind=cfg.metrics, discount=discount)
         summary["solvers"][label] = {
             "name": name,
@@ -272,12 +306,7 @@ def run_experiment(cfg: ExperimentConfig, jobs=None) -> Path:
             "per_seed": per_seed,
             "episode_files": files,
         }
-
-    summary_path = out_dir / "summary.json"
-    partial = out_dir / "summary.json.partial"
-    partial.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    os.replace(partial, summary_path)
-    return summary_path
+    return summary
 
 
 # ---------------------------------------------------------------- sweep
@@ -312,38 +341,28 @@ def _set_by_path(root, dotted: str, value):
             raise ConfigError(f"path '{dotted}': cannot descend into {type(node).__name__}")
 
 
-_PROFILE_COLUMNS = {
-    "basic": (),
-    "scheduling": ("sum_log_throughput",),
-    "beam": ("accuracy", "mean_abs_beam_error"),
-}
-
-
 def sweep(cfg: ExperimentConfig, param_path: str, values, jobs=None) -> Path:
-    """Re-run the experiment once per value of a dotted config parameter and
-    aggregate one CSV row per (value, solver). The outputs directory ends up
-    holding this sweep's `value_NNN/` directories and nothing of a longer
-    earlier sweep."""
+    """Re-run the experiment once per value of a dotted config parameter, all
+    cells in one pool once every value's config passed its checks, and add
+    one CSV row per (value, solver). The outputs directory ends up holding
+    this sweep's `value_NNN/` directories and nothing of a longer one's."""
     if not values:
         raise ConfigError("sweep needs a nonempty list of values")
     base = cfg.to_dict()
     out_dir = Path(cfg.outputs)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    columns = ("mean_reward", "discounted_return") + _PROFILE_COLUMNS[cfg.metrics]
-
-    rows = []
+    cfgs = []
     for i, value in enumerate(values):
         raw = deepcopy(base)
         _set_by_path(raw, param_path, value)
         raw["outputs"] = str(out_dir / f"value_{i:03d}")
-        summary_path = run_experiment(ExperimentConfig.from_dict(raw), jobs=jobs)
-        summary = json.loads(summary_path.read_text())
+        cfgs.append(ExperimentConfig.from_dict(raw))
+    summaries = _run_all(cfgs, out_dir / "sweep.partial", jobs)
+    rows = []
+    for value, summary in zip(values, summaries):
         for _, label, _ in cfg.solvers:
-            metrics = summary["solvers"][label]["metrics"]
-            rows.append(
-                [param_path, json.dumps(value), label]
-                + [repr(float(metrics[c])) for c in columns]
-            )
+            metrics = summary["solvers"][label]["metrics"]  # the profile's, in a fixed order
+            rows.append([param_path, json.dumps(value), label]
+                        + [repr(float(m)) for m in metrics.values()])
 
     kept = {f"value_{i:03d}" for i in range(len(values))}
     for stale in out_dir.glob("value_*"):
@@ -353,7 +372,7 @@ def sweep(cfg: ExperimentConfig, param_path: str, values, jobs=None) -> Path:
     partial = out_dir / "sweep.csv.partial"
     with open(partial, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["param", "value", "solver"] + list(columns))
+        writer.writerow(["param", "value", "solver"] + list(metrics))
         writer.writerows(rows)
     os.replace(partial, sweep_path)
     return sweep_path

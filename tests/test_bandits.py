@@ -157,7 +157,7 @@ def test_illa_olla_closed_loop_hits_target_bler():
 
     n = 100_000
     log = run_episode(env, IllaOllaAgent(env.s50, 0.01, target), horizon=n, seed=9)
-    acks = np.array([s.diagnostics["ack"] for s in log.steps])
+    acks = log.diagnostics["ack"]
     empirical_bler = 1.0 - acks.mean()
     assert abs(empirical_bler - target) <= 0.03
 
@@ -311,8 +311,8 @@ def test_tracker_static_field_locks_on():
         kernel={"length_scales": (0.5, 1e6)},
         kappa=1000.0,
     )
-    tail = log.steps[n_beams:]
-    assert all(s.diagnostics["served_beam"] == s.diagnostics["optimal_beam"] for s in tail)
+    served, optimal = log.diagnostics["served_beam"], log.diagnostics["optimal_beam"]
+    assert np.array_equal(served[n_beams:], optimal[n_beams:])
 
 
 def test_tracker_slow_ue_beats_fast():
@@ -329,7 +329,7 @@ def test_tracker_choice_invariant_to_field_shift():
     for mean in (-80.0, 0.0):
         env = BeamformingEnv(n_beams=5, mean_rsrp=mean)
         log = bo_beam_tracker(env, budget_per_step=2, horizon=60, seed=7)
-        seqs.append([s.action for s in log.steps])
+        seqs.append(log.actions)
     assert seqs[0] == seqs[1]
 
 

@@ -254,6 +254,23 @@ def test_olla_target_bler_at_bounds_exits_config(tmp_path, capsys, target_bler):
     assert err.startswith("config error:")
 
 
+@pytest.mark.parametrize("env,solver", [
+    ({"env": "energy_saving", "capacity": 0}, {"name": "es-thresholds"}),
+    ({"env": "energy_saving"}, {"name": "mpc-energy", "config": {"discount": float("nan")}}),
+], ids=["es-thresholds-zero-capacity", "mpc-energy-nan-discount"])
+def test_degenerate_solver_input_exits_config(tmp_path, capsys, env, solver):
+    # both used to fail at the first step: a ZeroDivisionError traceback and
+    # a runtime error about a malformed resource subset
+    cfg = write_config(tmp_path / "cfg.json", {
+        "env": env, "solvers": [solver], "horizon": 3, "seeds": [0],
+        "outputs": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg, "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error:")
+
+
 @pytest.mark.parametrize("solver", ["dpp-energy", "mpc-energy"])
 def test_subset_count_over_budget_exits_config(tmp_path, capsys, monkeypatch, solver):
     # 2**10 subsets against a budget of 1000: refused before any is built.

@@ -12,12 +12,12 @@ from occam_rrm import (
     MissingDiagnosticError,
     ScriptedPolicy,
     StepOutcome,
-    StepRecord,
     TabularMdp,
     discounted_return,
     metrics_summary,
     run_episode,
 )
+from occam_rrm.core import metric_columns
 
 
 class ConstantRewardEnv:
@@ -161,6 +161,45 @@ def test_scripted_policy_exhaustion():
         run_episode(ConstantRewardEnv(), pol, horizon=5, seed=0)
 
 
+def test_log_holds_one_column_per_diagnostic():
+    log = run_episode(ConstantRewardEnv(), lambda obs: 1, horizon=4, seed=0)
+    assert log.actions == [1, 1, 1, 1]
+    assert log.rewards.dtype == float and log.rewards.tolist() == [1.0] * 4
+    assert list(log.diagnostics) == ["thr_0"]
+    assert log.diagnostics["thr_0"].tolist() == [1.0] * 4
+
+
+def test_log_stops_at_done():
+    class DoneAt3(ConstantRewardEnv):
+        def reset(self, seed):
+            self.t = 0
+            return 0
+
+        def step(self, action):
+            self.t += 1
+            return StepOutcome(observation=0, reward=float(self.t), done=self.t == 3,
+                               diagnostics={"t": float(self.t)})
+
+    log = run_episode(DoneAt3(), lambda obs: 0, horizon=10**9, seed=0)
+    assert len(log) == 3 and len(log.actions) == 3
+    assert log.diagnostics["t"].tolist() == [1.0, 2.0, 3.0]
+
+
+def test_changed_diagnostic_keys_name_the_step():
+    class DropsKeyAt2(ConstantRewardEnv):
+        def reset(self, seed):
+            self.t = 0
+            return 0
+
+        def step(self, action):
+            diagnostics = {"a": 1.0} if self.t == 2 else {"a": 1.0, "b": 2.0}
+            self.t += 1
+            return StepOutcome(observation=0, reward=0.0, diagnostics=diagnostics)
+
+    with pytest.raises(MissingDiagnosticError, match=r"step 2: diagnostic keys \['a'\]"):
+        run_episode(DropsKeyAt2(), lambda obs: 0, horizon=5, seed=0)
+
+
 def test_step_outcome_rejects_nan_reward():
     with pytest.raises(ValueError):
         StepOutcome(observation=0, reward=float("nan"))
@@ -170,26 +209,25 @@ def test_step_outcome_rejects_nan_reward():
 
 
 def test_episode_csv_layout(tmp_path):
-    steps = [
-        StepRecord(0, 1, 0.5, {"b": 2.0, "a": 1.0}),
-        StepRecord(0, np.array([0.25, 0.75]), -1.0, {"a": 3.0}),
-    ]
-    log = EpisodeLog(steps=steps, seed=3, env_name="x")
+    log = EpisodeLog(
+        actions=[1, np.array([0.25, 0.75])],
+        rewards=np.array([0.5, -1.0]),
+        diagnostics={"b": np.array([2.0, 0.1]), "a": np.array([1.0, 3.0])},
+        seed=3,
+        env_name="x",
+    )
     out = tmp_path / "ep.csv"
     log.to_csv(out)
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "t,action,reward,a,b"
-    assert lines[1] == "t,action,reward,a,b".replace("t,action,reward,a,b", "0,1,0.5,1.0,2.0")
-    assert lines[2].startswith("1,0.25;0.75,-1.0,3.0,")
+    assert lines == ["t,action,reward,a,b", "0,1,0.5,1.0,2.0", "1,0.25;0.75,-1.0,3.0,0.1"]
 
 
 # ---------------------------------------------------------------- metrics_summary
 
 
 def _log(rewards, diags=None):
-    diags = diags or [{} for _ in rewards]
-    steps = [StepRecord(0, 0, r, d) for r, d in zip(rewards, diags)]
-    return EpisodeLog(steps=steps, seed=0, env_name="t")
+    columns = {k: np.array([d[k] for d in diags]) for k in diags[0]} if diags else {}
+    return EpisodeLog([0] * len(rewards), np.array(rewards), columns, seed=0, env_name="t")
 
 
 def test_metrics_mean_reward():
@@ -230,6 +268,18 @@ def test_metrics_missing_diagnostic_named():
         metrics_summary([_log([1.0])], kind="scheduling")
     with pytest.raises(MissingDiagnosticError, match="served_beam"):
         metrics_summary([_log([1.0])], kind="beam")
+
+
+@pytest.mark.parametrize("kind,kept", [
+    ("basic", []), ("scheduling", ["thr_0", "thr_1"]), ("beam", ["optimal_beam", "served_beam"]),
+])
+def test_metric_columns_keep_what_the_profile_reads(kind, kept):
+    diags = [{"thr_0": 1.0 + i, "thr_1": 2.0, "served_beam": float(i % 2), "optimal_beam": 0.0,
+              "other": 5.0} for i in range(6)]
+    log = _log([0.5, 1.0, 0.0, 2.0, 1.5, 3.0], diags)
+    cut = metric_columns(log, kind)
+    assert sorted(cut.diagnostics) == kept and cut.actions == []
+    assert metrics_summary([cut], kind) == metrics_summary([log], kind)
 
 
 def test_metrics_unknown_profile():

@@ -74,8 +74,9 @@ def test_la_same_seed_identical_logs():
     a = run_episode(env1, pol, horizon=200, seed=42)
     b = run_episode(env2, pol, horizon=200, seed=42)
     assert np.array_equal(a.rewards, b.rewards)
-    for sa, sb in zip(a.steps, b.steps):
-        assert sa.diagnostics == sb.diagnostics
+    assert a.diagnostics.keys() == b.diagnostics.keys()
+    for key, column in a.diagnostics.items():
+        assert np.array_equal(column, b.diagnostics[key])
 
 
 def test_la_invalid_mcs():
@@ -91,7 +92,7 @@ def test_la_exogenous_hidden_state():
     for policy in (lambda o: 0, lambda o: 7):
         env = LinkAdaptEnv()
         log = run_episode(env, policy, horizon=300, seed=11)
-        traces.append([s.diagnostics["sinr"] for s in log.steps])
+        traces.append(log.diagnostics["sinr"].tolist())
     assert traces[0] == traces[1]
 
 
@@ -156,8 +157,8 @@ def test_bf_full_measurement_perfect_accuracy():
     log = run_episode(
         env, lambda obs: BeamAction(measure=all_beams, serve=SERVE_BEST), horizon=100, seed=2
     )
-    served = np.array([s.diagnostics["served_beam"] for s in log.steps])
-    optimal = np.array([s.diagnostics["optimal_beam"] for s in log.steps])
+    served = log.diagnostics["served_beam"]
+    optimal = log.diagnostics["optimal_beam"]
     assert np.array_equal(served, optimal)
 
 
@@ -180,9 +181,7 @@ def test_bf_iid_beams_single_measurement_uniform_accuracy():
         n_beams=n_beams, spatial_corr=1e-3, temporal_corr=0.0, measure_cost=0.0
     )
     log = run_episode(env, OneBeam(), horizon=horizon, seed=3)
-    hits = np.mean(
-        [s.diagnostics["served_beam"] == s.diagnostics["optimal_beam"] for s in log.steps]
-    )
+    hits = np.mean(log.diagnostics["served_beam"] == log.diagnostics["optimal_beam"])
     p = 1.0 / n_beams
     assert abs(hits - p) <= 3 * np.sqrt(p * (1 - p) / horizon)
 
@@ -246,7 +245,7 @@ def test_bf_exogenous_field():
     for serve in (0, 3):
         env = BeamformingEnv(n_beams=4)
         log = run_episode(env, lambda obs, s=serve: s, horizon=50, seed=8)
-        logs.append([st.diagnostics["rsrp_optimal"] for st in log.steps])
+        logs.append(log.diagnostics["rsrp_optimal"].tolist())
     assert logs[0] == logs[1]
 
 
@@ -438,7 +437,7 @@ def test_ho_never_handing_over_pays_too_late():
     env = _crossing_env()
     log = run_episode(env, lambda obs: 0, horizon=250, seed=0)
     assert log.rewards.sum() < 0
-    assert sum(s.diagnostics["too_late"] for s in log.steps) > 0
+    assert log.diagnostics["too_late"].sum() > 0
 
 
 def test_ho_flip_every_step_pingpong_count():
@@ -452,9 +451,8 @@ def test_ho_flip_every_step_pingpong_count():
             return 2 if obs.serving_cell == 0 else 1
 
     log = run_episode(env, Flip(), horizon=horizon, seed=0)
-    pp = sum(s.diagnostics["pingpong"] for s in log.steps)
-    assert pp == horizon // 2
-    assert sum(s.diagnostics["too_early"] for s in log.steps) == 0
+    assert log.diagnostics["pingpong"].sum() == horizon // 2
+    assert log.diagnostics["too_early"].sum() == 0
 
 
 def test_ho_to_current_cell_rejected():
@@ -495,7 +493,7 @@ def test_ac_accept_all_unconstrained_collects_all_rewards():
         classes=[{"arrival_rate": 0.3, "departure_rate": 0.0005, "reward": 2.0, "reject_penalty": 1.0}],
     )
     log = run_episode(env, lambda obs: (1,), horizon=500, seed=1)
-    n_arrivals = sum(s.diagnostics["arrival"] for s in log.steps)
+    n_arrivals = log.diagnostics["arrival"].sum()
     assert log.rewards.sum() == pytest.approx(2.0 * n_arrivals)
     assert n_arrivals > 0
 
@@ -516,8 +514,7 @@ def test_ac_used_never_exceeds_capacity():
             return tuple(self.rng.integers(0, 3, size=2))
 
     log = run_episode(env, RandomRule(), horizon=2000, seed=5)
-    for s in log.steps:
-        assert s.diagnostics["used"] <= 3.0 + 1e-9
+    assert np.all(log.diagnostics["used"] <= 3.0 + 1e-9)
 
 
 def test_ac_strict_infeasible_accept_errors():
@@ -663,5 +660,6 @@ def test_replay_reproduces_rewards(env_cls, policy_cls):
     log = run_episode(env_cls(), policy_cls(), horizon=120, seed=17)
     replayed = replay_episode(env_cls(), log)
     assert np.array_equal(replayed.rewards, log.rewards)
-    for a, b in zip(log.steps, replayed.steps):
-        assert a.diagnostics == b.diagnostics
+    assert log.diagnostics.keys() == replayed.diagnostics.keys()
+    for key, column in log.diagnostics.items():
+        assert np.array_equal(column, replayed.diagnostics[key])

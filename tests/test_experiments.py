@@ -3,16 +3,19 @@ solver/env compatibility, parallel execution, and sweeps."""
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from occam_rrm import experiments
 from occam_rrm.config import config_keys
 from occam_rrm.envs import ENVS, make_env
-from occam_rrm.errors import ConfigError
+from occam_rrm.errors import ConfigError, InvalidActionError, NumericalError
 from occam_rrm.experiments import (
     SOLVERS,
     ExperimentConfig,
+    SolverSpec,
     check_compatibility,
     resolve_jobs,
     run_experiment,
@@ -146,9 +149,9 @@ def test_beam_experiment_profile(tmp_path):
     assert summary["solvers"]["full-scan"]["metrics"]["accuracy"] == 1.0
 
 
-# sha256 of every episode CSV of the beam trackers, Q-learning, MPC, the
-# expert rules and the bandits at a small fixed config: any change to their
-# decisions, rewards or diagnostics shows.
+# sha256 of the episode CSVs of every registered solver at a small fixed
+# config: any change to their decisions, rewards, diagnostics or CSV
+# formatting shows.
 GOLDEN_CSV_SHA256 = {
     "beamforming": {
         "bo-tracker_seed0_ep0.csv": "d8fe1a94271c85d97f5ef311f40184f4386f050bbd72ca3e667f198f2919b6e7",
@@ -159,16 +162,22 @@ GOLDEN_CSV_SHA256 = {
         "knn-tracker_seed1_ep0.csv": "294da085e938c69b3f1d95b5f200b14c5de47d5150c292dc6ce275069967bd6b",
     },
     "admission_control": {
+        "accept-all_seed0_ep0.csv": "ee7fd8346219f509923a1c5c9da5d1b76b5e528a2ccc82f0842121ef60af7ec4",
+        "accept-all_seed1_ep0.csv": "f5b2ccb8870e4bbc9bb3899794ea8ea02968c391374006e4125c709848f6d0f0",
         "q-learning_seed0_ep0.csv": "3ae7312edb5e08fa855dbd64b6749f76141fd2f3863592e6fca37e5038f11d9b",
         "q-learning_seed1_ep0.csv": "be74c828047ab1c040e9c97e53c5025a13ac5054a78a983d899925a6a5bf20e8",
         "trunk_seed0_ep0.csv": "2be43b208045e3be6208e0ef09f4b971d7f14a2c0051f59b65ffbebee4992f76",
         "trunk_seed1_ep0.csv": "c3e18b7b5b3c3f659500705aa9d2897607292b3420db59b7773e2f0370eb84a7",
+        "value-iteration_seed0_ep0.csv": "4975a41ece8cdd717eae45d36338fb385685276b926373138446163aa2999ebc",
+        "value-iteration_seed1_ep0.csv": "86bc373f8b820287d83739db8cdb858844517ae8f0221a85c730d53bc51585ae",
     },
     "energy_saving": {
         "dpp-energy_seed0_ep0.csv": "94a25ce351ff91bc3db5659a13a8c802f06483bad49494dec1ed43d79e472a11",
         "dpp-energy_seed1_ep0.csv": "8e845c6439bed77c1f19a05166f2a33be198a06f037bef3b01fa2f1f09145d72",
         "es-thresholds_seed0_ep0.csv": "ecfa19f566025465dce6def445a07c2e39c855a5d949f7bf9a243f06861d1208",
         "es-thresholds_seed1_ep0.csv": "901bdfb337449a7895801b93ec32d81fb6c7ddc412b1dd9deafcd7e39cbf6e1a",
+        "min-energy_seed0_ep0.csv": "94a25ce351ff91bc3db5659a13a8c802f06483bad49494dec1ed43d79e472a11",
+        "min-energy_seed1_ep0.csv": "8e845c6439bed77c1f19a05166f2a33be198a06f037bef3b01fa2f1f09145d72",
         "oracle-h3_seed0_ep0.csv": "b09b6157a4d15376fe3ed60f5b00d92c0ff8de6d31c629df78232fb28e910d95",
         "oracle-h3_seed1_ep0.csv": "6b7595805e10766f31d4179a5c435890f0942f07339f3800c9923a661603eeeb",
         "oracle-h5_seed0_ep0.csv": "68a367d727ad45013c342f3aff0dd0ef3d1a688995f545d77808a0bc8457bbdd",
@@ -179,18 +188,32 @@ GOLDEN_CSV_SHA256 = {
         "persistence-h5_seed1_ep0.csv": "66515028e6a31b9e18edd3d283099a1fa39d9ce9dde129a82d233cf275a3c6e5",
     },
     "handover": {
+        "greedy-ho_seed0_ep0.csv": "fa0a8e3fe7f1f68fc5cff90411c1af71dad44d158d72e60b2839fd34dc762e6b",
+        "greedy-ho_seed1_ep0.csv": "e67260c04dd646a5d2442d490fc89be1f11af72ddd0b3a5d534378fc6d0d9854",
         "mro_seed0_ep0.csv": "798af8dd8b80c7005f66813518cb329177609e6eb1a69f912f87ccc27ae5b39e",
         "mro_seed1_ep0.csv": "903a58443a4dbb2cc4e108ab50cbe591af4d51f946e094d6e26db505b8335eb7",
     },
     "link_adaptation": {
+        "fixed-mcs_seed0_ep0.csv": "af1eed715e9d745cc28240398837df741e08dc43c7d0ddff2fa73462dee22213",
+        "fixed-mcs_seed1_ep0.csv": "bad83e8d1dc419cadbe31e451f949b1829c1f8b70519705e9a0511ddc0ec0ce7",
         "illa-olla_seed0_ep0.csv": "46ed82f941e9a7cdca0edd0ff72fb776d286731dbece176257f95f7201bf98d2",
         "illa-olla_seed1_ep0.csv": "f79dee2a18300b411968b2fa1834a4a29ffe1a7cb322cde4ffa088c9fd5feb5c",
         "thompson-mcs_seed0_ep0.csv": "594ecf026fe42a2764f6ec57b6d21fd8063dbf3106f30ca17ea45bb23c81d762",
         "thompson-mcs_seed1_ep0.csv": "0297b6f11f39e6a981404358ff1ffd552fd89aab2fc6b23ebbf16d8db357334a",
     },
     "scheduling": {
+        "max-rate_seed0_ep0.csv": "22c927d631282a29d98e2c2ded2c0e68cd66ca3e7f2d5bb32c91e0529d3de229",
+        "max-rate_seed1_ep0.csv": "027fd25e62cae83f5665bad631db8afb28a16fa1cee8f4625f0b4dd16d3b9717",
         "proportional-fair_seed0_ep0.csv": "500c63cfa7a31a20931144f4d19f39f1e078cd708f4db78c27fc1e8dde957b59",
         "proportional-fair_seed1_ep0.csv": "7347ecd3711a5e9c61e08bdd6e6a79a6c23d409acf8f1f348b55482cf468359c",
+        "round-robin_seed0_ep0.csv": "976e52b6d6bd8f69e04c463b4c292c335f37be43abd5d1735f24129013b9a06c",
+        "round-robin_seed1_ep0.csv": "6ea4a35091cec6d76b63c61dba9538af1a5f8eaed7f6eef344fd7cc04a874331",
+    },
+    "power_control": {
+        "uniform-power_seed0_ep0.csv": "d0db423be240af1299b0a6b942410e4e4e5acbd555b55117b17fb0cb870378e4",
+        "uniform-power_seed1_ep0.csv": "a899cc6b408e7c3b84a73e8b8b19fbe44949433ef3344f0b5bcc657ca1ff4854",
+        "water-fill_seed0_ep0.csv": "c20f26747ca6d41f9216310b22008dfdbd99f05f6a490e7ac523f756522aa8ae",
+        "water-fill_seed1_ep0.csv": "161d2fd8081f995c4cf654c840831ccba19a31a5d21e743fad4d2a1632ce133c",
     },
 }
 # Uneven capacities and power draws, so that the order of every float sum
@@ -210,14 +233,20 @@ GOLDEN_SOLVERS = {
     "admission_control": [
         {"name": "q-learning", "config": {"train_episodes": 5}},
         {"name": "trunk", "config": {"thresholds": [0, 2]}},
+        {"name": "accept-all"},
+        {"name": "value-iteration"},
     ],
     "energy_saving": [
         {"name": "mpc-energy", "label": f"{p}-h{h}", "config": {"predictor": p, "plan_horizon": h}}
         for h in (3, 5) for p in ("oracle", "persistence")
-    ] + [{"name": "dpp-energy"}, {"name": "es-thresholds"}],
-    "handover": [{"name": "mro"}],
-    "link_adaptation": [{"name": "illa-olla"}, {"name": "thompson-mcs"}],
-    "scheduling": [{"name": "proportional-fair"}],
+    ] + [{"name": "dpp-energy"}, {"name": "es-thresholds"}, {"name": "min-energy"}],
+    "handover": [{"name": "mro"}, {"name": "greedy-ho"}],
+    "link_adaptation": [
+        {"name": "illa-olla"}, {"name": "thompson-mcs"}, {"name": "fixed-mcs", "config": {"mcs": 2}},
+    ],
+    # the only solvers whose actions are arrays
+    "power_control": [{"name": "water-fill"}, {"name": "uniform-power"}],
+    "scheduling": [{"name": "proportional-fair"}, {"name": "round-robin"}, {"name": "max-rate"}],
 }
 
 
@@ -367,6 +396,84 @@ def test_sweep_es_upper_threshold_has_interior_maximum(tmp_path):
     rewards = [float(r.split(",")[3]) for r in rows]
     assert rewards[1] > rewards[0]
     assert rewards[1] > rewards[2]
+
+
+def _tree(root):
+    """Every path under `root`: file bytes, or None for a directory."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+def scheduling_config(out_dir):
+    return ExperimentConfig.from_dict({
+        "env": {"env": "scheduling"},
+        "solvers": [{"name": "proportional-fair"}, {"name": "max-rate"}],
+        "horizon": 30,
+        "seeds": [0, 1],
+        "outputs": str(out_dir),
+        "metrics": "scheduling",
+    })
+
+
+def test_parallel_sweep_matches_serial_bytes(tmp_path):
+    cfg = scheduling_config(tmp_path / "out")
+    sweep(cfg, "env.n_users", [2, 3, 5], jobs=1)
+    serial = _tree(tmp_path / "out")
+    shutil.rmtree(tmp_path / "out")
+    sweep(cfg, "env.n_users", [2, 3, 5], jobs=2)
+    assert _tree(tmp_path / "out") == serial
+    assert len([p for p, data in serial.items() if data is not None]) == 3 * 4 + 3 + 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_sweep_cell_leaves_last_sweep_untouched(tmp_path, jobs):
+    cfg = la_config(tmp_path, seeds=(0, 1))
+    sweep(cfg, "solvers.1.config.mcs", [0, 1, 2, 3])
+    before = _tree(tmp_path)
+    # mcs 99 passes every config check and fails at its cells' first step,
+    # after the cells of the first two values have written their CSVs
+    with pytest.raises(InvalidActionError, match="step 0: mcs 99"):
+        sweep(cfg, "solvers.1.config.mcs", [3, 2, 99], jobs=jobs)
+    assert _tree(tmp_path) == before
+
+
+class FailsOnSecondSeed:
+    """Picks MCS 0, and fails at step 5 of the seed-2 episode."""
+
+    def __init__(self, env, seed):
+        self.fails, self.t = seed == derive_seed(2, 0), 0
+
+    def act(self, obs):
+        self.t += 1
+        if self.fails and self.t == 5:
+            raise NumericalError("cell failed mid-run")
+        return 0
+
+
+def test_cell_failing_mid_episode_leaves_last_run_untouched(tmp_path, monkeypatch):
+    monkeypatch.setitem(SOLVERS, "fails", SolverSpec(("link_adaptation",), FailsOnSecondSeed))
+    run_experiment(la_config(tmp_path))
+    before = _tree(tmp_path)
+    cfg = ExperimentConfig.from_dict({**la_config(tmp_path).to_dict(),
+                                      "solvers": [{"name": "fixed-mcs", "config": {"mcs": 1}},
+                                                  {"name": "fails"}]})
+    with pytest.raises(NumericalError, match="mid-run"):
+        run_experiment(cfg)
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("param,bad", [("horizon", 0), ("env.n_users", "six")])
+def test_sweep_checks_every_value_before_running_a_cell(tmp_path, monkeypatch, param, bad):
+    cfg = scheduling_config(tmp_path)
+    sweep(cfg, "env.n_users", [2])
+    before = _tree(tmp_path)
+    ran = []
+    monkeypatch.setattr(experiments, "_run_cell", ran.append)
+    values = [3, 4, bad] if param == "env.n_users" else [10, 20, bad]
+    with pytest.raises(ConfigError):
+        sweep(cfg, param, values)
+    assert ran == []
+    assert _tree(tmp_path) == before
 
 
 def test_registry_covers_every_env():
