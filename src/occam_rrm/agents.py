@@ -6,10 +6,12 @@ range checks live there, and the rules take plain numbers."""
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
 
+from . import planning
 from .bandits import illa_select, thompson_select
 from .core import EpisodeLog, run_episode
 from .envs.beamforming import SERVE_BEST, BeamAction
@@ -186,10 +188,19 @@ class MpcEnergyAgent:
     k)` gives the traffic of the next k steps."""
 
     def __init__(self, env, forecast, horizon: int = 5, discount: float = 1.0):
+        if not isinstance(horizon, numbers.Integral):
+            raise ConfigError(f"horizon must be an integer, got {horizon!r}")
         if horizon < 1:
             raise ConfigError("horizon must be >= 1")
+        # each depth holds at least one state, so a longer forecast, which
+        # the forecaster would build first, can never plan
+        if horizon > planning.MPC_NODE_BUDGET:
+            raise ConfigError(
+                f"horizon {horizon} is over the node budget {planning.MPC_NODE_BUDGET}; "
+                "reduce the horizon"
+            )
         self.forecast = forecast
-        self.horizon = horizon
+        self.horizon = int(horizon)
         self.discount = float(discount)
         if not np.isfinite(self.discount):
             raise ConfigError(f"discount must be finite, got {self.discount}")

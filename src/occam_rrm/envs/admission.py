@@ -48,7 +48,7 @@ class AdmissionEnv(RrmEnv):
         discount=DEFAULT_DISCOUNT,
     ):
         super().__init__()
-        self.capacity = float(capacity)
+        self.capacity = self.real("capacity", capacity)
         if self.capacity <= 0:
             raise ConfigError("capacity must be positive")
         raw = classes if classes is not None else _DEFAULT_CLASSES
@@ -71,9 +71,9 @@ class AdmissionEnv(RrmEnv):
             self.classes.append(cc)
         self.n_classes = len(self.classes)
         self.strict_feasibility = bool(strict_feasibility)
-        self.safety_margin = float(safety_margin)
-        self.qos_penalty = float(qos_penalty)
-        self.discount = float(discount)
+        self.safety_margin = self.real("safety_margin", safety_margin)
+        self.qos_penalty = self.real("qos_penalty", qos_penalty)
+        self.discount = self.real("discount", discount)
         # Uniformized chain: total event probability must stay below one even
         # at the fullest states (conservative per-class bound).
         worst = sum(c["arrival_rate"] for c in self.classes) + sum(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from .. import planning
 from ..errors import ConfigError
 from ..rng import StepStream
@@ -42,6 +44,14 @@ class RrmEnv:
                 f"{planning.MPC_NODE_BUDGET}; reduce {name}"
             )
         return n
+
+    def real(self, name: str, value) -> float:
+        """`value` as a finite float: JSON configs may carry NaN and
+        Infinity, which no env parameter takes."""
+        x = float(value)
+        if not math.isfinite(x):
+            raise ConfigError(f"{name} must be finite, got {x}")
+        return x
 
     def stream(self, stream_id: int, per_step: int = 1, kind: str = "normal") -> StepStream:
         return StepStream(self.seed, stream_id, per_step=per_step, kind=kind)

@@ -130,9 +130,9 @@ class EnergySavingEnv(RrmEnv):
             if kind not in ("sinusoid", "constant"):
                 raise ConfigError(f"unknown traffic kind {kind!r}")
             self._traffic_cfg = {**_DEFAULT_TRAFFIC, **traffic, "kind": kind}
-        self.qos_threshold = float(qos_threshold)
-        self.qos_weight = float(qos_weight)
-        self.energy_weight = float(energy_weight)
+        self.qos_threshold = self.real("qos_threshold", qos_threshold)
+        self.qos_weight = self.real("qos_weight", qos_weight)
+        self.energy_weight = self.real("energy_weight", energy_weight)
 
     def _per_resource(self, value, name) -> np.ndarray:
         arr = (
@@ -142,6 +142,8 @@ class EnergySavingEnv(RrmEnv):
         )
         if arr.shape != (self.n_resources,):
             raise ConfigError(f"{name} needs one entry per resource")
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError(f"{name} entries must be finite")
         if np.any(arr < 0):
             raise ConfigError(f"{name} entries must be nonnegative")
         return arr

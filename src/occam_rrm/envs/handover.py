@@ -52,13 +52,14 @@ class HandoverEnv(RrmEnv):
             self._model = {**_DEFAULT_MODEL, **model}
             if self._model["period"] < 2:
                 raise ConfigError("crossing period must be >= 2")
+            self._phases = 2 * np.pi * np.arange(self.n_cells) / self.n_cells
         else:
             raise ConfigError(f"unknown mobility model kind {kind!r}")
-        self.noise_std = float(noise_std)
+        self.noise_std = self.real("noise_std", noise_std)
         self.ho_interruption = int(ho_interruption)
-        self.rlf_threshold = float(rlf_threshold)
+        self.rlf_threshold = self.real("rlf_threshold", rlf_threshold)
         self.pingpong_window = int(pingpong_window)
-        self.hysteresis = float(hysteresis)
+        self.hysteresis = self.real("hysteresis", hysteresis)
         if self.pingpong_window < 1:
             raise ConfigError("pingpong_window must be >= 1")
 
@@ -71,9 +72,8 @@ class HandoverEnv(RrmEnv):
             return self._trace[t % self._trace.shape[0]].copy()
         m = self._model
         spread = m["near_rsrp"] - m["far_rsrp"]
-        phases = 2 * np.pi * np.arange(self.n_cells) / self.n_cells
         # x in [0, 1]: distance proxy; cell 0 starts closest.
-        x = 0.5 * (1.0 + np.sin(2 * np.pi * t / m["period"] - np.pi / 2 + phases))
+        x = 0.5 * (1.0 + np.sin(2 * np.pi * t / m["period"] - np.pi / 2 + self._phases))
         return m["near_rsrp"] - spread * x
 
     def measured_rsrp_at(self, t: int) -> np.ndarray:
@@ -122,9 +122,10 @@ class HandoverEnv(RrmEnv):
         true_now = self.true_rsrp_at(self.t)
         pingpong = too_early = too_late = 0
         if action == 0:
-            others = np.delete(true_now, self._serving)
-            if true_now[self._serving] < self.rlf_threshold and np.any(
-                others >= self.rlf_threshold
+            levels = true_now.tolist()
+            if levels[self._serving] < self.rlf_threshold and any(
+                level >= self.rlf_threshold
+                for c, level in enumerate(levels) if c != self._serving
             ):
                 too_late = 1
         else:
@@ -149,6 +150,6 @@ class HandoverEnv(RrmEnv):
             "too_early": float(too_early),
             "too_late": float(too_late),
             "serving": float(self._serving),
-            "rsrp_serving_true": float(self.true_rsrp_at(self.t)[self._serving]),
+            "rsrp_serving_true": float(true_now[self._serving]),
         }
         return StepOutcome(observation=self._obs(self.t + 1), reward=reward, diagnostics=diagnostics)

@@ -58,15 +58,15 @@ class LinkAdaptEnv(RrmEnv):
             raise ConfigError("rates must be strictly increasing with MCS index")
         if np.any(np.diff(self.s50) < 0):
             raise ConfigError("s50 thresholds must be nondecreasing with MCS index")
-        self.bler_slope = float(bler_slope)
+        self.bler_slope = self.real("bler_slope", bler_slope)
         if self.bler_slope <= 0:
             raise ConfigError("bler_slope must be > 0 (BLER decreasing in SINR)")
-        self.sinr_mean = float(sinr_mean)
-        self.ar_coeff = float(ar_coeff)
+        self.sinr_mean = self.real("sinr_mean", sinr_mean)
+        self.ar_coeff = self.real("ar_coeff", ar_coeff)
         if not (0.0 <= self.ar_coeff < 1.0):
             raise ConfigError("ar_coeff must lie in [0, 1)")
-        self.innovation_std = float(innovation_std)
-        self.report_noise_std = float(report_noise_std)
+        self.innovation_std = self.real("innovation_std", innovation_std)
+        self.report_noise_std = self.real("report_noise_std", report_noise_std)
         self._sinr = 0.0
 
     def bler(self, mcs: int, sinr_db: float) -> float:

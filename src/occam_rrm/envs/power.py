@@ -19,10 +19,10 @@ class PowerEnv(RrmEnv):
                  mean_gain=1.0, fixed_gains=None):
         super().__init__()
         self.n_channels = self.size("n_channels", n_channels, 1)
-        self.total_power = float(total_power)
-        self.noise = float(noise)
+        self.total_power = self.real("total_power", total_power)
+        self.noise = self.real("noise", noise)
         self.coherence = int(coherence)
-        self.mean_gain = float(mean_gain)
+        self.mean_gain = self.real("mean_gain", mean_gain)
         if self.total_power <= 0:
             raise ConfigError("total_power must be > 0")
         if self.noise <= 0:

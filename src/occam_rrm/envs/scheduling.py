@@ -47,7 +47,7 @@ class SchedulingEnv(RrmEnv):
         )
         if not self.full_buffer and self.arrival_rates.shape != (self.n_users,):
             raise ConfigError("arrival_rates needs one entry per user")
-        self.ewma_alpha = float(ewma_alpha)
+        self.ewma_alpha = self.real("ewma_alpha", ewma_alpha)
         if not (0.0 < self.ewma_alpha <= 1.0):
             raise ConfigError("ewma_alpha must lie in (0, 1]")
         self.weights = (

@@ -251,7 +251,8 @@ def _run_all(cfgs, staging: Path, jobs) -> list[dict]:
     """Check every config, run all their cells (in one process pool when
     jobs > 1) and return each config's summary. Cells write their CSVs under
     `staging`, which becomes the configs' `episodes/` only once every cell
-    and summary succeeded; on a failure the outputs are left as they were."""
+    and summary succeeded; on a failure the outputs are left as they were,
+    and no directory made for `staging` is left behind."""
     discounts = []
     for cfg in cfgs:
         for name, _, solver_cfg in cfg.solvers:
@@ -266,6 +267,7 @@ def _run_all(cfgs, staging: Path, jobs) -> list[dict]:
         for seed in cfg.seeds
     ]
     shutil.rmtree(staging, ignore_errors=True)
+    made = [d for d in staging.parents if not d.exists()]  # nearest first
     try:
         if jobs > 1 and len(cells) > 1:
             pool = ProcessPoolExecutor(max_workers=jobs)
@@ -287,6 +289,11 @@ def _run_all(cfgs, staging: Path, jobs) -> list[dict]:
             os.replace(partial, out_dir / "summary.json")
     finally:
         shutil.rmtree(staging, ignore_errors=True)
+        for d in made:  # kept only when they hold this run's output
+            try:
+                d.rmdir()
+            except OSError:
+                break
     return summaries
 
 

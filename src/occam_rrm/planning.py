@@ -43,20 +43,43 @@ def bellman_residual(mdp: TabularMdp, values: np.ndarray) -> float:
 
 
 def value_iteration(mdp: TabularMdp, tol: float = 1e-8) -> ValueTable:
-    """Bellman optimality iteration. The sup-norm stopping threshold
-    tol*(1-beta)/(2*beta) guarantees the returned values are within tol of
-    the fixed point."""
+    """Bellman optimality iteration, returning the values and greedy policy
+    of the first sweep whose sup-norm change falls below
+    tol*(1-beta)/(2*beta); those values are within tol of the fixed point.
+
+    While the greedy policy keeps changing, the next sweep starts from that
+    policy's exact values, solve(I - beta P_pi, r_pi), instead of from the
+    sweep's own (modified policy iteration with exact evaluation, Puterman
+    1994, section 6.5). Once the policy repeats, plain sweeps follow. A
+    plain sweep with an unchanged policy that does not lower the change has
+    hit the float64 floor, where the threshold may be out of reach (large
+    rewards at a discount near one); the loop stops there too, and the
+    returned values are then within beta/(1-beta) times that change of the
+    fixed point."""
     if tol <= 0:
         raise ConfigError("tol must be positive")
     beta = mdp.discount
     stop = tol if beta == 0 else tol * (1.0 - beta) / (2.0 * beta)
+    states = np.arange(mdp.n_states)
+    eye = np.eye(mdp.n_states)
     v = np.zeros(mdp.n_states)
+    policy, evaluating, last_change = None, True, np.inf
     while True:
         q = _q_from_values(mdp, v)
         v_next = q.max(axis=1)
-        if np.max(np.abs(v_next - v)) < stop:
+        change = np.max(np.abs(v_next - v))
+        if change < stop:
             return ValueTable(values=v_next, policy=q.argmax(axis=1))
-        v = v_next
+        greedy = q.argmax(axis=1)
+        repeated = policy is not None and np.array_equal(greedy, policy)
+        if evaluating and not repeated:
+            v = np.linalg.solve(eye - beta * mdp.transition[states, greedy],
+                                mdp.reward[states, greedy])
+        elif repeated and not change < last_change:  # the float64 floor
+            return ValueTable(values=v_next, policy=greedy)
+        else:
+            evaluating, v, last_change = False, v_next, change
+        policy = greedy
 
 
 def policy_iteration(mdp: TabularMdp) -> ValueTable:

@@ -57,22 +57,38 @@ def water_fill(gains, noise: float, total_power: float) -> PowerAllocation:
         raise ConfigError(f"total_power must be > 0, got {total_power}")
     if noise <= 0:
         raise ConfigError(f"noise must be > 0, got {noise}")
-    if np.any(gains < 0):
+    if (gains < 0).any():
         raise ConfigError("gains must be nonnegative")
     active = gains > 0
-    if not np.any(active):
+    if not active.any():
         raise ConfigError("all channel gains are zero; nothing to allocate")
     floors = noise / gains[active]
 
     def allocated(level: float) -> np.ndarray:
         return np.maximum(0.0, level - floors)
 
+    if len(floors) < 8:
+        # numpy sums fewer than 8 entries left to right, so this loop on
+        # Python floats gives the same bits, faster. Not sum(): from Python
+        # 3.12 it compensates, which rounds differently.
+        floor_list = floors.tolist()
+
+        def allocated_sum(level: float) -> float:
+            total = 0.0
+            for f in floor_list:
+                d = level - f
+                total += 0.0 if d < 0.0 else d  # keeps NaN, as np.maximum does
+            return total
+    else:
+        def allocated_sum(level: float) -> float:
+            return allocated(level).sum()
+
     lo = float(floors.min())
     hi = float(floors.max() + total_power)
     # allocated() sums to 0 at lo and >= total_power at hi; bisect the level.
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        excess = allocated(mid).sum() - total_power
+        excess = allocated_sum(mid) - total_power
         if abs(excess) <= WATER_FILL_TOL:
             lo = hi = mid
             break

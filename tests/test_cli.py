@@ -216,6 +216,42 @@ def test_wrong_typed_env_value_exits_config_without_traceback(tmp_path, capsys, 
         assert err.startswith("config error:")
 
 
+# Python's JSON reader takes NaN and Infinity. strict_feasibility is a flag,
+# and bool(nan) is True.
+NON_FINITE = [
+    (kind, key, value) for kind, key in WRONG_TYPED if key != "strict_feasibility"
+    for value in (float("nan"), float("inf"))
+]
+
+
+@pytest.mark.parametrize("kind,key,value", NON_FINITE,
+                         ids=[f"{k}.{key}={v}" for k, key, v in NON_FINITE])
+def test_non_finite_env_value_exits_config_without_traceback(tmp_path, capsys, kind, key, value):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "env": {"env": kind, key: value},
+        "solvers": [{"name": CHEAP_SOLVER[kind]}],
+        "horizon": 5,
+        "seeds": [0],
+        "outputs": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg, "--jobs", "1", "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error:")
+
+
+def test_nan_noise_under_water_fill_exits_config(tmp_path, capsys):
+    # used to end in a ValueError traceback about a non-finite reward
+    cfg = write_config(tmp_path / "cfg.json", {
+        "env": {"env": "power_control", "noise": float("nan")},
+        "solvers": [{"name": "water-fill"}],
+        "horizon": 5,
+        "outputs": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg, "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: noise must be finite, got nan\n"
+
+
 # Valid values for the required solver keys, so only the probed key is wrong.
 REQUIRED_SOLVER_VALUES = {"budget_per_step": 2, "mcs": 1, "thresholds": [0, 2]}
 WRONG_TYPED_SOLVER = [
@@ -303,12 +339,12 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-@pytest.mark.parametrize("kind,key,value,solver", HUGE_SIZES,
-                         ids=[f"{k}={v:g}" for _, k, v, _ in HUGE_SIZES])
-def test_huge_env_size_exits_config_before_allocating(tmp_path, kind, key, value, solver):
+def _run_in_2gib(tmp_path, env, solver):
+    """`occam-rrm run` of a 2-step config in a subprocess limited to a 2 GiB
+    address space; asserts a one-line config error."""
     cfg = write_config(tmp_path / "cfg.json", {
-        "env": {"env": kind, key: value},
-        "solvers": [{"name": solver}],
+        "env": env,
+        "solvers": [solver],
         "horizon": 2,
         "seeds": [0],
         "outputs": str(tmp_path / "out"),
@@ -323,6 +359,21 @@ def test_huge_env_size_exits_config_before_allocating(tmp_path, kind, key, value
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("config error:")
+
+
+@pytest.mark.parametrize("kind,key,value,solver", HUGE_SIZES,
+                         ids=[f"{k}={v:g}" for _, k, v, _ in HUGE_SIZES])
+def test_huge_env_size_exits_config_before_allocating(tmp_path, kind, key, value, solver):
+    _run_in_2gib(tmp_path, {"env": kind, key: value}, {"name": solver})
+
+
+# A forecast of 10**9 steps would be built before the planner counts a node.
+@pytest.mark.parametrize("plan_horizon", [1e9, 10**9], ids=["float", "int"])
+@pytest.mark.parametrize("predictor", ["oracle", "persistence"])
+def test_huge_mpc_horizon_exits_config_before_allocating(tmp_path, predictor, plan_horizon):
+    _run_in_2gib(tmp_path, {"env": "energy_saving"}, {
+        "name": "mpc-energy", "config": {"predictor": predictor, "plan_horizon": plan_horizon},
+    })
 
 
 def test_label_cannot_leave_episodes_dir(tmp_path, capsys):

@@ -215,14 +215,45 @@ GOLDEN_CSV_SHA256 = {
         "water-fill_seed0_ep0.csv": "c20f26747ca6d41f9216310b22008dfdbd99f05f6a490e7ac523f756522aa8ae",
         "water-fill_seed1_ep0.csv": "161d2fd8081f995c4cf654c840831ccba19a31a5d21e743fad4d2a1632ce133c",
     },
+    "tabular": {
+        "value-iteration_seed0_ep0.csv": "08c47bcddbba9b63d6fd58985d24d9b79e0cfdd357d8b8dc12c6fdfce8032f15",
+        "value-iteration_seed1_ep0.csv": "f07b17f2bc5ca6948c46509cb0dd615ad49a1e5801b03d0fbb5ec7b5015d1bc2",
+    },
+    "energy_saving-instant": {
+        "dpp-energy_seed0_ep0.csv": "abf83fbc7397b7232dcd4f730e7406e01fc0307b7471a6d8638c9a3903bc8fdb",
+        "dpp-energy_seed1_ep0.csv": "feeca9a5075aff92d5493be34815fafe4644acab0dfa234956f0c098e9cd4f73",
+        "dpp-v4_seed0_ep0.csv": "1975331d8eacda50a4f07d589ee8a3f7f3dbf902d5acf0234896a7294c40629e",
+        "dpp-v4_seed1_ep0.csv": "8b9af9ffbaccd1a45d97bcba920da17a05b7745c2431360a725fb85eb0885557",
+        "min-energy_seed0_ep0.csv": "94a25ce351ff91bc3db5659a13a8c802f06483bad49494dec1ed43d79e472a11",
+        "min-energy_seed1_ep0.csv": "8e845c6439bed77c1f19a05166f2a33be198a06f037bef3b01fa2f1f09145d72",
+    },
 }
 # Uneven capacities and power draws, so that the order of every float sum
-# shows in the MPC digests. A short crossing period, so that MRO hands over
-# inside the horizon (at the default period it stays put for 40 steps).
+# shows in the MPC digests. With an activation delay DPP counts no service
+# from an off resource and so never powers one, making min-energy's
+# decisions; "energy_saving-instant" has no delay, so the two differ. A
+# short crossing period, so that MRO hands over inside the horizon (at the
+# default period it stays put for 40 steps). A tabular MDP whose optimal
+# policy uses all three actions.
+UNEVEN_ES = {"env": "energy_saving", "capacity": [0.3, 0.9, 1.7, 0.55],
+             "power_draw": [0.1, 0.35, 0.9, 0.2], "qos_threshold": 1.5}
+GOLDEN_TABULAR = {
+    "env": "tabular",
+    "discount": 0.95,
+    "transition": [
+        [[0.7, 0.3, 0.0, 0.0], [0.1, 0.1, 0.8, 0.0], [0.25, 0.25, 0.25, 0.25]],
+        [[0.5, 0.5, 0.0, 0.0], [0.0, 0.2, 0.2, 0.6], [0.9, 0.0, 0.0, 0.1]],
+        [[0.0, 0.0, 1.0, 0.0], [0.3, 0.0, 0.3, 0.4], [0.0, 0.6, 0.0, 0.4]],
+        [[0.2, 0.2, 0.2, 0.4], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]],
+    ],
+    "reward": [[1.0, 0.0, 0.4], [0.3, 0.6, 2.0], [0.5, -1.0, 0.8], [-0.5, 3.0, 0.2]],
+    "reward_noise_std": 0.1,
+}
 GOLDEN_ENVS = {
-    "energy_saving": {"env": "energy_saving", "capacity": [0.3, 0.9, 1.7, 0.55],
-                      "power_draw": [0.1, 0.35, 0.9, 0.2], "qos_threshold": 1.5},
+    "energy_saving": UNEVEN_ES,
+    "energy_saving-instant": {**UNEVEN_ES, "activation_delay": 0},
     "handover": {"env": "handover", "model": {"kind": "crossing", "period": 20}},
+    "tabular": GOLDEN_TABULAR,
 }
 GOLDEN_SOLVERS = {
     "beamforming": [
@@ -240,6 +271,10 @@ GOLDEN_SOLVERS = {
         {"name": "mpc-energy", "label": f"{p}-h{h}", "config": {"predictor": p, "plan_horizon": h}}
         for h in (3, 5) for p in ("oracle", "persistence")
     ] + [{"name": "dpp-energy"}, {"name": "es-thresholds"}, {"name": "min-energy"}],
+    "energy_saving-instant": [
+        {"name": "dpp-energy"}, {"name": "dpp-energy", "label": "dpp-v4", "config": {"v_weight": 4.0}},
+        {"name": "min-energy"},
+    ],
     "handover": [{"name": "mro"}, {"name": "greedy-ho"}],
     "link_adaptation": [
         {"name": "illa-olla"}, {"name": "thompson-mcs"}, {"name": "fixed-mcs", "config": {"mcs": 2}},
@@ -247,6 +282,7 @@ GOLDEN_SOLVERS = {
     # the only solvers whose actions are arrays
     "power_control": [{"name": "water-fill"}, {"name": "uniform-power"}],
     "scheduling": [{"name": "proportional-fair"}, {"name": "round-robin"}, {"name": "max-rate"}],
+    "tabular": [{"name": "value-iteration"}],
 }
 
 
@@ -460,6 +496,18 @@ def test_cell_failing_mid_episode_leaves_last_run_untouched(tmp_path, monkeypatc
     with pytest.raises(NumericalError, match="mid-run"):
         run_experiment(cfg)
     assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_failed_run_into_fresh_path_leaves_no_directory(tmp_path, command):
+    cfg = ExperimentConfig.from_dict({**la_config(tmp_path / "fresh" / "out").to_dict(),
+                                      "solvers": [{"name": "fixed-mcs", "config": {"mcs": 99}}]})
+    with pytest.raises(InvalidActionError, match="step 0: mcs 99"):
+        if command == "run":
+            run_experiment(cfg)
+        else:
+            sweep(cfg, "horizon", [5, 10])
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("param,bad", [("horizon", 0), ("env.n_users", "six")])
