@@ -56,9 +56,7 @@ class AdmissionEnv(RrmEnv):
             raise ConfigError("at least one priority class required")
         self.classes = []
         for i, c in enumerate(raw):
-            unknown = set(c) - _CLASS_KEYS
-            if unknown:
-                raise ConfigError(f"class {i}: unknown keys {sorted(unknown)}")
+            self.check_dict(f"class {i}", c, _CLASS_KEYS, (), ("arrival_rate", "departure_rate"))
             cc = dict(c)
             cc.setdefault("demand", 1)
             cc.setdefault("reject_penalty", 0.0)

@@ -119,31 +119,31 @@ class EnergySavingEnv(RrmEnv):
         traffic = dict(traffic) if traffic is not None else dict(_DEFAULT_TRAFFIC)
         self._trace = None
         if "trace" in traffic:
-            self._trace = np.asarray(traffic["trace"], dtype=float)
+            self.check_dict("traffic", traffic, ("noise_std",), ("trace",))
+            self._trace = self.reals("traffic trace", traffic["trace"])
             if self._trace.ndim != 1 or self._trace.size == 0:
                 raise ConfigError("traffic trace must be a nonempty 1-D sequence")
             if np.any(self._trace < 0):
                 raise ConfigError("traffic trace must be nonnegative")
             self._trace_noise = float(traffic.get("noise_std", 0.0))
         else:
+            self.check_dict("traffic", traffic, set(_DEFAULT_TRAFFIC) - {"kind"}, ("kind",))
             kind = traffic.get("kind", "sinusoid")
             if kind not in ("sinusoid", "constant"):
                 raise ConfigError(f"unknown traffic kind {kind!r}")
             self._traffic_cfg = {**_DEFAULT_TRAFFIC, **traffic, "kind": kind}
+            if kind == "sinusoid" and not self._traffic_cfg["period"] > 0:
+                raise ConfigError("traffic period must be > 0")
         self.qos_threshold = self.real("qos_threshold", qos_threshold)
         self.qos_weight = self.real("qos_weight", qos_weight)
         self.energy_weight = self.real("energy_weight", energy_weight)
 
     def _per_resource(self, value, name) -> np.ndarray:
-        arr = (
-            np.full(self.n_resources, float(value))
-            if np.isscalar(value)
-            else np.asarray(value, dtype=float)
+        arr = self.reals(
+            name, np.full(self.n_resources, float(value)) if np.isscalar(value) else value
         )
         if arr.shape != (self.n_resources,):
             raise ConfigError(f"{name} needs one entry per resource")
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError(f"{name} entries must be finite")
         if np.any(arr < 0):
             raise ConfigError(f"{name} entries must be nonnegative")
         return arr

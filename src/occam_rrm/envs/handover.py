@@ -43,12 +43,14 @@ class HandoverEnv(RrmEnv):
         kind = model.get("kind", "crossing")
         self._trace = None
         if kind == "trace":
-            self._trace = np.asarray(model["values"], dtype=float)
+            self.check_dict("model", model, (), ("kind", "values"), ("values",))
+            self._trace = self.reals("model values", model["values"])
             if self._trace.ndim != 2 or self._trace.shape[1] != self.n_cells:
                 raise ConfigError(
                     f"trace shape {self._trace.shape} != (n_steps, {self.n_cells})"
                 )
         elif kind == "crossing":
+            self.check_dict("model", model, set(_DEFAULT_MODEL) - {"kind"}, ("kind",))
             self._model = {**_DEFAULT_MODEL, **model}
             if self._model["period"] < 2:
                 raise ConfigError("crossing period must be >= 2")

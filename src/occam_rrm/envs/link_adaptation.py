@@ -8,10 +8,10 @@ zero on NACK.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STREAM_ACTION, STREAM_EXOGENOUS
@@ -43,12 +43,12 @@ class LinkAdaptEnv(RrmEnv):
         super().__init__()
         self.n_mcs = self.size("n_mcs", n_mcs, 1)
         self.rates = (
-            np.asarray(rates, dtype=float)
+            self.reals("rates", rates)
             if rates is not None
             else 0.5 * (1 + np.arange(self.n_mcs))
         )
         self.s50 = (
-            np.asarray(s50, dtype=float)
+            self.reals("s50", s50)
             if s50 is not None
             else np.linspace(0.0, 14.0, self.n_mcs)
         )
@@ -70,8 +70,13 @@ class LinkAdaptEnv(RrmEnv):
         self._sinr = 0.0
 
     def bler(self, mcs: int, sinr_db: float) -> float:
-        # expit form avoids exp overflow far from the s50 midpoint
-        return float(expit(self.bler_slope * (self.s50[mcs] - sinr_db)))
+        x = float(self.bler_slope * (self.s50[mcs] - sinr_db))
+        try:
+            return 1.0 / (1.0 + math.exp(-x))
+        except OverflowError:
+            # math.exp raises where numpy's exp returns inf: x below about
+            # -709.78, an SINR far above s50, where the BLER is 0.
+            return 0.0
 
     def _report(self, t: int) -> float:
         noise = self.report_noise_std * self._report_stream.value(t)

@@ -32,7 +32,7 @@ class PowerEnv(RrmEnv):
         if fixed_gains is None:
             self.fixed_gains = None
         else:
-            self.fixed_gains = np.asarray(fixed_gains, dtype=float)
+            self.fixed_gains = self.reals("fixed_gains", fixed_gains)
             if self.fixed_gains.shape != (self.n_channels,):
                 raise ConfigError("fixed_gains must list one gain per channel")
             if np.any(self.fixed_gains < 0):

@@ -30,7 +30,7 @@ class SchedulingEnv(RrmEnv):
         super().__init__()
         self.n_users = self.size("n_users", n_users, 2)
         self.mean_efficiency = (
-            np.asarray(mean_efficiency, dtype=float)
+            self.reals("mean_efficiency", mean_efficiency)
             if mean_efficiency is not None
             else np.ones(self.n_users)
         )
@@ -43,7 +43,7 @@ class SchedulingEnv(RrmEnv):
         self.fading = fading
         self.full_buffer = arrival_rates is None
         self.arrival_rates = (
-            None if self.full_buffer else np.asarray(arrival_rates, dtype=float)
+            None if self.full_buffer else self.reals("arrival_rates", arrival_rates)
         )
         if not self.full_buffer and self.arrival_rates.shape != (self.n_users,):
             raise ConfigError("arrival_rates needs one entry per user")
@@ -51,7 +51,7 @@ class SchedulingEnv(RrmEnv):
         if not (0.0 < self.ewma_alpha <= 1.0):
             raise ConfigError("ewma_alpha must lie in (0, 1]")
         self.weights = (
-            np.asarray(weights, dtype=float) if weights is not None else np.ones(self.n_users)
+            self.reals("weights", weights) if weights is not None else np.ones(self.n_users)
         )
         if self.weights.shape != (self.n_users,):
             raise ConfigError("weights needs one entry per user")

@@ -3,6 +3,7 @@ water-filling power allocation and MMSE downlink precoding."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +54,13 @@ def water_fill(gains, noise: float, total_power: float) -> PowerAllocation:
     inverse effective gain sits above the water level stay off (KKT).
     """
     gains = np.asarray(gains, dtype=float)
-    if total_power <= 0:
-        raise ConfigError(f"total_power must be > 0, got {total_power}")
-    if noise <= 0:
-        raise ConfigError(f"noise must be > 0, got {noise}")
-    if (gains < 0).any():
-        raise ConfigError("gains must be nonnegative")
+    # written so that NaN fails each test
+    if not 0 < total_power < math.inf:
+        raise ConfigError(f"total_power must be finite and > 0, got {total_power}")
+    if not 0 < noise < math.inf:
+        raise ConfigError(f"noise must be finite and > 0, got {noise}")
+    if not ((gains >= 0) & (gains < math.inf)).all():
+        raise ConfigError("gains must be finite and nonnegative")
     active = gains > 0
     if not active.any():
         raise ConfigError("all channel gains are zero; nothing to allocate")

@@ -9,7 +9,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .bandits import GpSurrogate, ucb_acquire
 from .config import build_from_config
@@ -249,6 +248,9 @@ def bo_tune(
     """Scrambled-Sobol design over 25% of the budget (at least two points),
     then UCB acquisition over a fixed candidate lattice. Deterministic given
     the seed."""
+    # scipy.stats takes most of a second to import; nothing else needs it
+    from scipy.stats import qmc
+
     if budget < 2:
         raise ConfigError("budget must be >= 2")
     if kappa < 0:

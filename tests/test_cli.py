@@ -222,11 +222,45 @@ NON_FINITE = [
     (kind, key, value) for kind, key in WRONG_TYPED if key != "strict_feasibility"
     for value in (float("nan"), float("inf"))
 ]
+NON_FINITE_IDS = [f"{k}.{key}={v}" for k, key, v in NON_FINITE]
+# The same values one level down: each numeric field of the crossing model,
+# the traffic dict and an admission class, one at a time.
+NESTED_FIELDS = (
+    [("handover", "model", {"kind": "crossing"}, f)
+     for f in ("period", "near_rsrp", "far_rsrp")]
+    + [("energy_saving", "traffic", {"kind": "sinusoid"}, f)
+       for f in ("base", "amplitude", "period", "noise_std")]
+    + [("energy_saving", "traffic", {"trace": [1.0]}, "noise_std")]
+    + [("admission_control", "classes", {"arrival_rate": 0.1, "departure_rate": 0.01}, f)
+       for f in ("arrival_rate", "departure_rate", "demand", "reward",
+                 "reject_penalty", "delay_penalty", "blocked_penalty")]
+)
+for kind, key, base, field in NESTED_FIELDS:
+    for v in (float("nan"), float("inf")):
+        value = {**base, field: v}
+        NON_FINITE.append((kind, key, [value] if key == "classes" else value))
+        NON_FINITE_IDS.append(f"{kind}.{key}.{field}={v}")
+# And in list-valued parameters, one entry at a time.
+LIST_FIELDS = [
+    ("link_adaptation", "rates", lambda v: [0.5, 1, 1.5, 2, 2.5, 3, 3.5, v]),
+    ("link_adaptation", "s50", lambda v: [0, 2, 4, 6, 8, 10, 12, v]),
+    ("power_control", "fixed_gains", lambda v: [1.0, 1.0, 1.0, v]),
+    ("scheduling", "mean_efficiency", lambda v: [1.0, 1.0, 1.0, v]),
+    ("scheduling", "arrival_rates", lambda v: [1.0, 1.0, 1.0, v]),
+    ("scheduling", "weights", lambda v: [1.0, 1.0, 1.0, v]),
+    ("energy_saving", "capacity", lambda v: [1.0, 1.0, 1.0, v]),
+    ("energy_saving", "traffic", lambda v: {"trace": [1.0, v]}),
+    ("handover", "model", lambda v: {"kind": "trace", "values": [[-60.0, -90.0], [-70.0, v]]}),
+]
+for kind, key, make in LIST_FIELDS:
+    for v in (float("nan"), float("inf")):
+        NON_FINITE.append((kind, key, make(v)))
+        NON_FINITE_IDS.append(f"{kind}.{key}[]={v}")
 
 
-@pytest.mark.parametrize("kind,key,value", NON_FINITE,
-                         ids=[f"{k}.{key}={v}" for k, key, v in NON_FINITE])
-def test_non_finite_env_value_exits_config_without_traceback(tmp_path, capsys, kind, key, value):
+def config_error_of_env_value(tmp_path, capsys, kind, key, value) -> str:
+    """Run the env `kind` with `key` set to `value`; assert it exits 2 with
+    one stderr line and return that line."""
     cfg = write_config(tmp_path / "cfg.json", {
         "env": {"env": kind, key: value},
         "solvers": [{"name": CHEAP_SOLVER[kind]}],
@@ -238,6 +272,28 @@ def test_non_finite_env_value_exits_config_without_traceback(tmp_path, capsys, k
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("config error:")
+    return err
+
+
+@pytest.mark.parametrize("kind,key,value", NON_FINITE, ids=NON_FINITE_IDS)
+def test_non_finite_env_value_exits_config_without_traceback(tmp_path, capsys, kind, key, value):
+    config_error_of_env_value(tmp_path, capsys, kind, key, value)
+
+
+NESTED_BAD_KEYS = {
+    "handover.model": ("handover", "model", {"kind": "crossing", "speed": 1.0}),
+    "handover.model.trace": ("handover", "model", {"kind": "trace"}),
+    "energy_saving.traffic": ("energy_saving", "traffic", {"mean": 3.0}),
+    "energy_saving.traffic.trace": ("energy_saving", "traffic", {"trace": [1.0], "base": 1.0}),
+    "admission_control.classes": ("admission_control", "classes", [{"departure_rate": 0.1}]),
+}
+
+
+@pytest.mark.parametrize("kind,key,value", NESTED_BAD_KEYS.values(), ids=NESTED_BAD_KEYS)
+def test_unknown_or_missing_nested_env_key_exits_config(tmp_path, capsys, kind, key, value):
+    # unknown keys used to be ignored, a missing one ended in a KeyError
+    err = config_error_of_env_value(tmp_path, capsys, kind, key, value)
+    assert re.match(r"config error: (unknown \S+ keys|.* missing required key)", err)
 
 
 def test_nan_noise_under_water_fill_exits_config(tmp_path, capsys):
@@ -471,3 +527,23 @@ def test_plot_missing_input_exits_config(tmp_path, capsys):
             "--out", str(tmp_path / "c.svg")]
     assert main(argv) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_startup_loads_no_scipy_and_bo_tune_loads_it():
+    # scipy.stats is imported inside tuning.bo_tune only; every module of
+    # the package, as run/sweep/advise/plot load them, stays scipy-free.
+    code = """
+import importlib, pkgutil, sys
+import occam_rrm, occam_rrm.cli
+for info in pkgutil.walk_packages(occam_rrm.__path__, "occam_rrm."):
+    importlib.import_module(info.name)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+from occam_rrm.tuning import bo_tune
+bo_tune(lambda theta: -theta[0] ** 2, [(-1.0, 1.0)], budget=3)
+print("scipy.stats" in sys.modules)
+"""
+    src = str(Path(occam_rrm.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]

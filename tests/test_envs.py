@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,29 @@ def test_la_fixed_mcs_binomial_oracle():
     p_ack = 1.0 - env.bler(0, 10.0)
     sigma = np.sqrt(p_ack * (1 - p_ack) / n)
     assert abs(log.rewards.mean() - p_ack) <= 3 * sigma
+
+
+def test_la_bler_matches_expit_bit_for_bit():
+    # BLER is a logistic on math.exp; scipy's expit is the reference. The
+    # edge cases sit at exp's overflow (x near -709.78) and at +-1e308.
+    from scipy.special import expit
+
+    def same_bits(a, b):
+        return (math.isnan(a) and math.isnan(b)) or a.hex() == b.hex()
+
+    edges = [0.0, -0.0, 709.0, -709.0, -709.78, -709.79, -710.0, 745.2,
+             1e308, -1e308, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+    for env in (LinkAdaptEnv(), LinkAdaptEnv(n_mcs=5, s50=[-3.3, 0.1, 2.5, 7.75, 30.0],
+                                             rates=[1, 2, 3, 4, 5], bler_slope=3.7)):
+        sinrs = np.concatenate([np.linspace(-60.0, 90.0, 1501), edges])
+        for mcs in range(env.n_mcs):
+            # SINRs that put the logistic's argument itself on an edge
+            for sinr in [*sinrs.tolist(), *(env.s50[mcs] - x / env.bler_slope for x in edges)]:
+                with np.errstate(over="ignore"):  # bler_slope * (s50 - sinr) at 1e308
+                    got = env.bler(mcs, sinr)
+                    want = float(expit(env.bler_slope * (env.s50[mcs] - sinr)))
+                assert type(got) is float
+                assert same_bits(got, want), (mcs, sinr, got, want)
 
 
 def test_la_same_seed_identical_logs():
@@ -323,6 +348,13 @@ def test_sc_reward_is_utility_increment():
 
 
 # ================================================================ energy saving
+
+
+def test_es_sinusoid_period_must_be_positive():
+    # period 0 used to end in a ZeroDivisionError at the first step
+    with pytest.raises(ConfigError, match="traffic period must be > 0"):
+        EnergySavingEnv(traffic={"kind": "sinusoid", "period": 0})
+    EnergySavingEnv(traffic={"kind": "constant", "period": 0})  # constant ignores it
 
 
 def test_es_all_off_no_traffic_zero_reward():

@@ -83,6 +83,19 @@ def test_water_fill_rejects_bad_inputs():
         water_fill([0.0, 0.0], 1.0, 1.0)
     with pytest.raises(ConfigError):
         water_fill([-1.0, 1.0], 1.0, 1.0)
+    nan, inf = float("nan"), float("inf")
+    for gains, noise, total_power in [
+        ([1.0, 2.0], nan, 1.0),
+        ([1.0, 2.0], 1.0, nan),
+        ([1.0, 2.0], inf, 1.0),
+        ([1.0, 2.0], 1.0, inf),
+        ([1.0, nan], 1.0, 1.0),
+        ([1.0, inf], 1.0, 1.0),
+        ([1.0, -inf], 1.0, 1.0),
+        ([0.5] * 9 + [nan], 1.0, 1.0),
+    ]:
+        with pytest.raises(ConfigError):
+            water_fill(gains, noise, total_power)
 
 
 # ---------------------------------------------------------------- sum_rate
