@@ -4,6 +4,7 @@ discounted returns, and metric summaries shared by every solver."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Any, Callable, Sequence
@@ -81,7 +82,7 @@ class StepOutcome:
 
     def __post_init__(self):
         self.reward = float(self.reward)
-        if not np.isfinite(self.reward):
+        if not math.isfinite(self.reward):
             raise ValueError(f"non-finite reward {self.reward}")
 
 

@@ -62,6 +62,8 @@ class BeamformingEnv(RrmEnv):
         self.measure_cost = self.real("measure_cost", measure_cost)
         self.mean_rsrp = self.real("mean_rsrp", mean_rsrp)
         self.rsrp_std = self.real("rsrp_std", rsrp_std)
+        if self.rsrp_std < 0:
+            raise ConfigError("rsrp_std must be >= 0")
         idx = np.arange(self.n_beams, dtype=float)
         cov = np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * self.spatial_corr**2))
         self._chol = np.linalg.cholesky(cov + _JITTER * np.eye(self.n_beams))

@@ -134,6 +134,9 @@ class EnergySavingEnv(RrmEnv):
             self._traffic_cfg = {**_DEFAULT_TRAFFIC, **traffic, "kind": kind}
             if kind == "sinusoid" and not self._traffic_cfg["period"] > 0:
                 raise ConfigError("traffic period must be > 0")
+        noise_std = self._trace_noise if self._trace is not None else self._traffic_cfg["noise_std"]
+        if noise_std < 0:
+            raise ConfigError("traffic noise_std must be >= 0")
         self.qos_threshold = self.real("qos_threshold", qos_threshold)
         self.qos_weight = self.real("qos_weight", qos_weight)
         self.energy_weight = self.real("energy_weight", energy_weight)

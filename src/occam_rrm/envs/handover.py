@@ -58,61 +58,81 @@ class HandoverEnv(RrmEnv):
         else:
             raise ConfigError(f"unknown mobility model kind {kind!r}")
         self.noise_std = self.real("noise_std", noise_std)
+        if self.noise_std < 0:
+            raise ConfigError("noise_std must be >= 0")
         self.ho_interruption = int(ho_interruption)
         self.rlf_threshold = self.real("rlf_threshold", rlf_threshold)
         self.pingpong_window = int(pingpong_window)
         self.hysteresis = self.real("hysteresis", hysteresis)
         if self.pingpong_window < 1:
             raise ConfigError("pingpong_window must be >= 1")
+        # The cells other than serving cell s, in order; shared by every
+        # observation, so read-only.
+        self._neighbor_cells = [np.delete(np.arange(self.n_cells), s) for s in range(self.n_cells)]
+        for cells in self._neighbor_cells:
+            cells.flags.writeable = False
 
     @property
     def n_actions(self) -> int:
         return self.n_cells + 1  # stay plus one handover target per cell
 
-    def true_rsrp_at(self, t: int) -> np.ndarray:
+    def _true_rsrp(self, steps: np.ndarray) -> np.ndarray:
+        """True RSRP in dB, one row per step index in ``steps``."""
         if self._trace is not None:
-            return self._trace[t % self._trace.shape[0]].copy()
+            return self._trace[steps % self._trace.shape[0]]
         m = self._model
         spread = m["near_rsrp"] - m["far_rsrp"]
         # x in [0, 1]: distance proxy; cell 0 starts closest.
-        x = 0.5 * (1.0 + np.sin(2 * np.pi * t / m["period"] - np.pi / 2 + self._phases))
+        angle = 2 * np.pi * steps[:, None] / m["period"] - np.pi / 2 + self._phases
+        x = 0.5 * (1.0 + np.sin(angle))
         return m["near_rsrp"] - spread * x
 
+    def true_rsrp_at(self, t: int) -> np.ndarray:
+        return self._true_rsrp(np.array([t]))[0]
+
     def measured_rsrp_at(self, t: int) -> np.ndarray:
-        noise = self._meas_stream.values(t)
-        return self.true_rsrp_at(t) + self.noise_std * noise
+        return self._rsrp_rows(t)[1].copy()
 
-    def _neighbors(self) -> np.ndarray:
-        return np.array([c for c in range(self.n_cells) if c != self._serving], dtype=int)
-
-    def _update_counts(self, meas: np.ndarray) -> None:
-        # Consecutive-exceed bookkeeping against the serving cell, hysteresis
-        # applied to the noisy measurements; reset on non-exceed.
-        serving_level = meas[self._serving]
-        for c in range(self.n_cells):
-            if c == self._serving:
-                self._counts[c] = 0
-            elif meas[c] - self.hysteresis > serving_level:
-                self._counts[c] += 1
-            else:
-                self._counts[c] = 0
+    def _rsrp_rows(self, t: int) -> tuple[list, np.ndarray]:
+        """True RSRP of step t as a list and its noisy measurement as a
+        read-only array, read from tables built once per stream block."""
+        b, i = divmod(t, self._meas_stream.block_size)
+        if b != self._table_block:
+            size = self._meas_stream.block_size
+            true = self._true_rsrp(np.arange(b * size, (b + 1) * size))
+            self._meas_table = true + self.noise_std * self._meas_stream.block(b)
+            self._meas_table.flags.writeable = False
+            self._true_table = true.tolist()
+            self._table_block = b
+        return self._true_table[i], self._meas_table[i]
 
     def _obs(self, t: int) -> MroObservation:
-        meas = self.measured_rsrp_at(t)
-        self._update_counts(meas)
-        nb = self._neighbors()
+        meas = self._rsrp_rows(t)[1]
+        levels = meas.tolist()
+        serving = self._serving
+        serving_level = levels[serving]
+        # Consecutive-exceed bookkeeping against the serving cell, hysteresis
+        # applied to the noisy measurements; reset on non-exceed.
+        counts = self._counts
+        for c, level in enumerate(levels):
+            if c != serving and level - self.hysteresis > serving_level:
+                counts[c] += 1
+            else:
+                counts[c] = 0
+        nb = self._neighbor_cells[serving]
         return MroObservation(
-            rsrp_serving=float(meas[self._serving]),
+            rsrp_serving=serving_level,
             rsrp_neighbors=meas[nb],
-            exceed_count=self._counts[nb].copy(),
-            serving_cell=self._serving,
+            exceed_count=np.array(counts)[nb],
+            serving_cell=serving,
             neighbor_cells=nb,
         )
 
     def _start(self, seed):
         self._meas_stream = self.stream(STREAM_EXOGENOUS, per_step=self.n_cells)
+        self._table_block = -1
         self._serving = 0
-        self._counts = np.zeros(self.n_cells, dtype=int)
+        self._counts = [0] * self.n_cells
         self._last_ho_t: int | None = None
         self._pp_armed = False
         return self._obs(0)
@@ -121,13 +141,12 @@ class HandoverEnv(RrmEnv):
         action = int(action)
         if not (0 <= action <= self.n_cells):
             raise InvalidActionError(f"action {action} outside [0, {self.n_cells}]")
-        true_now = self.true_rsrp_at(self.t)
+        true_now = self._rsrp_rows(self.t)[0]
         pingpong = too_early = too_late = 0
         if action == 0:
-            levels = true_now.tolist()
-            if levels[self._serving] < self.rlf_threshold and any(
+            if true_now[self._serving] < self.rlf_threshold and any(
                 level >= self.rlf_threshold
-                for c, level in enumerate(levels) if c != self._serving
+                for c, level in enumerate(true_now) if c != self._serving
             ):
                 too_late = 1
         else:
@@ -145,7 +164,7 @@ class HandoverEnv(RrmEnv):
                 self._pp_armed = True
             self._last_ho_t = self.t
             self._serving = target
-            self._counts[:] = 0
+            self._counts = [0] * self.n_cells
         reward = -float(pingpong + too_early + too_late)
         diagnostics = {
             "pingpong": float(pingpong),

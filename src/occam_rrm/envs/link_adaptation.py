@@ -67,6 +67,9 @@ class LinkAdaptEnv(RrmEnv):
             raise ConfigError("ar_coeff must lie in [0, 1)")
         self.innovation_std = self.real("innovation_std", innovation_std)
         self.report_noise_std = self.real("report_noise_std", report_noise_std)
+        for name in ("innovation_std", "report_noise_std"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         self._sinr = 0.0
 
     def bler(self, mcs: int, sinr_db: float) -> float:

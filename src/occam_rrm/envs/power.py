@@ -37,22 +37,35 @@ class PowerEnv(RrmEnv):
                 raise ConfigError("fixed_gains must list one gain per channel")
             if np.any(self.fixed_gains < 0):
                 raise ConfigError("fixed_gains must be nonnegative")
+            # shared by every observation, so a read-only copy
+            self.fixed_gains = self.fixed_gains.copy()
+            self.fixed_gains.flags.writeable = False
 
     def gains_at(self, t: int) -> np.ndarray:
         """Block-fading gains for step t: exponential draws indexed by the
         coherence block, a pure function of (seed, t). Constant when the env
         was built with fixed_gains."""
+        return self._gains(t).copy()
+
+    def _gains(self, t: int) -> np.ndarray:
+        """gains_at(t) as a read-only array, computed once per coherence
+        block and shared by its steps."""
         if self.fixed_gains is not None:
-            return self.fixed_gains.copy()
+            return self.fixed_gains
         block = t // self.coherence
-        u = self._gain_stream.values(block)
-        return self.mean_gain * -np.log1p(-u)
+        if block != self._coherence_block:
+            u = self._gain_stream.values(block)
+            self._block_gains = self.mean_gain * -np.log1p(-u)
+            self._block_gains.flags.writeable = False
+            self._coherence_block = block
+        return self._block_gains
 
     def _start(self, seed):
         self._gain_stream = self.stream(
             STREAM_EXOGENOUS, per_step=self.n_channels, kind="uniform"
         )
-        return {"gains": self.gains_at(0), "noise": self.noise, "total_power": self.total_power}
+        self._coherence_block = -1
+        return {"gains": self._gains(0), "noise": self.noise, "total_power": self.total_power}
 
     def _step(self, action):
         p = np.asarray(action, dtype=float)
@@ -66,10 +79,10 @@ class PowerEnv(RrmEnv):
             raise InvalidActionError(
                 f"sum power {p.sum()!r} exceeds budget {self.total_power!r}"
             )
-        gains = self.gains_at(self.t)
+        gains = self._gains(self.t)
         reward = float(np.sum(np.log2(1.0 + p * gains / self.noise)))
         obs = {
-            "gains": self.gains_at(self.t + 1),
+            "gains": self._gains(self.t + 1),
             "noise": self.noise,
             "total_power": self.total_power,
         }

@@ -40,6 +40,8 @@ class SchedulingEnv(RrmEnv):
             raise ConfigError("mean_efficiency entries must be > 0")
         if fading not in ("exponential", "none"):
             raise ConfigError(f"unknown fading model {fading!r}")
+        self._mean_row = self.mean_efficiency.copy()
+        self._mean_row.flags.writeable = False
         self.fading = fading
         self.full_buffer = arrival_rates is None
         self.arrival_rates = (
@@ -57,17 +59,27 @@ class SchedulingEnv(RrmEnv):
             raise ConfigError("weights needs one entry per user")
 
     def efficiency_at(self, t: int) -> np.ndarray:
+        return self._efficiency_row(t).copy()
+
+    def _efficiency_row(self, t: int) -> np.ndarray:
+        """Spectral efficiencies of step t as a read-only row, shared by the
+        steps of its stream block: exponential fading draws one table per
+        block."""
         if self.fading == "none":
-            return self.mean_efficiency.copy()
-        u = self._fade_stream.values(t)
-        return self.mean_efficiency * -np.log1p(-u)
+            return self._mean_row
+        b, i = divmod(t, self._fade_stream.block_size)
+        if b != self._table_block:
+            self._table = self.mean_efficiency * -np.log1p(-self._fade_stream.block(b))
+            self._table.flags.writeable = False
+            self._table_block = b
+        return self._table[i]
 
     def _utility(self) -> float:
-        return float(np.sum(self.weights * np.log(self._avg + EWMA_FLOOR)))
+        return float((self.weights * np.log(self._avg + EWMA_FLOOR)).sum())
 
     def _obs(self, t: int) -> dict:
         return {
-            "spectral_eff": self.efficiency_at(t),
+            "spectral_eff": self._efficiency_row(t),
             "avg_throughput": self._avg.copy(),
             "backlogs": None if self.full_buffer else self._backlogs.copy(),
         }
@@ -76,7 +88,9 @@ class SchedulingEnv(RrmEnv):
         self._fade_stream = self.stream(
             STREAM_EXOGENOUS, per_step=self.n_users, kind="uniform"
         )
+        self._table_block = -1
         self._avg = np.full(self.n_users, EWMA_FLOOR)
+        self._utility_now = self._utility()
         self._backlogs = np.zeros(self.n_users)
         return self._obs(0)
 
@@ -84,18 +98,19 @@ class SchedulingEnv(RrmEnv):
         user = int(action)
         if not (0 <= user < self.n_users):
             raise InvalidActionError(f"user {user} outside [0, {self.n_users})")
-        eff = self.efficiency_at(self.t)
+        eff = self._efficiency_row(self.t)
         if self.full_buffer:
             achieved = float(eff[user])
         else:
             self._backlogs += self.arrival_rates
             achieved = float(min(self._backlogs[user], eff[user]))
             self._backlogs[user] -= achieved
-        before = self._utility()
+        before = self._utility_now
         served = np.zeros(self.n_users)
         served[user] = achieved
         self._avg = np.maximum((1 - self.ewma_alpha) * self._avg + self.ewma_alpha * served, EWMA_FLOOR)
-        reward = self._utility() - before
+        self._utility_now = self._utility()
+        reward = self._utility_now - before
         diagnostics = {"served_user": float(user), "achieved": achieved}
         diagnostics.update({f"thr_{u}": float(served[u]) for u in range(self.n_users)})
         return StepOutcome(observation=self._obs(self.t + 1), reward=reward, diagnostics=diagnostics)

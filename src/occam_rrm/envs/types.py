@@ -78,5 +78,5 @@ class MroObservation:
         self.rsrp_neighbors = np.asarray(self.rsrp_neighbors, dtype=float)
         self.exceed_count = np.asarray(self.exceed_count, dtype=int)
         self.neighbor_cells = np.asarray(self.neighbor_cells, dtype=int)
-        if np.any(self.exceed_count < 0):
+        if min(self.exceed_count.ravel().tolist(), default=0) < 0:
             raise ConfigError("exceed_count must be nonnegative")

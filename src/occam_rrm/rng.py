@@ -36,9 +36,9 @@ class StepStream:
     """Per-step draws that are a pure function of (seed, stream id, step).
 
     Draws are generated in blocks of ``block`` steps so that sequential access
-    is cheap, yet ``values(t)`` is independent of the order or number of times
-    it is called. ``per_step`` values of the declared kind are produced for
-    every step index.
+    is cheap, yet ``values(t)`` and ``block(b)`` are independent of the order
+    or number of times they are called. ``per_step`` values of the declared
+    kind are produced for every step index.
     """
 
     def __init__(self, seed: int, stream_id: int, per_step: int = 1,
@@ -52,12 +52,23 @@ class StepStream:
         self._block = block
         self._cache: dict[int, np.ndarray] = {}
 
-    def _block_values(self, b: int) -> np.ndarray:
+    @property
+    def block_size(self) -> int:
+        """Steps per block: block b holds steps b * block_size up to
+        (b + 1) * block_size - 1."""
+        return self._block
+
+    def block(self, b: int) -> np.ndarray:
+        """Draws of block ``b``, one row of ``per_step`` values per step
+        (read-only)."""
+        if b < 0:
+            raise ValueError("block index must be nonnegative")
         arr = self._cache.get(b)
         if arr is None:
             rng = substream(self._seed, self._stream_id, b)
             shape = (self._block, self._per_step)
             arr = rng.normal(size=shape) if self._kind == "normal" else rng.random(size=shape)
+            arr.flags.writeable = False
             if len(self._cache) >= 4:  # keep the cache tiny; regeneration is deterministic
                 self._cache.pop(next(iter(self._cache)))
             self._cache[b] = arr
@@ -67,7 +78,7 @@ class StepStream:
         """Vector of ``per_step`` draws for step ``t`` (read-only view)."""
         if t < 0:
             raise ValueError("step index must be nonnegative")
-        return self._block_values(t // self._block)[t % self._block]
+        return self.block(t // self._block)[t % self._block]
 
     def value(self, t: int) -> float:
         """Scalar draw for step ``t`` (first component)."""

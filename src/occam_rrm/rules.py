@@ -61,9 +61,10 @@ def mro_policy(obs: MroObservation, time_to_trigger) -> int:
     time-to-trigger; among qualifying neighbors, the best-RSRP one wins.
     Returns the env action encoding: 0 stays, cell k maps to k + 1."""
     counts = np.asarray(obs.exceed_count)
-    qualifying = np.flatnonzero(counts > time_to_trigger)
-    if len(qualifying) == 0:
+    # the usual step: no neighbor qualifies, decided on Python ints
+    if not any(count > time_to_trigger for count in counts.ravel().tolist()):
         return STAY
+    qualifying = np.flatnonzero(counts > time_to_trigger)
     rsrp = np.asarray(obs.rsrp_neighbors, dtype=float)
     slot = qualifying[np.argmax(rsrp[qualifying])]
     return int(obs.neighbor_cells[slot]) + 1

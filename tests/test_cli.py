@@ -275,6 +275,24 @@ def config_error_of_env_value(tmp_path, capsys, kind, key, value) -> str:
     return err
 
 
+# Negative standard deviations, which used to run: the noise just changed
+# sign. Refused like TabularEnv's reward_noise_std.
+NEGATIVE_STD = {
+    "link_adaptation.innovation_std=-1": ("link_adaptation", "innovation_std", -1.0),
+    "link_adaptation.report_noise_std=-1": ("link_adaptation", "report_noise_std", -1.0),
+    "handover.noise_std=-1": ("handover", "noise_std", -1.0),
+    "beamforming.rsrp_std=-1": ("beamforming", "rsrp_std", -1.0),
+    "energy_saving.traffic.sinusoid.noise_std=-0.1":
+        ("energy_saving", "traffic", {"kind": "sinusoid", "noise_std": -0.1}),
+    "energy_saving.traffic.constant.noise_std=-0.1":
+        ("energy_saving", "traffic", {"kind": "constant", "noise_std": -0.1}),
+    "energy_saving.traffic.trace.noise_std=-0.1":
+        ("energy_saving", "traffic", {"trace": [1.0], "noise_std": -0.1}),
+}
+NON_FINITE += NEGATIVE_STD.values()
+NON_FINITE_IDS += NEGATIVE_STD
+
+
 @pytest.mark.parametrize("kind,key,value", NON_FINITE, ids=NON_FINITE_IDS)
 def test_non_finite_env_value_exits_config_without_traceback(tmp_path, capsys, kind, key, value):
     config_error_of_env_value(tmp_path, capsys, kind, key, value)

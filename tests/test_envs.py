@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -695,3 +697,54 @@ def test_replay_reproduces_rewards(env_cls, policy_cls):
     assert log.diagnostics.keys() == replayed.diagnostics.keys()
     for key, column in log.diagnostics.items():
         assert np.array_equal(column, replayed.diagnostics[key])
+
+
+def _arrays(obs):
+    fields = obs.values() if isinstance(obs, dict) else getattr(obs, "__dict__", {}).values()
+    return [value for value in fields if isinstance(value, np.ndarray)]
+
+
+class _Recorder:
+    """Acts as `policy` does and keeps a copy of every observation it is
+    shown; with `scribble`, it then overwrites in place every array of the
+    observation that is writable."""
+
+    def __init__(self, policy, scribble):
+        self.policy, self.scribble = policy, scribble
+        self.seen, self.actions = [], []
+
+    def reset(self, seed):
+        if hasattr(self.policy, "reset"):
+            self.policy.reset(seed)
+
+    def act(self, obs):
+        self.seen.append(pickle.dumps(obs))
+        action = self.policy.act(obs)
+        self.actions.append(copy.deepcopy(action))
+        if self.scribble:
+            for arr in _arrays(obs):
+                if arr.flags.writeable:
+                    arr.fill(7)
+        return action
+
+
+# Settings under which every observation carries arrays that change: a
+# finite buffer, and gains that change within the horizon.
+ISOLATION_KWARGS = {SchedulingEnv: {"arrival_rates": [0.2, 0.3, 0.25, 0.4]},
+                    PowerEnv: {"coherence": 7},
+                    HandoverEnv: {"model": {"kind": "crossing", "period": 20}}}
+
+
+@pytest.mark.parametrize("env_cls,policy_cls", REPLAY_CASES, ids=lambda x: getattr(x, "__name__", ""))
+def test_writing_into_observations_changes_nothing(env_cls, policy_cls):
+    # Envs share some arrays across steps (neighbor cells, rows of exogenous
+    # tables); none of them may be writable through an observation.
+    kwargs = ISOLATION_KWARGS.get(env_cls, {})
+    writer = _Recorder(policy_cls(), scribble=True)
+    log = run_episode(env_cls(**kwargs), writer, horizon=120, seed=17)
+    reader = _Recorder(ScriptedPolicy(writer.actions), scribble=False)
+    replayed = run_episode(env_cls(**kwargs), reader, horizon=120, seed=17)
+    assert replayed.rewards.tobytes() == log.rewards.tobytes()
+    for key, column in log.diagnostics.items():
+        assert replayed.diagnostics[key].tobytes() == column.tobytes()
+    assert reader.seen == writer.seen

@@ -3,12 +3,13 @@ solver/env compatibility, parallel execution, and sweeps."""
 
 import hashlib
 import json
+import math
 import shutil
 from pathlib import Path
 
 import pytest
 
-from occam_rrm import experiments
+from occam_rrm import config, experiments
 from occam_rrm.config import config_keys
 from occam_rrm.envs import ENVS, make_env
 from occam_rrm.errors import ConfigError, InvalidActionError, NumericalError
@@ -303,6 +304,52 @@ def test_episode_csvs_match_golden_bytes(tmp_path, kind):
     assert digests == GOLDEN_CSV_SHA256[kind]
 
 
+# The stream block is 1024 steps and power's gains change every `coherence`
+# steps, so a 1100-step run crosses a block boundary and, at coherence 7,
+# many coherence intervals; the 40-step digests above cross neither. A
+# crossing period that is not an integer, and a trace whose length (300)
+# does not divide the block. The digests were taken with the per-step
+# formulas, at the commit before the per-block exogenous tables replaced them.
+LONG_TRACE = [[round(-80.0 + 25.0 * math.sin(2 * math.pi * t / 97 + 2.1 * c), 3)
+               for c in range(3)] for t in range(300)]
+LONG_HORIZON_RUNS = {
+    "handover-crossing": (
+        {"env": "handover", "n_cells": 3, "model": {"kind": "crossing", "period": 37.5}},
+        {"name": "mro"}),
+    "handover-trace": (
+        {"env": "handover", "n_cells": 3, "model": {"kind": "trace", "values": LONG_TRACE}},
+        {"name": "greedy-ho"}),
+    "scheduling": (
+        {"env": "scheduling", "arrival_rates": [0.2, 0.3, 0.25, 0.4]},
+        {"name": "proportional-fair"}),
+    "power_control": (
+        {"env": "power_control", "coherence": 7},
+        {"name": "water-fill"}),
+}
+LONG_HORIZON_SHA256 = {
+    "handover-crossing":
+        "4c54cd3e35a4c10ca35002660ad862388ec3c825218333a4f591eb3fe47a0d78",
+    "handover-trace":
+        "499c893b97b227d65189b9b75a8dea4eb3889acb9450fa37fa5792b9318b8e8a",
+    "scheduling":
+        "904f4bc096715a90b9660503652b3c4ab23e6f4dac70e9decf053c3abd53e242",
+    "power_control":
+        "902f09c8a52cdc067c023952ff11a5ad9ec606da54ef12680c4ec735798cb897",
+}
+
+
+@pytest.mark.parametrize("run", sorted(LONG_HORIZON_RUNS))
+def test_long_horizon_csvs_match_golden_bytes(tmp_path, run):
+    env, solver = LONG_HORIZON_RUNS[run]
+    cfg = ExperimentConfig.from_dict({
+        "env": env, "solvers": [solver], "horizon": 1100, "seeds": [0],
+        "outputs": str(tmp_path),
+    })
+    run_experiment(cfg)
+    (csv_path,) = (tmp_path / "episodes").glob("*.csv")
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == LONG_HORIZON_SHA256[run]
+
+
 def test_multiple_episodes_per_seed(tmp_path):
     cfg = ExperimentConfig.from_dict({
         "env": {"env": "link_adaptation"},
@@ -587,6 +634,21 @@ def test_env_config_keys_are_pinned():
             make_env({"env": kind, "bogus": 1})
     with pytest.raises(ConfigError, match="missing required key 'reward'"):
         make_env({"env": "tabular", "transition": [[[1.0]]]})
+
+
+def test_build_from_config_reads_the_signature_once(monkeypatch):
+    # the tune loop builds an env and an agent for every episode
+    calls = []
+    signature = config.inspect.signature
+
+    def counted(fn):
+        calls.append(fn)
+        return signature(fn)
+
+    monkeypatch.setattr(config.inspect, "signature", counted)
+    env = make_env({"env": "handover"})
+    config.build_from_config(SOLVERS["mro"].agent, {"time_to_trigger": 2}, "solver", env=env)
+    assert calls == [ENVS["handover"], SOLVERS["mro"].agent]
 
 
 def test_solver_config_keys_are_pinned():

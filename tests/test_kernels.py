@@ -1,7 +1,9 @@
 """The known-model kernels against their plain forms: water_fill's bisection
-on Python floats against the numpy one, and value_iteration's warm start
-against the plain Bellman loop. Each reference below is the earlier kernel,
-kept verbatim; the fast kernels must give the same bits or the same policy."""
+on Python floats against the numpy one, value_iteration's warm start
+against the plain Bellman loop, and the per-block exogenous tables of the
+handover, scheduling and power envs against the per-step formulas. Each
+reference below is the earlier kernel, kept verbatim; the fast kernels must
+give the same bits or the same policy."""
 
 import time
 
@@ -11,8 +13,9 @@ from test_acceptance import QL_ADMISSION, TRUNK_AC
 from test_experiments import GOLDEN_TABULAR
 
 from occam_rrm import planning
+from occam_rrm.agents import GreedyHoAgent
 from occam_rrm.core import TabularMdp
-from occam_rrm.envs import make_env
+from occam_rrm.envs import HandoverEnv, PowerEnv, SchedulingEnv, make_env
 from occam_rrm.errors import ConfigError
 from occam_rrm.planning import ValueTable, _q_from_values, value_iteration
 from occam_rrm.static_opt import WATER_FILL_TOL, PowerAllocation, water_fill
@@ -65,6 +68,38 @@ def reference_value_iteration(mdp: TabularMdp, tol: float = 1e-8) -> ValueTable:
         if np.max(np.abs(v_next - v)) < stop:
             return ValueTable(values=v_next, policy=q.argmax(axis=1))
         v = v_next
+
+
+# The per-step exogenous formulas of the envs, called with the env as self;
+# measured RSRP calls the reference true RSRP where it called its own.
+def reference_true_rsrp_at(self, t: int) -> np.ndarray:
+    if self._trace is not None:
+        return self._trace[t % self._trace.shape[0]].copy()
+    m = self._model
+    spread = m["near_rsrp"] - m["far_rsrp"]
+    # x in [0, 1]: distance proxy; cell 0 starts closest.
+    x = 0.5 * (1.0 + np.sin(2 * np.pi * t / m["period"] - np.pi / 2 + self._phases))
+    return m["near_rsrp"] - spread * x
+
+
+def reference_measured_rsrp_at(self, t: int) -> np.ndarray:
+    noise = self._meas_stream.values(t)
+    return reference_true_rsrp_at(self, t) + self.noise_std * noise
+
+
+def reference_efficiency_at(self, t: int) -> np.ndarray:
+    if self.fading == "none":
+        return self.mean_efficiency.copy()
+    u = self._fade_stream.values(t)
+    return self.mean_efficiency * -np.log1p(-u)
+
+
+def reference_gains_at(self, t: int) -> np.ndarray:
+    if self.fixed_gains is not None:
+        return self.fixed_gains.copy()
+    block = t // self.coherence
+    u = self._gain_stream.values(block)
+    return self.mean_gain * -np.log1p(-u)
 
 
 # ---------------------------------------------------------------- water-fill
@@ -161,3 +196,91 @@ def test_value_iteration_stops_at_the_float_floor(monkeypatch):
     assert np.spacing(np.max(np.abs(got.values))) > stop
     assert elapsed < 0.5
     assert np.array_equal(got.policy, want.policy)
+
+
+# ---------------------------------------------------------------- exogenous tables
+
+# Steps 0..2100 cross two boundaries of the 1024-step stream blocks.
+TABLE_STEPS = 2101
+
+
+def trace_model(n_cells):
+    # 300 rows: the trace wraps at steps that are not block boundaries
+    rows = np.random.default_rng(n_cells).uniform(-110.0, -50.0, size=(300, n_cells))
+    return {"kind": "trace", "values": rows.tolist()}
+
+
+HO_MODELS = {
+    "period-40": lambda n: {"kind": "crossing", "period": 40},
+    "period-37.5": lambda n: {"kind": "crossing", "period": 37.5},
+    "trace-300": trace_model,
+}
+
+
+@pytest.mark.parametrize("model", sorted(HO_MODELS))
+@pytest.mark.parametrize("n_cells", [2, 3, 5, 8])
+def test_handover_rsrp_tables_match_per_step_bits(n_cells, model):
+    env = HandoverEnv(n_cells=n_cells, model=HO_MODELS[model](n_cells))
+    obs = env.reset(3)
+    policy = GreedyHoAgent()  # hands over often, so the serving cell changes
+    for t in range(TABLE_STEPS):
+        want_true = reference_true_rsrp_at(env, t)
+        want_meas = reference_measured_rsrp_at(env, t)
+        assert env.true_rsrp_at(t).tobytes() == want_true.tobytes()
+        assert env.measured_rsrp_at(t).tobytes() == want_meas.tobytes()
+        assert obs.rsrp_serving == want_meas[obs.serving_cell]
+        assert obs.rsrp_neighbors.tobytes() == want_meas[obs.neighbor_cells].tobytes()
+        true_row, meas_row = env._rsrp_rows(t)
+        assert np.array(true_row).tobytes() == want_true.tobytes()
+        assert meas_row.tobytes() == want_meas.tobytes()
+        out = env.step(policy.act(obs))
+        # the true RSRP of step t at the serving cell after the action
+        assert out.diagnostics["rsrp_serving_true"] == want_true[out.observation.serving_cell]
+        obs = out.observation
+
+
+@pytest.mark.parametrize("arrival_rates", [None, [0.2, 0.3, 0.25, 0.4]],
+                         ids=["full-buffer", "finite-buffer"])
+@pytest.mark.parametrize("fading", ["exponential", "none"])
+def test_scheduling_efficiency_table_matches_per_step_bits(fading, arrival_rates):
+    env = SchedulingEnv(n_users=4, mean_efficiency=[0.5, 1.0, 1.5, 2.0], fading=fading,
+                        arrival_rates=arrival_rates)
+    obs = env.reset(3)
+    backlogs = np.zeros(4)
+    for t in range(TABLE_STEPS):
+        want = reference_efficiency_at(env, t)
+        assert env.efficiency_at(t).tobytes() == want.tobytes()
+        assert obs["spectral_eff"].tobytes() == want.tobytes()
+        assert env._efficiency_row(t).tobytes() == want.tobytes()
+        user = t % 4
+        out = env.step(user)
+        if arrival_rates is None:
+            assert out.diagnostics["achieved"] == want[user]
+        else:
+            backlogs += arrival_rates
+            assert out.diagnostics["achieved"] == min(backlogs[user], want[user])
+            backlogs[user] -= out.diagnostics["achieved"]
+        obs = out.observation
+
+
+@pytest.mark.parametrize("coherence", [1, 7, 50, 1500])
+def test_power_gain_cache_matches_per_step_bits(coherence):
+    env = PowerEnv(n_channels=4, coherence=coherence, mean_gain=1.3)
+    obs = env.reset(3)
+    for t in range(TABLE_STEPS):
+        want = reference_gains_at(env, t)
+        assert env.gains_at(t).tobytes() == want.tobytes()
+        assert env.hidden_state().tobytes() == want.tobytes()
+        assert obs["gains"].tobytes() == want.tobytes()
+        out = env.step(np.full(4, 1.0))
+        assert out.reward == float(np.sum(np.log2(1.0 + 1.0 * want / env.noise)))
+        obs = out.observation
+
+
+def test_power_fixed_gains_match_per_step_bits():
+    env = PowerEnv(n_channels=3, fixed_gains=[0.5, 0.0, 2.0])
+    obs = env.reset(3)
+    for t in range(50):
+        want = reference_gains_at(env, t)
+        assert env.gains_at(t).tobytes() == obs["gains"].tobytes() == want.tobytes()
+        obs = env.step(np.full(3, 1.0)).observation
