@@ -15,7 +15,7 @@ from . import planning
 from .bandits import illa_select, thompson_select
 from .core import EpisodeLog, run_episode
 from .envs.beamforming import SERVE_BEST, BeamAction
-from .envs.energy import es_transition_batch
+from .envs.energy import OFF, es_transition_batch
 from .errors import ConfigError
 from .planning import DeterministicModel, mpc_plan
 from .rules import dpp_action, es_policy, mro_policy, pf_select, trunk_admit
@@ -120,8 +120,6 @@ class MaxRateAgent:
 
 # ---------------------------------------------------------------- energy saving
 
-OFF_SENTINEL = -1
-
 
 class DppEnergyAgent:
     """Drift-plus-penalty over resource subsets: the queue is the backlog,
@@ -144,7 +142,7 @@ class DppEnergyAgent:
             cap = 0.0
             for r in subset:
                 s = status[r]
-                ready = (s == 0) or (s == 1) or (s == OFF_SENTINEL and self.delay == 0)
+                ready = (s == 0) or (s == 1) or (s == OFF and self.delay == 0)
                 if ready:
                     cap += self.capacity[r]
             return cap
@@ -202,8 +200,6 @@ class MpcEnergyAgent:
         self.forecast = forecast
         self.horizon = int(horizon)
         self.discount = float(discount)
-        if not np.isfinite(self.discount):
-            raise ConfigError(f"discount must be finite, got {self.discount}")
         actions = env.all_actions()
         step = es_transition_batch(actions, env.capacity, env.power_draw, env.activation_delay)
         qos_threshold, qos_weight = env.qos_threshold, env.qos_weight

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_keys
 from .core import EpisodeLog, run_episode
 from .errors import ConfigError, GpNumericalError
 from .envs.beamforming import BeamAction
@@ -176,15 +177,14 @@ class BoTrackerAgent:
             raise ConfigError("budget_per_step must be >= 1")
         if kappa < 0:
             raise ConfigError("kappa must be nonnegative")
-        kernel = dict(kernel or {})
+        kernel = kernel or {}
+        check_keys(kernel, ("length_scales", "signal_var", "prior_mean"), (), "kernel")
         self.gp = dict(
-            length_scales=np.asarray(kernel.pop("length_scales", (2.0, 10.0)), dtype=float),
-            signal_var=kernel.pop("signal_var", float(getattr(env, "rsrp_std", 10.0)) ** 2),
-            prior_mean=kernel.pop("prior_mean", float(getattr(env, "mean_rsrp", 0.0))),
+            length_scales=np.asarray(kernel.get("length_scales", (2.0, 10.0)), dtype=float),
+            signal_var=float(kernel.get("signal_var", getattr(env, "rsrp_std", 10.0) ** 2)),
+            prior_mean=float(kernel.get("prior_mean", getattr(env, "mean_rsrp", 0.0))),
             max_points=window,
         )
-        if kernel:
-            raise ConfigError(f"unknown kernel keys: {sorted(kernel)}")
         self.env = env
         self.kappa = kappa
         self.reset(0)  # a bad kernel or window fails here, not at the first step

@@ -1,6 +1,7 @@
 """Command line front end: `run` an experiment config, `sweep` a parameter,
 `advise` a technique, `plot` a figure. Exit codes: 0 success, 2 config
-error, 3 runtime error."""
+error, 3 runtime error. Numpy's floating-point warnings are silenced: a
+non-finite result that matters raises NumericalError instead."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import argparse
 import json
 import sys
 from dataclasses import fields, replace
+
+import numpy as np
 
 from .advisor import ProblemTraits, advise, usecase_traits
 from .errors import ConfigError, OccamRrmError
@@ -140,7 +143,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

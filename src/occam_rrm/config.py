@@ -2,12 +2,16 @@
 
 A constructor's keyword parameters are the one definition of its config:
 their names are the accepted keys, their defaults the defaults, and a
-parameter without a default is a required key.
+parameter without a default is a required key. No value may hold NaN or
+Infinity, which JSON configs may carry and no parameter takes.
 """
 
 from __future__ import annotations
 
 import inspect
+import math
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -24,17 +28,50 @@ def _keys(params, given) -> tuple[set, set]:
     return accepted, required
 
 
-def check_config(fn, cfg: dict, what: str, given=()):
-    """Reject keys `fn` does not take and report a missing required key.
-    Returns the parameters of `fn`'s signature."""
-    params = inspect.signature(fn).parameters
-    accepted, required = _keys(params, given)
-    extra = set(cfg) - accepted
+def check_keys(cfg, accepted, required, what: str) -> None:
+    """Reject keys of `cfg` outside `accepted` and report the first missing
+    key of `required`."""
+    extra = set(cfg) - set(accepted)
     if extra:
-        raise ConfigError(f"unknown {what} config keys: {sorted(extra)}")
-    missing = sorted(required - set(cfg))
+        raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
+    missing = sorted(set(required) - set(cfg))
     if missing:
-        raise ConfigError(f"{what} config missing required key '{missing[0]}'")
+        raise ConfigError(f"{what} missing required key '{missing[0]}'")
+
+
+def _check_finite(name: str, value) -> None:
+    """Reject NaN and +-inf in `value`: a number, a numeric string, or a dict
+    or list holding them. A list that converts to a float array is checked
+    as one array."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(f"{name} {key}", item)
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            for i, item in enumerate(value):
+                _check_finite(f"{name}[{i}]", item)
+        else:
+            if not np.isfinite(arr).all():
+                raise ConfigError(f"{name} entries must be finite")
+    elif isinstance(value, (float, np.floating, str)):
+        try:
+            x = float(value)
+        except ValueError:
+            return
+        if not math.isfinite(x):
+            raise ConfigError(f"{name} must be finite, got {x}")
+
+
+def check_config(fn, cfg: dict, what: str, given=()):
+    """Reject keys `fn` does not take, a missing required key and a
+    non-finite number anywhere in a value. Returns the parameters of `fn`'s
+    signature."""
+    params = inspect.signature(fn).parameters
+    check_keys(cfg, *_keys(params, given), f"{what} config")
+    for key, value in cfg.items():
+        _check_finite(key, value)
     return params
 
 

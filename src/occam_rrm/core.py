@@ -11,7 +11,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidActionError, MissingDiagnosticError
+from .errors import ConfigError, InvalidActionError, MissingDiagnosticError, NumericalError
 from .rng import STREAM_POLICY, derive_seed
 
 DEFAULT_DISCOUNT = 0.99
@@ -83,7 +83,7 @@ class StepOutcome:
     def __post_init__(self):
         self.reward = float(self.reward)
         if not math.isfinite(self.reward):
-            raise ValueError(f"non-finite reward {self.reward}")
+            raise NumericalError(f"non-finite reward {self.reward}")
 
 
 @dataclass
@@ -287,6 +287,8 @@ def metrics_summary(
         raise ConfigError("episode logs contain no steps")
     mean_reward = float(all_rewards.mean())
     ret = float(np.mean([discounted_return(log.rewards, discount) for log in logs]))
+    if not (math.isfinite(mean_reward) and math.isfinite(ret)):
+        raise NumericalError(f"finite rewards overflow to a mean {mean_reward}, return {ret}")
     rec = MetricsRecord(mean_reward=mean_reward, discounted_return=ret)
 
     if kind == "scheduling":

@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 
+from ..config import check_keys
 from ..core import DEFAULT_DISCOUNT, StepOutcome, TabularMdp
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STREAM_EXOGENOUS
@@ -48,7 +49,7 @@ class AdmissionEnv(RrmEnv):
         discount=DEFAULT_DISCOUNT,
     ):
         super().__init__()
-        self.capacity = self.real("capacity", capacity)
+        self.capacity = float(capacity)
         if self.capacity <= 0:
             raise ConfigError("capacity must be positive")
         raw = classes if classes is not None else _DEFAULT_CLASSES
@@ -56,11 +57,9 @@ class AdmissionEnv(RrmEnv):
             raise ConfigError("at least one priority class required")
         self.classes = []
         for i, c in enumerate(raw):
-            self.check_dict(f"class {i}", c, _CLASS_KEYS, (), ("arrival_rate", "departure_rate"))
-            cc = dict(c)
-            cc.setdefault("demand", 1)
-            cc.setdefault("reject_penalty", 0.0)
-            cc.setdefault("delay_penalty", 0.1)
+            check_keys(c, _CLASS_KEYS, ("arrival_rate", "departure_rate", "reward"), f"class {i}")
+            cc = {"demand": 1, "reject_penalty": 0.0, "delay_penalty": 0.1, **c}
+            cc = {k: float(v) for k, v in cc.items()}
             cc.setdefault("blocked_penalty", cc["reject_penalty"] + 0.05)
             if cc["demand"] <= 0:
                 raise ConfigError(f"class {i}: demand must be positive")
@@ -69,9 +68,9 @@ class AdmissionEnv(RrmEnv):
             self.classes.append(cc)
         self.n_classes = len(self.classes)
         self.strict_feasibility = bool(strict_feasibility)
-        self.safety_margin = self.real("safety_margin", safety_margin)
-        self.qos_penalty = self.real("qos_penalty", qos_penalty)
-        self.discount = self.real("discount", discount)
+        self.safety_margin = float(safety_margin)
+        self.qos_penalty = float(qos_penalty)
+        self.discount = float(discount)
         # Uniformized chain: total event probability must stay below one even
         # at the fullest states (conservative per-class bound).
         worst = sum(c["arrival_rate"] for c in self.classes) + sum(

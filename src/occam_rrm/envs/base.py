@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 from .. import planning
 from ..errors import ConfigError
 from ..rng import StepStream
@@ -46,36 +42,6 @@ class RrmEnv:
                 f"{planning.MPC_NODE_BUDGET}; reduce {name}"
             )
         return n
-
-    def real(self, name: str, value) -> float:
-        """`value` as a finite float: JSON configs may carry NaN and
-        Infinity, which no env parameter takes."""
-        x = float(value)
-        if not math.isfinite(x):
-            raise ConfigError(f"{name} must be finite, got {x}")
-        return x
-
-    def reals(self, name: str, values) -> np.ndarray:
-        """`values` as a float array of finite entries: real() for lists."""
-        arr = np.asarray(values, dtype=float)
-        if not np.isfinite(arr).all():
-            raise ConfigError(f"{name} entries must be finite")
-        return arr
-
-    def check_dict(self, name: str, cfg: dict, reals, others=(), required=()) -> None:
-        """Check a nested config dict, as check_config and real() do at the
-        top level: no key outside `reals` and `others`, every `required` key
-        present, and a finite value under each key of `reals`. The dict is
-        left as it is, so stored values keep their types."""
-        unknown = set(cfg) - set(reals) - set(others)
-        if unknown:
-            raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
-        missing = sorted(set(required) - set(cfg))
-        if missing:
-            raise ConfigError(f"{name} missing required key '{missing[0]}'")
-        for key, value in cfg.items():
-            if key in reals:
-                self.real(f"{name} {key}", value)
 
     def stream(self, stream_id: int, per_step: int = 1, kind: str = "normal") -> StepStream:
         return StepStream(self.seed, stream_id, per_step=per_step, kind=kind)

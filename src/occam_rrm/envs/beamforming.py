@@ -49,19 +49,18 @@ class BeamformingEnv(RrmEnv):
     ):
         super().__init__()
         self.n_beams = self.size("n_beams", n_beams, 2, power=2)  # n x n covariance
-        self.ue_speed = self.real("ue_speed", ue_speed)
-        self.spatial_corr = self.real("spatial_corr", spatial_corr)
+        self.ue_speed = float(ue_speed)
+        self.spatial_corr = float(spatial_corr)
         if self.spatial_corr <= 0:
             raise ConfigError("spatial_corr must be > 0")
         if temporal_corr is None:
-            speed_to_corr = self.real("speed_to_corr", speed_to_corr)
-            temporal_corr = max(0.0, 1.0 - speed_to_corr * self.ue_speed)
-        self.temporal_corr = self.real("temporal_corr", temporal_corr)
+            temporal_corr = max(0.0, 1.0 - float(speed_to_corr) * self.ue_speed)
+        self.temporal_corr = float(temporal_corr)
         if not (0.0 <= self.temporal_corr < 1.0):
             raise ConfigError(f"temporal_corr must lie in [0, 1), got {self.temporal_corr}")
-        self.measure_cost = self.real("measure_cost", measure_cost)
-        self.mean_rsrp = self.real("mean_rsrp", mean_rsrp)
-        self.rsrp_std = self.real("rsrp_std", rsrp_std)
+        self.measure_cost = float(measure_cost)
+        self.mean_rsrp = float(mean_rsrp)
+        self.rsrp_std = float(rsrp_std)
         if self.rsrp_std < 0:
             raise ConfigError("rsrp_std must be >= 0")
         idx = np.arange(self.n_beams, dtype=float)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import planning
+from ..config import check_keys
 from ..core import StepOutcome
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STREAM_EXOGENOUS
@@ -119,32 +120,33 @@ class EnergySavingEnv(RrmEnv):
         traffic = dict(traffic) if traffic is not None else dict(_DEFAULT_TRAFFIC)
         self._trace = None
         if "trace" in traffic:
-            self.check_dict("traffic", traffic, ("noise_std",), ("trace",))
-            self._trace = self.reals("traffic trace", traffic["trace"])
+            check_keys(traffic, ("trace", "noise_std"), (), "traffic")
+            self._trace = np.asarray(traffic["trace"], dtype=float)
             if self._trace.ndim != 1 or self._trace.size == 0:
                 raise ConfigError("traffic trace must be a nonempty 1-D sequence")
             if np.any(self._trace < 0):
                 raise ConfigError("traffic trace must be nonnegative")
             self._trace_noise = float(traffic.get("noise_std", 0.0))
         else:
-            self.check_dict("traffic", traffic, set(_DEFAULT_TRAFFIC) - {"kind"}, ("kind",))
+            check_keys(traffic, _DEFAULT_TRAFFIC, (), "traffic")
             kind = traffic.get("kind", "sinusoid")
             if kind not in ("sinusoid", "constant"):
                 raise ConfigError(f"unknown traffic kind {kind!r}")
-            self._traffic_cfg = {**_DEFAULT_TRAFFIC, **traffic, "kind": kind}
+            cfg = {**_DEFAULT_TRAFFIC, **traffic}
+            self._traffic_cfg = {k: v if k == "kind" else float(v) for k, v in cfg.items()}
             if kind == "sinusoid" and not self._traffic_cfg["period"] > 0:
                 raise ConfigError("traffic period must be > 0")
         noise_std = self._trace_noise if self._trace is not None else self._traffic_cfg["noise_std"]
         if noise_std < 0:
             raise ConfigError("traffic noise_std must be >= 0")
-        self.qos_threshold = self.real("qos_threshold", qos_threshold)
-        self.qos_weight = self.real("qos_weight", qos_weight)
-        self.energy_weight = self.real("energy_weight", energy_weight)
+        self.qos_threshold = float(qos_threshold)
+        self.qos_weight = float(qos_weight)
+        self.energy_weight = float(energy_weight)
 
     def _per_resource(self, value, name) -> np.ndarray:
-        arr = self.reals(
-            name, np.full(self.n_resources, float(value)) if np.isscalar(value) else value
-        )
+        arr = np.asarray(value, dtype=float)
+        if arr.ndim == 0:
+            arr = np.full(self.n_resources, arr)
         if arr.shape != (self.n_resources,):
             raise ConfigError(f"{name} needs one entry per resource")
         if np.any(arr < 0):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import check_keys
 from ..core import StepOutcome
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STREAM_EXOGENOUS
@@ -32,7 +33,6 @@ class HandoverEnv(RrmEnv):
         n_cells=2,
         model=None,
         noise_std=4.0,
-        ho_interruption=1,
         rlf_threshold=-95.0,
         pingpong_window=10,
         hysteresis=3.0,
@@ -43,27 +43,27 @@ class HandoverEnv(RrmEnv):
         kind = model.get("kind", "crossing")
         self._trace = None
         if kind == "trace":
-            self.check_dict("model", model, (), ("kind", "values"), ("values",))
-            self._trace = self.reals("model values", model["values"])
+            check_keys(model, ("kind", "values"), ("values",), "model")
+            self._trace = np.asarray(model["values"], dtype=float)
             if self._trace.ndim != 2 or self._trace.shape[1] != self.n_cells:
                 raise ConfigError(
                     f"trace shape {self._trace.shape} != (n_steps, {self.n_cells})"
                 )
         elif kind == "crossing":
-            self.check_dict("model", model, set(_DEFAULT_MODEL) - {"kind"}, ("kind",))
-            self._model = {**_DEFAULT_MODEL, **model}
+            check_keys(model, _DEFAULT_MODEL, (), "model")
+            model = {**_DEFAULT_MODEL, **model}
+            self._model = {k: v if k == "kind" else float(v) for k, v in model.items()}
             if self._model["period"] < 2:
                 raise ConfigError("crossing period must be >= 2")
             self._phases = 2 * np.pi * np.arange(self.n_cells) / self.n_cells
         else:
             raise ConfigError(f"unknown mobility model kind {kind!r}")
-        self.noise_std = self.real("noise_std", noise_std)
+        self.noise_std = float(noise_std)
         if self.noise_std < 0:
             raise ConfigError("noise_std must be >= 0")
-        self.ho_interruption = int(ho_interruption)
-        self.rlf_threshold = self.real("rlf_threshold", rlf_threshold)
+        self.rlf_threshold = float(rlf_threshold)
         self.pingpong_window = int(pingpong_window)
-        self.hysteresis = self.real("hysteresis", hysteresis)
+        self.hysteresis = float(hysteresis)
         if self.pingpong_window < 1:
             raise ConfigError("pingpong_window must be >= 1")
         # The cells other than serving cell s, in order; shared by every

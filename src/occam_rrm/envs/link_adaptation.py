@@ -42,31 +42,27 @@ class LinkAdaptEnv(RrmEnv):
     ):
         super().__init__()
         self.n_mcs = self.size("n_mcs", n_mcs, 1)
-        self.rates = (
-            self.reals("rates", rates)
-            if rates is not None
-            else 0.5 * (1 + np.arange(self.n_mcs))
-        )
-        self.s50 = (
-            self.reals("s50", s50)
-            if s50 is not None
-            else np.linspace(0.0, 14.0, self.n_mcs)
-        )
+        if rates is None:
+            rates = 0.5 * (1 + np.arange(self.n_mcs))
+        if s50 is None:
+            s50 = np.linspace(0.0, 14.0, self.n_mcs)
+        self.rates = np.asarray(rates, dtype=float)
+        self.s50 = np.asarray(s50, dtype=float)
         if self.rates.shape != (self.n_mcs,) or self.s50.shape != (self.n_mcs,):
             raise ConfigError("rates and s50 must have one entry per MCS")
         if np.any(np.diff(self.rates) <= 0):
             raise ConfigError("rates must be strictly increasing with MCS index")
         if np.any(np.diff(self.s50) < 0):
             raise ConfigError("s50 thresholds must be nondecreasing with MCS index")
-        self.bler_slope = self.real("bler_slope", bler_slope)
+        self.bler_slope = float(bler_slope)
         if self.bler_slope <= 0:
             raise ConfigError("bler_slope must be > 0 (BLER decreasing in SINR)")
-        self.sinr_mean = self.real("sinr_mean", sinr_mean)
-        self.ar_coeff = self.real("ar_coeff", ar_coeff)
+        self.sinr_mean = float(sinr_mean)
+        self.ar_coeff = float(ar_coeff)
         if not (0.0 <= self.ar_coeff < 1.0):
             raise ConfigError("ar_coeff must lie in [0, 1)")
-        self.innovation_std = self.real("innovation_std", innovation_std)
-        self.report_noise_std = self.real("report_noise_std", report_noise_std)
+        self.innovation_std = float(innovation_std)
+        self.report_noise_std = float(report_noise_std)
         for name in ("innovation_std", "report_noise_std"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")

@@ -19,10 +19,10 @@ class PowerEnv(RrmEnv):
                  mean_gain=1.0, fixed_gains=None):
         super().__init__()
         self.n_channels = self.size("n_channels", n_channels, 1)
-        self.total_power = self.real("total_power", total_power)
-        self.noise = self.real("noise", noise)
+        self.total_power = float(total_power)
+        self.noise = float(noise)
         self.coherence = int(coherence)
-        self.mean_gain = self.real("mean_gain", mean_gain)
+        self.mean_gain = float(mean_gain)
         if self.total_power <= 0:
             raise ConfigError("total_power must be > 0")
         if self.noise <= 0:
@@ -32,13 +32,12 @@ class PowerEnv(RrmEnv):
         if fixed_gains is None:
             self.fixed_gains = None
         else:
-            self.fixed_gains = self.reals("fixed_gains", fixed_gains)
+            # shared by every observation, so a read-only copy
+            self.fixed_gains = np.array(fixed_gains, dtype=float)
             if self.fixed_gains.shape != (self.n_channels,):
                 raise ConfigError("fixed_gains must list one gain per channel")
             if np.any(self.fixed_gains < 0):
                 raise ConfigError("fixed_gains must be nonnegative")
-            # shared by every observation, so a read-only copy
-            self.fixed_gains = self.fixed_gains.copy()
             self.fixed_gains.flags.writeable = False
 
     def gains_at(self, t: int) -> np.ndarray:

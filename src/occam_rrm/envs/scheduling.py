@@ -29,11 +29,9 @@ class SchedulingEnv(RrmEnv):
     ):
         super().__init__()
         self.n_users = self.size("n_users", n_users, 2)
-        self.mean_efficiency = (
-            self.reals("mean_efficiency", mean_efficiency)
-            if mean_efficiency is not None
-            else np.ones(self.n_users)
-        )
+        if mean_efficiency is None:
+            mean_efficiency = np.ones(self.n_users)
+        self.mean_efficiency = np.asarray(mean_efficiency, dtype=float)
         if self.mean_efficiency.shape != (self.n_users,):
             raise ConfigError("mean_efficiency needs one entry per user")
         if np.any(self.mean_efficiency <= 0):
@@ -44,17 +42,16 @@ class SchedulingEnv(RrmEnv):
         self._mean_row.flags.writeable = False
         self.fading = fading
         self.full_buffer = arrival_rates is None
-        self.arrival_rates = (
-            None if self.full_buffer else self.reals("arrival_rates", arrival_rates)
-        )
-        if not self.full_buffer and self.arrival_rates.shape != (self.n_users,):
-            raise ConfigError("arrival_rates needs one entry per user")
-        self.ewma_alpha = self.real("ewma_alpha", ewma_alpha)
+        self.arrival_rates = None if self.full_buffer else np.asarray(arrival_rates, dtype=float)
+        if not self.full_buffer:
+            if self.arrival_rates.shape != (self.n_users,):
+                raise ConfigError("arrival_rates needs one entry per user")
+            if np.any(self.arrival_rates < 0):
+                raise ConfigError("arrival_rates entries must be >= 0")
+        self.ewma_alpha = float(ewma_alpha)
         if not (0.0 < self.ewma_alpha <= 1.0):
             raise ConfigError("ewma_alpha must lie in (0, 1]")
-        self.weights = (
-            self.reals("weights", weights) if weights is not None else np.ones(self.n_users)
-        )
+        self.weights = np.asarray(np.ones(self.n_users) if weights is None else weights, dtype=float)
         if self.weights.shape != (self.n_users,):
             raise ConfigError("weights needs one entry per user")
 

@@ -23,7 +23,7 @@ class TabularEnv(RrmEnv):
         self.initial_state = int(initial_state)
         if not (0 <= self.initial_state < mdp.n_states):
             raise ConfigError(f"initial_state {initial_state} outside [0, {mdp.n_states})")
-        self.reward_noise_std = self.real("reward_noise_std", reward_noise_std)
+        self.reward_noise_std = float(reward_noise_std)
         if self.reward_noise_std < 0:
             raise ConfigError("reward_noise_std must be >= 0")
 

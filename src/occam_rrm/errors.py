@@ -22,7 +22,7 @@ class MissingDiagnosticError(OccamRrmError):
 
 
 class NumericalError(OccamRrmError):
-    """A linear-algebra step failed in a way valid inputs should preclude."""
+    """A numerical step failed: a singular system, an overflowing reward or value."""
 
 
 class GpNumericalError(NumericalError):

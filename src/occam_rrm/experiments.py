@@ -155,22 +155,17 @@ class ExperimentConfig:
         error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(raw))
         if error is not None:
             raise ConfigError(f"config invalid at {error.json_path}: {error.message}")
-        seeds = raw.get("seeds", [0])
-        if isinstance(seeds, dict):
-            seeds = [derive_seed(seeds["base"], i) for i in range(seeds["count"])]
+        present = {k: raw[k] for k in ("horizon", "n_episodes", "outputs", "metrics") if k in raw}
+        if "seeds" in raw:
+            seeds = raw["seeds"]
+            if isinstance(seeds, dict):
+                seeds = [derive_seed(seeds["base"], i) for i in range(seeds["count"])]
+            present["seeds"] = tuple(int(s) for s in seeds)
         solvers = tuple(
             (s["name"], s.get("label", s["name"]), dict(s.get("config", {})))
             for s in raw["solvers"]
         )
-        return cls(
-            env=dict(raw["env"]),
-            solvers=solvers,
-            horizon=raw.get("horizon", 100),
-            n_episodes=raw.get("n_episodes", 1),
-            seeds=tuple(int(s) for s in seeds),
-            outputs=raw.get("outputs", "outputs"),
-            metrics=raw.get("metrics", "basic"),
-        )
+        return cls(env=dict(raw["env"]), solvers=solvers, **present)
 
     def to_dict(self) -> dict:
         return {

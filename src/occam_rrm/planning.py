@@ -14,6 +14,7 @@ from .rng import derive_seed
 
 MPC_NODE_BUDGET = 1_000_000
 MPC_BLOCK_EDGES = 1 << 16  # (state, action) pairs the lookahead steps at once
+Q_LEARNING_STEP_BUDGET = 10_000_000  # episodes x horizon, refused before training
 
 ALPHA0_DEFAULT = 0.5
 EPSILON0_DEFAULT = 0.2
@@ -55,7 +56,7 @@ def value_iteration(mdp: TabularMdp, tol: float = 1e-8) -> ValueTable:
     hit the float64 floor, where the threshold may be out of reach (large
     rewards at a discount near one); the loop stops there too, and the
     returned values are then within beta/(1-beta) times that change of the
-    fixed point."""
+    fixed point. A sweep whose values overflow raises NumericalError."""
     if tol <= 0:
         raise ConfigError("tol must be positive")
     beta = mdp.discount
@@ -67,6 +68,8 @@ def value_iteration(mdp: TabularMdp, tol: float = 1e-8) -> ValueTable:
     while True:
         q = _q_from_values(mdp, v)
         v_next = q.max(axis=1)
+        if not np.isfinite(v_next).all():
+            raise NumericalError("value iteration overflowed: values are not finite")
         change = np.max(np.abs(v_next - v))
         if change < stop:
             return ValueTable(values=v_next, policy=q.argmax(axis=1))
@@ -151,6 +154,8 @@ def q_learning(
     _require_enumerable(env)
     if episodes < 1 or horizon < 1:
         raise ConfigError("episodes and horizon must be >= 1")
+    if episodes * horizon > Q_LEARNING_STEP_BUDGET:
+        raise ConfigError(f"{episodes} x {horizon} training steps exceed {Q_LEARNING_STEP_BUDGET}")
     alpha = alpha if alpha is not None else hyperbolic_schedule(ALPHA0_DEFAULT)
     epsilon = epsilon if epsilon is not None else hyperbolic_schedule(EPSILON0_DEFAULT)
     actions = env.action_list()

@@ -129,17 +129,13 @@ def rzf_precoder(H: ChannelMatrix, power_budget: float, loading: float | None = 
 def sum_rate(H: ChannelMatrix, W: Precoder) -> float:
     """Downlink sum rate sum_u log2(1 + SINR_u) with
     SINR_u = |h_u^H w_u|^2 / (sum_{v != u} |h_u^H w_v|^2 + noise)."""
-    E = H.entries
     M = W.matrix
     if M.shape != (H.n_tx, H.n_users):
         raise ConfigError(
             f"precoder shape {M.shape} does not match channel "
             f"(n_tx={H.n_tx}, n_users={H.n_users})"
         )
-    G = E @ M
-    signal = np.abs(np.diag(G)) ** 2
-    total = np.sum(np.abs(G) ** 2, axis=1)
-    return float(np.sum(np.log2(1.0 + signal / (total - signal + H.noise_power))))
+    return _sum_rate_raw(H.entries, M, H.noise_power)
 
 
 def _sum_rate_raw(E: np.ndarray, M: np.ndarray, noise: float) -> float:

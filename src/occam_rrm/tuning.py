@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bandits import GpSurrogate, ucb_acquire
-from .config import build_from_config
+from .config import build_from_config, check_keys
 from .core import DEFAULT_DISCOUNT, discounted_return, run_episode
 from .envs import make_env
 from .errors import ConfigError
@@ -259,13 +259,12 @@ def bo_tune(
     dim = len(bounds)
     lows = np.array([lo for lo, _ in bounds])
     highs = np.array([hi for _, hi in bounds])
-    kernel_cfg = dict(kernel_cfg or {})
+    kernel_cfg = kernel_cfg or {}
+    check_keys(kernel_cfg, ("length_scales", "signal_var"), (), "kernel")
     length_scales = np.asarray(
-        kernel_cfg.pop("length_scales", 0.15 * np.maximum(highs - lows, 1e-12))
+        kernel_cfg.get("length_scales", 0.15 * np.maximum(highs - lows, 1e-12))
     )
-    signal_var = float(kernel_cfg.pop("signal_var", 1.0))
-    if kernel_cfg:
-        raise ConfigError(f"unknown kernel keys: {sorted(kernel_cfg)}")
+    signal_var = float(kernel_cfg.get("signal_var", 1.0))
 
     n_init = min(budget, max(2, round(0.25 * budget)))
     sobol = qmc.Sobol(d=dim, scramble=True, seed=seed)

@@ -216,10 +216,10 @@ def test_wrong_typed_env_value_exits_config_without_traceback(tmp_path, capsys, 
         assert err.startswith("config error:")
 
 
-# Python's JSON reader takes NaN and Infinity. strict_feasibility is a flag,
-# and bool(nan) is True.
+# Python's JSON reader takes NaN and Infinity. Refused under every key,
+# the strict_feasibility flag included, although bool(nan) is True.
 NON_FINITE = [
-    (kind, key, value) for kind, key in WRONG_TYPED if key != "strict_feasibility"
+    (kind, key, value) for kind, key in WRONG_TYPED
     for value in (float("nan"), float("inf"))
 ]
 NON_FINITE_IDS = [f"{k}.{key}={v}" for k, key, v in NON_FINITE]
@@ -231,7 +231,8 @@ NESTED_FIELDS = (
     + [("energy_saving", "traffic", {"kind": "sinusoid"}, f)
        for f in ("base", "amplitude", "period", "noise_std")]
     + [("energy_saving", "traffic", {"trace": [1.0]}, "noise_std")]
-    + [("admission_control", "classes", {"arrival_rate": 0.1, "departure_rate": 0.01}, f)
+    + [("admission_control", "classes",
+        {"arrival_rate": 0.1, "departure_rate": 0.01, "reward": 1.0}, f)
        for f in ("arrival_rate", "departure_rate", "demand", "reward",
                  "reject_penalty", "delay_penalty", "blocked_penalty")]
 )
@@ -288,9 +289,14 @@ NEGATIVE_STD = {
         ("energy_saving", "traffic", {"kind": "constant", "noise_std": -0.1}),
     "energy_saving.traffic.trace.noise_std=-0.1":
         ("energy_saving", "traffic", {"trace": [1.0], "noise_std": -0.1}),
+    # negative arrivals used to run to a NaN sum_log_throughput
+    "scheduling.arrival_rates[0]=-1": ("scheduling", "arrival_rates", [-1.0, 1.0, 1.0, 1.0]),
 }
 NON_FINITE += NEGATIVE_STD.values()
 NON_FINITE_IDS += NEGATIVE_STD
+# A numeric string goes through float() like a number, so "nan" is refused too.
+NON_FINITE.append(("handover", "noise_std", "nan"))
+NON_FINITE_IDS.append("handover.noise_std='nan'")
 
 
 @pytest.mark.parametrize("kind,key,value", NON_FINITE, ids=NON_FINITE_IDS)
@@ -304,6 +310,9 @@ NESTED_BAD_KEYS = {
     "energy_saving.traffic": ("energy_saving", "traffic", {"mean": 3.0}),
     "energy_saving.traffic.trace": ("energy_saving", "traffic", {"trace": [1.0], "base": 1.0}),
     "admission_control.classes": ("admission_control", "classes", [{"departure_rate": 0.1}]),
+    # a class without a reward used to end in a KeyError at its first accept
+    "admission_control.classes.reward":
+        ("admission_control", "classes", [{"arrival_rate": 0.1, "departure_rate": 0.1}]),
 }
 
 

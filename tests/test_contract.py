@@ -1,0 +1,216 @@
+"""The CLI's error contract, property-tested: any value under any env or
+solver config key gives exit 0, 2 or 3; a failure prints exactly one
+stderr line, `config error: ...` or `runtime error: ...`; and a run that
+succeeds writes only finite metrics."""
+
+import json
+import math
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import occam_rrm
+from occam_rrm.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from occam_rrm.config import config_keys
+from occam_rrm.envs import ENVS
+from occam_rrm.experiments import SOLVERS
+
+VALUES = [0, -1, 1e308, -1e308, float("nan"), float("inf"), float("-inf"), "abc", [], {}, 10**30]
+
+# One cheap solver per env kind; tabular needs its two required tables.
+CHEAP_SOLVER = {
+    "link_adaptation": "illa-olla",
+    "power_control": "uniform-power",
+    "beamforming": "full-scan",
+    "scheduling": "round-robin",
+    "energy_saving": "min-energy",
+    "handover": "greedy-ho",
+    "admission_control": "accept-all",
+    "tabular": "value-iteration",
+}
+BASE_ENV = {"tabular": {"transition": [[[1.0]]], "reward": [[1.0]]}}
+# Valid values for required solver keys and small training and planning
+# sizes, each overridden when it is the key under test.
+BASE_SOLVER = {"budget_per_step": 2, "mcs": 1, "thresholds": [0, 2],
+               "train_episodes": 2, "train_horizon": 5, "plan_horizon": 2}
+
+# (domain, env kind or solver, key, nested field, base of the nested dict)
+ENV_CASES = [
+    ("env", kind, key, None, None) for kind in ENVS for key in sorted(config_keys(ENVS[kind])[0])
+]
+SOLVER_CASES = [
+    ("solver", name, key, None, None)
+    for name, spec in SOLVERS.items()
+    for key in sorted(config_keys(spec.agent, ("env", "seed"))[0])
+]
+# Each field of a nested dict, under a base that is valid without it.
+NESTED_CASES = [
+    ("env", kind, key, field, base)
+    for kind, key, base, names in [
+        ("handover", "model", {"kind": "crossing"}, ("period", "near_rsrp", "far_rsrp")),
+        ("energy_saving", "traffic", {"kind": "sinusoid"},
+         ("base", "amplitude", "period", "noise_std")),
+        ("energy_saving", "traffic", {"trace": [1.0]}, ("noise_std",)),
+        ("admission_control", "classes", {"arrival_rate": 0.1, "departure_rate": 0.01, "reward": 1},
+         ("arrival_rate", "departure_rate", "demand", "reward", "reject_penalty",
+          "delay_penalty", "blocked_penalty")),
+    ]
+    for field in names
+] + [("solver", "bo-tracker", "kernel", field, {})
+     for field in ("length_scales", "signal_var", "prior_mean")]
+
+
+def case_config(domain, target, key, field, base, value, out) -> dict:
+    """A two-seed, five-step run with `value` under the env or solver key,
+    or under `field` of the nested dict there."""
+    if field is not None:
+        value = {**base, field: value}
+        value = [value] if key == "classes" else value
+    if domain == "env":
+        env = {"env": target, **BASE_ENV.get(target, {}), key: value}
+        solver = {"name": CHEAP_SOLVER[target]}
+    else:
+        spec = SOLVERS[target]
+        accepted = config_keys(spec.agent, ("env", "seed"))[0]
+        env = {"env": spec.envs[-1]}
+        solver_cfg = {k: v for k, v in BASE_SOLVER.items() if k in accepted}
+        solver = {"name": target, "config": {**solver_cfg, key: value}}
+    return {"env": env, "solvers": [solver], "horizon": 5, "n_episodes": 1,
+            "seeds": [0, 1], "outputs": str(out)}
+
+
+def check_outcome(code, err, out):
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME)
+    assert "Traceback" not in err
+    if code == EXIT_OK:
+        assert err == ""
+        summary = json.loads((out / "summary.json").read_text())
+        for record in summary["solvers"].values():
+            metrics = [record["metrics"], *record["per_seed"].values()]
+            assert all(math.isfinite(v) for m in metrics for v in m.values()), metrics
+    else:
+        assert len(err.splitlines()) == 1, err
+        prefix = "config error:" if code == EXIT_CONFIG else "runtime error:"
+        assert err.startswith(prefix), err
+
+
+def run_case(tmp_path, capsys, case, value, jobs):
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(case_config(*case, value, out)))
+    capsys.readouterr()
+    code = main(["run", str(path), "--jobs", str(jobs), "--quiet"])
+    check_outcome(code, capsys.readouterr().err, out)
+
+
+CASES = ENV_CASES + SOLVER_CASES + NESTED_CASES
+
+
+def case_id(case) -> str:
+    _, target, key, field, base = case
+    name = f"{target}.{key}" if field is None else f"{target}.{key}.{field}"
+    return name + ("[trace]" if base and "trace" in base else "")
+
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+# Eleven values to draw from, so each key sees every one of them.
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+@settings(PROPERTY, max_examples=len(VALUES))
+@given(value=st.sampled_from(VALUES))
+def test_any_value_keeps_the_error_contract(tmp_path, capsys, case, value):
+    run_case(tmp_path, capsys, case, value, jobs=1)
+
+
+# The same under a two-process pool, where agents are built in the workers
+# and their errors come back pickled; a pool costs a fork, so fewer draws.
+@settings(PROPERTY, max_examples=40)
+@given(case=st.sampled_from(CASES), value=st.sampled_from(VALUES))
+def test_any_value_keeps_the_error_contract_in_a_pool(tmp_path, capsys, case, value):
+    run_case(tmp_path, capsys, case, value, jobs=2)
+
+
+NAN = float("nan")
+BO = {"budget_per_step": 2}
+# (env kind, env config, solver, solver config): each once exited 0, ran
+# without end or ended in a traceback.
+REPROS = {
+    "bo-tracker.kernel.length_scales=nan":
+        ("beamforming", {}, "bo-tracker", {**BO, "kernel": {"length_scales": [NAN, 1]}}),
+    "bo-tracker.kernel.signal_var=nan":
+        ("beamforming", {}, "bo-tracker", {**BO, "kernel": {"signal_var": NAN}}),
+    "bo-tracker.kappa=nan": ("beamforming", {}, "bo-tracker", {**BO, "kappa": NAN}),
+    "illa-olla.step_up=nan": ("link_adaptation", {}, "illa-olla", {"step_up": NAN}),
+    "dpp-energy.v_weight=nan": ("energy_saving", {}, "dpp-energy", {"v_weight": NAN}),
+    "mro.time_to_trigger=nan": ("handover", {}, "mro", {"time_to_trigger": NAN}),
+    "trunk.thresholds[1]=nan": ("admission_control", {}, "trunk", {"thresholds": [0, NAN]}),
+    "value-iteration.tol=nan": ("admission_control", {}, "value-iteration", {"tol": NAN}),
+    "beamforming.reward-overflow":
+        ("beamforming", {"mean_rsrp": 1e308, "rsrp_std": 1e308}, "full-scan", {}),
+    "energy_saving.reward-overflow":
+        ("energy_saving", {"energy_weight": 1e308, "qos_weight": 1e308}, "es-thresholds", {}),
+    "scheduling.reward-overflow":
+        ("scheduling", {"mean_efficiency": [1e308, 1, 1, 1]}, "proportional-fair", {}),
+    "value-iteration.value-overflow": (
+        "admission_control",
+        {"classes": [{"arrival_rate": 0.25, "departure_rate": 0.02, "reward": 1e308}]},
+        "value-iteration", {},
+    ),
+    "scheduling.arrival_rates[0]=-1":
+        ("scheduling", {"arrival_rates": [-1, 1, 1, 1]}, "proportional-fair", {}),
+    "q-learning.train_episodes=10**30":
+        ("admission_control", {}, "q-learning", {"train_episodes": 10**30}),
+}
+
+# Runs each config through cli.main in this one process with stderr caught
+# per run; every warning is shown, so one that is normally shown once per
+# process still counts against each run.
+DRIVER = """
+import io, json, sys, warnings
+from contextlib import redirect_stderr
+from occam_rrm.cli import main
+warnings.simplefilter("always")
+for path in sys.argv[1:]:
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(["run", path, "--jobs", "1", "--quiet"])
+    print(json.dumps([code, err.getvalue()]))
+"""
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_repros_exit_with_one_line_in_2gib(tmp_path):
+    paths = []
+    for i, (kind, env, solver, solver_cfg) in enumerate(REPROS.values()):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps({
+            "env": {"env": kind, **env},
+            "solvers": [{"name": solver, "config": solver_cfg}],
+            "horizon": 20, "seeds": [0], "outputs": str(tmp_path / f"out{i}"),
+        }))
+        paths.append(str(path))
+    src = str(Path(occam_rrm.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", DRIVER, *paths], capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_address_space,
+        env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(REPROS)
+    for name, (code, err) in zip(REPROS, results):
+        assert code in (EXIT_CONFIG, EXIT_RUNTIME), (name, code, err)
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, (name, err)
+        assert err.startswith("config error:" if code == EXIT_CONFIG else "runtime error:")
+        if name.endswith("=nan"):  # the error names the key
+            assert name[:-4].split(".")[-1].split("[")[0] in err, (name, err)

@@ -18,6 +18,7 @@ from occam_rrm import (
     run_episode,
 )
 from occam_rrm.core import metric_columns
+from occam_rrm.errors import NumericalError
 
 
 class ConstantRewardEnv:
@@ -201,7 +202,7 @@ def test_changed_diagnostic_keys_name_the_step():
 
 
 def test_step_outcome_rejects_nan_reward():
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError):
         StepOutcome(observation=0, reward=float("nan"))
 
 

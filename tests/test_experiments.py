@@ -592,8 +592,8 @@ ENV_KEYS = {
                    "weights"},
     "energy_saving": {"n_resources", "capacity", "power_draw", "activation_delay", "traffic",
                       "qos_threshold", "qos_weight", "energy_weight"},
-    "handover": {"n_cells", "model", "noise_std", "ho_interruption", "rlf_threshold",
-                 "pingpong_window", "hysteresis"},
+    "handover": {"n_cells", "model", "noise_std", "rlf_threshold", "pingpong_window",
+                 "hysteresis"},
     "admission_control": {"capacity", "classes", "strict_feasibility", "safety_margin",
                           "qos_penalty", "discount"},
     "tabular": {"transition", "reward", "discount", "initial_state", "reward_noise_std"},
