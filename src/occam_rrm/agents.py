@@ -6,6 +6,7 @@ range checks live there, and the rules take plain numbers."""
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 
@@ -40,6 +41,9 @@ class IllaOllaAgent:
         self.step_down = step_up * (1.0 - target_bler) / target_bler
         if step_up <= 0 or self.step_down <= 0:
             raise ConfigError("step sizes must be positive")
+        if not math.isfinite(self.step_down):
+            raise ConfigError(f"step_down = step_up * (1 - target_bler) / target_bler must be "
+                              f"finite, got {self.step_down} from step_up {step_up}")
 
     def reset(self, seed):
         self.offset = 0.0

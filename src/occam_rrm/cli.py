@@ -8,13 +8,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
 from .advisor import ProblemTraits, advise, usecase_traits
 from .errors import ConfigError, OccamRrmError
-from .experiments import load_config, run_experiment, sweep
+from .experiments import ExperimentConfig, load_config, run_experiment, sweep
 from .plots import PLOT_KINDS, emit_plot
 
 EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME = 0, 2, 3
@@ -67,14 +67,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_with_overrides(args):
+    """The config with --out-dir and --seed in place of its outputs and
+    seeds, checked as the file's own values are."""
     cfg = load_config(args.config)
-    out_dir = getattr(args, "out_dir", None)
+    out_dir, seed = getattr(args, "out_dir", None), getattr(args, "seed", None)
+    if out_dir is None and seed is None:
+        return cfg
+    raw = cfg.to_dict()
     if out_dir is not None:
-        cfg = replace(cfg, outputs=out_dir)
-    seed = getattr(args, "seed", None)
+        raw["outputs"] = out_dir
     if seed is not None:
-        cfg = replace(cfg, seeds=(int(seed),))
-    return cfg
+        raw["seeds"] = [seed]
+    return ExperimentConfig.from_dict(raw)
 
 
 def cmd_run(args) -> int:

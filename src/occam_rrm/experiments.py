@@ -1,32 +1,34 @@
-"""Experiment harness: JSON configs validated against a shipped schema, a
-solver registry spanning every environment, seeded batch execution with an
-optional process pool, and deterministic CSV/JSON reports."""
+"""Experiment harness: JSON configs checked key by key against the
+ExperimentConfig fields, a solver registry spanning every environment,
+seeded batch execution with an optional process pool, and deterministic
+CSV/JSON reports."""
 
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import os
+import re
 import shutil
-from concurrent.futures import ProcessPoolExecutor
 from copy import deepcopy
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-
-import jsonschema
 
 from . import agents
 from .advisor import advise, usecase_traits
 from .bandits import BoTrackerAgent
-from .config import build_from_config, check_config
-from .core import DEFAULT_DISCOUNT, metric_columns, metrics_summary, run_episode
+from .config import build_from_config, check_config, check_keys
+from .core import DEFAULT_DISCOUNT, METRIC_PROFILES, metric_columns, metrics_summary, run_episode
 from .envs import env_true_mdp, make_env
 from .errors import ConfigError
 from .planning import q_learning, value_iteration
 from .rng import derive_seed
 
-SCHEMA_PATH = Path(__file__).parent / "schemas" / "experiment.schema.json"
+LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+# Env steps one run may take (seeds x solvers x n_episodes x horizon), the
+# same bound as planning.Q_LEARNING_STEP_BUDGET; refused before any seed is
+# derived.
+RUN_STEP_BUDGET = 10_000_000
 
 
 # ---------------------------------------------------------------- registry
@@ -141,31 +143,48 @@ class ExperimentConfig:
     outputs: str = "outputs"
     metrics: str = "basic"
 
-    def __post_init__(self):
-        if not self.solvers:
-            raise ConfigError("at least one solver required")
-        if not self.seeds:
-            raise ConfigError("seeds must be nonempty")
-        labels = [label for _, label, _ in self.solvers]
+    @classmethod
+    def from_dict(cls, raw) -> "ExperimentConfig":
+        """The config of a parsed JSON object, each key checked: every count
+        a JSON integer (not a bool or a float) at or above its minimum, and
+        the run within RUN_STEP_BUDGET before a seed list is derived."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+        check_keys(raw, [f.name for f in fields(cls)], ("env", "solvers"), "experiment config")
+        env = raw["env"]
+        if not isinstance(env, dict) or not isinstance(env.get("env"), str):
+            raise ConfigError("env must be an object whose 'env' is a string")
+        solvers = raw["solvers"]
+        if not isinstance(solvers, list) or not solvers:
+            raise ConfigError("solvers must be a nonempty list")
+        solvers = tuple(_solver_entry(entry, f"solvers[{i}]") for i, entry in enumerate(solvers))
+        labels = [label for _, label, _ in solvers]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate solver labels: {sorted(labels)}")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(raw))
-        if error is not None:
-            raise ConfigError(f"config invalid at {error.json_path}: {error.message}")
-        present = {k: raw[k] for k in ("horizon", "n_episodes", "outputs", "metrics") if k in raw}
-        if "seeds" in raw:
-            seeds = raw["seeds"]
-            if isinstance(seeds, dict):
-                seeds = [derive_seed(seeds["base"], i) for i in range(seeds["count"])]
-            present["seeds"] = tuple(int(s) for s in seeds)
-        solvers = tuple(
-            (s["name"], s.get("label", s["name"]), dict(s.get("config", {})))
-            for s in raw["solvers"]
-        )
-        return cls(env=dict(raw["env"]), solvers=solvers, **present)
+        given = {f.name: raw.get(f.name, f.default) for f in fields(cls)}
+        horizon = _integer(given["horizon"], "horizon", 1)
+        n_episodes = _integer(given["n_episodes"], "n_episodes", 1)
+        outputs, metrics = _text(given["outputs"], "outputs"), given["metrics"]
+        if metrics not in METRIC_PROFILES:
+            raise ConfigError(f"metrics must be one of {list(METRIC_PROFILES)}, got {metrics!r}")
+        seeds = given["seeds"]
+        if isinstance(seeds, dict):
+            check_keys(seeds, ("base", "count"), ("base", "count"), "seeds")
+            base = _integer(seeds["base"], "seeds.base", 0)
+            count = _integer(seeds["count"], "seeds.count", 1)
+        elif isinstance(seeds, (list, tuple)) and seeds:
+            seeds = tuple(_integer(s, f"seeds[{i}]", 0) for i, s in enumerate(seeds))
+            count = len(seeds)
+        else:
+            raise ConfigError("seeds must be a nonempty list or an object {base, count}")
+        steps = count * len(solvers) * n_episodes * horizon
+        if steps > RUN_STEP_BUDGET:
+            raise ConfigError(f"{steps} env steps (seeds x solvers x n_episodes x horizon) "
+                              f"exceed the budget of {RUN_STEP_BUDGET}")
+        if isinstance(seeds, dict):
+            seeds = tuple(derive_seed(base, i) for i in range(count))
+        return cls(env=dict(env), solvers=solvers, horizon=horizon, n_episodes=n_episodes,
+                   seeds=seeds, outputs=outputs, metrics=metrics)
 
     def to_dict(self) -> dict:
         return {
@@ -181,13 +200,31 @@ class ExperimentConfig:
         }
 
 
-@functools.cache
-def _schema_validator():
-    """The shipped schema, checked once, as a validator that is built once."""
-    schema = json.loads(SCHEMA_PATH.read_text())
-    validator_cls = jsonschema.validators.validator_for(schema)
-    validator_cls.check_schema(schema)
-    return validator_cls(schema)
+def _solver_entry(entry, what: str) -> tuple:
+    """(name, label, config) of one item of a config's `solvers` list."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{what} must be an object, got {type(entry).__name__}")
+    check_keys(entry, ("name", "label", "config"), ("name",), what)
+    name = _text(entry["name"], f"{what}.name")
+    label = entry.get("label", name)
+    if "label" in entry and not (isinstance(label, str) and LABEL.fullmatch(label)):
+        raise ConfigError(f"{what}.label must match {LABEL.pattern}, got {label!r}")
+    solver_cfg = entry.get("config", {})
+    if not isinstance(solver_cfg, dict):
+        raise ConfigError(f"{what}.config must be an object, got {type(solver_cfg).__name__}")
+    return name, label, dict(solver_cfg)
+
+
+def _integer(value, what: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _text(value, what: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{what} must be a nonempty string, got {value!r}")
+    return value
 
 
 def load_config(path) -> ExperimentConfig:
@@ -195,7 +232,7 @@ def load_config(path) -> ExperimentConfig:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file {path} does not exist")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bytes that are not UTF-8 and an int past 4300 digits
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return ExperimentConfig.from_dict(raw)
 
@@ -265,6 +302,8 @@ def _run_all(cfgs, staging: Path, jobs) -> list[dict]:
     made = [d for d in staging.parents if not d.exists()]  # nearest first
     try:
         if jobs > 1 and len(cells) > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
+
             pool = ProcessPoolExecutor(max_workers=jobs)
             try:
                 results = list(pool.map(_run_cell, cells))

@@ -174,6 +174,16 @@ def test_missing_config_file_exits_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [b"{nope", b"\xff\xfe{}", b'{"horizon": ' + b"9" * 5000 + b"}"],
+                         ids=["not-json", "not-utf8", "5000-digit-int"])
+def test_unreadable_config_exits_config(tmp_path, capsys, data):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1, err
+
+
 def test_missing_diagnostic_exits_runtime(tmp_path, capsys):
     # link adaptation carries no per-user throughput, so the scheduling
     # profile fails at metrics time, after the config already validated
@@ -476,6 +486,17 @@ def test_seed_and_out_dir_overrides(tmp_path, capsys):
     assert summary["config"]["seeds"] == [9]
 
 
+@pytest.mark.parametrize("flags,field", [(["--seed", "-1"], "seeds"),
+                                         (["--out-dir", ""], "outputs")])
+def test_overrides_are_checked_as_config_values(tmp_path, capsys, monkeypatch, flags, field):
+    monkeypatch.chdir(tmp_path)  # an empty --out-dir once wrote here
+    cfg = la_config(tmp_path)
+    assert main(["run", cfg, *flags, "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err, err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_common_flags_accepted_before_subcommand(tmp_path):
     cfg = la_config(tmp_path)
     alt = tmp_path / "alt2"
@@ -559,12 +580,15 @@ def test_plot_missing_input_exits_config(tmp_path, capsys):
 def test_startup_loads_no_scipy_and_bo_tune_loads_it():
     # scipy.stats is imported inside tuning.bo_tune only; every module of
     # the package, as run/sweep/advise/plot load them, stays scipy-free.
+    # No module loads jsonschema, and only a --jobs > 1 run loads the
+    # process pool.
     code = """
 import importlib, pkgutil, sys
 import occam_rrm, occam_rrm.cli
 for info in pkgutil.walk_packages(occam_rrm.__path__, "occam_rrm."):
     importlib.import_module(info.name)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(sorted({"jsonschema", "concurrent.futures.process"} & set(sys.modules)))
 from occam_rrm.tuning import bo_tune
 bo_tune(lambda theta: -theta[0] ** 2, [(-1.0, 1.0)], budget=3)
 print("scipy.stats" in sys.modules)
@@ -573,4 +597,4 @@ print("scipy.stats" in sys.modules)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "True"]

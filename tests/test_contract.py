@@ -1,13 +1,14 @@
-"""The CLI's error contract, property-tested: any value under any env or
-solver config key gives exit 0, 2 or 3; a failure prints exactly one
-stderr line, `config error: ...` or `runtime error: ...`; and a run that
-succeeds writes only finite metrics."""
+"""The CLI's error contract, property-tested: any value under any
+top-level key, solver entry field, env or solver config key gives exit 0,
+2 or 3; a failure prints exactly one stderr line, `config error: ...` or
+`runtime error: ...`; and a run that succeeds writes only finite metrics."""
 
 import json
 import math
 import resource
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ import occam_rrm
 from occam_rrm.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from occam_rrm.config import config_keys
 from occam_rrm.envs import ENVS
-from occam_rrm.experiments import SOLVERS
+from occam_rrm.experiments import SOLVERS, ExperimentConfig
 
 VALUES = [0, -1, 1e308, -1e308, float("nan"), float("inf"), float("-inf"), "abc", [], {}, 10**30]
 
@@ -99,13 +100,16 @@ def check_outcome(code, err, out):
         assert err.startswith(prefix), err
 
 
-def run_case(tmp_path, capsys, case, value, jobs):
-    out = tmp_path / "out"
+def run_config(tmp_path, capsys, config, jobs):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(case_config(*case, value, out)))
+    path.write_text(json.dumps(config))
     capsys.readouterr()
     code = main(["run", str(path), "--jobs", str(jobs), "--quiet"])
-    check_outcome(code, capsys.readouterr().err, out)
+    check_outcome(code, capsys.readouterr().err, tmp_path / str(config["outputs"]))
+
+
+def run_case(tmp_path, capsys, case, value, jobs):
+    run_config(tmp_path, capsys, case_config(*case, value, tmp_path / "out"), jobs)
 
 
 CASES = ENV_CASES + SOLVER_CASES + NESTED_CASES
@@ -127,6 +131,39 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None,
 @given(value=st.sampled_from(VALUES))
 def test_any_value_keeps_the_error_contract(tmp_path, capsys, case, value):
     run_case(tmp_path, capsys, case, value, jobs=1)
+
+
+# Every top-level key, every field of a solver entry and of the seeds
+# object, with (key, None) for a top-level key.
+TOP_CASES = ([(f.name, None) for f in fields(ExperimentConfig)]
+             + [("solvers", field) for field in ("name", "label", "config")]
+             + [("seeds", field) for field in ("base", "count")])
+# Floats that JSON carries where the config takes an integer.
+TOP_VALUES = VALUES + [2.0, 1e300]
+
+
+def top_config(key, field, value, out) -> dict:
+    """A two-seed, five-step illa-olla run with `value` under a top-level
+    key, or under a field of its solver entry or seeds object."""
+    config = {"env": {"env": "link_adaptation"}, "solvers": [{"name": "illa-olla"}],
+              "horizon": 5, "n_episodes": 1, "seeds": [0, 1], "outputs": str(out)}
+    if field is None:
+        config[key] = value
+    elif key == "solvers":
+        config["solvers"] = [{"name": "illa-olla", field: value}]
+    else:
+        config["seeds"] = {"base": 0, "count": 2, field: value}
+    return config
+
+
+@pytest.mark.parametrize("key,field", TOP_CASES,
+                         ids=[key + (f".{field}" if field else "") for key, field in TOP_CASES])
+@settings(PROPERTY, max_examples=len(TOP_VALUES))
+@given(value=st.sampled_from(TOP_VALUES))
+def test_any_top_level_value_keeps_the_error_contract(tmp_path, capsys, monkeypatch, key, field,
+                                                      value):
+    monkeypatch.chdir(tmp_path)  # a drawn string under `outputs` names a directory here
+    run_config(tmp_path, capsys, top_config(key, field, value, tmp_path / "out"), jobs=1)
 
 
 # The same under a two-process pool, where agents are built in the workers
@@ -167,21 +204,33 @@ REPROS = {
         ("scheduling", {"arrival_rates": [-1, 1, 1, 1]}, "proportional-fair", {}),
     "q-learning.train_episodes=10**30":
         ("admission_control", {}, "q-learning", {"train_episodes": 10**30}),
+    "illa-olla.step_up=1e308": ("link_adaptation", {}, "illa-olla", {"step_up": 1e308}),
+}
+# Top-level keys over a 20-step illa-olla run, each refused with exit 2
+# within a second: the seed list once took hours to build, the run never
+# ended, a float horizon ended in a traceback, and a label matched its
+# pattern only up to a newline.
+TOP_REPROS = {
+    "seeds.count=10**9": {"seeds": {"base": 0, "count": 10**9}},
+    "horizon=10**12": {"horizon": 10**12},
+    "horizon=2.0": {"horizon": 2.0},
+    "label=a\\n": {"solvers": [{"name": "illa-olla", "label": "a\n"}]},
 }
 
 # Runs each config through cli.main in this one process with stderr caught
 # per run; every warning is shown, so one that is normally shown once per
 # process still counts against each run.
 DRIVER = """
-import io, json, sys, warnings
+import io, json, sys, time, warnings
 from contextlib import redirect_stderr
 from occam_rrm.cli import main
 warnings.simplefilter("always")
 for path in sys.argv[1:]:
     err = io.StringIO()
+    start = time.perf_counter()
     with redirect_stderr(err):
         code = main(["run", path, "--jobs", "1", "--quiet"])
-    print(json.dumps([code, err.getvalue()]))
+    print(json.dumps([code, err.getvalue(), time.perf_counter() - start]))
 """
 
 
@@ -190,14 +239,18 @@ def _limit_address_space():
 
 
 def test_repros_exit_with_one_line_in_2gib(tmp_path):
+    configs = [
+        {"env": {"env": kind, **env}, "solvers": [{"name": solver, "config": solver_cfg}]}
+        for kind, env, solver, solver_cfg in REPROS.values()
+    ] + [
+        {"env": {"env": "link_adaptation"}, "solvers": [{"name": "illa-olla"}], **top}
+        for top in TOP_REPROS.values()
+    ]
     paths = []
-    for i, (kind, env, solver, solver_cfg) in enumerate(REPROS.values()):
+    for i, config in enumerate(configs):
         path = tmp_path / f"cfg{i}.json"
-        path.write_text(json.dumps({
-            "env": {"env": kind, **env},
-            "solvers": [{"name": solver, "config": solver_cfg}],
-            "horizon": 20, "seeds": [0], "outputs": str(tmp_path / f"out{i}"),
-        }))
+        path.write_text(json.dumps({"horizon": 20, "seeds": [0],
+                                    "outputs": str(tmp_path / f"out{i}"), **config}))
         paths.append(str(path))
     src = str(Path(occam_rrm.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -207,10 +260,12 @@ def test_repros_exit_with_one_line_in_2gib(tmp_path):
     )
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     results = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert len(results) == len(REPROS)
-    for name, (code, err) in zip(REPROS, results):
+    assert len(results) == len(REPROS) + len(TOP_REPROS)
+    for name, (code, err, seconds) in zip([*REPROS, *TOP_REPROS], results):
         assert code in (EXIT_CONFIG, EXIT_RUNTIME), (name, code, err)
         assert len(err.splitlines()) == 1 and "Traceback" not in err, (name, err)
         assert err.startswith("config error:" if code == EXIT_CONFIG else "runtime error:")
         if name.endswith("=nan"):  # the error names the key
             assert name[:-4].split(".")[-1].split("[")[0] in err, (name, err)
+        if name in TOP_REPROS or name == "illa-olla.step_up=1e308":
+            assert code == EXIT_CONFIG and seconds < 1, (name, code, seconds)

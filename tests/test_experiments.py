@@ -62,6 +62,65 @@ def test_schema_violations_name_the_field(raw, fragment):
         ExperimentConfig.from_dict(raw)
 
 
+ENV = {"env": "link_adaptation"}
+SOLVER = {"name": "illa-olla"}
+
+
+def _with(**top):
+    """A valid config with the given top-level keys replaced or added."""
+    return {"env": ENV, "solvers": [SOLVER], **top}
+
+
+def _entry(**fields):
+    return _with(solvers=[{**SOLVER, **fields}])
+
+
+# One config per rule of the experiment config, each with a word its error
+# must carry: the field, or the key that is unknown or missing.
+REFUSALS = {
+    "top-level-list": ([], "config"),
+    "top-level-unknown-key": (_with(horizons=5), "horizons"),
+    "no-env": ({"solvers": [SOLVER]}, "env"),
+    "env-not-object": (_with(env="link_adaptation"), "env"),
+    "env-without-env": (_with(env={}), "env"),
+    "env-env-not-string": (_with(env={"env": 1}), "env"),
+    "no-solvers": ({"env": ENV}, "solvers"),
+    "solvers-not-list": (_with(solvers=SOLVER), "solvers"),
+    "solvers-empty": (_with(solvers=[]), "solvers"),
+    "solver-entry-not-object": (_with(solvers=["illa-olla"]), "solvers"),
+    "solver-entry-unknown-key": (_entry(cfg={}), "cfg"),
+    "solver-without-name": (_with(solvers=[{"label": "a"}]), "name"),
+    "solver-name-empty": (_entry(name=""), "name"),
+    "solver-name-not-string": (_entry(name=3), "name"),
+    "label-not-string": (_entry(label=3), "label"),
+    "label-bad-start": (_entry(label="-a"), "label"),
+    "label-bad-char": (_entry(label="a/b"), "label"),
+    "solver-config-not-object": (_entry(config=[]), "config"),
+    "horizon-zero": (_with(horizon=0), "horizon"),
+    "horizon-bool": (_with(horizon=True), "horizon"),
+    "horizon-string": (_with(horizon="5"), "horizon"),
+    "n-episodes-zero": (_with(n_episodes=0), "n_episodes"),
+    "n-episodes-bool": (_with(n_episodes=True), "n_episodes"),
+    "seeds-string": (_with(seeds="0"), "seeds"),
+    "seeds-empty-list": (_with(seeds=[]), "seeds"),
+    "seed-negative": (_with(seeds=[0, -1]), "seeds"),
+    "seed-bool": (_with(seeds=[True]), "seeds"),
+    "seeds-extra-key": (_with(seeds={"base": 0, "count": 1, "step": 1}), "seeds"),
+    "seeds-without-count": (_with(seeds={"base": 0}), "seeds"),
+    "seeds-base-negative": (_with(seeds={"base": -1, "count": 1}), "seeds"),
+    "seeds-count-zero": (_with(seeds={"base": 0, "count": 0}), "seeds"),
+    "metrics-unknown": (_with(metrics="nope"), "metrics"),
+    "outputs-empty": (_with(outputs=""), "outputs"),
+    "outputs-not-string": (_with(outputs=1), "outputs"),
+}
+
+
+@pytest.mark.parametrize("raw,fragment", REFUSALS.values(), ids=REFUSALS)
+def test_every_config_rule_refuses_naming_the_field(raw, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        ExperimentConfig.from_dict(raw)
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         ExperimentConfig.from_dict({
