@@ -98,7 +98,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_with_overrides(args)
     try:
         values = json.loads(args.values)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int past 4300 digits
         raise ConfigError(f"--values is not valid JSON: {exc}") from exc
     if not isinstance(values, list):
         raise ConfigError("--values must be a JSON list")
@@ -112,8 +112,10 @@ def cmd_advise(args) -> int:
     if args.traits is not None:
         try:
             data = json.loads(args.traits)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"--traits is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError("--traits must be a JSON object")
         known = {f.name for f in fields(ProblemTraits)}
         extra = set(data) - known
         if extra:

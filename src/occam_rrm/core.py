@@ -174,7 +174,8 @@ def run_episode(env, policy, horizon: int, seed: int) -> EpisodeLog:
     read outcomes from the next observation. Episodes stop after `horizon`
     steps or when the environment reports done. The first step's
     diagnostic keys are the log's columns; a later step with other keys
-    raises MissingDiagnosticError.
+    raises MissingDiagnosticError, and a NaN or infinite value in a column
+    raises NumericalError.
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
@@ -202,6 +203,14 @@ def run_episode(env, policy, horizon: int, seed: int) -> EpisodeLog:
             break
     columns = {k: np.fromiter(map(itemgetter(k), diagnostics), float, len(diagnostics))
                for k in sorted(keys)}
+    first_bad = []  # (step, key) of each column's first non-finite value
+    for k, column in columns.items():
+        finite = np.isfinite(column)
+        if not finite.all():
+            first_bad.append((int(finite.argmin()), k))
+    if first_bad:
+        t, k = min(first_bad)
+        raise NumericalError(f"step {t}: non-finite diagnostic {k} = {columns[k][t]}")
     return EpisodeLog(actions, np.array(rewards, dtype=float), columns, seed,
                       getattr(env, "name", type(env).__name__))
 

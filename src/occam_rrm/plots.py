@@ -212,7 +212,7 @@ def emit_plot(input_path, kind: str, out_path) -> Path:
     else:
         try:
             summary = json.loads(input_path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also bytes that are not UTF-8
             raise ConfigError(f"{input_path} is not valid JSON: {exc}") from exc
         if kind == "rsrp-heatmap":
             svg = _render_heatmap(summary)

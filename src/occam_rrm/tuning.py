@@ -17,6 +17,7 @@ from .envs import make_env
 from .errors import ConfigError
 from .experiments import SOLVERS
 from .rng import derive_seed
+from .sobol import scrambled_sobol
 
 NM_REFLECT, NM_EXPAND, NM_CONTRACT, NM_SHRINK = 1.0, 2.0, 0.5, 0.5
 
@@ -247,10 +248,12 @@ def bo_tune(
 ) -> TuneResult:
     """Scrambled-Sobol design over 25% of the budget (at least two points),
     then UCB acquisition over a fixed candidate lattice. Deterministic given
-    the seed."""
-    # scipy.stats takes most of a second to import; nothing else needs it
-    from scipy.stats import qmc
+    the seed.
 
+    The design uses Joe & Kuo's (2008) direction numbers under Owen's
+    linear matrix scramble and digital shift (`sobol.scrambled_sobol`), so
+    it supports at most 16 dimensions; more raise ConfigError before any
+    evaluation. Beyond 2 dimensions the candidates are 512 Sobol' points."""
     if budget < 2:
         raise ConfigError("budget must be >= 2")
     if kappa < 0:
@@ -267,9 +270,8 @@ def bo_tune(
     signal_var = float(kernel_cfg.get("signal_var", 1.0))
 
     n_init = min(budget, max(2, round(0.25 * budget)))
-    sobol = qmc.Sobol(d=dim, scramble=True, seed=seed)
     # draw a power-of-two block (Sobol balance), keep the first n_init
-    block = sobol.random(2 ** int(np.ceil(np.log2(n_init))))
+    block = scrambled_sobol(dim, 2 ** int(np.ceil(np.log2(n_init))), seed)
     design = lows + block[:n_init] * (highs - lows)
 
     evaluations = []
@@ -286,8 +288,7 @@ def bo_tune(
         mesh = np.meshgrid(*grid, indexing="ij")
         candidates = np.stack([m.ravel() for m in mesh], axis=1)
     else:
-        cand_sobol = qmc.Sobol(d=dim, scramble=True, seed=seed + 1)
-        candidates = lows + cand_sobol.random(512) * (highs - lows)
+        candidates = lows + scrambled_sobol(dim, 512, seed + 1) * (highs - lows)
 
     surrogate = GpSurrogate(
         length_scales=length_scales,

@@ -577,11 +577,10 @@ def test_plot_missing_input_exits_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_startup_loads_no_scipy_and_bo_tune_loads_it():
-    # scipy.stats is imported inside tuning.bo_tune only; every module of
-    # the package, as run/sweep/advise/plot load them, stays scipy-free.
-    # No module loads jsonschema, and only a --jobs > 1 run loads the
-    # process pool.
+def test_startup_and_bo_tune_load_no_scipy():
+    # No module of the package loads scipy, neither at import nor when
+    # tuning.bo_tune draws its Sobol' design. No module loads jsonschema,
+    # and only a --jobs > 1 run loads the process pool.
     code = """
 import importlib, pkgutil, sys
 import occam_rrm, occam_rrm.cli
@@ -590,11 +589,11 @@ for info in pkgutil.walk_packages(occam_rrm.__path__, "occam_rrm."):
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 print(sorted({"jsonschema", "concurrent.futures.process"} & set(sys.modules)))
 from occam_rrm.tuning import bo_tune
-bo_tune(lambda theta: -theta[0] ** 2, [(-1.0, 1.0)], budget=3)
-print("scipy.stats" in sys.modules)
+bo_tune(lambda theta: -theta[0] ** 2, [(-1.0, 1.0)] * 3, budget=3)  # design and candidates
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     src = str(Path(occam_rrm.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]", "True"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]"]

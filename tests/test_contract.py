@@ -205,6 +205,8 @@ REPROS = {
     "q-learning.train_episodes=10**30":
         ("admission_control", {}, "q-learning", {"train_episodes": 10**30}),
     "illa-olla.step_up=1e308": ("link_adaptation", {}, "illa-olla", {"step_up": 1e308}),
+    "link_adaptation.innovation_std=1e308":
+        ("link_adaptation", {"innovation_std": 1e308}, "fixed-mcs", {"mcs": 2}),
 }
 # Top-level keys over a 20-step illa-olla run, each refused with exit 2
 # within a second: the seed list once took hours to build, the run never
@@ -217,25 +219,64 @@ TOP_REPROS = {
     "label=a\\n": {"solvers": [{"name": "illa-olla", "label": "a\n"}]},
 }
 
-# Runs each config through cli.main in this one process with stderr caught
-# per run; every warning is shown, so one that is normally shown once per
-# process still counts against each run.
+# Command lines whose flag values once ended in a traceback; `{config}` is
+# a valid run config and `{bad}` a file that is not UTF-8.
+CLI_REPROS = {
+    "advise --traits 5": ["advise", "--traits", "5"],
+    "advise --traits null": ["advise", "--traits", "null"],
+    "advise --traits []": ["advise", "--traits", "[]"],
+    "sweep --values [5000 digits]":
+        ["sweep", "{config}", "--param", "horizon", "--values", f"[{'9' * 5000}]"],
+    "plot non-UTF-8 input": ["plot", "{bad}", "--kind", "reward-curve", "--out", "{bad}.svg"],
+}
+
+# Runs each JSON-encoded argv through cli.main in this one process with
+# stderr caught per run; every warning is shown, so one that is normally
+# shown once per process still counts against each run.
 DRIVER = """
 import io, json, sys, time, warnings
 from contextlib import redirect_stderr
 from occam_rrm.cli import main
 warnings.simplefilter("always")
-for path in sys.argv[1:]:
+for argv in sys.argv[1:]:
     err = io.StringIO()
     start = time.perf_counter()
     with redirect_stderr(err):
-        code = main(["run", path, "--jobs", "1", "--quiet"])
+        code = main(json.loads(argv))
     print(json.dumps([code, err.getvalue(), time.perf_counter() - start]))
 """
 
 
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def drive(argvs) -> list:
+    """[exit code, stderr, seconds] of each argv, run by DRIVER under a
+    2 GiB address-space limit."""
+    src = str(Path(occam_rrm.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", DRIVER, *map(json.dumps, argvs)], capture_output=True, text=True,
+        timeout=120, preexec_fn=_limit_address_space,
+        env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def test_cli_repros_exit_config_with_one_line(tmp_path):
+    config, bad = tmp_path / "cfg.json", tmp_path / "bad.json"
+    config.write_text(json.dumps({"env": {"env": "link_adaptation"},
+                                  "solvers": [{"name": "illa-olla"}], "horizon": 5,
+                                  "seeds": [0], "outputs": str(tmp_path / "out")}))
+    bad.write_bytes(b"\xff\xfe")
+    argvs = [[a.format(config=config, bad=bad) for a in argv] for argv in CLI_REPROS.values()]
+    results = drive(argvs)
+    assert len(results) == len(CLI_REPROS)
+    for name, (code, err, seconds) in zip(CLI_REPROS, results):
+        assert code == EXIT_CONFIG and seconds < 1, (name, code, err, seconds)
+        assert len(err.splitlines()) == 1 and err.startswith("config error:"), (name, err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_repros_exit_with_one_line_in_2gib(tmp_path):
@@ -252,14 +293,7 @@ def test_repros_exit_with_one_line_in_2gib(tmp_path):
         path.write_text(json.dumps({"horizon": 20, "seeds": [0],
                                     "outputs": str(tmp_path / f"out{i}"), **config}))
         paths.append(str(path))
-    src = str(Path(occam_rrm.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", DRIVER, *paths], capture_output=True, text=True, timeout=120,
-        preexec_fn=_limit_address_space,
-        env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
-    )
-    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    results = drive([["run", path, "--jobs", "1", "--quiet"] for path in paths])
     assert len(results) == len(REPROS) + len(TOP_REPROS)
     for name, (code, err, seconds) in zip([*REPROS, *TOP_REPROS], results):
         assert code in (EXIT_CONFIG, EXIT_RUNTIME), (name, code, err)
@@ -269,3 +303,5 @@ def test_repros_exit_with_one_line_in_2gib(tmp_path):
             assert name[:-4].split(".")[-1].split("[")[0] in err, (name, err)
         if name in TOP_REPROS or name == "illa-olla.step_up=1e308":
             assert code == EXIT_CONFIG and seconds < 1, (name, code, seconds)
+        if name == "link_adaptation.innovation_std=1e308":
+            assert code == EXIT_RUNTIME and seconds < 1 and "sinr" in err, (name, code, err)

@@ -5,12 +5,15 @@ the 2-D bowl at (1, 2).
 """
 
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from occam_rrm.errors import ConfigError
+from occam_rrm.sobol import JOE_KUO, MAX_DIM, scrambled_sobol
 from occam_rrm.tuning import (
     ParamPolicy,
     TuneResult,
@@ -224,6 +227,34 @@ def test_bo_negative_kappa_rejected_before_any_evaluation():
     with pytest.raises(ConfigError, match="kappa"):
         bo_tune(lambda th: calls.append(th) or 0.0, ((-1.0, 1.0),), budget=2, kappa=-1.0)
     assert calls == []
+
+
+def test_bo_over_16_dimensions_rejected_before_any_evaluation():
+    calls = []
+    with pytest.raises(ConfigError, match="16 dimensions"):
+        bo_tune(lambda th: calls.append(th) or 0.0, ((0.0, 1.0),) * 17, budget=8)
+    assert calls == []
+
+
+# ---------------------------------------------------------------- sobol
+
+# scipy is the reference for the design bo_tune draws, not a dependency.
+@pytest.mark.parametrize("d", range(1, MAX_DIM + 1))
+def test_scrambled_sobol_matches_scipy_bit_for_bit(d):
+    qmc = pytest.importorskip("scipy.stats").qmc
+    for seed in range(20):
+        for n in (1, 2, 4, 16, 512):
+            expected = qmc.Sobol(d, scramble=True, seed=seed).random(n)
+            assert np.array_equal(scrambled_sobol(d, n, seed), expected), (seed, n)
+
+
+def test_joe_kuo_table_is_scipys_first_16_rows():
+    pytest.importorskip("scipy.stats")
+    origin = Path(importlib.util.find_spec("scipy").origin).parent
+    table = np.load(origin / "stats" / "_sobol_direction_numbers.npz")
+    assert [poly for poly, _ in JOE_KUO] == table["poly"][:MAX_DIM].tolist()
+    for row, (_, m) in zip(table["vinit"], JOE_KUO):
+        assert row.tolist() == list(m) + [0] * (len(row) - len(m))
 
 
 # ---------------------------------------------------------------- fd ascent
