@@ -6,14 +6,18 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .envs import make_env
 from .errors import ConfigError, PlotDataError
+from .experiments import ExperimentConfig
 
 PLOT_KINDS = ("rsrp-heatmap", "accuracy-vs-speed", "reward-curve")
+# beams x steps of one heatmap: an SVG of about 12 MB, far past legibility
+HEATMAP_CELL_BUDGET = 100_000
 
 MARGIN_LEFT, MARGIN_TOP, MARGIN_RIGHT, MARGIN_BOTTOM = 60, 30, 20, 45
 PLOT_W, PLOT_H = 640, 360
@@ -77,14 +81,15 @@ def _scale(values, lo_px, hi_px):
 
 
 def _render_heatmap(summary: dict) -> str:
-    env_cfg = summary.get("config", {}).get("env", {})
-    if env_cfg.get("env") != "beamforming":
+    cfg = ExperimentConfig.from_dict(summary.get("config"))
+    if cfg.env["env"] != "beamforming":
         raise PlotDataError("rsrp-heatmap needs a beamforming experiment summary")
-    horizon = summary["config"].get("horizon", 100)
-    seeds = summary["config"].get("seeds") or [0]
-    env = make_env(env_cfg)
-    env.reset(int(seeds[0]))
-    field = env.rsrp_trace(horizon).values  # [n_beams, n_steps]
+    env = make_env(cfg.env)
+    if env.n_beams * cfg.horizon > HEATMAP_CELL_BUDGET:
+        raise ConfigError(f"{env.n_beams} beams x horizon {cfg.horizon} exceed the heatmap's "
+                          f"budget of {HEATMAP_CELL_BUDGET} cells")
+    env.reset(cfg.seeds[0])
+    field = env.rsrp_trace(cfg.horizon).values  # [n_beams, n_steps]
     n_beams, n_steps = field.shape
 
     width = MARGIN_LEFT + PLOT_W + MARGIN_RIGHT
@@ -112,21 +117,42 @@ def _render_heatmap(summary: dict) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _read_sweep_rows(path: Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+def _read_csv(path: Path, columns) -> list[dict]:
+    """The rows of a CSV file that has every one of `columns`."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise PlotDataError(f"{path} is not a readable CSV: {exc}") from exc
+    if not rows:
+        raise PlotDataError(f"{path} has no rows")
+    missing = [c for c in columns if c not in rows[0]]
+    if missing:
+        raise PlotDataError(f"{path} lacks the column(s) {missing}")
+    return rows
+
+
+def _number(text, what: str):
+    """A finite number from a CSV cell, parsed as JSON."""
+    try:
+        value = json.loads(text)
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, ValueError, OverflowError):  # not JSON, not a number, past a float
+        finite = False
+    if not finite:
+        raise PlotDataError(f"{what} {text!r} is not a finite number")
+    return value
 
 
 def _render_accuracy_vs_speed(sweep_path: Path) -> str:
-    rows = _read_sweep_rows(sweep_path)
-    if not rows:
-        raise PlotDataError("sweep CSV has no rows")
+    rows = _read_csv(sweep_path, ("value", "solver"))
     if "accuracy" not in rows[0]:
         raise PlotDataError("accuracy-vs-speed needs an 'accuracy' series (beam profile)")
-    solvers = sorted({r["solver"] for r in rows})
+    points = [(r["solver"], _number(r["value"], "sweep value"),
+               _number(r["accuracy"], "accuracy")) for r in rows]
+    solvers = sorted({solver for solver, _, _ in points})
     speeds = []
-    for r in rows:
-        v = json.loads(r["value"])
+    for _, v, _ in points:
         if v not in speeds:
             speeds.append(v)
 
@@ -137,11 +163,7 @@ def _render_accuracy_vs_speed(sweep_path: Path) -> str:
 
     parts = _svg_open(width, height)
     for i, solver in enumerate(solvers):
-        pts = [
-            (json.loads(r["value"]), float(r["accuracy"]))
-            for r in rows
-            if r["solver"] == solver
-        ]
+        pts = [(v, a) for s, v, a in points if s == solver]
         coords = " ".join(f"{_f(to_x(v))},{_f(to_y_raw(a))}" for v, a in pts)
         color = PALETTE[i % len(PALETTE)]
         parts.append(
@@ -159,19 +181,17 @@ def _render_accuracy_vs_speed(sweep_path: Path) -> str:
 
 
 def _render_reward_curve(summary: dict, summary_path: Path) -> str:
-    solvers = summary.get("solvers", {})
-    if not solvers:
+    solvers = summary.get("solvers")
+    if not solvers or not isinstance(solvers, dict):
         raise PlotDataError("summary has no solver entries")
     series = {}
     for label in sorted(solvers):
-        files = solvers[label].get("episode_files") or []
-        if not files:
+        entry = solvers[label]
+        files = entry.get("episode_files") if isinstance(entry, dict) else None
+        if not files or not isinstance(files, list) or not isinstance(files[0], str):
             raise PlotDataError(f"solver '{label}' has no episode files for a reward curve")
-        with open(summary_path.parent / files[0], newline="") as fh:
-            rewards = [float(row["reward"]) for row in csv.DictReader(fh)]
-        if not rewards:
-            raise PlotDataError(f"episode file for '{label}' has no reward series")
-        series[label] = np.cumsum(rewards)
+        rows = _read_csv(summary_path.parent / files[0], ("reward",))
+        series[label] = np.cumsum([_number(row["reward"], "reward") for row in rows])
 
     width = MARGIN_LEFT + PLOT_W + MARGIN_RIGHT
     height = MARGIN_TOP + PLOT_H + MARGIN_BOTTOM
@@ -214,6 +234,9 @@ def emit_plot(input_path, kind: str, out_path) -> Path:
             summary = json.loads(input_path.read_text())
         except ValueError as exc:  # also bytes that are not UTF-8
             raise ConfigError(f"{input_path} is not valid JSON: {exc}") from exc
+        if not isinstance(summary, dict):
+            raise ConfigError(f"{input_path} must hold a JSON object, "
+                              f"got {type(summary).__name__}")
         if kind == "rsrp-heatmap":
             svg = _render_heatmap(summary)
         else:

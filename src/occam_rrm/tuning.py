@@ -1,6 +1,6 @@
 """Black-box optimization of parameterized expert policies: common-random-
-number policy evaluation, a hand-rolled bounded Nelder-Mead simplex, GP-based
-tuning over parameter boxes, and projected finite-difference ascent."""
+number policy evaluation, a hand-rolled bounded Nelder-Mead simplex, and
+GP-based tuning over parameter boxes."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from .config import build_from_config, check_keys
 from .core import DEFAULT_DISCOUNT, discounted_return, run_episode
 from .envs import make_env
 from .errors import ConfigError
-from .experiments import SOLVERS
+from .experiments import SOLVERS, check_compatibility
 from .rng import derive_seed
 from .sobol import scrambled_sobol
 
@@ -23,6 +23,15 @@ NM_REFLECT, NM_EXPAND, NM_CONTRACT, NM_SHRINK = 1.0, 2.0, 0.5, 0.5
 
 
 # ---------------------------------------------------------------- results
+
+def _check_bounds(bounds) -> tuple:
+    """(low, high) float pairs, refused unless each is finite with low <= high."""
+    bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+    for lo, hi in bounds:
+        if not -np.inf < lo <= hi < np.inf:
+            raise ConfigError(f"bound ({lo}, {hi}) must be finite with low <= high")
+    return bounds
+
 
 @dataclass(frozen=True)
 class ParamPolicy:
@@ -36,14 +45,12 @@ class ParamPolicy:
 
     def __post_init__(self):
         theta = tuple(float(x) for x in self.theta)
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
+        bounds = _check_bounds(self.bounds)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "bounds", bounds)
         if len(theta) != len(bounds):
             raise ConfigError("theta and bounds must have matching dimensions")
         for x, (lo, hi) in zip(theta, bounds):
-            if lo > hi:
-                raise ConfigError("each bound must satisfy low <= high")
             if not lo <= x <= hi:
                 raise ConfigError(f"theta component {x} outside [{lo}, {hi}]")
 
@@ -117,29 +124,23 @@ def evaluate_policy(
     n_episodes: int,
     horizon: int,
     seed: int,
-    materializer=None,
 ) -> tuple[float, float]:
-    """Mean discounted return and its standard error. Episode i always uses
-    the seed derived from (seed, i), never from theta, so evaluations at
+    """Mean discounted return and its standard error of the family's solver
+    at theta, on an env kind that solver supports. Episode i always uses the
+    seed derived from (seed, i), never from theta, so evaluations at
     different theta share their noise (common random numbers)."""
     if n_episodes < 1:
         raise ConfigError("n_episodes must be >= 1")
-    if materializer is None:
-        if policy.family not in FAMILIES:
-            raise ConfigError(
-                f"unknown policy family {policy.family!r}; "
-                f"known: {sorted(FAMILIES)} (or pass a materializer)"
-            )
-        overrides, solver, solver_cfg = FAMILIES[policy.family](policy.theta)
-        env_cfg = {**env_cfg, **overrides}
-
-        def materializer(cfg, theta):
-            env = make_env(cfg)
-            return env, build_from_config(SOLVERS[solver].agent, solver_cfg, "solver", env=env)
+    if policy.family not in FAMILIES:
+        raise ConfigError(f"unknown policy family {policy.family!r}; known: {sorted(FAMILIES)}")
+    overrides, solver, solver_cfg = FAMILIES[policy.family](policy.theta)
+    env_cfg = {**env_cfg, **overrides}
+    check_compatibility(solver, env_cfg.get("env"))
 
     returns = []
     for i in range(n_episodes):
-        env, agent = materializer(env_cfg, policy.theta)
+        env = make_env(env_cfg)
+        agent = build_from_config(SOLVERS[solver].agent, solver_cfg, "solver", env=env)
         log = run_episode(env, agent, horizon=horizon, seed=derive_seed(seed, i))
         returns.append(discounted_return(log.rewards, getattr(env, "discount", DEFAULT_DISCOUNT)))
     returns = np.asarray(returns)
@@ -171,7 +172,7 @@ def nelder_mead(objective, theta0, bounds, max_evals: int = 200, tol: float = 1e
     """Bounded simplex maximization with the standard (1, 2, 0.5, 0.5)
     coefficients; candidate points are projected into the bounds. Stops on
     simplex diameter < tol, or flags truncation at the eval budget."""
-    bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+    bounds = _check_bounds(bounds)
     dim = len(theta0)
     if dim < 1:
         raise ConfigError("need at least one dimension")
@@ -258,7 +259,7 @@ def bo_tune(
         raise ConfigError("budget must be >= 2")
     if kappa < 0:
         raise ConfigError("kappa must be nonnegative")
-    bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+    bounds = _check_bounds(bounds)
     dim = len(bounds)
     lows = np.array([lo for lo, _ in bounds])
     highs = np.array([hi for _, hi in bounds])
@@ -278,14 +279,9 @@ def bo_tune(
     for point in design:
         _record(objective, tuple(point), evaluations)
 
-    if dim == 1:
-        grid = [np.linspace(lows[0], highs[0], 201)]
-    elif dim == 2:
-        grid = [np.linspace(lo, hi, 41) for lo, hi in bounds]
-    else:
-        grid = None
-    if grid is not None:
-        mesh = np.meshgrid(*grid, indexing="ij")
+    if dim <= 2:
+        n_grid = 201 if dim == 1 else 41
+        mesh = np.meshgrid(*(np.linspace(lo, hi, n_grid) for lo, hi in bounds), indexing="ij")
         candidates = np.stack([m.ravel() for m in mesh], axis=1)
     else:
         candidates = lows + scrambled_sobol(dim, 512, seed + 1) * (highs - lows)
@@ -305,47 +301,3 @@ def bo_tune(
 
     theta, value = _best(evaluations)
     return TuneResult(theta, value, evaluations)
-
-
-def fd_ascent(
-    objective,
-    theta0,
-    bounds,
-    step: float,
-    fd_delta: float,
-    iters: int = 20,
-) -> TuneResult:
-    """Projected gradient ascent with central finite differences. Probe
-    points are clipped into the bounds, degrading to one-sided differences
-    at the boundary."""
-    if fd_delta <= 0:
-        raise ConfigError("fd_delta must be positive")
-    bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-    theta = np.asarray(_clip(theta0, bounds), dtype=float)
-    dim = len(theta)
-    evaluations = []
-    value0 = _record(objective, tuple(theta), evaluations)
-    if step == 0.0:
-        return TuneResult(tuple(theta), value0, evaluations)
-
-    for _ in range(iters):
-        grad = np.zeros(dim)
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = fd_delta
-            plus = np.asarray(_clip(theta + e, bounds))
-            minus = np.asarray(_clip(theta - e, bounds))
-            gap = plus[i] - minus[i]
-            if gap <= 0:
-                continue
-            f_plus = _record(objective, tuple(plus), evaluations)
-            f_minus = _record(objective, tuple(minus), evaluations)
-            grad[i] = (f_plus - f_minus) / gap
-        if not np.any(grad):
-            break
-        theta = np.asarray(_clip(theta + step * grad, bounds))
-        _record(objective, tuple(theta), evaluations)
-
-    theta_best, value = _best(evaluations)
-    return TuneResult(theta_best, value, evaluations)
-

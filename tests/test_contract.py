@@ -230,6 +230,26 @@ CLI_REPROS = {
     "plot non-UTF-8 input": ["plot", "{bad}", "--kind", "reward-curve", "--out", "{bad}.svg"],
 }
 
+# Plot inputs that once ended in a traceback or, for the 10^7-step heatmap,
+# ran on past 10 s: (input file content, --kind, expected exit code).
+BF_CONFIG = {"env": {"env": "beamforming"}, "solvers": [{"name": "full-scan"}], "seeds": [0]}
+SWEEP_HEAD = "param,value,solver,accuracy\n"
+PLOT_REPROS = {
+    "summary 5, reward-curve": ("5", "reward-curve", EXIT_CONFIG),
+    "summary 5, rsrp-heatmap": ("5", "rsrp-heatmap", EXIT_CONFIG),
+    "solver entry 5": (json.dumps({"solvers": {"a": 5}}), "reward-curve", EXIT_RUNTIME),
+    "horizon abc": (json.dumps({"config": {**BF_CONFIG, "horizon": "abc"}}), "rsrp-heatmap",
+                    EXIT_CONFIG),
+    "horizon 10**7": (json.dumps({"config": {**BF_CONFIG, "horizon": 10**7}}), "rsrp-heatmap",
+                      EXIT_CONFIG),
+    "sweep value not JSON":
+        (SWEEP_HEAD + "env.ue_speed,abc,full-scan,0.5\n", "accuracy-vs-speed", EXIT_RUNTIME),
+    "sweep without solver":
+        ("param,value,accuracy\nenv.ue_speed,1.0,0.5\n", "accuracy-vs-speed", EXIT_RUNTIME),
+    "sweep accuracy not a number":
+        (SWEEP_HEAD + "env.ue_speed,1.0,full-scan,high\n", "accuracy-vs-speed", EXIT_RUNTIME),
+}
+
 # Runs each JSON-encoded argv through cli.main in this one process with
 # stderr caught per run; every warning is shown, so one that is normally
 # shown once per process still counts against each run.
@@ -277,6 +297,20 @@ def test_cli_repros_exit_config_with_one_line(tmp_path):
         assert code == EXIT_CONFIG and seconds < 1, (name, code, err, seconds)
         assert len(err.splitlines()) == 1 and err.startswith("config error:"), (name, err)
     assert not (tmp_path / "out").exists()
+
+
+def test_plot_repros_exit_with_one_line(tmp_path):
+    argvs = []
+    for i, (content, kind, _) in enumerate(PLOT_REPROS.values()):
+        path = tmp_path / f"input{i}"
+        path.write_text(content)
+        argvs.append(["plot", str(path), "--kind", kind, "--out", str(tmp_path / f"{i}.svg")])
+    results = drive(argvs)
+    assert len(results) == len(PLOT_REPROS)
+    for (name, (_, _, expected)), (code, err, seconds) in zip(PLOT_REPROS.items(), results):
+        assert code == expected and seconds < 1, (name, code, err, seconds)
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, (name, err)
+    assert not list(tmp_path.glob("*.svg"))
 
 
 def test_repros_exit_with_one_line_in_2gib(tmp_path):

@@ -1,4 +1,4 @@
-"""Parameterized-policy evaluation and the three tuners.
+"""Parameterized-policy evaluation and the two tuners.
 
 Analytic optima anchor the tuner tests: the 1-D quadratic peaks at 3 and
 the 2-D bowl at (1, 2).
@@ -19,7 +19,6 @@ from occam_rrm.tuning import (
     TuneResult,
     bo_tune,
     evaluate_policy,
-    fd_ascent,
     nelder_mead,
 )
 
@@ -94,22 +93,8 @@ def test_es_thresholds_family_evaluates_at_the_lower_bound_corner(theta):
     assert np.isfinite(mean)
 
 
-def test_custom_family_uses_caller_materializer():
-    from occam_rrm.agents import FixedMcsAgent
-    from occam_rrm.envs import make_env
-
-    def build(cfg, theta):
-        return make_env(dict(cfg)), FixedMcsAgent(int(round(theta[0])))
-
-    policy = ParamPolicy("custom", (3.0,), ((0.0, 10.0),))
-    mean, _ = evaluate_policy(
-        {"env": "link_adaptation"}, policy, 2, 50, seed=0, materializer=build
-    )
-    assert np.isfinite(mean)
-
-
 def test_unknown_family_and_bad_policy_rejected():
-    with pytest.raises(ConfigError, match="materializer"):
+    with pytest.raises(ConfigError, match="unknown policy family"):
         evaluate_policy(HO_NOISELESS, ParamPolicy("custom", (1.0,), ((0.0, 2.0),)), 1, 10, 0)
     with pytest.raises(ConfigError):
         ParamPolicy("mro", (25.0, 3.0), MRO_BOUNDS)  # theta outside bounds
@@ -117,6 +102,23 @@ def test_unknown_family_and_bad_policy_rejected():
         ParamPolicy("mro", (1.0,), MRO_BOUNDS)  # dimension mismatch
     with pytest.raises(ConfigError):
         evaluate_policy(HO_NOISELESS, ParamPolicy("mro", (1.0, 2.0), MRO_BOUNDS), 0, 10, 0)
+
+
+# Each family's solver on an env kind it does not support once failed
+# mid-episode with an AttributeError; now refused before any episode.
+@pytest.mark.parametrize(
+    "family, theta, bounds, env, solver",
+    [
+        ("mro", (1.0, 2.0), MRO_BOUNDS, "energy_saving", "mro"),
+        ("es_thresholds", (0.3, 0.9), ((0.0, 1.0), (0.0, 1.0)), "link_adaptation",
+         "es-thresholds"),
+        ("olla_steps", (0.01,), ((0.001, 0.1),), "handover", "illa-olla"),
+    ],
+)
+def test_family_on_wrong_env_kind_names_its_solver(family, theta, bounds, env, solver):
+    policy = ParamPolicy(family, theta, bounds)
+    with pytest.raises(ConfigError, match=f"solver '{solver}' supports"):
+        evaluate_policy({"env": env}, policy, 1, 10, 0)
 
 
 # ---------------------------------------------------------------- nelder-mead
@@ -257,24 +259,6 @@ def test_joe_kuo_table_is_scipys_first_16_rows():
         assert row.tolist() == list(m) + [0] * (len(row) - len(m))
 
 
-# ---------------------------------------------------------------- fd ascent
-
-def test_fd_linear_objective_hits_upper_bound():
-    res = fd_ascent(lambda th: 2.0 * th[0], (0.2,), ((0.0, 1.0),), step=0.3, fd_delta=1e-3)
-    assert res.best_theta[0] == 1.0
-
-
-def test_fd_step_zero_returns_theta0_only():
-    res = fd_ascent(lambda th: -((th[0] - 3.0) ** 2), (1.0,), ((0.0, 5.0),), step=0.0, fd_delta=1e-3)
-    assert res.best_theta == (1.0,)
-    assert len(res.evaluations) == 1
-
-
-def test_fd_delta_validated():
-    with pytest.raises(ConfigError):
-        fd_ascent(lambda th: 0.0, (0.5,), ((0.0, 1.0),), step=0.1, fd_delta=0.0)
-
-
 # ---------------------------------------------------------------- invariants
 
 @pytest.mark.parametrize(
@@ -282,9 +266,8 @@ def test_fd_delta_validated():
     [
         lambda f, b: nelder_mead(f, (0.9,), b, max_evals=60),
         lambda f, b: bo_tune(f, b, budget=20, seed=4),
-        lambda f, b: fd_ascent(f, (0.9,), b, step=0.5, fd_delta=1e-2, iters=10),
     ],
-    ids=["nelder_mead", "bo", "fd"],
+    ids=["nelder_mead", "bo"],
 )
 def test_every_evaluated_theta_respects_bounds(tuner):
     # Optimum sits on the boundary, forcing each tuner to project.
@@ -293,6 +276,24 @@ def test_every_evaluated_theta_respects_bounds(tuner):
     for theta, _, _ in res.evaluations:
         assert 0.0 <= theta[0] <= 1.0
     assert res.best_value == max(v for _, v, _ in res.evaluations)
+
+
+@pytest.mark.parametrize(
+    "tuner",
+    [
+        lambda f, b: nelder_mead(f, (0.0,), b),
+        lambda f, b: bo_tune(f, b, budget=4),
+    ],
+    ids=["nelder_mead", "bo"],
+)
+@pytest.mark.parametrize(
+    "bounds", [((1.0, -1.0),), ((0.0, float("nan")),)], ids=["inverted", "nan"]
+)
+def test_bad_bounds_rejected_before_any_evaluation(tuner, bounds):
+    calls = []
+    with pytest.raises(ConfigError, match="finite with low <= high"):
+        tuner(lambda th: calls.append(th) or 0.0, bounds)
+    assert calls == []
 
 
 def test_tune_result_invariant_and_serialization():
