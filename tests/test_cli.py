@@ -1,6 +1,7 @@
 """Command line and figure coverage: subcommand exit codes, flag overrides,
 and the three SVG renderers."""
 
+import hashlib
 import json
 import re
 import resource
@@ -133,6 +134,68 @@ def test_accuracy_vs_speed_needs_beam_profile(tmp_path):
     sweep_path = sweep(cfg, "solvers.0.config.mcs", [0, 1])
     with pytest.raises(PlotDataError, match="accuracy"):
         emit_plot(sweep_path, "accuracy-vs-speed", tmp_path / "acc.svg")
+
+
+def seven_solver_summary(tmp_path) -> Path:
+    """A summary of seven solvers, one more than the palette holds, whose
+    reward files differ in length and sign."""
+    solvers = {}
+    for i in range(7):
+        rewards = [(-1) ** (i + t) * (t + i) / 3 for t in range(4 + i)]
+        name = f"s{i}.csv"
+        (tmp_path / name).write_text("t,reward\n" + "".join(f"{t},{r!r}\n"
+                                                           for t, r in enumerate(rewards)))
+        solvers[f"solver-{i}"] = {"episode_files": [name]}
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps({"solvers": solvers}))
+    return path
+
+
+def beam_sweep_csv(tmp_path, rows) -> Path:
+    path = tmp_path / "sweep.csv"
+    path.write_text("param,value,solver,accuracy\n"
+                    + "".join(f"env.ue_speed,{v},{s},{a}\n" for v, s, a in rows))
+    return path
+
+
+def bf_config_summary(tmp_path, **env) -> Path:
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps({"config": {
+        "env": {"env": "beamforming", "n_beams": 4, **env},
+        "solvers": [{"name": "full-scan"}], "horizon": 6, "seeds": [3],
+    }}))
+    return path
+
+
+# sha256 of each figure, taken before plots.py shared its page frame and
+# series loop between the renderers; any change of a byte shows here.
+SVG_CASES = {
+    "reward-curve, 7 solvers (palette wraps)": (
+        seven_solver_summary, "reward-curve",
+        "5f4fc09847fc00ff74e44afe5e9ccbfdc57cb6c330523e5ad239fae09f477c6b"),
+    "accuracy-vs-speed, one value": (
+        lambda p: beam_sweep_csv(p, [(2.0, "knn-tracker", 0.75), (2.0, "full-scan", 1.0)]),
+        "accuracy-vs-speed",
+        "9a5cfba05a97f75036d4ddaf44996ad956548fd7a1746681c9a425af9b6570fc"),
+    "accuracy-vs-speed, three values": (
+        lambda p: beam_sweep_csv(p, [(v, s, a) for v in (0.5, 2.0, 8.0)
+                                     for s, a in (("bo-tracker", 1 / v), ("full-scan", 0.9))]),
+        "accuracy-vs-speed",
+        "bdcc2781a7fbce187f99eac137297f30e516b69959426d4f1366dbe8f347cbc8"),
+    "rsrp-heatmap, rsrp_std 0 (zero span)": (
+        lambda p: bf_config_summary(p, rsrp_std=0), "rsrp-heatmap",
+        "d6c0ff05471ba74f1105d8055564856e8def42fc15e17271c79ee23e757708e1"),
+    "rsrp-heatmap": (
+        bf_config_summary, "rsrp-heatmap",
+        "295b851e47e1c8976ca83f75398640645fb779fe89839c286fd60008dcb3702b"),
+}
+
+
+@pytest.mark.parametrize("case", SVG_CASES)
+def test_svg_matches_golden_digest(tmp_path, case):
+    build, kind, digest = SVG_CASES[case]
+    out = emit_plot(build(tmp_path), kind, tmp_path / "fig.svg")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_emit_plot_rejects_unknown_kind_and_missing_input(tmp_path):
