@@ -71,6 +71,8 @@ class AdmissionEnv(RrmEnv):
         self.safety_margin = float(safety_margin)
         self.qos_penalty = float(qos_penalty)
         self.discount = float(discount)
+        if not 0.0 <= self.discount < 1.0:
+            raise ConfigError(f"discount must lie in [0, 1), got {self.discount}")
         # Uniformized chain: total event probability must stay below one even
         # at the fullest states (conservative per-class bound).
         worst = sum(c["arrival_rate"] for c in self.classes) + sum(

@@ -29,6 +29,8 @@ class PowerEnv(RrmEnv):
             raise ConfigError("noise must be > 0")
         if self.coherence < 1:
             raise ConfigError("coherence must be >= 1")
+        if self.mean_gain < 0:
+            raise ConfigError("mean_gain must be nonnegative")
         if fixed_gains is None:
             self.fixed_gains = None
         else:

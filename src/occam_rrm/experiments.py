@@ -6,6 +6,7 @@ CSV/JSON reports."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import re
@@ -318,9 +319,8 @@ def _run_all(cfgs, staging: Path, jobs) -> list[dict]:
             out_dir.mkdir(parents=True, exist_ok=True)
             shutil.rmtree(out_dir / "episodes", ignore_errors=True)
             os.replace(staging / str(i), out_dir / "episodes")
-            partial = out_dir / "summary.json.partial"
-            partial.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-            os.replace(partial, out_dir / "summary.json")
+            _write_atomic(out_dir / "summary.json",
+                          json.dumps(summary, sort_keys=True, indent=2) + "\n")
     finally:
         shutil.rmtree(staging, ignore_errors=True)
         for d in made:  # kept only when they hold this run's output
@@ -329,6 +329,17 @@ def _run_all(cfgs, staging: Path, jobs) -> list[dict]:
             except OSError:
                 break
     return summaries
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Publish `text` at `path` whole: written to `<name>.partial` beside it,
+    then renamed over it. On a failure `path` is as it was."""
+    partial = path.with_name(path.name + ".partial")
+    try:
+        partial.write_text(text, newline="")
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def _summary(cfg: ExperimentConfig, discount: float, results) -> dict:
@@ -409,11 +420,10 @@ def sweep(cfg: ExperimentConfig, param_path: str, values, jobs=None) -> Path:
     for stale in out_dir.glob("value_*"):
         if stale.is_dir() and stale.name not in kept:
             shutil.rmtree(stale)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["param", "value", "solver"] + list(metrics))
+    writer.writerows(rows)
     sweep_path = out_dir / "sweep.csv"
-    partial = out_dir / "sweep.csv.partial"
-    with open(partial, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["param", "value", "solver"] + list(metrics))
-        writer.writerows(rows)
-    os.replace(partial, sweep_path)
+    _write_atomic(sweep_path, buf.getvalue())
     return sweep_path

@@ -13,7 +13,7 @@ import numpy as np
 
 from .envs import make_env
 from .errors import ConfigError, PlotDataError
-from .experiments import ExperimentConfig
+from .experiments import ExperimentConfig, _write_atomic
 
 PLOT_KINDS = ("rsrp-heatmap", "accuracy-vs-speed", "reward-curve")
 # beams x steps of one heatmap: an SVG of about 12 MB, far past legibility
@@ -21,6 +21,7 @@ HEATMAP_CELL_BUDGET = 100_000
 
 MARGIN_LEFT, MARGIN_TOP, MARGIN_RIGHT, MARGIN_BOTTOM = 60, 30, 20, 45
 PLOT_W, PLOT_H = 640, 360
+WIDTH, HEIGHT = MARGIN_LEFT + PLOT_W + MARGIN_RIGHT, MARGIN_TOP + PLOT_H + MARGIN_BOTTOM
 
 # line colors cycle per solver
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -28,15 +29,6 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 def _f(x: float) -> str:
     return f"{x:.2f}"
-
-
-def _svg_open(width: float, height: float) -> list:
-    return [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(width)}" '
-        f'height="{_f(height)}" viewBox="0 0 {_f(width)} {_f(height)}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-    ]
 
 
 def _text(x, y, s, size=12, anchor="middle", rotate=None) -> str:
@@ -56,15 +48,40 @@ def _heat_color(u: float) -> str:
     return f"rgb({r},{g},{b})"
 
 
-def _axes(parts, x_label, y_label, width, height):
+def _figure(body, x_label, y_label, extra=()) -> str:
+    """The SVG page: white ground, `body`, the labelled axes, then `extra`."""
     x0, y0 = MARGIN_LEFT, MARGIN_TOP
-    x1, y1 = width - MARGIN_RIGHT, height - MARGIN_BOTTOM
-    parts.append(
+    x1, y1 = WIDTH - MARGIN_RIGHT, HEIGHT - MARGIN_BOTTOM
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(WIDTH)}" '
+        f'height="{_f(HEIGHT)}" viewBox="0 0 {_f(WIDTH)} {_f(HEIGHT)}">',
+        '<rect width="100%" height="100%" fill="white"/>',
+        *body,
         f'<path d="M {_f(x0)} {_f(y0)} L {_f(x0)} {_f(y1)} L {_f(x1)} {_f(y1)}" '
-        'fill="none" stroke="black" stroke-width="1"/>'
-    )
-    parts.append(_text((x0 + x1) / 2, height - 10, x_label))
-    parts.append(_text(16, (y0 + y1) / 2, y_label, rotate=True))
+        'fill="none" stroke="black" stroke-width="1"/>',
+        _text((x0 + x1) / 2, HEIGHT - 10, x_label),
+        _text(16, (y0 + y1) / 2, y_label, rotate=True),
+        *extra,
+        "</svg>",
+    ]
+    return "\n".join(parts) + "\n"
+
+
+def _series(lines, to_x, to_y, stroke_width) -> list:
+    """A polyline and a legend entry per (label, [(x, y), ...]) line."""
+    parts = []
+    for i, (label, points) in enumerate(lines):
+        coords = " ".join(f"{_f(to_x(x))},{_f(to_y(y))}" for x, y in points)
+        color = PALETTE[i % len(PALETTE)]
+        parts.append(
+            f'<polyline class="series" data-solver="{label}" points="{coords}" '
+            f'fill="none" stroke="{color}" stroke-width="{stroke_width}"/>'
+        )
+        parts.append(
+            _text(WIDTH - MARGIN_RIGHT - 4, MARGIN_TOP + 16 + 16 * i, label, anchor="end")
+        )
+    return parts
 
 
 def _scale(values, lo_px, hi_px):
@@ -77,7 +94,7 @@ def _scale(values, lo_px, hi_px):
     def to_px(v):
         return lo_px + (v - vmin) / span * (hi_px - lo_px)
 
-    return to_px, vmin, vmax
+    return to_px
 
 
 def _render_heatmap(summary: dict) -> str:
@@ -92,29 +109,23 @@ def _render_heatmap(summary: dict) -> str:
     field = env.rsrp_trace(cfg.horizon).values  # [n_beams, n_steps]
     n_beams, n_steps = field.shape
 
-    width = MARGIN_LEFT + PLOT_W + MARGIN_RIGHT
-    height = MARGIN_TOP + PLOT_H + MARGIN_BOTTOM
     cell_w = PLOT_W / n_steps
     cell_h = PLOT_H / n_beams
     vmin, vmax = float(field.min()), float(field.max())
     span = (vmax - vmin) or 1.0
 
-    parts = _svg_open(width, height)
+    cells = []
     for b in range(n_beams):
         for t in range(n_steps):
             u = (field[b, t] - vmin) / span
             x = MARGIN_LEFT + t * cell_w
             y = MARGIN_TOP + b * cell_h
-            parts.append(
+            cells.append(
                 f'<rect class="cell" x="{_f(x)}" y="{_f(y)}" width="{_f(cell_w)}" '
                 f'height="{_f(cell_h)}" fill="{_heat_color(u)}"/>'
             )
-    _axes(parts, "time step", "beam index", width, height)
-    parts.append(
-        _text(width - MARGIN_RIGHT, 18, f"RSRP {vmin:.0f}..{vmax:.0f} dB", anchor="end")
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    legend = _text(WIDTH - MARGIN_RIGHT, 18, f"RSRP {vmin:.0f}..{vmax:.0f} dB", anchor="end")
+    return _figure(cells, "time step", "beam index", [legend])
 
 
 def _read_csv(path: Path, columns) -> list[dict]:
@@ -155,29 +166,13 @@ def _render_accuracy_vs_speed(sweep_path: Path) -> str:
     for _, v, _ in points:
         if v not in speeds:
             speeds.append(v)
-
-    width = MARGIN_LEFT + PLOT_W + MARGIN_RIGHT
-    height = MARGIN_TOP + PLOT_H + MARGIN_BOTTOM
-    to_x, _, _ = _scale(speeds, MARGIN_LEFT + 20, width - MARGIN_RIGHT - 20)
-    to_y_raw, _, _ = _scale([0.0, 1.0], height - MARGIN_BOTTOM, MARGIN_TOP)
-
-    parts = _svg_open(width, height)
-    for i, solver in enumerate(solvers):
-        pts = [(v, a) for s, v, a in points if s == solver]
-        coords = " ".join(f"{_f(to_x(v))},{_f(to_y_raw(a))}" for v, a in pts)
-        color = PALETTE[i % len(PALETTE)]
-        parts.append(
-            f'<polyline class="series" data-solver="{solver}" points="{coords}" '
-            f'fill="none" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            _text(width - MARGIN_RIGHT - 4, MARGIN_TOP + 16 + 16 * i, solver, anchor="end")
-        )
+    to_x = _scale(speeds, MARGIN_LEFT + 20, WIDTH - MARGIN_RIGHT - 20)
+    to_y = _scale([0.0, 1.0], HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
+    lines = [(solver, [(v, a) for s, v, a in points if s == solver]) for solver in solvers]
+    parts = _series(lines, to_x, to_y, 2)
     for v in speeds:
-        parts.append(_text(to_x(v), height - MARGIN_BOTTOM + 16, f"{v}"))
-    _axes(parts, "UE speed", "accuracy", width, height)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts.append(_text(to_x(v), HEIGHT - MARGIN_BOTTOM + 16, f"{v}"))
+    return _figure(parts, "UE speed", "accuracy")
 
 
 def _render_reward_curve(summary: dict, summary_path: Path) -> str:
@@ -193,27 +188,12 @@ def _render_reward_curve(summary: dict, summary_path: Path) -> str:
         rows = _read_csv(summary_path.parent / files[0], ("reward",))
         series[label] = np.cumsum([_number(row["reward"], "reward") for row in rows])
 
-    width = MARGIN_LEFT + PLOT_W + MARGIN_RIGHT
-    height = MARGIN_TOP + PLOT_H + MARGIN_BOTTOM
     longest = max(len(s) for s in series.values())
     all_vals = np.concatenate(list(series.values()))
-    to_x, _, _ = _scale([0, max(longest - 1, 1)], MARGIN_LEFT, width - MARGIN_RIGHT)
-    to_y, _, _ = _scale(all_vals, height - MARGIN_BOTTOM, MARGIN_TOP)
-
-    parts = _svg_open(width, height)
-    for i, (label, vals) in enumerate(series.items()):
-        coords = " ".join(f"{_f(to_x(t))},{_f(to_y(v))}" for t, v in enumerate(vals))
-        color = PALETTE[i % len(PALETTE)]
-        parts.append(
-            f'<polyline class="series" data-solver="{label}" points="{coords}" '
-            f'fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
-            _text(width - MARGIN_RIGHT - 4, MARGIN_TOP + 16 + 16 * i, label, anchor="end")
-        )
-    _axes(parts, "time step", "cumulative reward", width, height)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    to_x = _scale([0, max(longest - 1, 1)], MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
+    to_y = _scale(all_vals, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
+    lines = [(label, enumerate(vals)) for label, vals in series.items()]
+    return _figure(_series(lines, to_x, to_y, 1.5), "time step", "cumulative reward")
 
 
 def emit_plot(input_path, kind: str, out_path) -> Path:
@@ -243,5 +223,5 @@ def emit_plot(input_path, kind: str, out_path) -> Path:
             svg = _render_reward_curve(summary, input_path)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(svg)
+    _write_atomic(out_path, svg)
     return out_path

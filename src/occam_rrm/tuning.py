@@ -176,6 +176,8 @@ def nelder_mead(objective, theta0, bounds, max_evals: int = 200, tol: float = 1e
     dim = len(theta0)
     if dim < 1:
         raise ConfigError("need at least one dimension")
+    if len(bounds) != dim:
+        raise ConfigError(f"theta0 has {dim} components for {len(bounds)} bounds")
     for x, (lo, hi) in zip(theta0, bounds):
         if not lo <= x <= hi:
             raise ConfigError(f"theta0 component {x} outside [{lo}, {hi}]")

@@ -3,6 +3,7 @@ and the three SVG renderers."""
 
 import hashlib
 import json
+import os
 import re
 import resource
 import subprocess
@@ -631,6 +632,22 @@ def test_plot_out_dir_prefixes_relative_out(tmp_path):
             "--out", "fig.svg", "--out-dir", str(figs), "--quiet"]
     assert main(argv) == EXIT_OK
     assert (figs / "fig.svg").exists()
+
+
+def test_plot_failed_rename_keeps_the_old_svg(tmp_path, capsys, monkeypatch):
+    summary = seven_solver_summary(tmp_path)
+    svg = tmp_path / "fig.svg"
+    svg.write_bytes(b"old figure\n")
+
+    def refuse(src, dst):
+        raise OSError(f"cannot rename {src}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    argv = ["plot", str(summary), "--kind", "reward-curve", "--out", str(svg)]
+    assert main(argv) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("runtime error: cannot rename")
+    assert svg.read_bytes() == b"old figure\n"
+    assert not (tmp_path / "fig.svg.partial").exists()
 
 
 def test_plot_missing_input_exits_config(tmp_path, capsys):

@@ -207,7 +207,15 @@ REPROS = {
     "illa-olla.step_up=1e308": ("link_adaptation", {}, "illa-olla", {"step_up": 1e308}),
     "link_adaptation.innovation_std=1e308":
         ("link_adaptation", {"innovation_std": 1e308}, "fixed-mcs", {"mcs": 2}),
+    "power_control.mean_gain=-1": ("power_control", {"mean_gain": -1.0}, "uniform-power", {}),
+    "admission_control.discount=1.0":
+        ("admission_control", {"discount": 1.0}, "trunk", {"thresholds": [0, 2]}),
+    "admission_control.discount=-0.1":
+        ("admission_control", {"discount": -0.1}, "trunk", {"thresholds": [0, 2]}),
 }
+# Repros that a constructor refuses: exit 2 within a second.
+REFUSED_AT_ONCE = {"illa-olla.step_up=1e308", "power_control.mean_gain=-1",
+                   "admission_control.discount=1.0", "admission_control.discount=-0.1"}
 # Top-level keys over a 20-step illa-olla run, each refused with exit 2
 # within a second: the seed list once took hours to build, the run never
 # ended, a float horizon ended in a traceback, and a label matched its
@@ -335,7 +343,7 @@ def test_repros_exit_with_one_line_in_2gib(tmp_path):
         assert err.startswith("config error:" if code == EXIT_CONFIG else "runtime error:")
         if name.endswith("=nan"):  # the error names the key
             assert name[:-4].split(".")[-1].split("[")[0] in err, (name, err)
-        if name in TOP_REPROS or name == "illa-olla.step_up=1e308":
+        if name in TOP_REPROS or name in REFUSED_AT_ONCE:
             assert code == EXIT_CONFIG and seconds < 1, (name, code, seconds)
         if name == "link_adaptation.innovation_std=1e308":
             assert code == EXIT_RUNTIME and seconds < 1 and "sinr" in err, (name, code, err)

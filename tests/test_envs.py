@@ -565,6 +565,12 @@ def test_ac_strict_infeasible_accept_errors():
             env.step((1,))
 
 
+@pytest.mark.parametrize("discount", [1.0, -0.1])
+def test_ac_discount_outside_unit_interval_rejected(discount):
+    with pytest.raises(ConfigError, match=r"discount must lie in \[0, 1\)"):
+        AdmissionEnv(discount=discount)
+
+
 def test_ac_rate_validation():
     with pytest.raises(ConfigError, match="event rates"):
         AdmissionEnv(

@@ -296,6 +296,18 @@ def test_bad_bounds_rejected_before_any_evaluation(tuner, bounds):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "theta0,bounds",
+    [((0.5, 0.5), ((0.0, 1.0),)), ((0.5,), ((0.0, 1.0), (0.0, 1.0)))],
+    ids=["theta0-longer", "bounds-longer"],
+)
+def test_nm_dimension_mismatch_rejected_before_any_evaluation(theta0, bounds):
+    calls = []
+    with pytest.raises(ConfigError, match="components for"):
+        nelder_mead(lambda th: calls.append(th) or 0.0, theta0, bounds)
+    assert calls == []
+
+
 def test_tune_result_invariant_and_serialization():
     evals = [((1.0,), 0.5, 0.0), ((2.0,), 0.9, 0.1)]
     with pytest.raises(ConfigError):
