@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from occam_rrm import (
     run_episode,
 )
 from occam_rrm.core import metric_columns
+from occam_rrm.envs.beamforming import SERVE_BEST, BeamAction
 from occam_rrm.errors import NumericalError
 
 
@@ -221,6 +223,47 @@ def test_episode_csv_layout(tmp_path):
     log.to_csv(out)
     lines = out.read_text().strip().splitlines()
     assert lines == ["t,action,reward,a,b", "0,1,0.5,1.0,2.0", "1,0.25;0.75,-1.0,3.0,0.1"]
+
+
+def _reference_format_action(action) -> str:
+    # Verbatim copy of core._format_action before to_csv formatted each
+    # distinct action object once.
+    if isinstance(action, str):
+        return action
+    if isinstance(action, (list, tuple)):
+        return ";".join(_reference_format_action(a) for a in action)
+    if isinstance(action, np.ndarray):
+        return ";".join(_reference_format_action(a) for a in action.ravel())
+    if isinstance(action, (bool, np.bool_)):
+        return str(int(action))
+    if isinstance(action, (int, np.integer)):
+        return str(int(action))
+    return repr(float(action))
+
+
+def _reference_to_csv(log, path) -> None:
+    keys = sorted(log.diagnostics)
+    columns = [log.rewards.tolist()] + [log.diagnostics[k].tolist() for k in keys]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "action", "reward"] + keys)
+        writer.writerows(
+            [t, _reference_format_action(action), *map(repr, values)]
+            for t, (action, *values) in enumerate(zip(log.actions, *columns))
+        )
+
+
+def test_episode_csv_matches_the_reference_writer(tmp_path):
+    powers = np.array([0.5, 1e-17, 2.0])
+    subset = (0, 2)
+    actions = [1, True, 1.0, powers, BeamAction(measure=(1, 3), serve=SERVE_BEST), (), powers,
+               np.int64(7), np.bool_(False), subset, -0.0, [2, (3, 4.5)], subset, 300, 1]
+    n = len(actions)
+    log = EpisodeLog(actions, np.linspace(-1.0, 1.0, n),
+                     {"y": np.arange(n) / 3.0, "x": np.full(n, 0.1)}, seed=0, env_name="x")
+    log.to_csv(tmp_path / "ep.csv")
+    _reference_to_csv(log, tmp_path / "reference.csv")
+    assert (tmp_path / "ep.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 # ---------------------------------------------------------------- metrics_summary

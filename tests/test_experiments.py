@@ -366,11 +366,23 @@ def test_episode_csvs_match_golden_bytes(tmp_path, kind):
 # The stream block is 1024 steps and power's gains change every `coherence`
 # steps, so a 1100-step run crosses a block boundary and, at coherence 7,
 # many coherence intervals; the 40-step digests above cross neither. A
-# crossing period that is not an integer, and a trace whose length (300)
-# does not divide the block. The digests were taken with the per-step
-# formulas, at the commit before the per-block exogenous tables replaced them.
+# crossing period that is not an integer, and traces whose length (300)
+# does not divide the block. The handover, scheduling and power digests were
+# taken with the per-step formulas, at the commit before the per-block
+# exogenous tables replaced them; the link adaptation, energy and admission
+# digests before their streams were read from per-block lists, their traffic
+# carried between steps, DPP scored on floats and `used` computed once a step.
 LONG_TRACE = [[round(-80.0 + 25.0 * math.sin(2 * math.pi * t / 97 + 2.1 * c), 3)
                for c in range(3)] for t in range(300)]
+ES_TRACE = [round(2.0 + 1.5 * math.sin(2 * math.pi * t / 71), 3) for t in range(300)]
+# Fractional demands, so that `used` is an inexact float sum, and a safety
+# margin, so that the QoS penalty fires.
+FRACTIONAL_CLASSES = [
+    {"arrival_rate": 0.2, "departure_rate": 0.02, "demand": 1.5, "reward": 2.0,
+     "reject_penalty": 1.0},
+    {"arrival_rate": 0.25, "departure_rate": 0.015, "demand": 0.7, "reward": 1.0,
+     "reject_penalty": 0.2},
+]
 LONG_HORIZON_RUNS = {
     "handover-crossing": (
         {"env": "handover", "n_cells": 3, "model": {"kind": "crossing", "period": 37.5}},
@@ -384,6 +396,21 @@ LONG_HORIZON_RUNS = {
     "power_control": (
         {"env": "power_control", "coherence": 7},
         {"name": "water-fill"}),
+    "link_adaptation-illa-olla": ({"env": "link_adaptation"}, {"name": "illa-olla"}),
+    "link_adaptation-thompson-mcs": ({"env": "link_adaptation"}, {"name": "thompson-mcs"}),
+    "energy_saving-dpp-instant": (
+        {**UNEVEN_ES, "activation_delay": 0},
+        {"name": "dpp-energy"}),
+    "energy_saving-trace": (
+        {"env": "energy_saving", "traffic": {"trace": ES_TRACE, "noise_std": 0.3}},
+        {"name": "es-thresholds"}),
+    "admission_control-trunk-fractional": (
+        {"env": "admission_control", "classes": FRACTIONAL_CLASSES, "safety_margin": 0.8,
+         "qos_penalty": 0.5},
+        {"name": "trunk", "config": {"thresholds": [0, 2]}}),
+    "admission_control-q-learning": (
+        {"env": "admission_control"},
+        {"name": "q-learning", "config": {"train_episodes": 5}}),
 }
 LONG_HORIZON_SHA256 = {
     "handover-crossing":
@@ -394,6 +421,18 @@ LONG_HORIZON_SHA256 = {
         "904f4bc096715a90b9660503652b3c4ab23e6f4dac70e9decf053c3abd53e242",
     "power_control":
         "902f09c8a52cdc067c023952ff11a5ad9ec606da54ef12680c4ec735798cb897",
+    "link_adaptation-illa-olla":
+        "65b0c5d8ae96e193cd0218d51d333079bb0784e30fe068a3deab8ef90d353f98",
+    "link_adaptation-thompson-mcs":
+        "b2518ae795fbe8081f3d0bcdd991985f3b7371583e88b5fb496198bc930236ab",
+    "energy_saving-dpp-instant":
+        "998e6182fe8b2cb6ad4d191c5f0d96582fc078ffd4b4b30d427b95b9d2d518a0",
+    "energy_saving-trace":
+        "6aa260ebfc357a2aa25279c2e695002cf13c487439190a824c1a7ee8cba35461",
+    "admission_control-trunk-fractional":
+        "b9d97829f6c1ccb8617eebc1f7335a30d2377b70a0a05e1fad209ea14a7ddb1e",
+    "admission_control-q-learning":
+        "f38188cf4079478dcb5a725ed667446e4038d5af8556ae73f2d6e2a0ec46d206",
 }
 
 
