@@ -88,8 +88,21 @@ class FixedMcsAgent:
 # ---------------------------------------------------------------- power control
 
 class WaterFillAgent:
+    """Water-filling on the observed gains. Block-fading gains hold for a
+    whole coherence interval, so the last allocation, kept read-only, is
+    reused while (gains, noise, total_power) are unchanged."""
+
+    def __init__(self):
+        self._inputs = None
+
     def act(self, obs):
-        return water_fill(obs["gains"], obs["noise"], obs["total_power"]).powers
+        gains, noise, total_power = obs["gains"], obs["noise"], obs["total_power"]
+        inputs = (np.asarray(gains, dtype=float).tobytes(), noise, total_power)
+        if inputs != self._inputs:
+            self._powers = water_fill(gains, noise, total_power).powers
+            self._powers.flags.writeable = False
+            self._inputs = inputs
+        return self._powers
 
 
 class UniformPowerAgent:
@@ -128,30 +141,26 @@ class MaxRateAgent:
 class DppEnergyAgent:
     """Drift-plus-penalty over resource subsets: the queue is the backlog,
     service is the capacity each subset would deliver next step, the penalty
-    is its energy draw."""
+    is its energy draw, fixed per subset and so summed once."""
 
     def __init__(self, env, v_weight: float = 0.0):
         self.v_weight = float(v_weight)
         if self.v_weight < 0:
             raise ConfigError("v_weight must be nonnegative")
         self.actions = env.all_actions()
-        self.capacity = env.capacity
-        self.power_draw = env.power_draw
+        self.capacity = env.capacity.tolist()
+        self.penalties = [float(sum(env.power_draw[r] for r in sub)) for sub in self.actions]
         self.delay = env.activation_delay
 
     def act(self, obs):
-        status = obs["status"]
-
-        def service(subset):
+        ready = [s == 0 or s == 1 or (s == OFF and self.delay == 0) for s in obs["status"]]
+        scored = []
+        for subset, penalty in zip(self.actions, self.penalties):
             cap = 0.0
             for r in subset:
-                s = status[r]
-                ready = (s == 0) or (s == 1) or (s == OFF and self.delay == 0)
-                if ready:
+                if ready[r]:
                     cap += self.capacity[r]
-            return cap
-
-        scored = [([service(sub)], sum(self.power_draw[r] for r in sub)) for sub in self.actions]
+            scored.append(([cap], penalty))
         queue = [obs["backlog"] + obs["traffic"]]
         return self.actions[dpp_action(queue, scored, self.v_weight)]
 

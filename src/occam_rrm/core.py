@@ -104,19 +104,30 @@ class EpisodeLog:
         """Write one row per step with columns t, action, reward and the
         diagnostic keys in sorted order."""
         keys = sorted(self.diagnostics)
-        columns = [self.rewards.tolist()] + [self.diagnostics[k].tolist() for k in keys]
+        columns = [list(map(repr, self.rewards.tolist()))]
+        columns += [list(map(repr, self.diagnostics[k].tolist())) for k in keys]
+        # Agents often repeat one action object (a fixed rule, an allocation
+        # kept for a coherence interval), so each distinct object is
+        # formatted once. Keyed by id(): the log holds every action for the
+        # whole call, so no id is reused.
+        cells = {}
+        action_cells = []
+        for action in self.actions:
+            cell = cells.get(id(action))
+            if cell is None:
+                cell = cells[id(action)] = _format_action(action)
+            action_cells.append(cell)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "action", "reward"] + keys)
-            writer.writerows(
-                [t, _format_action(action), *map(repr, values)]
-                for t, (action, *values) in enumerate(zip(self.actions, *columns))
-            )
+            writer.writerows(zip(range(len(action_cells)), action_cells, *columns))
 
 
 def _format_action(action) -> str:
     # Vector actions (power levels, beam subsets) become ";"-joined scalars so
     # the CSV stays one cell per column.
+    if type(action) is int:
+        return str(action)
     if isinstance(action, str):
         return action
     if isinstance(action, (list, tuple)):

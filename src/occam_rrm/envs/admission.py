@@ -89,12 +89,8 @@ class AdmissionEnv(RrmEnv):
     def used_of(self, counts) -> float:
         return float(sum(n * c["demand"] for n, c in zip(counts, self.classes)))
 
-    def _obs_from(self, counts) -> dict:
-        return {
-            "counts": tuple(counts),
-            "used": self.used_of(counts),
-            "capacity": self.capacity,
-        }
+    def _obs_from(self, counts: tuple, used: float) -> dict:
+        return {"counts": counts, "used": used, "capacity": self.capacity}
 
     def enumerate_states(self) -> list[tuple]:
         ranges = [range(int(self.capacity // c["demand"]) + 1) for c in self.classes]
@@ -127,7 +123,7 @@ class AdmissionEnv(RrmEnv):
     def _check_action(self, action) -> tuple:
         if isinstance(action, (int, np.integer)) and self.n_classes == 1:
             action = (int(action),)
-        rule = tuple(int(a) for a in action)
+        rule = tuple(map(int, action))
         if len(rule) != self.n_classes:
             raise InvalidActionError(
                 f"rule vector length {len(rule)} != n_classes {self.n_classes}"
@@ -137,13 +133,13 @@ class AdmissionEnv(RrmEnv):
                 raise InvalidActionError(f"rule entry {a} not in {{0, 1, 2}}")
         return rule
 
-    def _rule_outcome(self, counts, cls_idx, decision):
-        """Apply a rule entry to an arrival of class cls_idx.
-        Returns (next_counts, reward_delta)."""
+    def _rule_outcome(self, counts, used, cls_idx, decision):
+        """Apply a rule entry to an arrival of class cls_idx at `counts`,
+        whose bandwidth in use is `used`. Returns (next_counts, reward_delta)."""
         c = self.classes[cls_idx]
         counts = list(counts)
         if decision == ACCEPT:
-            if self.used_of(counts) + c["demand"] <= self.capacity + 1e-9:
+            if used + c["demand"] <= self.capacity + 1e-9:
                 counts[cls_idx] += 1
                 return tuple(counts), c["reward"]
             if self.strict_feasibility:
@@ -156,26 +152,27 @@ class AdmissionEnv(RrmEnv):
             return tuple(counts), -c["reject_penalty"]
         return tuple(counts), -c["delay_penalty"]
 
-    def _qos(self, counts) -> float:
-        if self.used_of(counts) > self.safety_margin * self.capacity + 1e-9:
+    def _qos(self, used: float) -> float:
+        if used > self.safety_margin * self.capacity + 1e-9:
             return -self.qos_penalty
         return 0.0
 
     def _start(self, seed):
         self._event_stream = self.stream(STREAM_EXOGENOUS, kind="uniform")
         self._counts = tuple([0] * self.n_classes)
-        return self._obs_from(self._counts)
+        self._used = self.used_of(self._counts)
+        return self._obs_from(self._counts, self._used)
 
     def _step(self, action):
         rule = self._check_action(action)
         u = self._event_stream.value(self.t)
-        counts, reward, event = self._counts, 0.0, "none"
+        counts, reward, arrival, departure = self._counts, 0.0, 0.0, 0.0
         edge = 0.0
         for i, c in enumerate(self.classes):
             edge += c["arrival_rate"]
             if u < edge:
-                counts, reward = self._rule_outcome(counts, i, rule[i])
-                event = f"arrival_{i}"
+                counts, reward = self._rule_outcome(counts, self._used, i, rule[i])
+                arrival = 1.0
                 break
         else:
             for i, c in enumerate(self.classes):
@@ -184,16 +181,19 @@ class AdmissionEnv(RrmEnv):
                     counts = tuple(
                         n - 1 if j == i else n for j, n in enumerate(self._counts)
                     )
-                    event = f"departure_{i}"
+                    departure = 1.0
                     break
-        reward += self._qos(counts)
-        self._counts = counts
+        # `used` is summed once per step, and only when the counts changed
+        used = self._used if counts == self._counts else self.used_of(counts)
+        reward += self._qos(used)
+        self._counts, self._used = counts, used
         diagnostics = {
-            "used": self.used_of(counts),
-            "arrival": float(event.startswith("arrival")),
-            "departure": float(event.startswith("departure")),
+            "used": used,
+            "arrival": arrival,
+            "departure": departure,
         }
-        return StepOutcome(observation=self._obs_from(counts), reward=reward, diagnostics=diagnostics)
+        return StepOutcome(observation=self._obs_from(counts, used), reward=reward,
+                           diagnostics=diagnostics)
 
     # -------------------------------------------------- exact extraction
 
@@ -208,6 +208,7 @@ class AdmissionEnv(RrmEnv):
         states = self.enumerate_states()
         actions = self.action_list()
         index = {s: i for i, s in enumerate(states)}
+        used = [self.used_of(s) for s in states]
         S, A = len(states), len(actions)
         P = np.zeros((S, A, S))
         R = np.zeros((S, A))
@@ -217,18 +218,18 @@ class AdmissionEnv(RrmEnv):
                 for ci, c in enumerate(self.classes):
                     lam = c["arrival_rate"]
                     if lam > 0:
-                        nxt, rew = self._rule_outcome(s, ci, rule[ci])
+                        nxt, rew = self._rule_outcome(s, used[si], ci, rule[ci])
                         P[si, ai, index[nxt]] += lam
-                        R[si, ai] += lam * (rew + self._qos(nxt))
+                        R[si, ai] += lam * (rew + self._qos(used[index[nxt]]))
                         stay -= lam
                     mu = s[ci] * c["departure_rate"]
                     if mu > 0:
                         nxt = tuple(n - 1 if j == ci else n for j, n in enumerate(s))
                         P[si, ai, index[nxt]] += mu
-                        R[si, ai] += mu * self._qos(nxt)
+                        R[si, ai] += mu * self._qos(used[index[nxt]])
                         stay -= mu
                 P[si, ai, si] += stay
-                R[si, ai] += stay * self._qos(s)
+                R[si, ai] += stay * self._qos(used[si])
         return TabularMdp(
             n_states=S, n_actions=A, transition=P, reward=R, discount=self.discount
         )

@@ -58,6 +58,7 @@ class BeamformingEnv(RrmEnv):
         self.temporal_corr = float(temporal_corr)
         if not (0.0 <= self.temporal_corr < 1.0):
             raise ConfigError(f"temporal_corr must lie in [0, 1), got {self.temporal_corr}")
+        self._mix = np.sqrt(1.0 - self.temporal_corr**2)
         self.measure_cost = float(measure_cost)
         self.mean_rsrp = float(mean_rsrp)
         self.rsrp_std = float(rsrp_std)
@@ -68,6 +69,7 @@ class BeamformingEnv(RrmEnv):
         self._chol = np.linalg.cholesky(cov + _JITTER * np.eye(self.n_beams))
         self._field: np.ndarray | None = None
         self._pending: tuple | None = None
+        self._beams_in = self._beams_checked = None
 
     def _innovation(self, t: int) -> np.ndarray:
         return self._chol @ self._noise.values(t)
@@ -86,22 +88,27 @@ class BeamformingEnv(RrmEnv):
         """Full field for this seed over n_steps, recomputed from the streams.
         Matches what the env serves while stepping; used by plots and tests."""
         rho = self.temporal_corr
-        mix = np.sqrt(1.0 - rho**2)
         f = self._innovation(0)
         cols = [f.copy()]
         for t in range(1, n_steps):
-            f = rho * f + mix * self._innovation(t)
+            f = rho * f + self._mix * self._innovation(t)
             cols.append(f.copy())
         return RsrpField(values=self.mean_rsrp + self.rsrp_std * np.stack(cols, axis=1))
 
     def _check_beams(self, beams) -> tuple:
-        beams = tuple(int(b) for b in beams)
-        if len(set(beams)) != len(beams):
-            raise InvalidActionError(f"duplicate beams in measurement set {beams}")
-        for b in beams:
+        # Trackers pass one tuple again and again (full-scan every step,
+        # knn-tracker to measure() and then in its BeamAction), so the last
+        # one checked is kept; holding it keeps its id from being reused.
+        if beams is self._beams_in and type(beams) is tuple:
+            return self._beams_checked
+        checked = tuple(int(b) for b in beams)
+        if len(set(checked)) != len(checked):
+            raise InvalidActionError(f"duplicate beams in measurement set {checked}")
+        for b in checked:
             if not (0 <= b < self.n_beams):
                 raise InvalidActionError(f"beam {b} outside [0, {self.n_beams})")
-        return beams
+        self._beams_in, self._beams_checked = beams, checked
+        return checked
 
     def measure(self, beams) -> dict[int, float]:
         """Read the current-step RSRP of the given beams; the per-beam cost is
@@ -110,8 +117,8 @@ class BeamformingEnv(RrmEnv):
             raise InvalidActionError("measure() called twice in one step")
         beams = self._check_beams(beams)
         self._pending = beams
-        rsrp = self.current_rsrp()
-        return {b: float(rsrp[b]) for b in beams}
+        rsrp = self.current_rsrp().tolist()
+        return {b: rsrp[b] for b in beams}
 
     def _step(self, action):
         if isinstance(action, BeamAction):
@@ -125,7 +132,8 @@ class BeamformingEnv(RrmEnv):
             measured = self._pending if self._pending is not None else ()
             serve = action
         self._pending = None
-        rsrp = self.current_rsrp()
+        field = self.current_rsrp()
+        rsrp = field.tolist()
         if isinstance(serve, str):
             if serve != SERVE_BEST:
                 raise InvalidActionError(f"unknown serve directive {serve!r}")
@@ -135,16 +143,15 @@ class BeamformingEnv(RrmEnv):
         serve = int(serve)
         if not (0 <= serve < self.n_beams):
             raise InvalidActionError(f"served beam {serve} outside [0, {self.n_beams})")
-        optimal = int(np.argmax(rsrp))
-        reward = float(rsrp[serve]) - self.measure_cost * len(measured)
+        optimal = int(np.argmax(field))
+        reward = rsrp[serve] - self.measure_cost * len(measured)
         diagnostics = {
             "served_beam": float(serve),
             "optimal_beam": float(optimal),
-            "rsrp_served": float(rsrp[serve]),
-            "rsrp_optimal": float(rsrp[optimal]),
+            "rsrp_served": rsrp[serve],
+            "rsrp_optimal": rsrp[optimal],
             "n_measured": float(len(measured)),
         }
-        rho = self.temporal_corr
-        self._field = rho * self._field + np.sqrt(1.0 - rho**2) * self._innovation(self.t + 1)
-        obs = {b: float(rsrp[b]) for b in measured}
+        self._field = self.temporal_corr * self._field + self._mix * self._innovation(self.t + 1)
+        obs = {b: rsrp[b] for b in measured}
         return StepOutcome(observation=obs, reward=reward, diagnostics=diagnostics)

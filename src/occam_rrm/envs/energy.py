@@ -169,8 +169,10 @@ class EnergySavingEnv(RrmEnv):
         return float(max(0.0, level))
 
     def _obs(self, t: int) -> dict:
+        # the next _step serves the traffic it observed, so it is computed once
+        self._traffic = self.traffic_at(t)
         return {
-            "traffic": self.traffic_at(t),
+            "traffic": self._traffic,
             "backlog": float(self._backlog),
             "status": tuple(self._status),
             "t": t,
@@ -184,7 +186,7 @@ class EnergySavingEnv(RrmEnv):
 
     def _step(self, action):
         subset = normalize_subset(action, self.n_resources)
-        traffic = self.traffic_at(self.t)
+        traffic = self._traffic
         self._status, self._backlog, energy, served = es_transition(
             self._status,
             self._backlog,

@@ -95,12 +95,13 @@ class LinkAdaptEnv(RrmEnv):
             raise InvalidActionError(f"mcs {mcs} outside [0, {self.n_mcs})")
         bler = self.bler(mcs, self._sinr)
         ack = self._ack_stream.value(self.t) >= bler
-        reward = float(self.rates[mcs]) if ack else 0.0
+        rate = float(self.rates[mcs])
+        reward = rate if ack else 0.0
         diagnostics = {
             "sinr": float(self._sinr),
             "bler": float(bler),
             "ack": float(ack),
-            "rate": float(self.rates[mcs]),
+            "rate": rate,
         }
         # SINR advances regardless of the action taken.
         t_next = self.t + 1

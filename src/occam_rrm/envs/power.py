@@ -74,20 +74,21 @@ class PowerEnv(RrmEnv):
             raise InvalidActionError(
                 f"power vector shape {p.shape} != ({self.n_channels},)"
             )
-        if np.any(p < 0):
+        if (p < 0).any():
             raise InvalidActionError("power levels must be nonnegative")
-        if p.sum() > self.total_power * (1 + 1e-9):
+        sum_power = p.sum()
+        if sum_power > self.total_power * (1 + 1e-9):
             raise InvalidActionError(
-                f"sum power {p.sum()!r} exceeds budget {self.total_power!r}"
+                f"sum power {sum_power!r} exceeds budget {self.total_power!r}"
             )
         gains = self._gains(self.t)
-        reward = float(np.sum(np.log2(1.0 + p * gains / self.noise)))
+        reward = float(np.log2(1.0 + p * gains / self.noise).sum())
         obs = {
             "gains": self._gains(self.t + 1),
             "noise": self.noise,
             "total_power": self.total_power,
         }
-        return StepOutcome(observation=obs, reward=reward, diagnostics={"sum_power": float(p.sum())})
+        return StepOutcome(observation=obs, reward=reward, diagnostics={"sum_power": float(sum_power)})
 
     def hidden_state(self) -> np.ndarray:
         return self.gains_at(self.t)

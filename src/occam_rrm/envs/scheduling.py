@@ -54,6 +54,7 @@ class SchedulingEnv(RrmEnv):
         self.weights = np.asarray(np.ones(self.n_users) if weights is None else weights, dtype=float)
         if self.weights.shape != (self.n_users,):
             raise ConfigError("weights needs one entry per user")
+        self._thr_keys = [f"thr_{u}" for u in range(self.n_users)]
 
     def efficiency_at(self, t: int) -> np.ndarray:
         return self._efficiency_row(t).copy()
@@ -75,8 +76,10 @@ class SchedulingEnv(RrmEnv):
         return float((self.weights * np.log(self._avg + EWMA_FLOOR)).sum())
 
     def _obs(self, t: int) -> dict:
+        # the next _step serves the row it observed, so it is looked up once
+        self._eff = self._efficiency_row(t)
         return {
-            "spectral_eff": self._efficiency_row(t),
+            "spectral_eff": self._eff,
             "avg_throughput": self._avg.copy(),
             "backlogs": None if self.full_buffer else self._backlogs.copy(),
         }
@@ -95,7 +98,7 @@ class SchedulingEnv(RrmEnv):
         user = int(action)
         if not (0 <= user < self.n_users):
             raise InvalidActionError(f"user {user} outside [0, {self.n_users})")
-        eff = self._efficiency_row(self.t)
+        eff = self._eff
         if self.full_buffer:
             achieved = float(eff[user])
         else:
@@ -103,11 +106,13 @@ class SchedulingEnv(RrmEnv):
             achieved = float(min(self._backlogs[user], eff[user]))
             self._backlogs[user] -= achieved
         before = self._utility_now
-        served = np.zeros(self.n_users)
-        served[user] = achieved
-        self._avg = np.maximum((1 - self.ewma_alpha) * self._avg + self.ewma_alpha * served, EWMA_FLOOR)
+        # the unserved users' EWMA terms add alpha * 0.0, which changes no bit
+        avg = (1 - self.ewma_alpha) * self._avg
+        avg[user] += self.ewma_alpha * achieved
+        self._avg = np.maximum(avg, EWMA_FLOOR)
         self._utility_now = self._utility()
         reward = self._utility_now - before
         diagnostics = {"served_user": float(user), "achieved": achieved}
-        diagnostics.update({f"thr_{u}": float(served[u]) for u in range(self.n_users)})
+        diagnostics.update(dict.fromkeys(self._thr_keys, 0.0))
+        diagnostics[self._thr_keys[user]] = achieved
         return StepOutcome(observation=self._obs(self.t + 1), reward=reward, diagnostics=diagnostics)

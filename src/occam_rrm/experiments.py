@@ -408,10 +408,14 @@ def sweep(cfg: ExperimentConfig, param_path: str, values, jobs=None) -> Path:
         _set_by_path(raw, param_path, value)
         raw["outputs"] = str(out_dir / f"value_{i:03d}")
         cfgs.append(ExperimentConfig.from_dict(raw))
+    profiles = sorted({c.metrics for c in cfgs})
+    if len(profiles) > 1:
+        raise ConfigError(f"sweep values give the metric profiles {profiles}, whose sweep.csv "
+                          "columns differ; sweep one profile at a time")
     summaries = _run_all(cfgs, out_dir / "sweep.partial", jobs)
     rows = []
-    for value, summary in zip(values, summaries):
-        for _, label, _ in cfg.solvers:
+    for value, value_cfg, summary in zip(values, cfgs, summaries):
+        for _, label, _ in value_cfg.solvers:
             metrics = summary["solvers"][label]["metrics"]  # the profile's, in a fixed order
             rows.append([param_path, json.dumps(value), label]
                         + [repr(float(m)) for m in metrics.values()])

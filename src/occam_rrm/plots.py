@@ -89,6 +89,8 @@ def _scale(values, lo_px, hi_px):
     vmin, vmax = float(values.min()), float(values.max())
     if vmax - vmin < 1e-12:
         vmax = vmin + 1.0
+        if not vmax > vmin:  # |vmin| >= 2**53, where 1.0 is below the float spacing
+            vmax = vmin + abs(vmin)
     span = vmax - vmin
 
     def to_px(v):

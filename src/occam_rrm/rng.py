@@ -51,6 +51,8 @@ class StepStream:
         self._kind = kind
         self._block = block
         self._cache: dict[int, np.ndarray] = {}
+        self._column_block = -1
+        self._column: list[float] = []
 
     @property
     def block_size(self) -> int:
@@ -81,5 +83,13 @@ class StepStream:
         return self.block(t // self._block)[t % self._block]
 
     def value(self, t: int) -> float:
-        """Scalar draw for step ``t`` (first component)."""
-        return float(self.values(t)[0])
+        """Scalar draw for step ``t`` (first component). Read from the first
+        column of t's block, kept as a list of floats while steps stay in
+        that block."""
+        if t < 0:
+            raise ValueError("step index must be nonnegative")
+        b, i = divmod(t, self._block)
+        if b != self._column_block:
+            self._column = self.block(b)[:, 0].tolist()
+            self._column_block = b
+        return self._column[i]

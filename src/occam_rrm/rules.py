@@ -31,16 +31,25 @@ def pf_select(spectral_eff, avg_throughput) -> int:
 def dpp_action(queues, actions, v_weight: float) -> int:
     """Argmin of v_weight * penalty - sum(queue * service) over the offered
     (service, penalty) actions. Arrivals are action-independent, so they drop
-    out of the drift term. Ties take the lowest index."""
+    out of the drift term. Ties take the lowest index.
+
+    With one queue, a service given as a one-entry list or tuple is scored
+    on Python floats: the dot product is then a single product, so the
+    scores are those of the vector form, bit for bit."""
     if len(actions) == 0:
         raise ConfigError("actions must be nonempty")
     queues = np.asarray(queues, dtype=float)
+    queue = float(queues[0]) if queues.shape == (1,) else None
     best, best_score = 0, np.inf
     for i, (service, penalty) in enumerate(actions):
-        service = np.asarray(service, dtype=float)
-        if service.shape != queues.shape:
-            raise ConfigError(f"action {i}: service vector shape mismatch")
-        score = v_weight * float(penalty) - float(queues @ service)
+        if queue is not None and isinstance(service, (list, tuple)) and len(service) == 1:
+            drift = queue * float(service[0])
+        else:
+            service = np.asarray(service, dtype=float)
+            if service.shape != queues.shape:
+                raise ConfigError(f"action {i}: service vector shape mismatch")
+            drift = float(queues @ service)
+        score = v_weight * float(penalty) - drift
         if score < best_score:
             best, best_score = i, score
     return best

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from occam_rrm import ConfigError, TabularMdp, run_episode, replay_episode
+from occam_rrm import ConfigError, TabularMdp, agents, run_episode, replay_episode
 from occam_rrm.agents import (
     AcceptAllAgent,
     DppEnergyAgent,
@@ -37,6 +37,7 @@ from occam_rrm.envs import (
     TabularEnv,
 )
 from occam_rrm.planning import value_iteration
+from occam_rrm.static_opt import water_fill
 
 
 SPIKE_TRACE = [0.0] * 5 + [4.0] + [0.0] * 14
@@ -139,6 +140,25 @@ def test_water_fill_agent_beats_uniform():
     wf = run_episode(PowerEnv(), WaterFillAgent(), horizon=200, seed=3)
     un = run_episode(PowerEnv(), UniformPowerAgent(), horizon=200, seed=3)
     assert wf.rewards.sum() >= un.rewards.sum() - 1e-9
+
+
+def test_water_fill_agent_solves_once_per_coherence_interval(monkeypatch):
+    calls = []
+
+    def counted(gains, noise, total_power):
+        calls.append(1)
+        return water_fill(gains, noise, total_power)
+
+    monkeypatch.setattr(agents, "water_fill", counted)
+    env, agent = PowerEnv(coherence=7), WaterFillAgent()
+    obs = env.reset(5)
+    for _ in range(30):
+        powers = agent.act(obs)
+        expected = water_fill(obs["gains"], obs["noise"], obs["total_power"]).powers
+        assert np.array_equal(powers, expected)
+        obs = env.step(powers).observation
+    assert len(calls) == 5  # steps 0-6, 7-13, 14-20, 21-27, 28-29
+    assert not powers.flags.writeable
 
 
 def test_scheduling_agents_run_and_differ():

@@ -3,6 +3,7 @@ and the three SVG renderers."""
 
 import hashlib
 import json
+import math
 import os
 import re
 import resource
@@ -93,6 +94,17 @@ def test_reward_curve_one_series_per_solver(tmp_path):
     assert svg.count('<polyline class="series"') == 2
     assert 'data-solver="fixed-mcs"' in svg
     assert 'data-solver="illa-olla"' in svg
+
+
+@pytest.mark.parametrize("reward", [1e17, -1e17, 2.0**53, 1e308])
+def test_reward_curve_of_one_huge_value_has_finite_points(tmp_path, reward):
+    # a zero span is widened by 1.0, which is below the float spacing here
+    (tmp_path / "s.csv").write_text(f"t,reward\n0,{reward!r}\n")
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps({"solvers": {"s": {"episode_files": ["s.csv"]}}}))
+    svg = emit_plot(path, "reward-curve", tmp_path / "curve.svg").read_text()
+    (points,) = re.findall(r'<polyline class="series"[^>]*points="([^"]*)"', svg)
+    assert all(math.isfinite(float(c)) for xy in points.split() for c in xy.split(","))
 
 
 def test_reward_curve_needs_solver_entries(tmp_path):

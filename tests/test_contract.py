@@ -1,8 +1,10 @@
 """The CLI's error contract, property-tested: any value under any
 top-level key, solver entry field, env or solver config key gives exit 0,
-2 or 3; a failure prints exactly one stderr line, `config error: ...` or
-`runtime error: ...`; and a run that succeeds writes only finite metrics."""
+2 or 3, under `run` and under `sweep`; a failure prints exactly one
+stderr line, `config error: ...` or `runtime error: ...`; and a run or
+sweep that succeeds writes only finite metrics."""
 
+import csv
 import json
 import math
 import resource
@@ -164,6 +166,70 @@ def test_any_top_level_value_keeps_the_error_contract(tmp_path, capsys, monkeypa
                                                       value):
     monkeypatch.chdir(tmp_path)  # a drawn string under `outputs` names a directory here
     run_config(tmp_path, capsys, top_config(key, field, value, tmp_path / "out"), jobs=1)
+
+
+def run_sweep(tmp_path, capsys, config, param, values) -> int:
+    """`occam-rrm sweep` of `config` over `param`; the contract as for run,
+    and a sweep that succeeds writes a sweep.csv whose rows all fit its
+    header and hold finite metrics."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    code = main(["sweep", str(path), "--param", param, "--values", json.dumps(values),
+                 "--jobs", "1", "--quiet"])
+    err = capsys.readouterr().err
+    if code != EXIT_OK:
+        check_outcome(code, err, None)
+        return code
+    assert err == ""
+    with open(tmp_path / config["outputs"] / "sweep.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(rows) == len(values) * len(config["solvers"])
+    assert all(len(row) == len(header) for row in rows), (header, rows)
+    assert all(math.isfinite(float(v)) for row in rows for v in row[3:]), rows
+    return code
+
+
+SWEEP_BASE = {"env": {"env": "link_adaptation"}, "solvers": [{"name": "illa-olla"}],
+              "horizon": 5, "n_episodes": 1, "seeds": {"base": 0, "count": 2}, "outputs": "out"}
+
+
+# Each top-level key, solver entry field and seeds field, swept over one
+# drawn value.
+@pytest.mark.parametrize("key,field", TOP_CASES,
+                         ids=[key + (f".{field}" if field else "") for key, field in TOP_CASES])
+@settings(PROPERTY, max_examples=len(TOP_VALUES))
+@given(value=st.sampled_from(TOP_VALUES))
+def test_any_swept_top_level_value_keeps_the_error_contract(tmp_path, capsys, monkeypatch, key,
+                                                            field, value):
+    monkeypatch.chdir(tmp_path)  # a drawn string under `outputs` names a directory here
+    param = key if field is None else f"{key}.0.{field}" if key == "solvers" else f"{key}.{field}"
+    run_sweep(tmp_path, capsys, SWEEP_BASE, param, [value])
+
+
+BF_SWEEP = {**SWEEP_BASE, "env": {"env": "beamforming"}, "solvers": [{"name": "full-scan"}]}
+# (config, param, values, exit code): a label sweep once ran every cell and
+# then ended in a KeyError traceback; a sweep over two metric profiles
+# wrote a header that fit none of its rows.
+SWEEP_REPROS = {
+    "solvers.0.label": (SWEEP_BASE, "solvers.0.label", ["a", "b"], EXIT_OK),
+    "metrics beam, basic": (BF_SWEEP, "metrics", ["beam", "basic"], EXIT_CONFIG),
+    "metrics basic, beam": (BF_SWEEP, "metrics", ["basic", "beam"], EXIT_CONFIG),
+    "metrics beam, beam": (BF_SWEEP, "metrics", ["beam", "beam"], EXIT_OK),
+    "env.env onto an incompatible env":
+        (SWEEP_BASE, "env.env", ["link_adaptation", "handover"], EXIT_CONFIG),
+    "solvers.0.name without its required key":
+        (SWEEP_BASE, "solvers.0.name", ["illa-olla", "fixed-mcs"], EXIT_CONFIG),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_REPROS)
+def test_sweep_repros_keep_the_error_contract(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    config, param, values, expected = SWEEP_REPROS[case]
+    assert run_sweep(tmp_path, capsys, config, param, values) == expected
+    if expected != EXIT_OK:  # refused or failed before sweep.csv was written
+        assert not (tmp_path / "out").exists()
 
 
 # The same under a two-process pool, where agents are built in the workers

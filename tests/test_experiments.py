@@ -1,6 +1,7 @@
 """Experiment runner: config validation, output layout, determinism,
 solver/env compatibility, parallel execution, and sweeps."""
 
+import csv
 import hashlib
 import json
 import math
@@ -667,6 +668,25 @@ def test_sweep_checks_every_value_before_running_a_cell(tmp_path, monkeypatch, p
         sweep(cfg, param, values)
     assert ran == []
     assert _tree(tmp_path) == before
+
+
+def test_sweep_over_metric_profiles_is_refused_before_a_cell(tmp_path, monkeypatch):
+    # each profile has its own metric columns, so one sweep.csv header
+    # cannot fit them all
+    cfg = scheduling_config(tmp_path)
+    ran = []
+    monkeypatch.setattr(experiments, "_run_cell", ran.append)
+    with pytest.raises(ConfigError, match=r"metric profiles \['basic', 'scheduling'\]"):
+        sweep(cfg, "metrics", ["scheduling", "basic"])
+    assert ran == [] and list(tmp_path.iterdir()) == []
+
+
+def test_sweep_over_a_label_writes_each_value_s_labels(tmp_path):
+    cfg = la_config(tmp_path, seeds=(0,))
+    path = sweep(cfg, "solvers.1.label", ["a", "b"])
+    with open(path, newline="") as fh:
+        rows = [(row["value"], row["solver"]) for row in csv.DictReader(fh)]
+    assert rows == [('"a"', "illa-olla"), ('"a"', "a"), ('"b"', "illa-olla"), ('"b"', "b")]
 
 
 def test_registry_covers_every_env():

@@ -45,3 +45,16 @@ def test_step_stream_kinds():
     assert np.all((xs >= 0) & (xs < 1))
     n = StepStream(11, 2, kind="normal")
     assert not np.array_equal(xs, np.array([n.value(t) for t in range(256)]))
+
+
+def test_step_stream_value_is_the_first_draw_of_values():
+    # value(t) reads a per-block list; the reference is the per-step formula
+    # float(values(t)[0]) on a second stream, over three blocks, in and out
+    # of order, for both kinds and with more than one draw per step.
+    for kind in ("normal", "uniform"):
+        s = StepStream(5, 1, per_step=3, kind=kind, block=8)
+        ref = StepStream(5, 1, per_step=3, kind=kind, block=8)
+        steps = [*range(24), 23, 7, 16, 8, 0, 15, 9, 22]
+        got = [s.value(t) for t in steps]
+        assert all(type(v) is float for v in got)
+        assert got == [float(ref.values(t)[0]) for t in steps]

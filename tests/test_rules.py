@@ -75,6 +75,22 @@ def test_dpp_matches_brute_force():
         assert dpp_action(q, actions, v) == int(np.argmin(scores))
 
 
+def test_dpp_one_queue_float_scores_match_the_vector_form():
+    # one queue: services given as one-entry lists are scored on Python
+    # floats, as one-entry arrays through queues @ service; both must pick
+    # the same action, ties included, because a one-entry dot is one product
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        q = float(rng.uniform(0, 10))
+        v = float(rng.choice([0.0, rng.uniform(0, 5)]))
+        caps = rng.choice([0.0, 0.3, 0.55, 0.9, 1.7], size=(8, 2)).sum(axis=1).tolist()
+        pens = rng.choice([0.0, 0.1, 0.2, 0.35], size=8).tolist()
+        assert all(q * c == float(np.array([q]) @ np.array([c])) for c in caps)
+        floats = [([c], p) for c, p in zip(caps, pens)]
+        arrays = [(np.array([c]), p) for c, p in zip(caps, pens)]
+        assert dpp_action([q], floats, v) == dpp_action(np.array([q]), arrays, v)
+
+
 def test_dpp_keeps_energy_queue_bounded():
     # Pure max-weight (v=0) must stabilize the backlog when the offered
     # traffic sits inside the service capacity.
