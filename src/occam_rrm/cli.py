@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
@@ -138,7 +139,9 @@ def cmd_advise(args) -> int:
 
 def cmd_plot(args) -> int:
     out = getattr(args, "out_dir", None)
-    out_path = args.out if out is None else f"{out.rstrip('/')}/{args.out}"
+    if out == "":
+        raise ConfigError("--out-dir must be a nonempty path")
+    out_path = args.out if out is None else Path(out) / args.out  # an absolute --out wins
     written = emit_plot(args.input, args.kind, out_path)
     if not getattr(args, "quiet", False):
         print(f"plot: {written}")

@@ -6,11 +6,12 @@ CSV/JSON reports."""
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import re
 import shutil
+import tempfile
+from contextlib import contextmanager
 from copy import deepcopy
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -273,19 +274,44 @@ def resolve_jobs(jobs=None) -> int:
 def run_experiment(cfg: ExperimentConfig, jobs=None) -> Path:
     """Run every (solver, seed) cell, write per-episode CSVs and summary.json,
     and return the summary path. Cells may run in a process pool; outputs are
-    merged in config order, so results never depend on scheduling. The
-    outputs directory ends up holding exactly this run's files."""
+    merged in config order, so results never depend on scheduling. Published
+    by _publishing, so the run's files replace a previous run's or sweep's."""
     out_dir = Path(cfg.outputs)
-    _run_all([cfg], out_dir / "episodes.partial", jobs)
+    with _publishing(out_dir) as staging:
+        _run_all([cfg], out_dir, staging, jobs)
     return out_dir / "summary.json"
 
 
-def _run_all(cfgs, staging: Path, jobs) -> list[dict]:
+# The entries of an outputs directory that run and sweep own.
+OWNED = re.compile(r"episodes|summary\.json|sweep\.csv|value_[0-9]{3,}")
+
+
+@contextmanager
+def _publishing(out_dir: Path):
+    """Yield a staging directory for one command's files, each at its path
+    relative to `out_dir`. Once the block succeeds, renames swap the entries
+    of `out_dir` that OWNED matches for the staged ones; if it fails, nothing
+    changes. Staging is made in `out_dir` or its nearest existing ancestor,
+    so a failed command into a fresh path makes no directory."""
+    anchor = next(d for d in (out_dir, *out_dir.parents) if d.is_dir())
+    staging = Path(tempfile.mkdtemp(prefix=".occam-rrm-", dir=anchor))
+    try:
+        yield staging
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for entry in sorted(out_dir.iterdir()):
+            if OWNED.fullmatch(entry.name):
+                os.replace(entry, staging / f"{entry.name}.old")  # no longer an owned name
+        for entry in sorted(staging.iterdir()):
+            if OWNED.fullmatch(entry.name):
+                os.replace(entry, out_dir / entry.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+def _run_all(cfgs, out_dir: Path, staging: Path, jobs) -> list[dict]:
     """Check every config, run all their cells (in one process pool when
-    jobs > 1) and return each config's summary. Cells write their CSVs under
-    `staging`, which becomes the configs' `episodes/` only once every cell
-    and summary succeeded; on a failure the outputs are left as they were,
-    and no directory made for `staging` is left behind."""
+    jobs > 1) and return each config's summary. Each config's CSVs and
+    summary.json go under `staging`, at their paths relative to `out_dir`."""
     discounts = []
     for cfg in cfgs:
         for name, _, solver_cfg in cfg.solvers:
@@ -293,53 +319,28 @@ def _run_all(cfgs, staging: Path, jobs) -> list[dict]:
             check_config(SOLVERS[name].agent, solver_cfg, "solver", ("env", "seed"))
         discounts.append(float(getattr(make_env(cfg.env), "discount", DEFAULT_DISCOUNT)))
     jobs = resolve_jobs(jobs)
+    dests = [staging / Path(cfg.outputs).relative_to(out_dir) for cfg in cfgs]
     cells = [
-        (cfg, name, label, solver_cfg, seed, staging / str(i))
-        for i, cfg in enumerate(cfgs)
+        (cfg, name, label, solver_cfg, seed, dest / "episodes")
+        for cfg, dest in zip(cfgs, dests)
         for name, label, solver_cfg in cfg.solvers
         for seed in cfg.seeds
     ]
-    shutil.rmtree(staging, ignore_errors=True)
-    made = [d for d in staging.parents if not d.exists()]  # nearest first
-    try:
-        if jobs > 1 and len(cells) > 1:
-            from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
+    if jobs > 1 and len(cells) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
 
-            pool = ProcessPoolExecutor(max_workers=jobs)
-            try:
-                results = list(pool.map(_run_cell, cells))
-            finally:
-                pool.shutdown(cancel_futures=True)
-        else:
-            results = [_run_cell(args) for args in cells]
-        results = iter(results)  # consumed in the order the cells were listed
-        summaries = [_summary(cfg, discount, results) for cfg, discount in zip(cfgs, discounts)]
-        for i, (cfg, summary) in enumerate(zip(cfgs, summaries)):
-            out_dir = Path(cfg.outputs)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            shutil.rmtree(out_dir / "episodes", ignore_errors=True)
-            os.replace(staging / str(i), out_dir / "episodes")
-            _write_atomic(out_dir / "summary.json",
-                          json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
-        for d in made:  # kept only when they hold this run's output
-            try:
-                d.rmdir()
-            except OSError:
-                break
+        pool = ProcessPoolExecutor(max_workers=jobs)
+        try:
+            results = list(pool.map(_run_cell, cells))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        results = [_run_cell(args) for args in cells]
+    results = iter(results)  # consumed in the order the cells were listed
+    summaries = [_summary(cfg, discount, results) for cfg, discount in zip(cfgs, discounts)]
+    for dest, summary in zip(dests, summaries):
+        (dest / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return summaries
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Publish `text` at `path` whole: written to `<name>.partial` beside it,
-    then renamed over it. On a failure `path` is as it was."""
-    partial = path.with_name(path.name + ".partial")
-    try:
-        partial.write_text(text, newline="")
-        os.replace(partial, path)
-    finally:
-        partial.unlink(missing_ok=True)
 
 
 def _summary(cfg: ExperimentConfig, discount: float, results) -> dict:
@@ -396,8 +397,8 @@ def _set_by_path(root, dotted: str, value):
 def sweep(cfg: ExperimentConfig, param_path: str, values, jobs=None) -> Path:
     """Re-run the experiment once per value of a dotted config parameter, all
     cells in one pool once every value's config passed its checks, and add
-    one CSV row per (value, solver). The outputs directory ends up holding
-    this sweep's `value_NNN/` directories and nothing of a longer one's."""
+    one sweep.csv row per (value, solver). Published by _publishing, so the
+    sweep's files replace a previous run's or a longer sweep's."""
     if not values:
         raise ConfigError("sweep needs a nonempty list of values")
     base = cfg.to_dict()
@@ -412,22 +413,15 @@ def sweep(cfg: ExperimentConfig, param_path: str, values, jobs=None) -> Path:
     if len(profiles) > 1:
         raise ConfigError(f"sweep values give the metric profiles {profiles}, whose sweep.csv "
                           "columns differ; sweep one profile at a time")
-    summaries = _run_all(cfgs, out_dir / "sweep.partial", jobs)
-    rows = []
-    for value, value_cfg, summary in zip(values, cfgs, summaries):
-        for _, label, _ in value_cfg.solvers:
-            metrics = summary["solvers"][label]["metrics"]  # the profile's, in a fixed order
-            rows.append([param_path, json.dumps(value), label]
-                        + [repr(float(m)) for m in metrics.values()])
-
-    kept = {f"value_{i:03d}" for i in range(len(values))}
-    for stale in out_dir.glob("value_*"):
-        if stale.is_dir() and stale.name not in kept:
-            shutil.rmtree(stale)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["param", "value", "solver"] + list(metrics))
-    writer.writerows(rows)
-    sweep_path = out_dir / "sweep.csv"
-    _write_atomic(sweep_path, buf.getvalue())
-    return sweep_path
+    with _publishing(out_dir) as staging:
+        summaries = _run_all(cfgs, out_dir, staging, jobs)
+        rows = []
+        for value, summary in zip(values, summaries):
+            for label, record in summary["solvers"].items():  # solvers and metrics in order
+                rows.append([param_path, json.dumps(value), label]
+                            + [repr(float(m)) for m in record["metrics"].values()])
+        with open(staging / "sweep.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["param", "value", "solver"] + list(record["metrics"]))
+            writer.writerows(rows)
+    return out_dir / "sweep.csv"

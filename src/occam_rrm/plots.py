@@ -7,13 +7,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 
 from .envs import make_env
 from .errors import ConfigError, PlotDataError
-from .experiments import ExperimentConfig, _write_atomic
+from .experiments import ExperimentConfig
 
 PLOT_KINDS = ("rsrp-heatmap", "accuracy-vs-speed", "reward-curve")
 # beams x steps of one heatmap: an SVG of about 12 MB, far past legibility
@@ -225,5 +226,10 @@ def emit_plot(input_path, kind: str, out_path) -> Path:
             svg = _render_reward_curve(summary, input_path)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_path, svg)
+    partial = out_path.with_name(out_path.name + ".partial")  # renamed over out_path whole
+    try:
+        partial.write_text(svg, newline="")
+        os.replace(partial, out_path)
+    finally:
+        partial.unlink(missing_ok=True)
     return out_path

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import occam_rrm
-from occam_rrm import planning
+from occam_rrm import cli, planning
 from occam_rrm.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from occam_rrm.config import config_keys
 from occam_rrm.envs import ENVS
@@ -644,6 +644,28 @@ def test_plot_out_dir_prefixes_relative_out(tmp_path):
             "--out", "fig.svg", "--out-dir", str(figs), "--quiet"]
     assert main(argv) == EXIT_OK
     assert (figs / "fig.svg").exists()
+
+
+def test_plot_absolute_out_ignores_out_dir(tmp_path):
+    summary = bf_summary(tmp_path)
+    svg = tmp_path / "abs" / "fig.svg"
+    argv = ["plot", str(summary), "--kind", "rsrp-heatmap",
+            "--out", str(svg), "--out-dir", str(tmp_path / "figs"), "--quiet"]
+    assert main(argv) == EXIT_OK
+    assert svg.exists() and not (tmp_path / "figs").exists()
+
+
+def test_plot_empty_out_dir_exits_config(tmp_path, capsys, monkeypatch):
+    # emit_plot is stubbed out, so a join to the filesystem root writes nothing
+    emitted = []
+    monkeypatch.setattr(cli, "emit_plot", lambda *args: emitted.append(args))
+    monkeypatch.chdir(tmp_path)
+    argv = ["plot", "summary.json", "--kind", "reward-curve", "--out", "fig.svg",
+            "--out-dir", ""]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out-dir") and len(err.splitlines()) == 1
+    assert emitted == []
 
 
 def test_plot_failed_rename_keeps_the_old_svg(tmp_path, capsys, monkeypatch):

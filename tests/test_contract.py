@@ -87,11 +87,16 @@ def case_config(domain, target, key, field, base, value, out) -> dict:
             "seeds": [0, 1], "outputs": str(out)}
 
 
-def check_outcome(code, err, out):
+def check_outcome(code, err, out, root):
+    """The exit code and stderr of a command, its summary when it wrote one
+    to `out`, and no staging directory left anywhere under `root`."""
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME)
     assert "Traceback" not in err
+    assert not list(root.rglob(".occam-rrm-*")), "a staging directory was left behind"
     if code == EXIT_OK:
         assert err == ""
+        if out is None:  # a sweep; run_sweep checks its sweep.csv
+            return
         summary = json.loads((out / "summary.json").read_text())
         for record in summary["solvers"].values():
             metrics = [record["metrics"], *record["per_seed"].values()]
@@ -107,7 +112,7 @@ def run_config(tmp_path, capsys, config, jobs):
     path.write_text(json.dumps(config))
     capsys.readouterr()
     code = main(["run", str(path), "--jobs", str(jobs), "--quiet"])
-    check_outcome(code, capsys.readouterr().err, tmp_path / str(config["outputs"]))
+    check_outcome(code, capsys.readouterr().err, tmp_path / str(config["outputs"]), tmp_path)
 
 
 def run_case(tmp_path, capsys, case, value, jobs):
@@ -178,8 +183,8 @@ def run_sweep(tmp_path, capsys, config, param, values) -> int:
     code = main(["sweep", str(path), "--param", param, "--values", json.dumps(values),
                  "--jobs", "1", "--quiet"])
     err = capsys.readouterr().err
+    check_outcome(code, err, None, tmp_path)
     if code != EXIT_OK:
-        check_outcome(code, err, None)
         return code
     assert err == ""
     with open(tmp_path / config["outputs"] / "sweep.csv", newline="") as fh:

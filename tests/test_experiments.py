@@ -656,6 +656,58 @@ def test_failed_run_into_fresh_path_leaves_no_directory(tmp_path, command):
     assert list(tmp_path.iterdir()) == []
 
 
+def _staging(root):
+    """The staging directories left anywhere under `root`."""
+    return sorted(root.rglob(".occam-rrm-*"))
+
+
+@pytest.mark.parametrize("outputs", ["out", "."])
+def test_run_and_sweep_replace_each_other_and_keep_the_user_s_files(tmp_path, monkeypatch,
+                                                                   outputs):
+    out = tmp_path / "out"
+    (out / "value_notes").mkdir(parents=True)
+    (out / "notes.txt").write_text("notes\n")
+    (out / "value_notes" / "keep.txt").write_text("keep\n")
+    monkeypatch.chdir(out if outputs == "." else tmp_path)
+    cfg = la_config(outputs, seeds=(0,))
+    user = {"notes.txt", "value_notes"}
+    run_experiment(cfg)
+    assert {p.name for p in out.iterdir()} == user | {"episodes", "summary.json"}
+    sweep(cfg, "solvers.1.config.mcs", [0, 1])
+    assert {p.name for p in out.iterdir()} == user | {"sweep.csv", "value_000", "value_001"}
+    run_experiment(cfg)
+    assert {p.name for p in out.iterdir()} == user | {"episodes", "summary.json"}
+    assert (out / "notes.txt").read_text() == "notes\n"
+    assert (out / "value_notes" / "keep.txt").read_text() == "keep\n"
+    assert _staging(tmp_path) == []
+
+
+@pytest.mark.parametrize("failure", ["summary", "cell"])
+def test_failed_sweep_leaves_last_sweep_byte_identical(tmp_path, monkeypatch, failure):
+    cfg = la_config(tmp_path, seeds=(0,))
+    sweep(cfg, "solvers.1.config.mcs", [0, 1, 2])
+    assert _staging(tmp_path) == []
+    before = _tree(tmp_path)
+    write_text, summaries = Path.write_text, []
+
+    def third_summary_fails(path, *args, **kwargs):
+        if path.name.startswith("summary.json"):  # the file or a temporary beside it
+            summaries.append(path)
+            if len(summaries) == 3:
+                raise OSError("disk full")
+        return write_text(path, *args, **kwargs)
+
+    if failure == "summary":
+        monkeypatch.setattr(Path, "write_text", third_summary_fails)
+        with pytest.raises(OSError, match="disk full"):
+            sweep(cfg, "solvers.1.config.mcs", [2, 1, 0])
+    else:
+        with pytest.raises(InvalidActionError, match="step 0: mcs 99"):
+            sweep(cfg, "solvers.1.config.mcs", [2, 1, 99])
+    assert _tree(tmp_path) == before
+    assert _staging(tmp_path) == []
+
+
 @pytest.mark.parametrize("param,bad", [("horizon", 0), ("env.n_users", "six")])
 def test_sweep_checks_every_value_before_running_a_cell(tmp_path, monkeypatch, param, bad):
     cfg = scheduling_config(tmp_path)
