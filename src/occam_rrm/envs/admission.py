@@ -14,7 +14,7 @@ import numpy as np
 from ..config import check_keys
 from ..core import DEFAULT_DISCOUNT, StepOutcome, TabularMdp
 from ..errors import ConfigError, InvalidActionError
-from ..rng import STREAM_EXOGENOUS
+from ..rng import STREAM_EXOGENOUS, scalars
 from .base import RrmEnv
 
 REJECT, ACCEPT, DELAY = 0, 1, 2
@@ -158,14 +158,14 @@ class AdmissionEnv(RrmEnv):
         return 0.0
 
     def _start(self, seed):
-        self._event_stream = self.stream(STREAM_EXOGENOUS, kind="uniform")
+        self._event_stream = self.stream(STREAM_EXOGENOUS, kind="uniform", table=scalars)
         self._counts = tuple([0] * self.n_classes)
         self._used = self.used_of(self._counts)
         return self._obs_from(self._counts, self._used)
 
     def _step(self, action):
         rule = self._check_action(action)
-        u = self._event_stream.value(self.t)
+        u = self._event_stream.at(self.t)
         counts, reward, arrival, departure = self._counts, 0.0, 0.0, 0.0
         edge = 0.0
         for i, c in enumerate(self.classes):

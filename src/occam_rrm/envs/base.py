@@ -43,8 +43,10 @@ class RrmEnv:
             )
         return n
 
-    def stream(self, stream_id: int, per_step: int = 1, kind: str = "normal") -> StepStream:
-        return StepStream(self.seed, stream_id, per_step=per_step, kind=kind)
+    def stream(self, stream_id: int, per_step: int = 1, kind: str = "normal",
+               table=None) -> StepStream:
+        # a table that held the env would make a cycle, freed only by gc
+        return StepStream(self.seed, stream_id, per_step=per_step, kind=kind, table=table)
 
     def reset(self, seed: int):
         self._seed = int(seed)

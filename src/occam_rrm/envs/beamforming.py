@@ -72,7 +72,7 @@ class BeamformingEnv(RrmEnv):
         self._beams_in = self._beams_checked = None
 
     def _innovation(self, t: int) -> np.ndarray:
-        return self._chol @ self._noise.values(t)
+        return self._chol @ self._noise.at(t)
 
     def _start(self, seed):
         self._noise = self.stream(STREAM_EXOGENOUS, per_step=self.n_beams)

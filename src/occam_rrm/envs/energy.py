@@ -11,7 +11,7 @@ from .. import planning
 from ..config import check_keys
 from ..core import StepOutcome
 from ..errors import ConfigError, InvalidActionError
-from ..rng import STREAM_EXOGENOUS
+from ..rng import STREAM_EXOGENOUS, scalars
 from .base import RrmEnv
 
 OFF = -1
@@ -158,14 +158,14 @@ class EnergySavingEnv(RrmEnv):
         if self._trace is not None:
             level = float(self._trace[t % self._trace.size])
             if self._trace_noise > 0:
-                level += self._trace_noise * self._traffic_stream.value(t)
+                level += self._trace_noise * self._traffic_stream.at(t)
             return float(max(0.0, level))
         cfg = self._traffic_cfg
         level = cfg["base"]
         if cfg["kind"] == "sinusoid":
             level = cfg["base"] + cfg["amplitude"] * np.sin(2 * np.pi * t / cfg["period"])
         if cfg["noise_std"] > 0:
-            level += cfg["noise_std"] * self._traffic_stream.value(t)
+            level += cfg["noise_std"] * self._traffic_stream.at(t)
         return float(max(0.0, level))
 
     def _obs(self, t: int) -> dict:
@@ -179,7 +179,7 @@ class EnergySavingEnv(RrmEnv):
         }
 
     def _start(self, seed):
-        self._traffic_stream = self.stream(STREAM_EXOGENOUS)
+        self._traffic_stream = self.stream(STREAM_EXOGENOUS, table=scalars)
         self._status = tuple([OFF] * self.n_resources)
         self._backlog = 0.0
         return self._obs(0)

@@ -7,6 +7,8 @@ hysteresis, which threshold-and-count policies consume."""
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..config import check_keys
@@ -23,6 +25,24 @@ _DEFAULT_MODEL = {
     "near_rsrp": -60.0,
     "far_rsrp": -100.0,
 }
+
+
+def _crossing_rsrp(m: dict, phases: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """True RSRP in dB of the crossing model, one row per step in ``steps``."""
+    spread = m["near_rsrp"] - m["far_rsrp"]
+    # x in [0, 1]: distance proxy; cell 0 starts closest.
+    angle = 2 * np.pi * steps[:, None] / m["period"] - np.pi / 2 + phases
+    x = 0.5 * (1.0 + np.sin(angle))
+    return m["near_rsrp"] - spread * x
+
+
+def _rsrp_table(true_rsrp, noise_std: float, first_step: int, noise: np.ndarray) -> np.ndarray:
+    """Stream table, read-only: per step, the true RSRP of each cell, then
+    its noisy measurement."""
+    true = true_rsrp(np.arange(first_step, first_step + len(noise)))
+    table = np.hstack([true, true + noise_std * noise])
+    table.flags.writeable = False
+    return table
 
 
 class HandoverEnv(RrmEnv):
@@ -49,6 +69,7 @@ class HandoverEnv(RrmEnv):
                 raise ConfigError(
                     f"trace shape {self._trace.shape} != (n_steps, {self.n_cells})"
                 )
+            self._true_rsrp = partial(np.take, self._trace, axis=0, mode="wrap")
         elif kind == "crossing":
             check_keys(model, _DEFAULT_MODEL, (), "model")
             model = {**_DEFAULT_MODEL, **model}
@@ -56,6 +77,7 @@ class HandoverEnv(RrmEnv):
             if self._model["period"] < 2:
                 raise ConfigError("crossing period must be >= 2")
             self._phases = 2 * np.pi * np.arange(self.n_cells) / self.n_cells
+            self._true_rsrp = partial(_crossing_rsrp, self._model, self._phases)
         else:
             raise ConfigError(f"unknown mobility model kind {kind!r}")
         self.noise_std = float(noise_std)
@@ -76,38 +98,14 @@ class HandoverEnv(RrmEnv):
     def n_actions(self) -> int:
         return self.n_cells + 1  # stay plus one handover target per cell
 
-    def _true_rsrp(self, steps: np.ndarray) -> np.ndarray:
-        """True RSRP in dB, one row per step index in ``steps``."""
-        if self._trace is not None:
-            return self._trace[steps % self._trace.shape[0]]
-        m = self._model
-        spread = m["near_rsrp"] - m["far_rsrp"]
-        # x in [0, 1]: distance proxy; cell 0 starts closest.
-        angle = 2 * np.pi * steps[:, None] / m["period"] - np.pi / 2 + self._phases
-        x = 0.5 * (1.0 + np.sin(angle))
-        return m["near_rsrp"] - spread * x
-
     def true_rsrp_at(self, t: int) -> np.ndarray:
         return self._true_rsrp(np.array([t]))[0]
 
     def measured_rsrp_at(self, t: int) -> np.ndarray:
-        return self._rsrp_rows(t)[1].copy()
-
-    def _rsrp_rows(self, t: int) -> tuple[list, np.ndarray]:
-        """True RSRP of step t as a list and its noisy measurement as a
-        read-only array, read from tables built once per stream block."""
-        b, i = divmod(t, self._meas_stream.block_size)
-        if b != self._table_block:
-            size = self._meas_stream.block_size
-            true = self._true_rsrp(np.arange(b * size, (b + 1) * size))
-            self._meas_table = true + self.noise_std * self._meas_stream.block(b)
-            self._meas_table.flags.writeable = False
-            self._true_table = true.tolist()
-            self._table_block = b
-        return self._true_table[i], self._meas_table[i]
+        return self._rsrp.at(t)[self.n_cells:].copy()
 
     def _obs(self, t: int) -> MroObservation:
-        meas = self._rsrp_rows(t)[1]
+        meas = self._rsrp.at(t)[self.n_cells:]
         levels = meas.tolist()
         serving = self._serving
         serving_level = levels[serving]
@@ -129,8 +127,8 @@ class HandoverEnv(RrmEnv):
         )
 
     def _start(self, seed):
-        self._meas_stream = self.stream(STREAM_EXOGENOUS, per_step=self.n_cells)
-        self._table_block = -1
+        self._rsrp = self.stream(STREAM_EXOGENOUS, per_step=self.n_cells,
+                                 table=partial(_rsrp_table, self._true_rsrp, self.noise_std))
         self._serving = 0
         self._counts = [0] * self.n_cells
         self._last_ho_t: int | None = None
@@ -141,7 +139,7 @@ class HandoverEnv(RrmEnv):
         action = int(action)
         if not (0 <= action <= self.n_cells):
             raise InvalidActionError(f"action {action} outside [0, {self.n_cells}]")
-        true_now = self._rsrp_rows(self.t)[0]
+        true_now = self._rsrp.at(self.t)[: self.n_cells].tolist()
         pingpong = too_early = too_late = 0
         if action == 0:
             if true_now[self._serving] < self.rlf_threshold and any(

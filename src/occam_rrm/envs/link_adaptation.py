@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import ConfigError, InvalidActionError
-from ..rng import STREAM_ACTION, STREAM_EXOGENOUS
+from ..rng import STREAM_ACTION, STREAM_EXOGENOUS, scalars
 from .base import RrmEnv
 from ..core import StepOutcome
 
@@ -78,15 +78,15 @@ class LinkAdaptEnv(RrmEnv):
             return 0.0
 
     def _report(self, t: int) -> float:
-        noise = self.report_noise_std * self._report_stream.value(t)
+        noise = self.report_noise_std * self._report_stream.at(t)
         return self._sinr + noise
 
     def _start(self, seed):
-        self._innov = self.stream(STREAM_EXOGENOUS)
-        self._ack_stream = self.stream(STREAM_ACTION, kind="uniform")
-        self._report_stream = self.stream(_STREAM_REPORT)
+        self._innov = self.stream(STREAM_EXOGENOUS, table=scalars)
+        self._ack_stream = self.stream(STREAM_ACTION, kind="uniform", table=scalars)
+        self._report_stream = self.stream(_STREAM_REPORT, table=scalars)
         stationary_std = self.innovation_std / np.sqrt(1.0 - self.ar_coeff**2)
-        self._sinr = self.sinr_mean + stationary_std * self._innov.value(0)
+        self._sinr = self.sinr_mean + stationary_std * self._innov.at(0)
         return LaObs(sinr_report=self._report(0), ack=None)
 
     def _step(self, action):
@@ -94,7 +94,7 @@ class LinkAdaptEnv(RrmEnv):
         if not (0 <= mcs < self.n_mcs):
             raise InvalidActionError(f"mcs {mcs} outside [0, {self.n_mcs})")
         bler = self.bler(mcs, self._sinr)
-        ack = self._ack_stream.value(self.t) >= bler
+        ack = self._ack_stream.at(self.t) >= bler
         rate = float(self.rates[mcs])
         reward = rate if ack else 0.0
         diagnostics = {
@@ -108,7 +108,7 @@ class LinkAdaptEnv(RrmEnv):
         self._sinr = (
             self.sinr_mean
             + self.ar_coeff * (self._sinr - self.sinr_mean)
-            + self.innovation_std * self._innov.value(t_next)
+            + self.innovation_std * self._innov.at(t_next)
         )
         obs = LaObs(sinr_report=self._report(t_next), ack=bool(ack))
         return StepOutcome(observation=obs, reward=reward, diagnostics=diagnostics)

@@ -4,11 +4,13 @@ unaffected by the chosen allocation."""
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..core import StepOutcome
 from ..errors import ConfigError, InvalidActionError
-from ..rng import STREAM_EXOGENOUS
+from ..rng import STREAM_EXOGENOUS, exponential
 from .base import RrmEnv
 
 
@@ -49,23 +51,16 @@ class PowerEnv(RrmEnv):
         return self._gains(t).copy()
 
     def _gains(self, t: int) -> np.ndarray:
-        """gains_at(t) as a read-only array, computed once per coherence
-        block and shared by its steps."""
+        """gains_at(t) as a read-only array, shared by its coherence interval."""
         if self.fixed_gains is not None:
             return self.fixed_gains
-        block = t // self.coherence
-        if block != self._coherence_block:
-            u = self._gain_stream.values(block)
-            self._block_gains = self.mean_gain * -np.log1p(-u)
-            self._block_gains.flags.writeable = False
-            self._coherence_block = block
-        return self._block_gains
+        return self._gain_stream.at(t // self.coherence)
 
     def _start(self, seed):
         self._gain_stream = self.stream(
-            STREAM_EXOGENOUS, per_step=self.n_channels, kind="uniform"
+            STREAM_EXOGENOUS, per_step=self.n_channels, kind="uniform",
+            table=partial(exponential, self.mean_gain),
         )
-        self._coherence_block = -1
         return {"gains": self._gains(0), "noise": self.noise, "total_power": self.total_power}
 
     def _step(self, action):

@@ -5,11 +5,13 @@ endogenous."""
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..core import StepOutcome
 from ..errors import ConfigError, InvalidActionError
-from ..rng import STREAM_EXOGENOUS
+from ..rng import STREAM_EXOGENOUS, exponential
 from .base import RrmEnv
 
 EWMA_FLOOR = 1e-6
@@ -60,17 +62,8 @@ class SchedulingEnv(RrmEnv):
         return self._efficiency_row(t).copy()
 
     def _efficiency_row(self, t: int) -> np.ndarray:
-        """Spectral efficiencies of step t as a read-only row, shared by the
-        steps of its stream block: exponential fading draws one table per
-        block."""
-        if self.fading == "none":
-            return self._mean_row
-        b, i = divmod(t, self._fade_stream.block_size)
-        if b != self._table_block:
-            self._table = self.mean_efficiency * -np.log1p(-self._fade_stream.block(b))
-            self._table.flags.writeable = False
-            self._table_block = b
-        return self._table[i]
+        """Spectral efficiencies of step t as a read-only row."""
+        return self._mean_row if self.fading == "none" else self._fade_stream.at(t)
 
     def _utility(self) -> float:
         return float((self.weights * np.log(self._avg + EWMA_FLOOR)).sum())
@@ -86,9 +79,9 @@ class SchedulingEnv(RrmEnv):
 
     def _start(self, seed):
         self._fade_stream = self.stream(
-            STREAM_EXOGENOUS, per_step=self.n_users, kind="uniform"
+            STREAM_EXOGENOUS, per_step=self.n_users, kind="uniform",
+            table=partial(exponential, self.mean_efficiency),
         )
-        self._table_block = -1
         self._avg = np.full(self.n_users, EWMA_FLOOR)
         self._utility_now = self._utility()
         self._backlogs = np.zeros(self.n_users)

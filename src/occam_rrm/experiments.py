@@ -290,20 +290,28 @@ OWNED = re.compile(r"episodes|summary\.json|sweep\.csv|value_[0-9]{3,}")
 def _publishing(out_dir: Path):
     """Yield a staging directory for one command's files, each at its path
     relative to `out_dir`. Once the block succeeds, renames swap the entries
-    of `out_dir` that OWNED matches for the staged ones; if it fails, nothing
-    changes. Staging is made in `out_dir` or its nearest existing ancestor,
-    so a failed command into a fresh path makes no directory."""
-    anchor = next(d for d in (out_dir, *out_dir.parents) if d.is_dir())
+    of `out_dir` that OWNED matches for the staged ones; if anything fails,
+    the renames made are undone. Staging is made in `out_dir` or its nearest
+    existing ancestor, so a failed command into a fresh path makes no
+    directory, and an `out_dir` at or under a file fails before the block."""
+    anchor = next(d for d in (out_dir, *out_dir.parents) if d.exists())
     staging = Path(tempfile.mkdtemp(prefix=".occam-rrm-", dir=anchor))
+    done = []
     try:
         yield staging
         out_dir.mkdir(parents=True, exist_ok=True)
-        for entry in sorted(out_dir.iterdir()):
-            if OWNED.fullmatch(entry.name):
-                os.replace(entry, staging / f"{entry.name}.old")  # no longer an owned name
-        for entry in sorted(staging.iterdir()):
-            if OWNED.fullmatch(entry.name):
-                os.replace(entry, out_dir / entry.name)
+        # ".old" makes a name that OWNED no longer matches
+        renames = [(e, staging / f"{e.name}.old") for e in sorted(out_dir.iterdir())
+                   if OWNED.fullmatch(e.name)]
+        renames += [(e, out_dir / e.name) for e in sorted(staging.iterdir())
+                    if OWNED.fullmatch(e.name)]
+        for src, dst in renames:
+            os.replace(src, dst)
+            done.append((src, dst))
+    except BaseException:
+        for src, dst in reversed(done):
+            os.replace(dst, src)
+        raise
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 

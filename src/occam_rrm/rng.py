@@ -32,64 +32,56 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> np.uint64(1))
 
 
+def scalars(first_step: int, draws: np.ndarray) -> list[float]:
+    """Table of a scalar stream: the first draw of each step as a float."""
+    return draws[:, 0].tolist()
+
+
+def exponential(mean, first_step: int, u: np.ndarray) -> np.ndarray:
+    """Table of exponential fading of the given mean from uniform draws
+    (read-only): scheduling efficiencies and power gains."""
+    table = mean * -np.log1p(-u)
+    table.flags.writeable = False
+    return table
+
+
 class StepStream:
     """Per-step draws that are a pure function of (seed, stream id, step).
 
-    Draws are generated in blocks of ``block`` steps so that sequential access
-    is cheap, yet ``values(t)`` and ``block(b)`` are independent of the order
-    or number of times they are called. ``per_step`` values of the declared
-    kind are produced for every step index.
+    Draws are generated in blocks of ``block`` steps, ``per_step`` values of
+    the declared kind per step. ``table(first_step, draws)`` turns a block's
+    read-only draws into the rows that ``at(t)`` returns; it runs once per
+    block while the block stays in a tiny cache, and the default table is the
+    draws themselves. A table must be a pure function of its arguments, so
+    ``at(t)`` does not depend on the order or number of reads.
     """
 
     def __init__(self, seed: int, stream_id: int, per_step: int = 1,
-                 kind: str = "normal", block: int = 1024):
+                 kind: str = "normal", block: int = 1024, table=None):
         if kind not in ("normal", "uniform"):
             raise ValueError(f"unknown draw kind {kind!r}")
         self._seed = seed
         self._stream_id = stream_id
-        self._per_step = per_step
-        self._kind = kind
+        self._shape = (block, per_step)
+        self._draw = "random" if kind == "uniform" else "normal"  # a Generator method
         self._block = block
-        self._cache: dict[int, np.ndarray] = {}
-        self._column_block = -1
-        self._column: list[float] = []
+        self._table = table
+        self._cache: dict[int, object] = {}
 
-    @property
-    def block_size(self) -> int:
-        """Steps per block: block b holds steps b * block_size up to
-        (b + 1) * block_size - 1."""
-        return self._block
-
-    def block(self, b: int) -> np.ndarray:
-        """Draws of block ``b``, one row of ``per_step`` values per step
-        (read-only)."""
-        if b < 0:
-            raise ValueError("block index must be nonnegative")
-        arr = self._cache.get(b)
-        if arr is None:
-            rng = substream(self._seed, self._stream_id, b)
-            shape = (self._block, self._per_step)
-            arr = rng.normal(size=shape) if self._kind == "normal" else rng.random(size=shape)
-            arr.flags.writeable = False
-            if len(self._cache) >= 4:  # keep the cache tiny; regeneration is deterministic
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[b] = arr
-        return arr
-
-    def values(self, t: int) -> np.ndarray:
-        """Vector of ``per_step`` draws for step ``t`` (read-only view)."""
-        if t < 0:
-            raise ValueError("step index must be nonnegative")
-        return self.block(t // self._block)[t % self._block]
-
-    def value(self, t: int) -> float:
-        """Scalar draw for step ``t`` (first component). Read from the first
-        column of t's block, kept as a list of floats while steps stay in
-        that block."""
+    def at(self, t: int):
+        """Row t of its block's table; without a table, the ``per_step``
+        draws of step t (a read-only view)."""
         if t < 0:
             raise ValueError("step index must be nonnegative")
         b, i = divmod(t, self._block)
-        if b != self._column_block:
-            self._column = self.block(b)[:, 0].tolist()
-            self._column_block = b
-        return self._column[i]
+        rows = self._cache.get(b)
+        if rows is None:
+            rng = substream(self._seed, self._stream_id, b)
+            rows = getattr(rng, self._draw)(size=self._shape)
+            rows.flags.writeable = False
+            if self._table is not None:
+                rows = self._table(b * self._block, rows)
+            if len(self._cache) >= 4:  # keep the cache tiny; regeneration is deterministic
+                self._cache.pop(next(iter(self._cache)))
+            self._cache[b] = rows
+        return rows[i]

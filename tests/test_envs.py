@@ -1,6 +1,8 @@
 import copy
+import gc
 import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from occam_rrm import (
     run_episode,
 )
 from occam_rrm.envs import (
+    ENVS,
     SERVE_BEST,
     AdmissionEnv,
     BeamAction,
@@ -28,6 +31,7 @@ from occam_rrm.envs import (
     SchedulingEnv,
     TabularEnv,
     env_true_mdp,
+    make_env,
 )
 from occam_rrm.envs.energy import OFF, es_transition, es_transition_batch
 from occam_rrm.static_opt import water_fill
@@ -754,3 +758,23 @@ def test_writing_into_observations_changes_nothing(env_cls, policy_cls):
     for key, column in log.diagnostics.items():
         assert replayed.diagnostics[key].tobytes() == column.tobytes()
     assert reader.seen == writer.seen
+
+
+# The keys a kind needs beyond its defaults: tabular has no default MDP.
+REQUIRED_KEYS = {"tabular": {"transition": [[[1.0]]], "reward": [[0.0]]}}
+
+
+@pytest.mark.parametrize("kind", sorted(ENVS))
+def test_a_dropped_env_is_freed_without_gc(kind):
+    # An env that its streams (or anything else it holds) point back at is
+    # freed only by a gen-2 collection, which a run of many short episodes
+    # waits for with every dead env still in memory.
+    gc.disable()
+    try:
+        env = make_env({"env": kind, **REQUIRED_KEYS.get(kind, {})})
+        env.reset(0)
+        ref = weakref.ref(env)
+        del env
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from occam_rrm import config, experiments
+from occam_rrm import cli, config, experiments
 from occam_rrm.config import config_keys
 from occam_rrm.envs import ENVS, make_env
 from occam_rrm.errors import ConfigError, InvalidActionError, NumericalError
@@ -706,6 +706,56 @@ def test_failed_sweep_leaves_last_sweep_byte_identical(tmp_path, monkeypatch, fa
             sweep(cfg, "solvers.1.config.mcs", [2, 1, 99])
     assert _tree(tmp_path) == before
     assert _staging(tmp_path) == []
+
+
+@pytest.mark.parametrize("command,refused", [("run", "summary.json"), ("sweep", "value_001")])
+def test_failed_rename_restores_the_last_outputs(tmp_path, monkeypatch, command, refused):
+    # The staged entries go in sorted order, so the refused one comes after
+    # a new entry is placed (episodes; sweep.csv and value_000).
+    cfg = la_config(tmp_path, seeds=(0,))
+
+    def publish():
+        if command == "run":
+            run_experiment(cfg)
+        else:
+            sweep(cfg, "solvers.1.config.mcs", [0, 1])
+
+    publish()
+    before = _tree(tmp_path)
+    replace = experiments.os.replace
+
+    def refuses_the_new_entry(src, dst):
+        src = Path(src)
+        if src.name == refused and src.parent.name.startswith(".occam-rrm-"):
+            raise OSError("rename refused")
+        replace(src, dst)
+
+    monkeypatch.setattr(experiments.os, "replace", refuses_the_new_entry)
+    with pytest.raises(OSError, match="rename refused"):
+        publish()
+    assert _tree(tmp_path) == before
+    assert _staging(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("outputs", ["afile", "afile/sub"])
+def test_outputs_at_or_under_a_file_fails_before_a_cell(tmp_path, monkeypatch, capsys,
+                                                       command, outputs):
+    (tmp_path / "afile").write_text("mine\n")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(la_config(tmp_path / outputs).to_dict()))
+    ran = []
+    monkeypatch.setattr(experiments, "_run_cell", ran.append)
+    argv = [command, str(path)] + (["--param", "horizon", "--values", "[5]"]
+                                   if command == "sweep" else [])
+    assert cli.main(argv) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    # making the staging directory inside the file is what fails
+    assert err.startswith(f"runtime error: [Errno 20] Not a directory: '{tmp_path / 'afile'}/")
+    assert err.count("\n") == 1
+    assert ran == []
+    assert (tmp_path / "afile").read_text() == "mine\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.json"]
 
 
 @pytest.mark.parametrize("param,bad", [("horizon", 0), ("env.n_users", "six")])

@@ -18,6 +18,7 @@ from occam_rrm.core import TabularMdp
 from occam_rrm.envs import HandoverEnv, PowerEnv, SchedulingEnv, make_env
 from occam_rrm.errors import ConfigError
 from occam_rrm.planning import ValueTable, _q_from_values, value_iteration
+from occam_rrm.rng import STREAM_EXOGENOUS, StepStream
 from occam_rrm.static_opt import WATER_FILL_TOL, PowerAllocation, water_fill
 
 
@@ -71,7 +72,8 @@ def reference_value_iteration(mdp: TabularMdp, tol: float = 1e-8) -> ValueTable:
 
 
 # The per-step exogenous formulas of the envs, called with the env as self;
-# measured RSRP calls the reference true RSRP where it called its own.
+# measured RSRP calls the reference true RSRP where it called its own, and
+# each draws from a fresh raw stream where it read the env's.
 def reference_true_rsrp_at(self, t: int) -> np.ndarray:
     if self._trace is not None:
         return self._trace[t % self._trace.shape[0]].copy()
@@ -83,14 +85,14 @@ def reference_true_rsrp_at(self, t: int) -> np.ndarray:
 
 
 def reference_measured_rsrp_at(self, t: int) -> np.ndarray:
-    noise = self._meas_stream.values(t)
+    noise = StepStream(self.seed, STREAM_EXOGENOUS, self.n_cells, "normal").at(t)
     return reference_true_rsrp_at(self, t) + self.noise_std * noise
 
 
 def reference_efficiency_at(self, t: int) -> np.ndarray:
     if self.fading == "none":
         return self.mean_efficiency.copy()
-    u = self._fade_stream.values(t)
+    u = StepStream(self.seed, STREAM_EXOGENOUS, self.n_users, "uniform").at(t)
     return self.mean_efficiency * -np.log1p(-u)
 
 
@@ -98,7 +100,7 @@ def reference_gains_at(self, t: int) -> np.ndarray:
     if self.fixed_gains is not None:
         return self.fixed_gains.copy()
     block = t // self.coherence
-    u = self._gain_stream.values(block)
+    u = StepStream(self.seed, STREAM_EXOGENOUS, self.n_channels, "uniform").at(block)
     return self.mean_gain * -np.log1p(-u)
 
 
@@ -230,8 +232,8 @@ def test_handover_rsrp_tables_match_per_step_bits(n_cells, model):
         assert env.measured_rsrp_at(t).tobytes() == want_meas.tobytes()
         assert obs.rsrp_serving == want_meas[obs.serving_cell]
         assert obs.rsrp_neighbors.tobytes() == want_meas[obs.neighbor_cells].tobytes()
-        true_row, meas_row = env._rsrp_rows(t)
-        assert np.array(true_row).tobytes() == want_true.tobytes()
+        true_row, meas_row = np.split(env._rsrp.at(t), 2)
+        assert true_row.tobytes() == want_true.tobytes()
         assert meas_row.tobytes() == want_meas.tobytes()
         out = env.step(policy.act(obs))
         # the true RSRP of step t at the serving cell after the action
