@@ -372,7 +372,9 @@ def test_episode_csvs_match_golden_bytes(tmp_path, kind):
 # taken with the per-step formulas, at the commit before the per-block
 # exogenous tables replaced them; the link adaptation, energy and admission
 # digests before their streams were read from per-block lists, their traffic
-# carried between steps, DPP scored on floats and `used` computed once a step.
+# carried between steps, DPP scored on floats and `used` computed once a step;
+# the value-iteration and beamforming digests before value iteration was
+# solved once per command and the beam RSRP list built once a step.
 LONG_TRACE = [[round(-80.0 + 25.0 * math.sin(2 * math.pi * t / 97 + 2.1 * c), 3)
                for c in range(3)] for t in range(300)]
 ES_TRACE = [round(2.0 + 1.5 * math.sin(2 * math.pi * t / 71), 3) for t in range(300)]
@@ -412,6 +414,14 @@ LONG_HORIZON_RUNS = {
     "admission_control-q-learning": (
         {"env": "admission_control"},
         {"name": "q-learning", "config": {"train_episodes": 5}}),
+    "admission_control-value-iteration-fractional": (
+        {"env": "admission_control", "classes": FRACTIONAL_CLASSES, "safety_margin": 0.8,
+         "qos_penalty": 0.5},
+        {"name": "value-iteration"}),
+    "beamforming-knn-tracker": (
+        {"env": "beamforming"},
+        {"name": "knn-tracker", "config": {"budget_per_step": 3}}),
+    "beamforming-full-scan": ({"env": "beamforming"}, {"name": "full-scan"}),
 }
 LONG_HORIZON_SHA256 = {
     "handover-crossing":
@@ -434,6 +444,12 @@ LONG_HORIZON_SHA256 = {
         "b9d97829f6c1ccb8617eebc1f7335a30d2377b70a0a05e1fad209ea14a7ddb1e",
     "admission_control-q-learning":
         "f38188cf4079478dcb5a725ed667446e4038d5af8556ae73f2d6e2a0ec46d206",
+    "admission_control-value-iteration-fractional":
+        "daf206bead15f1dbb32d30aed7b2980e94498c8bcfab10faa33c0212a38dc63c",
+    "beamforming-knn-tracker":
+        "38fcd664dcaecea019917d1a26d66133c6a73082ec4f1f6ea0a5c5d588503d05",
+    "beamforming-full-scan":
+        "e179a39c16af87e5c9e5e59bf79d24a5c764c832fdce920db9f24a63641dee5e",
 }
 
 

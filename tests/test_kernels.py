@@ -1,25 +1,32 @@
 """The known-model kernels against their plain forms: water_fill's bisection
 on Python floats against the numpy one, value_iteration's warm start
-against the plain Bellman loop, and the per-block exogenous tables of the
-handover, scheduling and power envs against the per-step formulas. Each
-reference below is the earlier kernel, kept verbatim; the fast kernels must
-give the same bits or the same policy."""
+against the plain Bellman loop, AdmissionEnv.true_mdp, q_learning and the
+WMMSE refinement against their numpy-scalar loops, and the per-block
+exogenous tables of the handover, scheduling and power envs against the
+per-step formulas. Each reference below is the earlier kernel, kept
+verbatim; the fast kernels must give the same bits or the same policy."""
 
 import time
 
 import numpy as np
 import pytest
 from test_acceptance import QL_ADMISSION, TRUNK_AC
-from test_experiments import GOLDEN_TABULAR
+from test_experiments import FRACTIONAL_CLASSES, GOLDEN_TABULAR
 
 from occam_rrm import planning
 from occam_rrm.agents import GreedyHoAgent
-from occam_rrm.core import TabularMdp
+from occam_rrm.core import DEFAULT_DISCOUNT, TabularMdp
 from occam_rrm.envs import HandoverEnv, PowerEnv, SchedulingEnv, make_env
 from occam_rrm.errors import ConfigError
-from occam_rrm.planning import ValueTable, _q_from_values, value_iteration
-from occam_rrm.rng import STREAM_EXOGENOUS, StepStream
-from occam_rrm.static_opt import WATER_FILL_TOL, PowerAllocation, water_fill
+from occam_rrm.planning import QTable, ValueTable, _q_from_values, q_learning, value_iteration
+from occam_rrm.rng import STREAM_EXOGENOUS, StepStream, derive_seed
+from occam_rrm.static_opt import (
+    WATER_FILL_TOL,
+    PowerAllocation,
+    _sum_rate_raw,
+    _wmmse_refine,
+    water_fill,
+)
 
 
 def reference_water_fill(gains, noise: float, total_power: float) -> PowerAllocation:
@@ -69,6 +76,139 @@ def reference_value_iteration(mdp: TabularMdp, tol: float = 1e-8) -> ValueTable:
         if np.max(np.abs(v_next - v)) < stop:
             return ValueTable(values=v_next, policy=q.argmax(axis=1))
         v = v_next
+
+
+def reference_true_mdp(self) -> TabularMdp:
+    """AdmissionEnv.true_mdp, called with the env as self."""
+    if self.strict_feasibility:
+        raise ConfigError(
+            "true_mdp undefined under strict_feasibility: accept rules "
+            "would error on full states instead of transitioning"
+        )
+    states = self.enumerate_states()
+    actions = self.action_list()
+    index = {s: i for i, s in enumerate(states)}
+    used = [self.used_of(s) for s in states]
+    S, A = len(states), len(actions)
+    P = np.zeros((S, A, S))
+    R = np.zeros((S, A))
+    for si, s in enumerate(states):
+        for ai, rule in enumerate(actions):
+            stay = 1.0
+            for ci, c in enumerate(self.classes):
+                lam = c["arrival_rate"]
+                if lam > 0:
+                    nxt, rew = self._rule_outcome(s, used[si], ci, rule[ci])
+                    P[si, ai, index[nxt]] += lam
+                    R[si, ai] += lam * (rew + self._qos(used[index[nxt]]))
+                    stay -= lam
+                mu = s[ci] * c["departure_rate"]
+                if mu > 0:
+                    nxt = tuple(n - 1 if j == ci else n for j, n in enumerate(s))
+                    P[si, ai, index[nxt]] += mu
+                    R[si, ai] += mu * self._qos(used[index[nxt]])
+                    stay -= mu
+            P[si, ai, si] += stay
+            R[si, ai] += stay * self._qos(used[si])
+    return TabularMdp(
+        n_states=S, n_actions=A, transition=P, reward=R, discount=self.discount
+    )
+
+
+def reference_q_learning(env, episodes, horizon=1000, alpha=None, epsilon=None, seed=0) -> QTable:
+    alpha = alpha if alpha is not None else planning.hyperbolic_schedule(planning.ALPHA0_DEFAULT)
+    epsilon = (epsilon if epsilon is not None
+               else planning.hyperbolic_schedule(planning.EPSILON0_DEFAULT))
+    actions = env.action_list()
+    n_s, n_a = env.n_states, len(actions)
+    discount = float(getattr(env, "discount", DEFAULT_DISCOUNT))
+    q = np.zeros((n_s, n_a))
+    visits = np.zeros((n_s, n_a), dtype=int)
+    rng = np.random.default_rng(derive_seed(seed, 1))
+
+    t_global = 0
+    for ep in range(episodes):
+        obs = env.reset(derive_seed(seed, 2 + ep))
+        s = env.state_index(obs)
+        for _ in range(horizon):
+            eps = epsilon(t_global) if callable(epsilon) else epsilon
+            if rng.random() < eps:
+                a = int(rng.integers(n_a))
+            else:
+                a = int(q[s].argmax())
+            out = env.step(actions[a])
+            s_next = env.state_index(out.observation)
+            lr = alpha(t_global) if callable(alpha) else alpha
+            target = out.reward + discount * q[s_next].max()
+            q[s, a] += lr * (target - q[s, a])
+            visits[s, a] += 1
+            s = s_next
+            t_global += 1
+            if out.done:
+                break
+    return QTable(q=q, visits=visits)
+
+
+def reference_wmmse_refine(E, noise, budget, W, iters, tol):
+    Hc = E.conj().T  # columns are the user channels h_u
+    prev = -np.inf
+    for _ in range(iters):
+        G = E @ W
+        denom = np.sum(np.abs(G) ** 2, axis=1) + noise
+        g = np.diag(G)
+        u = g / denom
+        mse = 1.0 - np.abs(g) ** 2 / denom
+        m = 1.0 / np.maximum(mse, 1e-15)
+        d = m * np.abs(u) ** 2
+        A = E.conj().T @ (d[:, None] * E)
+        lam, Q = np.linalg.eigh(A)
+        lam = np.maximum(lam, 0.0)
+        B = Q.conj().T @ Hc
+        coef = (m * np.abs(u)) ** 2
+        c = coef[None, :] * np.abs(B) ** 2
+        csum = float(c.sum())
+        if csum == 0:
+            break
+
+        def power(mu):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = c / (lam[:, None] + mu) ** 2
+            return float(np.where(c > 0, terms, 0.0).sum())
+
+        if lam.min() > 0 and power(0.0) <= budget:
+            mu = 0.0
+        else:
+            hi = max(np.sqrt(csum / budget), 1e-12)
+            while power(hi) > budget:
+                hi *= 2.0
+            target = budget**-0.5
+            a, fa = 0.0, power(0.0) ** -0.5 - target  # fa <= 0
+            b, fb = hi, power(hi) ** -0.5 - target  # fb >= 0
+            mu = b
+            for _ in range(60):
+                mid = b - fb * (b - a) / (fb - fa) if fb != fa else 0.5 * (a + b)
+                if not (a < mid < b):
+                    mid = 0.5 * (a + b)
+                pm = power(mid)
+                if abs(pm - budget) <= 1e-11 * budget:
+                    mu = mid
+                    break
+                if pm > budget:
+                    a, fa = mid, pm**-0.5 - target
+                else:
+                    b, fb = mid, pm**-0.5 - target
+                    mu = mid
+                if b - a <= 1e-15 * (1.0 + b):
+                    break
+        W = (Q @ (B / (lam[:, None] + mu))) * (m * np.conj(u))[None, :]
+        rate = _sum_rate_raw(E, W, noise)
+        if rate - prev < tol:
+            break
+        prev = rate
+    norm = np.linalg.norm(W)
+    if norm > 0:
+        W = W * (np.sqrt(budget) / norm)
+    return W, _sum_rate_raw(E, W, noise)
 
 
 # The per-step exogenous formulas of the envs, called with the env as self;
@@ -198,6 +338,95 @@ def test_value_iteration_stops_at_the_float_floor(monkeypatch):
     assert np.spacing(np.max(np.abs(got.values))) > stop
     assert elapsed < 0.5
     assert np.array_equal(got.policy, want.policy)
+
+
+# ---------------------------------------------------------------- admission and Q-learning
+
+# Three classes, one without arrivals, and a safety margin under which the
+# QoS penalty fires.
+THREE_CLASSES = {
+    "env": "admission_control", "capacity": 6, "safety_margin": 0.7, "qos_penalty": 0.3,
+    "classes": [
+        {"arrival_rate": 0.1, "departure_rate": 0.02, "demand": 1, "reward": 1.0,
+         "reject_penalty": 0.1},
+        {"arrival_rate": 0.08, "departure_rate": 0.015, "demand": 2, "reward": 2.5,
+         "reject_penalty": 0.4},
+        {"arrival_rate": 0.0, "departure_rate": 0.03, "demand": 3, "reward": 4.0,
+         "delay_penalty": 0.3},
+    ],
+}
+TRUE_MDP_CONFIGS = {
+    "default": {"env": "admission_control"},
+    "fractional": {"env": "admission_control", "classes": FRACTIONAL_CLASSES,
+                   "safety_margin": 0.8, "qos_penalty": 0.5},
+    "three-classes": THREE_CLASSES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRUE_MDP_CONFIGS))
+def test_admission_true_mdp_matches_scalar_loop_bits(name):
+    env = make_env(TRUE_MDP_CONFIGS[name])
+    want = reference_true_mdp(env)
+    got = env.true_mdp()
+    assert (got.n_states, got.n_actions, got.discount) == (
+        want.n_states, want.n_actions, want.discount)
+    assert got.transition.shape == want.transition.shape
+    assert got.transition.tobytes() == want.transition.tobytes()
+    assert got.reward.shape == want.reward.shape
+    assert got.reward.tobytes() == want.reward.tobytes()
+
+
+# Q starts at all zeros, so greedy choices meet ties, most of all with
+# epsilon 0; constant alpha and epsilon take the non-callable branch.
+QL_CASES = {
+    "admission-default": ({"env": "admission_control"}, {"episodes": 5, "horizon": 200}),
+    "admission-greedy": (QL_ADMISSION, {"episodes": 3, "horizon": 300, "epsilon": 0.0,
+                                        "alpha": 0.1}),
+    "admission-three-classes": (THREE_CLASSES, {"episodes": 2, "horizon": 400}),
+    "tabular": (GOLDEN_TABULAR, {"episodes": 4, "horizon": 150}),
+    "tabular-greedy": (GOLDEN_TABULAR, {"episodes": 2, "horizon": 100, "epsilon": 0.0,
+                                        "alpha": 0.5}),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", sorted(QL_CASES))
+def test_q_learning_matches_numpy_loop_bits(name, seed):
+    env_cfg, kwargs = QL_CASES[name]
+    want = reference_q_learning(make_env(env_cfg), seed=seed, **kwargs)
+    got = q_learning(make_env(env_cfg), seed=seed, **kwargs)
+    assert got.q.dtype == want.q.dtype and got.q.shape == want.q.shape
+    assert got.q.tobytes() == want.q.tobytes()
+    assert got.visits.dtype == want.visits.dtype
+    assert got.visits.tobytes() == want.visits.tobytes()
+
+
+# ---------------------------------------------------------------- WMMSE
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 2), (2, 3)])
+def test_wmmse_refine_matches_reference_bits(shape):
+    # mmse_precoder's starts: matched filter, each single-user beam (which
+    # leaves eigenvalues at 0, so the power search divides by zero) and a
+    # random draw
+    rng = np.random.default_rng(sum(shape))
+    n_users, n_tx = shape
+    for _ in range(6):
+        E = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+        budget = float(10.0 ** rng.uniform(-0.5, 1.5))
+        noise = float(10.0 ** rng.uniform(-2.0, 1.0))
+        starts = [E.conj().T.copy()]
+        for u in range(n_users):
+            W = np.zeros((n_tx, n_users), dtype=complex)
+            W[:, u] = E[u].conj()
+            starts.append(W)
+        starts.append(rng.standard_normal((n_tx, n_users))
+                      + 1j * rng.standard_normal((n_tx, n_users)))
+        for W0 in starts:
+            W0 = W0 * (np.sqrt(budget) / np.linalg.norm(W0))
+            want_W, want_rate = reference_wmmse_refine(E, noise, budget, W0, 200, 1e-10)
+            got_W, got_rate = _wmmse_refine(E, noise, budget, W0, 200, 1e-10)
+            assert got_W.tobytes() == want_W.tobytes()
+            assert got_rate == want_rate
 
 
 # ---------------------------------------------------------------- exogenous tables
