@@ -13,7 +13,7 @@ import operator
 import numpy as np
 
 from . import planning
-from .bandits import illa_select, thompson_select
+from .bandits import _arm_values, _illa_pick, _illa_table, _thompson_pick
 from .core import EpisodeLog, run_episode
 from .envs.beamforming import SERVE_BEST, BeamAction
 from .envs.energy import OFF, es_transition_batch
@@ -36,7 +36,7 @@ class IllaOllaAgent:
     def __init__(self, lookup, step_up: float, target_bler: float):
         if not 0.0 < target_bler < 1.0:
             raise ConfigError("target_bler must lie in (0, 1)")
-        self.lookup = np.asarray(lookup, dtype=float)
+        self.lookup = _illa_table(lookup)  # checked once, here
         self.step_up = step_up
         self.step_down = step_up * (1.0 - target_bler) / target_bler
         if step_up <= 0 or self.step_down <= 0:
@@ -51,7 +51,7 @@ class IllaOllaAgent:
     def act(self, obs):
         if obs.ack is not None:
             self.offset += self.step_up if obs.ack else -self.step_down
-        return illa_select(obs.sinr_report, self.offset, self.lookup)
+        return _illa_pick(obs.sinr_report, self.offset, self.lookup)
 
 
 class ThompsonMcsAgent:
@@ -59,7 +59,7 @@ class ThompsonMcsAgent:
     uniform; picks the throughput maximizer under sampled success rates."""
 
     def __init__(self, rates):
-        self.rates = np.asarray(rates, dtype=float)
+        self.rates = _arm_values(rates)  # checked once, here
 
     def reset(self, seed):
         self.rng = np.random.default_rng(seed)
@@ -73,7 +73,7 @@ class ThompsonMcsAgent:
                 self.alpha[self.last] += 1.0
             else:
                 self.beta[self.last] += 1.0
-        self.last = thompson_select(self.alpha, self.beta, self.rates, self.rng)
+        self.last = _thompson_pick(self.alpha, self.beta, self.rates, self.rng)
         return self.last
 
 

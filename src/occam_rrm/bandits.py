@@ -7,6 +7,7 @@ tracker agent.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,17 +27,28 @@ def thompson_select(alpha, beta, values, rng) -> int:
     """Sample each arm's success probability from its Beta(alpha, beta)
     posterior, in arm order, and pick the arm maximizing sampled probability
     times its value. Ties break to the lowest index."""
-    if len(values) == 0:
-        raise ConfigError("need at least one arm")
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(alpha),) or len(beta) != len(alpha):
+    values = _arm_values(values)
+    if len(values) != len(alpha) or len(beta) != len(alpha):
         raise ConfigError("one value per arm required")
-    if np.any(values < 0):
-        raise ConfigError("arm values must be nonnegative")
     if min(alpha) <= 0 or min(beta) <= 0:
         raise ConfigError("Beta parameters must be positive")
-    theta = np.array([rng.beta(a, b) for a, b in zip(alpha, beta)])
-    return int(np.argmax(values * theta))
+    return _thompson_pick(alpha, beta, values, rng)
+
+
+def _arm_values(values) -> list:
+    """`values` as a list of floats, after the checks thompson_select makes."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or len(values) == 0:
+        raise ConfigError("need one value per arm, and at least one arm")
+    if not np.all(values >= 0):
+        raise ConfigError("arm values must be nonnegative")
+    return values.tolist()
+
+
+def _thompson_pick(alpha, beta, values, rng) -> int:
+    """thompson_select on arms _arm_values checked, alpha and beta positive."""
+    scores = [v * rng.beta(a, b) for v, a, b in zip(values, alpha, beta)]
+    return scores.index(max(scores))
 
 
 # ---------------------------------------------------------------- ILLA lookup
@@ -44,14 +56,22 @@ def thompson_select(alpha, beta, values, rng) -> int:
 def illa_select(sinr_report: float, offset: float, lookup) -> int:
     """Highest MCS whose threshold is <= the offset-corrected report; the
     boundary is inclusive, and reports below every threshold map to MCS 0."""
+    return _illa_pick(sinr_report, offset, _illa_table(lookup))
+
+
+def _illa_table(lookup) -> list:
+    """`lookup` as a list of floats, after the checks illa_select makes."""
     lookup = np.asarray(lookup, dtype=float)
     if lookup.ndim != 1 or len(lookup) == 0:
         raise ConfigError("lookup must be a nonempty 1-D threshold table")
-    if np.any(np.diff(lookup) <= 0):
+    if not np.all(np.diff(lookup) > 0):
         raise ConfigError("lookup thresholds must be strictly increasing")
-    effective = sinr_report + offset
-    idx = int(np.searchsorted(lookup, effective, side="right")) - 1
-    return max(idx, 0)
+    return lookup.tolist()
+
+
+def _illa_pick(sinr_report: float, offset: float, lookup: list) -> int:
+    """illa_select on a table _illa_table checked."""
+    return max(bisect_right(lookup, sinr_report + offset) - 1, 0)
 
 
 # ---------------------------------------------------------------- GP surrogate

@@ -26,14 +26,17 @@ ENVS = {
 
 
 def make_env(cfg: dict):
-    """Build an environment from a config dict with an 'env' discriminator."""
+    """Build an environment from a config dict with an 'env' discriminator.
+    The env keeps that dict as `config`, the key of what is solved per config."""
     if "env" not in cfg:
         raise ConfigError("environment config needs an 'env' discriminator field")
     kind = cfg["env"]
     build = ENVS.get(kind)
     if build is None:
         raise ConfigError(f"unknown env {kind!r}; known: {sorted(ENVS)}")
-    return build_from_config(build, {k: v for k, v in cfg.items() if k != "env"}, kind)
+    env = build_from_config(build, {k: v for k, v in cfg.items() if k != "env"}, kind)
+    env.config = cfg
+    return env
 
 
 __all__ = [

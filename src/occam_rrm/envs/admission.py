@@ -8,6 +8,7 @@ departure rates are per-step probabilities and must sum below one."""
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +84,7 @@ class AdmissionEnv(RrmEnv):
                 f"event rates too high for one-event-per-step dynamics "
                 f"(worst-case total {worst!r} > 1); scale arrival/departure rates down"
             )
+        self._action_in = self._rule = None
 
     # -------------------------------------------------- state bookkeeping
 
@@ -112,15 +114,17 @@ class AdmissionEnv(RrmEnv):
     def action_list(self) -> list[tuple]:
         return list(itertools.product((REJECT, ACCEPT, DELAY), repeat=self.n_classes))
 
-    @property
+    @cached_property
     def _state_lookup(self):
-        if not hasattr(self, "_lookup_cache"):
-            self._lookup_cache = {s: i for i, s in enumerate(self.enumerate_states())}
-        return self._lookup_cache
+        return {s: i for i, s in enumerate(self.enumerate_states())}
 
     # -------------------------------------------------- dynamics
 
     def _check_action(self, action) -> tuple:
+        # Table policies pass the same action_list tuples again and again, so
+        # the last one checked is kept, as BeamformingEnv._check_beams does.
+        if action is self._action_in and type(action) is tuple:
+            return self._rule
         if isinstance(action, (int, np.integer)) and self.n_classes == 1:
             action = (int(action),)
         rule = tuple(map(int, action))
@@ -131,6 +135,7 @@ class AdmissionEnv(RrmEnv):
         for a in rule:
             if a not in (REJECT, ACCEPT, DELAY):
                 raise InvalidActionError(f"rule entry {a} not in {{0, 1, 2}}")
+        self._action_in, self._rule = action, rule
         return rule
 
     def _rule_outcome(self, counts, used, cls_idx, decision):
@@ -199,37 +204,47 @@ class AdmissionEnv(RrmEnv):
 
     def true_mdp(self) -> TabularMdp:
         """Exact transition tensor and expected-reward table of the
-        uniformized chain, marginalizing arrivals into the kernel."""
+        uniformized chain, marginalizing arrivals into the kernel. A row is
+        summed on Python floats (per class the arrival, then the departure;
+        then the stay mass), and a state's rows are stored at once."""
         if self.strict_feasibility:
             raise ConfigError(
                 "true_mdp undefined under strict_feasibility: accept rules "
                 "would error on full states instead of transitioning"
             )
-        states = self.enumerate_states()
+        index = self._state_lookup
         actions = self.action_list()
-        index = {s: i for i, s in enumerate(states)}
-        used = [self.used_of(s) for s in states]
-        S, A = len(states), len(actions)
+        used = [self.used_of(s) for s in index]
+        qos = [self._qos(u) for u in used]
+        S, A = len(index), len(actions)
         P = np.zeros((S, A, S))
         R = np.zeros((S, A))
-        for si, s in enumerate(states):
-            for ai, rule in enumerate(actions):
-                stay = 1.0
+        for si, s in enumerate(index):
+            # (rate, target) of a departure per class; no target at count 0
+            departs = [
+                (s[ci] * c["departure_rate"], index.get(s[:ci] + (s[ci] - 1,) + s[ci + 1:]))
+                for ci, c in enumerate(self.classes)
+            ]
+            rows, rewards = [], []
+            for rule in actions:
+                row, r, stay = [0.0] * S, 0.0, 1.0
                 for ci, c in enumerate(self.classes):
                     lam = c["arrival_rate"]
                     if lam > 0:
                         nxt, rew = self._rule_outcome(s, used[si], ci, rule[ci])
-                        P[si, ai, index[nxt]] += lam
-                        R[si, ai] += lam * (rew + self._qos(used[index[nxt]]))
+                        j = index[nxt]
+                        row[j] += lam
+                        r += lam * (rew + qos[j])
                         stay -= lam
-                    mu = s[ci] * c["departure_rate"]
+                    mu, j = departs[ci]
                     if mu > 0:
-                        nxt = tuple(n - 1 if j == ci else n for j, n in enumerate(s))
-                        P[si, ai, index[nxt]] += mu
-                        R[si, ai] += mu * self._qos(used[index[nxt]])
+                        row[j] += mu
+                        r += mu * qos[j]
                         stay -= mu
-                P[si, ai, si] += stay
-                R[si, ai] += stay * self._qos(used[si])
+                row[si] += stay
+                rows.append(row)
+                rewards.append(r + stay * qos[si])
+            P[si], R[si] = rows, rewards
         return TabularMdp(
             n_states=S, n_actions=A, transition=P, reward=R, discount=self.discount
         )

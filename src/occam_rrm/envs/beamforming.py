@@ -68,6 +68,7 @@ class BeamformingEnv(RrmEnv):
         cov = np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * self.spatial_corr**2))
         self._chol = np.linalg.cholesky(cov + _JITTER * np.eye(self.n_beams))
         self._field: np.ndarray | None = None
+        self._rsrp: list | None = None
         self._pending: tuple | None = None
         self._beams_in = self._beams_checked = None
 
@@ -77,6 +78,7 @@ class BeamformingEnv(RrmEnv):
     def _start(self, seed):
         self._noise = self.stream(STREAM_EXOGENOUS, per_step=self.n_beams)
         self._field = self._innovation(0)
+        self._rsrp = self.current_rsrp().tolist()  # what measure() and the step read
         self._pending = None
         return {}
 
@@ -117,8 +119,7 @@ class BeamformingEnv(RrmEnv):
             raise InvalidActionError("measure() called twice in one step")
         beams = self._check_beams(beams)
         self._pending = beams
-        rsrp = self.current_rsrp().tolist()
-        return {b: rsrp[b] for b in beams}
+        return {b: self._rsrp[b] for b in beams}
 
     def _step(self, action):
         if isinstance(action, BeamAction):
@@ -132,8 +133,7 @@ class BeamformingEnv(RrmEnv):
             measured = self._pending if self._pending is not None else ()
             serve = action
         self._pending = None
-        field = self.current_rsrp()
-        rsrp = field.tolist()
+        rsrp = self._rsrp
         if isinstance(serve, str):
             if serve != SERVE_BEST:
                 raise InvalidActionError(f"unknown serve directive {serve!r}")
@@ -143,7 +143,7 @@ class BeamformingEnv(RrmEnv):
         serve = int(serve)
         if not (0 <= serve < self.n_beams):
             raise InvalidActionError(f"served beam {serve} outside [0, {self.n_beams})")
-        optimal = int(np.argmax(field))
+        optimal = rsrp.index(max(rsrp))  # the first maximum, as argmax
         reward = rsrp[serve] - self.measure_cost * len(measured)
         diagnostics = {
             "served_beam": float(serve),
@@ -153,5 +153,6 @@ class BeamformingEnv(RrmEnv):
             "n_measured": float(len(measured)),
         }
         self._field = self.temporal_corr * self._field + self._mix * self._innovation(self.t + 1)
+        self._rsrp = self.current_rsrp().tolist()
         obs = {b: rsrp[b] for b in measured}
         return StepOutcome(observation=obs, reward=reward, diagnostics=diagnostics)

@@ -55,6 +55,11 @@ class SolverSpec:
 # through this module's names at call time instead of storing them, so a
 # wrapper installed on module attributes (perfbench's tracer) sees every call.
 
+# Value-iteration policies by (env config, tol), which is all they depend
+# on; a dict only while _run_all runs a command, so each command (and each of
+# its pool workers) solves a config once and keeps nothing afterwards.
+_policies = None
+
 
 def _mpc_energy(env, predictor="oracle", plan_horizon=5, discount=1.0):
     if predictor == "oracle":
@@ -67,8 +72,15 @@ def _mpc_energy(env, predictor="oracle", plan_horizon=5, discount=1.0):
 
 
 def _value_iteration(env, tol=1e-8):
-    table = value_iteration(env_true_mdp(env), tol=tol)
-    return agents.TablePolicyAgent(env, table.policy)
+    policies = _policies  # read once: None outside a command
+    key = policies is not None and json.dumps([env.config, tol], sort_keys=True)
+    policy = policies.get(key) if key else None
+    if policy is None:
+        policy = value_iteration(env_true_mdp(env), tol=tol).policy
+        policy.flags.writeable = False  # the cells of one config share it
+        if key:
+            policies[key] = policy
+    return agents.TablePolicyAgent(env, policy)
 
 
 def _q_learning(env, seed, train_episodes=100, train_horizon=200):
@@ -296,10 +308,12 @@ def _publishing(out_dir: Path):
     directory, and an `out_dir` at or under a file fails before the block."""
     anchor = next(d for d in (out_dir, *out_dir.parents) if d.exists())
     staging = Path(tempfile.mkdtemp(prefix=".occam-rrm-", dir=anchor))
-    done = []
+    done, made = [], []
     try:
         yield staging
+        missing = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
         out_dir.mkdir(parents=True, exist_ok=True)
+        made = missing
         # ".old" makes a name that OWNED no longer matches
         renames = [(e, staging / f"{e.name}.old") for e in sorted(out_dir.iterdir())
                    if OWNED.fullmatch(e.name)]
@@ -311,6 +325,8 @@ def _publishing(out_dir: Path):
     except BaseException:
         for src, dst in reversed(done):
             os.replace(dst, src)
+        for d in made:  # deepest first, each empty again
+            d.rmdir()
         raise
     finally:
         shutil.rmtree(staging, ignore_errors=True)
@@ -334,16 +350,21 @@ def _run_all(cfgs, out_dir: Path, staging: Path, jobs) -> list[dict]:
         for name, label, solver_cfg in cfg.solvers
         for seed in cfg.seeds
     ]
-    if jobs > 1 and len(cells) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
+    global _policies
+    _policies = {}  # forked pool workers start with this empty dict
+    try:
+        if jobs > 1 and len(cells) > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
 
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        try:
-            results = list(pool.map(_run_cell, cells))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    else:
-        results = [_run_cell(args) for args in cells]
+            pool = ProcessPoolExecutor(max_workers=jobs)
+            try:
+                results = list(pool.map(_run_cell, cells))
+            finally:
+                pool.shutdown(cancel_futures=True)
+        else:
+            results = [_run_cell(args) for args in cells]
+    finally:
+        _policies = None
     results = iter(results)  # consumed in the order the cells were listed
     summaries = [_summary(cfg, discount, results) for cfg, discount in zip(cfgs, discounts)]
     for dest, summary in zip(dests, summaries):

@@ -150,7 +150,9 @@ def q_learning(
 ) -> QTable:
     """One-step tabular Q-learning with epsilon-greedy behavior. The env must
     expose n_states / state_index() / action_list(). Deterministic given the
-    seed: exploration and env randomness both derive from it."""
+    seed: exploration and env randomness both derive from it. The table is
+    learned on rows of Python floats; the greedy action is the first
+    maximizer, as argmax picks it."""
     _require_enumerable(env)
     if episodes < 1 or horizon < 1:
         raise ConfigError("episodes and horizon must be >= 1")
@@ -161,8 +163,8 @@ def q_learning(
     actions = env.action_list()
     n_s, n_a = env.n_states, len(actions)
     discount = float(getattr(env, "discount", DEFAULT_DISCOUNT))
-    q = np.zeros((n_s, n_a))
-    visits = np.zeros((n_s, n_a), dtype=int)
+    q = [[0.0] * n_a for _ in range(n_s)]
+    visits = [[0] * n_a for _ in range(n_s)]
     rng = np.random.default_rng(derive_seed(seed, 1))
 
     t_global = 0
@@ -174,13 +176,13 @@ def q_learning(
             if rng.random() < eps:
                 a = int(rng.integers(n_a))
             else:
-                a = int(q[s].argmax())
+                a = q[s].index(max(q[s]))
             out = env.step(actions[a])
             s_next = env.state_index(out.observation)
             lr = alpha(t_global) if callable(alpha) else alpha
-            target = out.reward + discount * q[s_next].max()
-            q[s, a] += lr * (target - q[s, a])
-            visits[s, a] += 1
+            target = out.reward + discount * max(q[s_next])
+            q[s][a] += lr * (target - q[s][a])
+            visits[s][a] += 1
             s = s_next
             t_global += 1
             if out.done:

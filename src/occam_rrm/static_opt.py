@@ -169,38 +169,38 @@ def _wmmse_refine(E, noise, budget, W, iters, tol):
         if csum == 0:
             break
 
-        def power(mu):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = c / (lam[:, None] + mu) ** 2
+        def power(mu):  # called under the errstate below: lam + mu may be 0
+            terms = c / (lam[:, None] + mu) ** 2
             return float(np.where(c > 0, terms, 0.0).sum())
 
-        if lam.min() > 0 and power(0.0) <= budget:
-            mu = 0.0
-        else:
-            # power(mu) decreases in mu and power(mu)**-0.5 is near-linear,
-            # so a bracketed secant on that transform converges in a few steps.
-            hi = max(np.sqrt(csum / budget), 1e-12)
-            while power(hi) > budget:
-                hi *= 2.0
-            target = budget**-0.5
-            a, fa = 0.0, power(0.0) ** -0.5 - target  # fa <= 0
-            b, fb = hi, power(hi) ** -0.5 - target  # fb >= 0
-            mu = b
-            for _ in range(60):
-                mid = b - fb * (b - a) / (fb - fa) if fb != fa else 0.5 * (a + b)
-                if not (a < mid < b):
-                    mid = 0.5 * (a + b)
-                pm = power(mid)
-                if abs(pm - budget) <= 1e-11 * budget:
-                    mu = mid
-                    break
-                if pm > budget:
-                    a, fa = mid, pm**-0.5 - target
-                else:
-                    b, fb = mid, pm**-0.5 - target
-                    mu = mid
-                if b - a <= 1e-15 * (1.0 + b):
-                    break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if lam.min() > 0 and power(0.0) <= budget:
+                mu = 0.0
+            else:
+                # power(mu) decreases in mu and power(mu)**-0.5 is near-linear,
+                # so a bracketed secant on that transform converges in a few steps.
+                hi = max(np.sqrt(csum / budget), 1e-12)
+                while power(hi) > budget:
+                    hi *= 2.0
+                target = budget**-0.5
+                a, fa = 0.0, power(0.0) ** -0.5 - target  # fa <= 0
+                b, fb = hi, power(hi) ** -0.5 - target  # fb >= 0
+                mu = b
+                for _ in range(60):
+                    mid = b - fb * (b - a) / (fb - fa) if fb != fa else 0.5 * (a + b)
+                    if not (a < mid < b):
+                        mid = 0.5 * (a + b)
+                    pm = power(mid)
+                    if abs(pm - budget) <= 1e-11 * budget:
+                        mu = mid
+                        break
+                    if pm > budget:
+                        a, fa = mid, pm**-0.5 - target
+                    else:
+                        b, fb = mid, pm**-0.5 - target
+                        mu = mid
+                    if b - a <= 1e-15 * (1.0 + b):
+                        break
         W = (Q @ (B / (lam[:, None] + mu))) * (m * np.conj(u))[None, :]
         rate = _sum_rate_raw(E, W, noise)
         if rate - prev < tol:

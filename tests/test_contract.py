@@ -283,10 +283,13 @@ REPROS = {
         ("admission_control", {"discount": 1.0}, "trunk", {"thresholds": [0, 2]}),
     "admission_control.discount=-0.1":
         ("admission_control", {"discount": -0.1}, "trunk", {"thresholds": [0, 2]}),
+    "illa-olla.s50 with equal thresholds": (
+        "link_adaptation", {"s50": [0, 0, 2, 4, 6, 8, 10, 12]}, "illa-olla", {}),
 }
 # Repros that a constructor refuses: exit 2 within a second.
 REFUSED_AT_ONCE = {"illa-olla.step_up=1e308", "power_control.mean_gain=-1",
-                   "admission_control.discount=1.0", "admission_control.discount=-0.1"}
+                   "admission_control.discount=1.0", "admission_control.discount=-0.1",
+                   "illa-olla.s50 with equal thresholds"}
 # Top-level keys over a 20-step illa-olla run, each refused with exit 2
 # within a second: the seed list once took hours to build, the run never
 # ended, a float horizon ended in a traceback, and a label matched its

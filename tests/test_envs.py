@@ -583,6 +583,22 @@ def test_ac_rate_validation():
         )
 
 
+def test_ac_action_check_keeps_only_the_last_tuple():
+    env = AdmissionEnv()
+    env.reset(0)
+    rule = (1, 2)
+    env.step(rule)
+    env.step(rule)
+    action = [1, 2]
+    env.step(action)
+    action[1] = 5  # a list may change between steps, so it is checked again
+    with pytest.raises(InvalidActionError, match="rule entry 5"):
+        env.step(action)
+    with pytest.raises(InvalidActionError, match="rule vector length 1"):
+        env.step((1,))
+    assert env.step(rule).reward is not None
+
+
 def test_ac_endogenous_witness():
     traces = []
     for rule in ((1,), (0,)):

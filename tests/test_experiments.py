@@ -502,6 +502,57 @@ def test_value_iteration_solver_on_admission_env(tmp_path):
     assert vi >= aa
 
 
+def admission_vi_config(out_dir):
+    return ExperimentConfig.from_dict({
+        "env": {"env": "admission_control", "capacity": 4},
+        "solvers": [{"name": "value-iteration"}, {"name": "trunk", "config": {"thresholds": [0, 2]}}],
+        "horizon": 20,
+        "seeds": [0, 1, 2, 3],
+        "outputs": str(out_dir),
+    })
+
+
+def test_value_iteration_is_solved_once_per_command_and_config(tmp_path, monkeypatch):
+    solve, solved, policies = experiments.value_iteration, [], []
+
+    def counted(mdp, tol):
+        solved.append(tol)
+        return solve(mdp, tol=tol)
+
+    class Recorded(experiments.agents.TablePolicyAgent):
+        def __init__(self, env, policy):
+            super().__init__(env, policy)
+            policies.append(self.policy)
+
+    monkeypatch.setattr(experiments, "value_iteration", counted)
+    monkeypatch.setattr(experiments.agents, "TablePolicyAgent", Recorded)
+    cfg = admission_vi_config(tmp_path)
+    run_experiment(cfg)
+    assert len(solved) == 1
+    # the four seed cells play one read-only policy
+    assert len(policies) == 4 and all(p is policies[0] for p in policies)
+    assert not policies[0].flags.writeable
+    run_experiment(cfg)  # nothing is kept from the command before
+    assert len(solved) == 2
+    sweep(cfg, "env.capacity", [3, 5])
+    assert len(solved) == 4
+    sweep(cfg, "horizon", [10, 30])  # one env config
+    assert len(solved) == 5
+    sweep(cfg, "solvers.0.config.tol", [1e-6, 1e-8])
+    assert solved[5:] == [1e-6, 1e-8]
+    assert experiments._policies is None
+
+
+def test_parallel_value_iteration_matches_serial_bytes(tmp_path):
+    cfg = admission_vi_config(tmp_path / "out")
+    run_experiment(cfg)
+    serial = _tree(tmp_path / "out")
+    shutil.rmtree(tmp_path / "out")
+    run_experiment(cfg, jobs=2)
+    assert _tree(tmp_path / "out") == serial
+    assert len(serial) == 1 + 8 + 1  # episodes/, 2 solvers x 4 seeds, summary.json
+
+
 def test_same_solver_twice_needs_labels(tmp_path):
     cfg = ExperimentConfig.from_dict({
         "env": {"env": "handover", "noise_std": 0.0},
@@ -751,6 +802,26 @@ def test_failed_rename_restores_the_last_outputs(tmp_path, monkeypatch, command,
         publish()
     assert _tree(tmp_path) == before
     assert _staging(tmp_path) == []
+
+
+@pytest.mark.parametrize("command,refused", [("run", "summary.json"), ("sweep", "value_001")])
+def test_failed_rename_into_fresh_path_leaves_no_directory(tmp_path, monkeypatch, command,
+                                                          refused):
+    cfg = la_config(tmp_path / "fresh" / "out", seeds=(0,))
+    replace = experiments.os.replace
+
+    def refuses_the_new_entry(src, dst):
+        if Path(src).name == refused:
+            raise OSError("rename refused")
+        replace(src, dst)
+
+    monkeypatch.setattr(experiments.os, "replace", refuses_the_new_entry)
+    with pytest.raises(OSError, match="rename refused"):
+        if command == "run":
+            run_experiment(cfg)
+        else:
+            sweep(cfg, "solvers.1.config.mcs", [0, 1])
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
