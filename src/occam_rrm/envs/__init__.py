@@ -10,7 +10,7 @@ from .link_adaptation import LaObs, LinkAdaptEnv
 from .power import PowerEnv
 from .scheduling import EWMA_FLOOR, SchedulingEnv
 from .tabular import TabularEnv, env_true_mdp, tabular_env
-from .types import ChannelMatrix, MroObservation, RsrpField
+from .types import ChannelMatrix, MroObservation
 
 # Each kind's config keys are the keyword arguments of its constructor.
 ENVS = {
@@ -52,7 +52,6 @@ __all__ = [
     "LinkAdaptEnv",
     "MroObservation",
     "PowerEnv",
-    "RsrpField",
     "SERVE_BEST",
     "SchedulingEnv",
     "TabularEnv",

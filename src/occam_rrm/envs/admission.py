@@ -8,6 +8,7 @@ departure rates are per-step probabilities and must sum below one."""
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 
 import numpy as np
@@ -95,10 +96,12 @@ class AdmissionEnv(RrmEnv):
         return {"counts": counts, "used": used, "capacity": self.capacity}
 
     def enumerate_states(self) -> list[tuple]:
-        ranges = [range(int(self.capacity // c["demand"]) + 1) for c in self.classes]
+        sizes = [int(self.capacity // c["demand"]) + 1 for c in self.classes]
+        n = math.prod(sizes)
+        self._budget(n, f"capacity {self.capacity:g} spans {n} class count vectors", "capacity")
         feasible = [
             counts
-            for counts in itertools.product(*ranges)
+            for counts in itertools.product(*map(range, sizes))
             if self.used_of(counts) <= self.capacity + 1e-9
         ]
         return sorted(feasible)
@@ -112,6 +115,8 @@ class AdmissionEnv(RrmEnv):
         return self._state_lookup[counts]
 
     def action_list(self) -> list[tuple]:
+        self._budget(3**self.n_classes, f"{self.n_classes} classes give {3**self.n_classes} "
+                     "rule vectors", "classes")
         return list(itertools.product((REJECT, ACCEPT, DELAY), repeat=self.n_classes))
 
     @cached_property
@@ -217,6 +222,8 @@ class AdmissionEnv(RrmEnv):
         used = [self.used_of(s) for s in index]
         qos = [self._qos(u) for u in used]
         S, A = len(index), len(actions)
+        self._budget(S * A * S, f"the exact MDP of {S} states and {A} rules needs {S * A * S} "
+                     "transition entries", "capacity")
         P = np.zeros((S, A, S))
         R = np.zeros((S, A))
         for si, s in enumerate(index):

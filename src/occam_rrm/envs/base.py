@@ -29,19 +29,22 @@ class RrmEnv:
             raise ConfigError(f"{self.name} env used before reset(seed)")
         return self._seed
 
-    def size(self, name: str, value, minimum: int, power: int = 1) -> int:
-        """`value` as an int of at least `minimum`. The env's arrays hold
-        value**power entries; a size asking for more than
-        planning.MPC_NODE_BUDGET of them is refused before any is built."""
+    def size(self, name: str, value, minimum: int, entries=None) -> int:
+        """`value` as an int of at least `minimum`, whose largest env array
+        holds `entries(n)` entries (n when not given), checked by _budget."""
         n = int(value)
         if n < minimum:
             raise ConfigError(f"{name} must be >= {minimum}")
-        if n**power > planning.MPC_NODE_BUDGET:
-            raise ConfigError(
-                f"{name} {n} needs {n**power} array entries, over the budget "
-                f"{planning.MPC_NODE_BUDGET}; reduce {name}"
-            )
+        count = n if entries is None else entries(n)
+        self._budget(count, f"{name} {n} needs {count} array entries", name)
         return n
+
+    @staticmethod
+    def _budget(entries: int, what: str, key: str) -> None:
+        """No env builds an array of more than planning.MPC_NODE_BUDGET
+        entries: refuse `what`, before it is built, naming the config key."""
+        if entries > planning.MPC_NODE_BUDGET:
+            raise ConfigError(f"{what}, over the budget {planning.MPC_NODE_BUDGET}; reduce {key}")
 
     def stream(self, stream_id: int, per_step: int = 1, kind: str = "normal",
                table=None) -> StepStream:

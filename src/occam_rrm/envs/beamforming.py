@@ -18,9 +18,8 @@ import numpy as np
 
 from ..core import StepOutcome
 from ..errors import ConfigError, InvalidActionError
-from ..rng import STREAM_EXOGENOUS
+from ..rng import STEP_BLOCK, STREAM_EXOGENOUS
 from .base import RrmEnv
-from .types import RsrpField
 
 SERVE_BEST = "best"
 
@@ -48,7 +47,8 @@ class BeamformingEnv(RrmEnv):
         speed_to_corr=0.01,
     ):
         super().__init__()
-        self.n_beams = self.size("n_beams", n_beams, 2, power=2)  # n x n covariance
+        # an n x n covariance and a stream block of n beams per step
+        self.n_beams = self.size("n_beams", n_beams, 2, lambda n: max(n * n, STEP_BLOCK * n))
         self.ue_speed = float(ue_speed)
         self.spatial_corr = float(spatial_corr)
         if self.spatial_corr <= 0:
@@ -86,16 +86,16 @@ class BeamformingEnv(RrmEnv):
         """True per-beam RSRP (dB) of the current step; hidden state."""
         return self.mean_rsrp + self.rsrp_std * self._field
 
-    def rsrp_trace(self, n_steps: int) -> RsrpField:
-        """Full field for this seed over n_steps, recomputed from the streams.
-        Matches what the env serves while stepping; used by plots and tests."""
+    def rsrp_trace(self, n_steps: int) -> np.ndarray:
+        """Field in dB for this seed, [n_beams, n_steps], recomputed from the
+        streams. Matches what the env serves while stepping; used by plots."""
         rho = self.temporal_corr
         f = self._innovation(0)
         cols = [f.copy()]
         for t in range(1, n_steps):
             f = rho * f + self._mix * self._innovation(t)
             cols.append(f.copy())
-        return RsrpField(values=self.mean_rsrp + self.rsrp_std * np.stack(cols, axis=1))
+        return self.mean_rsrp + self.rsrp_std * np.stack(cols, axis=1)
 
     def _check_beams(self, beams) -> tuple:
         # Trackers pass one tuple again and again (full-scan every step,

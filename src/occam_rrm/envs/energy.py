@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import planning
 from ..config import check_keys
 from ..core import StepOutcome
 from ..errors import ConfigError, InvalidActionError
@@ -212,11 +211,8 @@ class EnergySavingEnv(RrmEnv):
         Refuses, before building any, more subsets than the planner's node
         budget."""
         n_subsets = 2**self.n_resources
-        if n_subsets > planning.MPC_NODE_BUDGET:
-            raise ConfigError(
-                f"{self.n_resources} resources give {n_subsets} subsets, over the "
-                f"budget {planning.MPC_NODE_BUDGET}; reduce n_resources"
-            )
+        self._budget(n_subsets, f"{self.n_resources} resources give {n_subsets} subsets",
+                     "n_resources")
         out = [()]
         for r in range(self.n_resources):
             out += [s + (r,) for s in out]

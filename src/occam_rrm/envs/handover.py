@@ -14,7 +14,7 @@ import numpy as np
 from ..config import check_keys
 from ..core import StepOutcome
 from ..errors import ConfigError, InvalidActionError
-from ..rng import STREAM_EXOGENOUS
+from ..rng import STEP_BLOCK, STREAM_EXOGENOUS
 from .base import RrmEnv
 from .types import MroObservation
 
@@ -58,7 +58,9 @@ class HandoverEnv(RrmEnv):
         hysteresis=3.0,
     ):
         super().__init__()
-        self.n_cells = self.size("n_cells", n_cells, 2)
+        # n x (n - 1) neighbor cells and a stream table of 2n values per step
+        self.n_cells = self.size("n_cells", n_cells, 2,
+                                 lambda n: max(n * (n - 1), STEP_BLOCK * 2 * n))
         model = dict(model) if model is not None else dict(_DEFAULT_MODEL)
         kind = model.get("kind", "crossing")
         self._trace = None
@@ -93,10 +95,6 @@ class HandoverEnv(RrmEnv):
         self._neighbor_cells = [np.delete(np.arange(self.n_cells), s) for s in range(self.n_cells)]
         for cells in self._neighbor_cells:
             cells.flags.writeable = False
-
-    @property
-    def n_actions(self) -> int:
-        return self.n_cells + 1  # stay plus one handover target per cell
 
     def true_rsrp_at(self, t: int) -> np.ndarray:
         return self._true_rsrp(np.array([t]))[0]

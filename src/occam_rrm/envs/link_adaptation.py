@@ -112,7 +112,3 @@ class LinkAdaptEnv(RrmEnv):
         )
         obs = LaObs(sinr_report=self._report(t_next), ack=bool(ack))
         return StepOutcome(observation=obs, reward=reward, diagnostics=diagnostics)
-
-    def hidden_state(self) -> float:
-        """Current true SINR in dB; exposed for exogeneity checks."""
-        return self._sinr

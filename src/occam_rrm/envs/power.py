@@ -10,7 +10,7 @@ import numpy as np
 
 from ..core import StepOutcome
 from ..errors import ConfigError, InvalidActionError
-from ..rng import STREAM_EXOGENOUS, exponential
+from ..rng import STEP_BLOCK, STREAM_EXOGENOUS, exponential
 from .base import RrmEnv
 
 
@@ -20,7 +20,7 @@ class PowerEnv(RrmEnv):
     def __init__(self, n_channels=4, total_power=4.0, noise=1.0, coherence=50,
                  mean_gain=1.0, fixed_gains=None):
         super().__init__()
-        self.n_channels = self.size("n_channels", n_channels, 1)
+        self.n_channels = self.size("n_channels", n_channels, 1, lambda n: STEP_BLOCK * n)
         self.total_power = float(total_power)
         self.noise = float(noise)
         self.coherence = int(coherence)
@@ -84,6 +84,3 @@ class PowerEnv(RrmEnv):
             "total_power": self.total_power,
         }
         return StepOutcome(observation=obs, reward=reward, diagnostics={"sum_power": float(sum_power)})
-
-    def hidden_state(self) -> np.ndarray:
-        return self.gains_at(self.t)

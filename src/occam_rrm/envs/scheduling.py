@@ -11,7 +11,7 @@ import numpy as np
 
 from ..core import StepOutcome
 from ..errors import ConfigError, InvalidActionError
-from ..rng import STREAM_EXOGENOUS, exponential
+from ..rng import STEP_BLOCK, STREAM_EXOGENOUS, exponential
 from .base import RrmEnv
 
 EWMA_FLOOR = 1e-6
@@ -30,7 +30,7 @@ class SchedulingEnv(RrmEnv):
         weights=None,
     ):
         super().__init__()
-        self.n_users = self.size("n_users", n_users, 2)
+        self.n_users = self.size("n_users", n_users, 2, lambda n: STEP_BLOCK * n)
         if mean_efficiency is None:
             mean_efficiency = np.ones(self.n_users)
         self.mean_efficiency = np.asarray(mean_efficiency, dtype=float)

@@ -1,4 +1,4 @@
-"""Shared observation value types used by the environments and solvers."""
+"""Value types shared by the environments and solvers."""
 
 from __future__ import annotations
 
@@ -35,31 +35,6 @@ class ChannelMatrix:
     @property
     def n_tx(self) -> int:
         return self.entries.shape[1]
-
-
-@dataclass
-class RsrpField:
-    """Per-beam RSRP trajectory in dB, one column per step."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ConfigError("RsrpField values must be [n_beams, n_steps]")
-
-    @property
-    def n_beams(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def optimal_beam(self) -> np.ndarray:
-        # argmax per column; ties resolve to the lowest beam index.
-        return np.argmax(self.values, axis=0)
 
 
 @dataclass

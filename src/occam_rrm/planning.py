@@ -1,6 +1,6 @@
 """Long-horizon planners: exact dynamic programming on tabular MDPs, tabular
 Q-learning against enumerable environments, and receding-horizon model
-predictive control with pluggable forecasters."""
+predictive control over deterministic models and a forecast."""
 
 from __future__ import annotations
 
@@ -210,21 +210,6 @@ class DeterministicModel:
     expand: callable = None
 
 
-def _mpc_tabular(mdp: TabularMdp, state: int, horizon: int, node_budget: int) -> int:
-    nodes = mdp.n_states * mdp.n_actions * horizon
-    if nodes > node_budget:
-        raise ConfigError(
-            f"backward induction needs {nodes} nodes, over the budget "
-            f"{node_budget}; reduce the horizon"
-        )
-    v = np.zeros(mdp.n_states)
-    q = None
-    for _ in range(horizon):
-        q = _q_from_values(mdp, v)
-        v = q.max(axis=1)
-    return int(q[state].argmax())
-
-
 def _per_state_expansion(model: DeterministicModel, state):
     """`expand` for a model that only gives `step`: one call per (state,
     action). Each state is interned to an integer id, so a level is a
@@ -330,23 +315,19 @@ def mpc_plan(
     discount: float = DEFAULT_DISCOUNT,
     node_budget: int = MPC_NODE_BUDGET,
 ):
-    """Exact finite-horizon optimum from the current state; returns only the
-    first action (receding horizon, zero terminal value).
-
-    Tabular models run backward induction with the model's own discount.
-    Deterministic models take a forecast exogenous trajectory whose length
-    sets the horizon; they are searched one depth at a time, every distinct
-    state of a depth expanded once, and `node_budget` bounds the distinct
-    states at depths 1..H-1.
+    """Exact finite-horizon optimum of a deterministic model from the current
+    state; returns only the first action (receding horizon, zero terminal
+    value). The forecast exogenous trajectory's length sets the horizon. The
+    model is searched one depth at a time, every distinct state of a depth
+    expanded once, and `node_budget` bounds the distinct states at depths
+    1..H-1.
     """
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
-    if isinstance(model, TabularMdp):
-        return _mpc_tabular(model, int(current_state), horizon, node_budget)
-    if isinstance(model, DeterministicModel):
-        if exo_trajectory is None:
-            raise ConfigError("deterministic models need an exo_trajectory")
-        if len(exo_trajectory) != horizon:
-            raise ConfigError("exo_trajectory length must equal the horizon")
-        return _mpc_deterministic(model, current_state, list(exo_trajectory), discount, node_budget)
-    raise ConfigError(f"cannot plan over model type {type(model).__name__}")
+    if not isinstance(model, DeterministicModel):
+        raise ConfigError(f"cannot plan over model type {type(model).__name__}")
+    if exo_trajectory is None:
+        raise ConfigError("deterministic models need an exo_trajectory")
+    if len(exo_trajectory) != horizon:
+        raise ConfigError("exo_trajectory length must equal the horizon")
+    return _mpc_deterministic(model, current_state, list(exo_trajectory), discount, node_budget)

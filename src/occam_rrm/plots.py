@@ -109,7 +109,7 @@ def _render_heatmap(summary: dict) -> str:
         raise ConfigError(f"{env.n_beams} beams x horizon {cfg.horizon} exceed the heatmap's "
                           f"budget of {HEATMAP_CELL_BUDGET} cells")
     env.reset(cfg.seeds[0])
-    field = env.rsrp_trace(cfg.horizon).values  # [n_beams, n_steps]
+    field = env.rsrp_trace(cfg.horizon)  # [n_beams, n_steps]
     n_beams, n_steps = field.shape
 
     cell_w = PLOT_W / n_steps

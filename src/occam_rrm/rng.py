@@ -15,6 +15,7 @@ import numpy as np
 STREAM_EXOGENOUS = 0
 STREAM_ACTION = 1
 STREAM_POLICY = 16
+STEP_BLOCK = 1024  # steps a StepStream draws at once
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -57,7 +58,7 @@ class StepStream:
     """
 
     def __init__(self, seed: int, stream_id: int, per_step: int = 1,
-                 kind: str = "normal", block: int = 1024, table=None):
+                 kind: str = "normal", block: int = STEP_BLOCK, table=None):
         if kind not in ("normal", "uniform"):
             raise ValueError(f"unknown draw kind {kind!r}")
         self._seed = seed

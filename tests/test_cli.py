@@ -501,6 +501,10 @@ HUGE_SIZES = [
     ("scheduling", "n_users", float("inf"), "round-robin"),
     ("handover", "n_cells", 1e9, "greedy-ho"),
     ("beamforming", "n_beams", 1e5, "full-scan"),
+    # a 1024-step stream block of 400000 draws; 20000 x 19999 neighbor cells
+    ("scheduling", "n_users", 400000, "round-robin"),
+    ("power_control", "n_channels", 400000, "uniform-power"),
+    ("handover", "n_cells", 20000, "greedy-ho"),
 ]
 
 

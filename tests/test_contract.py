@@ -285,11 +285,14 @@ REPROS = {
         ("admission_control", {"discount": -0.1}, "trunk", {"thresholds": [0, 2]}),
     "illa-olla.s50 with equal thresholds": (
         "link_adaptation", {"s50": [0, 0, 2, 4, 6, 8, 10, 12]}, "illa-olla", {}),
+    "admission_control.capacity=200": ("admission_control", {"capacity": 200, "classes": [
+        {"arrival_rate": 0.25, "departure_rate": 0.001, "reward": r} for r in (2.0, 1.0)
+    ]}, "value-iteration", {}),
 }
-# Repros that a constructor refuses: exit 2 within a second.
+# Repros refused before any large array is built: exit 2 within a second.
 REFUSED_AT_ONCE = {"illa-olla.step_up=1e308", "power_control.mean_gain=-1",
                    "admission_control.discount=1.0", "admission_control.discount=-0.1",
-                   "illa-olla.s50 with equal thresholds"}
+                   "illa-olla.s50 with equal thresholds", "admission_control.capacity=200"}
 # Top-level keys over a 20-step illa-olla run, each refused with exit 2
 # within a second: the seed list once took hours to build, the run never
 # ended, a float horizon ended in a traceback, and a label matched its

@@ -15,6 +15,7 @@ from occam_rrm import (
     NotTractableError,
     ScriptedPolicy,
     TabularMdp,
+    planning,
     run_episode,
 )
 from occam_rrm.envs import (
@@ -27,7 +28,6 @@ from occam_rrm.envs import (
     HandoverEnv,
     LinkAdaptEnv,
     PowerEnv,
-    RsrpField,
     SchedulingEnv,
     TabularEnv,
     env_true_mdp,
@@ -267,7 +267,7 @@ def test_bf_trace_consistent_with_stepping():
     trace = env.rsrp_trace(30)
     for t in range(30):
         rsrp = env.current_rsrp()
-        assert np.array_equal(rsrp, trace.values[:, t])
+        assert np.array_equal(rsrp, trace[:, t])
         env.step(BeamAction(measure=(0,), serve=0))
 
 
@@ -278,16 +278,6 @@ def test_bf_exogenous_field():
         log = run_episode(env, lambda obs, s=serve: s, horizon=50, seed=8)
         logs.append(log.diagnostics["rsrp_optimal"].tolist())
     assert logs[0] == logs[1]
-
-
-def test_rsrp_field_optimal_beam_consistency():
-    rng = np.random.default_rng(0)
-    field = RsrpField(values=rng.normal(size=(5, 40)))
-    opt = field.optimal_beam
-    for t in range(40):
-        col = field.values[:, t]
-        assert col[opt[t]] == col.max()
-        assert opt[t] == int(np.argmax(col))
 
 
 # ================================================================ scheduling
@@ -581,6 +571,22 @@ def test_ac_rate_validation():
             capacity=10,
             classes=[{"arrival_rate": 0.5, "departure_rate": 0.2, "reward": 1.0, "reject_penalty": 0.1}],
         )
+
+
+def test_ac_tables_over_the_entries_budget_are_refused_before_building(monkeypatch):
+    def cls(rate):
+        return {"arrival_rate": 0.01, "departure_rate": rate, "reward": 1.0}
+
+    # 1001 x 1001 count vectors, 3**13 rule vectors, 66 x 9 x 66 transition entries
+    with pytest.raises(ConfigError, match="1002001 class count vectors.*reduce capacity"):
+        AdmissionEnv(capacity=1000, classes=[cls(1e-4)] * 2).n_states
+    with pytest.raises(ConfigError, match="1594323 rule vectors.*reduce classes"):
+        AdmissionEnv(capacity=1, classes=[cls(1e-3)] * 13).action_list()
+    env = AdmissionEnv()
+    assert env.true_mdp().transition.size == 66 * 9 * 66
+    monkeypatch.setattr(planning, "MPC_NODE_BUDGET", 66 * 9 * 66 - 1)
+    with pytest.raises(ConfigError, match="needs 39204 transition entries"):
+        env.true_mdp()
 
 
 def test_ac_action_check_keeps_only_the_last_tuple():

@@ -501,7 +501,6 @@ def test_power_gain_cache_matches_per_step_bits(coherence):
     for t in range(TABLE_STEPS):
         want = reference_gains_at(env, t)
         assert env.gains_at(t).tobytes() == want.tobytes()
-        assert env.hidden_state().tobytes() == want.tobytes()
         assert obs["gains"].tobytes() == want.tobytes()
         out = env.step(np.full(4, 1.0))
         assert out.reward == float(np.sum(np.log2(1.0 + 1.0 * want / env.noise)))
