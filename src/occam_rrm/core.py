@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Any, Callable, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,20 +70,13 @@ class TabularMdp:
             raise ConfigError("reward table must be finite")
 
 
-@dataclass
-class StepOutcome:
-    """One environment transition: next observation, reward, termination flag,
-    plus named per-step diagnostics (throughputs, optimal beam, ...)."""
+class StepOutcome(NamedTuple):
+    """One environment transition: the next observation, the reward and
+    named per-step diagnostics (throughputs, optimal beam, ...)."""
 
     observation: Any
     reward: float
-    done: bool = False
-    diagnostics: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.reward = float(self.reward)
-        if not math.isfinite(self.reward):
-            raise NumericalError(f"non-finite reward {self.reward}")
+    diagnostics: dict[str, float]
 
 
 @dataclass
@@ -159,59 +152,48 @@ class ScriptedPolicy:
         return a
 
 
-class _CallablePolicy:
-    def __init__(self, fn: Callable):
-        self._fn = fn
-
-    def act(self, observation):
-        return self._fn(observation)
-
-
-def as_policy(policy):
-    if hasattr(policy, "act"):
-        return policy
-    if callable(policy):
-        return _CallablePolicy(policy)
-    raise ConfigError(f"not a policy: {policy!r}")
-
-
 def run_episode(env, policy, horizon: int, seed: int) -> EpisodeLog:
     """Run one seeded episode and return its log.
 
     `env` is a seeded simulator: reset(seed) returns the first observation
-    and step(action) a StepOutcome. `policy` has act(observation) or is a
-    callable; an optional reset(seed) hook is called once with a
-    policy-stream seed derived from the episode seed, and learning policies
-    read outcomes from the next observation. Episodes stop after `horizon`
-    steps or when the environment reports done. The first step's
+    and step(action) a StepOutcome(observation, reward, diagnostics).
+    `policy` has act(observation) or is a callable; a policy with act may
+    have a reset(seed) hook, called once with a policy-stream seed derived
+    from the episode seed, and learning policies read outcomes from the next
+    observation. Every episode runs `horizon` steps. The first step's
     diagnostic keys are the log's columns; a later step with other keys
-    raises MissingDiagnosticError, and a NaN or infinite value in a column
-    raises NumericalError.
+    raises MissingDiagnosticError. Once the episode ends, a NaN or infinite
+    reward raises NumericalError naming its first such step, and then a NaN
+    or infinite value in a diagnostic column does.
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    pol = as_policy(policy)
+    act = getattr(policy, "act", policy)
+    if not callable(act):
+        raise ConfigError(f"not a policy: {policy!r}")
     obs = env.reset(seed)
-    if hasattr(pol, "reset"):
-        pol.reset(derive_seed(seed, STREAM_POLICY))
+    if act is not policy and hasattr(policy, "reset"):
+        policy.reset(derive_seed(seed, STREAM_POLICY))
     actions, rewards, diagnostics = [], [], []
     for t in range(horizon):
-        action = pol.act(obs)
+        action = act(obs)
         try:
-            out = env.step(action)
+            obs, reward, step_diagnostics = env.step(action)
         except InvalidActionError as exc:
             raise InvalidActionError(f"step {t}: {exc}") from exc
         if t == 0:
-            keys = frozenset(out.diagnostics)
-        elif out.diagnostics.keys() != keys:
+            keys = frozenset(step_diagnostics)
+        elif step_diagnostics.keys() != keys:
             raise MissingDiagnosticError(
-                f"step {t}: diagnostic keys {sorted(out.diagnostics)} != {sorted(keys)}")
+                f"step {t}: diagnostic keys {sorted(step_diagnostics)} != {sorted(keys)}")
         actions.append(action)
-        rewards.append(out.reward)
-        diagnostics.append(dict(out.diagnostics))
-        obs = out.observation
-        if out.done:
-            break
+        rewards.append(reward)
+        diagnostics.append(dict(step_diagnostics))
+    rewards = np.array(rewards, dtype=float)
+    finite = np.isfinite(rewards)
+    if not finite.all():
+        t = int(finite.argmin())
+        raise NumericalError(f"step {t}: non-finite reward {rewards[t]}")
     columns = {k: np.fromiter(map(itemgetter(k), diagnostics), float, len(diagnostics))
                for k in sorted(keys)}
     first_bad = []  # (step, key) of each column's first non-finite value
@@ -222,7 +204,7 @@ def run_episode(env, policy, horizon: int, seed: int) -> EpisodeLog:
     if first_bad:
         t, k = min(first_bad)
         raise NumericalError(f"step {t}: non-finite diagnostic {k} = {columns[k][t]}")
-    return EpisodeLog(actions, np.array(rewards, dtype=float), columns, seed,
+    return EpisodeLog(actions, rewards, columns, seed,
                       getattr(env, "name", type(env).__name__))
 
 

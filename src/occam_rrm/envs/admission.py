@@ -202,8 +202,7 @@ class AdmissionEnv(RrmEnv):
             "arrival": arrival,
             "departure": departure,
         }
-        return StepOutcome(observation=self._obs_from(counts, used), reward=reward,
-                           diagnostics=diagnostics)
+        return StepOutcome(self._obs_from(counts, used), reward, diagnostics)
 
     # -------------------------------------------------- exact extraction
 

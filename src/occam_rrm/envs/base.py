@@ -11,10 +11,11 @@ class RrmEnv:
     """Base for the seeded single-run environments.
 
     Subclasses implement _start(seed) returning the first observation and
-    _step(action) returning a StepOutcome; this class tracks the step index
-    available as self.t. Per-step randomness should come from streams built
-    with self.stream(...) so that exogenous draws are a pure function of
-    (seed, stream id, t).
+    _step(action) returning a StepOutcome(observation, reward, diagnostics),
+    whose rewards run_episode checks; this class tracks the step index as
+    self.t and refuses a step before reset. Per-step randomness should come
+    from streams built with self.stream(...) so that exogenous draws are a
+    pure function of (seed, stream id, t).
     """
 
     name = "rrm"

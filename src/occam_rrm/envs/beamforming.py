@@ -155,4 +155,4 @@ class BeamformingEnv(RrmEnv):
         self._field = self.temporal_corr * self._field + self._mix * self._innovation(self.t + 1)
         self._rsrp = self.current_rsrp().tolist()
         obs = {b: rsrp[b] for b in measured}
-        return StepOutcome(observation=obs, reward=reward, diagnostics=diagnostics)
+        return StepOutcome(obs, reward, diagnostics)

@@ -204,7 +204,7 @@ class EnergySavingEnv(RrmEnv):
             "served": float(served),
             "traffic": traffic,
         }
-        return StepOutcome(observation=self._obs(self.t + 1), reward=reward, diagnostics=diagnostics)
+        return StepOutcome(self._obs(self.t + 1), reward, diagnostics)
 
     def all_actions(self) -> list[tuple]:
         """Every resource subset, ordered by size then lexicographically.

@@ -169,4 +169,4 @@ class HandoverEnv(RrmEnv):
             "serving": float(self._serving),
             "rsrp_serving_true": float(true_now[self._serving]),
         }
-        return StepOutcome(observation=self._obs(self.t + 1), reward=reward, diagnostics=diagnostics)
+        return StepOutcome(self._obs(self.t + 1), reward, diagnostics)

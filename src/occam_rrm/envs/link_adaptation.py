@@ -87,7 +87,7 @@ class LinkAdaptEnv(RrmEnv):
         self._report_stream = self.stream(_STREAM_REPORT, table=scalars)
         stationary_std = self.innovation_std / np.sqrt(1.0 - self.ar_coeff**2)
         self._sinr = self.sinr_mean + stationary_std * self._innov.at(0)
-        return LaObs(sinr_report=self._report(0), ack=None)
+        return LaObs(self._report(0), None)
 
     def _step(self, action):
         mcs = int(action)
@@ -110,5 +110,5 @@ class LinkAdaptEnv(RrmEnv):
             + self.ar_coeff * (self._sinr - self.sinr_mean)
             + self.innovation_std * self._innov.at(t_next)
         )
-        obs = LaObs(sinr_report=self._report(t_next), ack=bool(ack))
-        return StepOutcome(observation=obs, reward=reward, diagnostics=diagnostics)
+        obs = LaObs(self._report(t_next), bool(ack))
+        return StepOutcome(obs, reward, diagnostics)

@@ -83,4 +83,4 @@ class PowerEnv(RrmEnv):
             "noise": self.noise,
             "total_power": self.total_power,
         }
-        return StepOutcome(observation=obs, reward=reward, diagnostics={"sum_power": float(sum_power)})
+        return StepOutcome(obs, reward, {"sum_power": float(sum_power)})

@@ -108,4 +108,4 @@ class SchedulingEnv(RrmEnv):
         diagnostics = {"served_user": float(user), "achieved": achieved}
         diagnostics.update(dict.fromkeys(self._thr_keys, 0.0))
         diagnostics[self._thr_keys[user]] = achieved
-        return StepOutcome(observation=self._obs(self.t + 1), reward=reward, diagnostics=diagnostics)
+        return StepOutcome(self._obs(self.t + 1), reward, diagnostics)

@@ -59,7 +59,7 @@ class TabularEnv(RrmEnv):
         nxt = min(nxt, self.mdp.n_states - 1)
         reward = float(self.mdp.reward[s, a]) + self.reward_noise_std * float(noise)
         self._state = nxt
-        return StepOutcome(observation=nxt, reward=reward, diagnostics={"state": float(s)})
+        return StepOutcome(nxt, reward, {"state": float(s)})
 
     def true_mdp(self) -> TabularMdp:
         return self.mdp

@@ -4,6 +4,7 @@ predictive control over deterministic models and a forecast."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,7 +153,8 @@ def q_learning(
     expose n_states / state_index() / action_list(). Deterministic given the
     seed: exploration and env randomness both derive from it. The table is
     learned on rows of Python floats; the greedy action is the first
-    maximizer, as argmax picks it."""
+    maximizer, as argmax picks it. An update that leaves a Q value NaN or
+    infinite raises NumericalError naming the training step."""
     _require_enumerable(env)
     if episodes < 1 or horizon < 1:
         raise ConfigError("episodes and horizon must be >= 1")
@@ -182,11 +184,11 @@ def q_learning(
             lr = alpha(t_global) if callable(alpha) else alpha
             target = out.reward + discount * max(q[s_next])
             q[s][a] += lr * (target - q[s][a])
+            if not math.isfinite(q[s][a]):
+                raise NumericalError(f"training step {t_global}: non-finite Q value {q[s][a]}")
             visits[s][a] += 1
             s = s_next
             t_global += 1
-            if out.done:
-                break
     return QTable(q=q, visits=visits)
 
 

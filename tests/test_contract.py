@@ -288,7 +288,17 @@ REPROS = {
     "admission_control.capacity=200": ("admission_control", {"capacity": 200, "classes": [
         {"arrival_rate": 0.25, "departure_rate": 0.001, "reward": r} for r in (2.0, 1.0)
     ]}, "value-iteration", {}),
+    "q-learning.value-overflow": (
+        "admission_control",
+        {"classes": [{"arrival_rate": 0.25, "departure_rate": 0.02, "reward": 1e308}]},
+        "q-learning", {},
+    ),
+    "q-learning.reward_noise_std=1e308":
+        ("tabular", {**BASE_ENV["tabular"], "reward_noise_std": 1e308}, "q-learning", {}),
 }
+# Repros that fail while Q-learning trains, with exit 3 and not the exit 2
+# of a QTable built from non-finite values.
+Q_LEARNING_OVERFLOW = ["q-learning.value-overflow", "q-learning.reward_noise_std=1e308"]
 # Repros refused before any large array is built: exit 2 within a second.
 REFUSED_AT_ONCE = {"illa-olla.step_up=1e308", "power_control.mean_gain=-1",
                    "admission_control.discount=1.0", "admission_control.discount=-0.1",
@@ -424,3 +434,19 @@ def test_repros_exit_with_one_line_in_2gib(tmp_path):
             assert code == EXIT_CONFIG and seconds < 1, (name, code, seconds)
         if name == "link_adaptation.innovation_std=1e308":
             assert code == EXIT_RUNTIME and seconds < 1 and "sinr" in err, (name, code, err)
+        if name.endswith(".reward-overflow"):
+            assert code == EXIT_RUNTIME and err.startswith("runtime error: step "), (name, err)
+
+
+@pytest.mark.parametrize("case", Q_LEARNING_OVERFLOW)
+def test_q_learning_overflow_exits_runtime_naming_the_step(tmp_path, capsys, case):
+    kind, env, solver, solver_cfg = REPROS[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"env": {"env": kind, **env},
+                                "solvers": [{"name": solver, "config": solver_cfg}],
+                                "horizon": 20, "seeds": [0], "outputs": str(tmp_path / "out")}))
+    capsys.readouterr()
+    code = main(["run", str(path), "--jobs", "1", "--quiet"])
+    err = capsys.readouterr().err
+    assert code == EXIT_RUNTIME, (code, err)
+    assert len(err.splitlines()) == 1 and err.startswith("runtime error: training step"), err

@@ -158,6 +158,16 @@ def test_policy_hooks_called():
     assert kinds == ["reset"]
 
 
+def test_a_plain_callable_gets_no_reset_and_a_non_callable_is_refused():
+    def policy(obs):
+        return 0
+
+    policy.reset = lambda seed: pytest.fail("reset called on a plain callable")
+    assert len(run_episode(ConstantRewardEnv(), policy, horizon=2, seed=0)) == 2
+    with pytest.raises(ConfigError, match="not a policy"):
+        run_episode(ConstantRewardEnv(), 5, horizon=2, seed=0)
+
+
 def test_scripted_policy_exhaustion():
     pol = ScriptedPolicy([0, 0])
     with pytest.raises(ConfigError):
@@ -170,22 +180,6 @@ def test_log_holds_one_column_per_diagnostic():
     assert log.rewards.dtype == float and log.rewards.tolist() == [1.0] * 4
     assert list(log.diagnostics) == ["thr_0"]
     assert log.diagnostics["thr_0"].tolist() == [1.0] * 4
-
-
-def test_log_stops_at_done():
-    class DoneAt3(ConstantRewardEnv):
-        def reset(self, seed):
-            self.t = 0
-            return 0
-
-        def step(self, action):
-            self.t += 1
-            return StepOutcome(observation=0, reward=float(self.t), done=self.t == 3,
-                               diagnostics={"t": float(self.t)})
-
-    log = run_episode(DoneAt3(), lambda obs: 0, horizon=10**9, seed=0)
-    assert len(log) == 3 and len(log.actions) == 3
-    assert log.diagnostics["t"].tolist() == [1.0, 2.0, 3.0]
 
 
 def test_changed_diagnostic_keys_name_the_step():
@@ -203,9 +197,32 @@ def test_changed_diagnostic_keys_name_the_step():
         run_episode(DropsKeyAt2(), lambda obs: 0, horizon=5, seed=0)
 
 
-def test_step_outcome_rejects_nan_reward():
-    with pytest.raises(NumericalError):
-        StepOutcome(observation=0, reward=float("nan"))
+class NonFiniteAt(ConstantRewardEnv):
+    """Steps whose reward is NaN from step `reward_t` on and whose diagnostic
+    "d" is infinite from step `diagnostic_t` on."""
+
+    def __init__(self, reward_t, diagnostic_t=10**9):
+        self.reward_t, self.diagnostic_t = reward_t, diagnostic_t
+
+    def reset(self, seed):
+        self.t = 0
+        return 0
+
+    def step(self, action):
+        t, self.t = self.t, self.t + 1
+        reward = float("nan") if t >= self.reward_t else 1.0
+        d = float("inf") if t >= self.diagnostic_t else 0.0
+        return StepOutcome(observation=0, reward=reward, diagnostics={"d": d})
+
+
+def test_nan_reward_names_its_step():
+    with pytest.raises(NumericalError, match=r"^step 2: non-finite reward nan$"):
+        run_episode(NonFiniteAt(2), lambda obs: 0, horizon=5, seed=0)
+
+
+def test_a_bad_reward_is_reported_before_an_earlier_bad_diagnostic():
+    with pytest.raises(NumericalError, match="non-finite reward"):
+        run_episode(NonFiniteAt(3, diagnostic_t=1), lambda obs: 0, horizon=5, seed=0)
 
 
 # ---------------------------------------------------------------- EpisodeLog CSV

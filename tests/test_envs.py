@@ -787,6 +787,13 @@ REQUIRED_KEYS = {"tabular": {"transition": [[[1.0]]], "reward": [[0.0]]}}
 
 
 @pytest.mark.parametrize("kind", sorted(ENVS))
+def test_step_before_reset_is_refused(kind):
+    env = make_env({"env": kind, **REQUIRED_KEYS.get(kind, {})})
+    with pytest.raises(ConfigError, match=rf"^{env.name} env stepped before reset\(seed\)$"):
+        env.step(0)
+
+
+@pytest.mark.parametrize("kind", sorted(ENVS))
 def test_a_dropped_env_is_freed_without_gc(kind):
     # An env that its streams (or anything else it holds) point back at is
     # freed only by a gen-2 collection, which a run of many short episodes

@@ -144,8 +144,6 @@ def reference_q_learning(env, episodes, horizon=1000, alpha=None, epsilon=None, 
             visits[s, a] += 1
             s = s_next
             t_global += 1
-            if out.done:
-                break
     return QTable(q=q, visits=visits)
 
 
