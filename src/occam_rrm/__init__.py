@@ -6,12 +6,10 @@ from .core import (
     DEFAULT_DISCOUNT,
     EpisodeLog,
     MetricsRecord,
-    ScriptedPolicy,
     StepOutcome,
     TabularMdp,
     discounted_return,
     metrics_summary,
-    replay_episode,
     run_episode,
 )
 from .errors import (
@@ -37,12 +35,10 @@ __all__ = [
     "NotTractableError",
     "OccamRrmError",
     "PlotDataError",
-    "ScriptedPolicy",
     "StepOutcome",
     "TabularMdp",
     "discounted_return",
     "metrics_summary",
-    "replay_episode",
     "run_episode",
     "__version__",
 ]

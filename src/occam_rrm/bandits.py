@@ -53,14 +53,8 @@ def _thompson_pick(alpha, beta, values, rng) -> int:
 
 # ---------------------------------------------------------------- ILLA lookup
 
-def illa_select(sinr_report: float, offset: float, lookup) -> int:
-    """Highest MCS whose threshold is <= the offset-corrected report; the
-    boundary is inclusive, and reports below every threshold map to MCS 0."""
-    return _illa_pick(sinr_report, offset, _illa_table(lookup))
-
-
 def _illa_table(lookup) -> list:
-    """`lookup` as a list of floats, after the checks illa_select makes."""
+    """`lookup` as a list of floats, checked nonempty, 1-D and strictly increasing."""
     lookup = np.asarray(lookup, dtype=float)
     if lookup.ndim != 1 or len(lookup) == 0:
         raise ConfigError("lookup must be a nonempty 1-D threshold table")
@@ -70,7 +64,9 @@ def _illa_table(lookup) -> list:
 
 
 def _illa_pick(sinr_report: float, offset: float, lookup: list) -> int:
-    """illa_select on a table _illa_table checked."""
+    """Highest MCS whose threshold in `lookup` (checked by _illa_table) is
+    <= the offset-corrected report; the boundary is inclusive, and reports
+    below every threshold map to MCS 0."""
     return max(bisect_right(lookup, sinr_report + offset) - 1, 0)
 
 

@@ -67,6 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse(args, *names) -> None:
+    """Refuse the common flags among `names` given, in either position, to
+    a command that would ignore them."""
+    given = ", ".join("--" + name.replace("_", "-") for name in names if hasattr(args, name))
+    if given:
+        raise ConfigError(f"{args.command} does not take {given}")
+
+
 def _load_with_overrides(args):
     """The config with --out-dir and --seed in place of its outputs and
     seeds, checked as the file's own values are."""
@@ -110,6 +118,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_advise(args) -> int:
+    _refuse(args, "seed", "jobs", "out_dir")
     if args.traits is not None:
         try:
             data = json.loads(args.traits)
@@ -138,6 +147,7 @@ def cmd_advise(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    _refuse(args, "seed", "jobs")
     out = getattr(args, "out_dir", None)
     if out == "":
         raise ConfigError("--out-dir must be a nonempty path")

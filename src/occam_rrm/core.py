@@ -72,7 +72,8 @@ class TabularMdp:
 
 class StepOutcome(NamedTuple):
     """One environment transition: the next observation, the reward and
-    named per-step diagnostics (throughputs, optimal beam, ...)."""
+    named per-step diagnostics (throughputs, optimal beam, ...), a fresh
+    dict on every step: the episode log keeps it as returned."""
 
     observation: Any
     reward: float
@@ -87,11 +88,6 @@ class EpisodeLog:
     actions: list
     rewards: np.ndarray
     diagnostics: dict[str, np.ndarray]
-    seed: int
-    env_name: str
-
-    def __len__(self):
-        return len(self.rewards)
 
     def to_csv(self, path) -> None:
         """Write one row per step with columns t, action, reward and the
@@ -134,24 +130,6 @@ def _format_action(action) -> str:
     return repr(float(action))
 
 
-class ScriptedPolicy:
-    """Replays a fixed action sequence; used for replay determinism checks."""
-
-    def __init__(self, actions: Sequence):
-        self._actions = list(actions)
-        self._t = 0
-
-    def reset(self, seed: int) -> None:
-        self._t = 0
-
-    def act(self, observation):
-        if self._t >= len(self._actions):
-            raise ConfigError("scripted policy exhausted its action list")
-        a = self._actions[self._t]
-        self._t += 1
-        return a
-
-
 def run_episode(env, policy, horizon: int, seed: int) -> EpisodeLog:
     """Run one seeded episode and return its log.
 
@@ -188,7 +166,7 @@ def run_episode(env, policy, horizon: int, seed: int) -> EpisodeLog:
                 f"step {t}: diagnostic keys {sorted(step_diagnostics)} != {sorted(keys)}")
         actions.append(action)
         rewards.append(reward)
-        diagnostics.append(dict(step_diagnostics))
+        diagnostics.append(step_diagnostics)
     rewards = np.array(rewards, dtype=float)
     finite = np.isfinite(rewards)
     if not finite.all():
@@ -204,13 +182,7 @@ def run_episode(env, policy, horizon: int, seed: int) -> EpisodeLog:
     if first_bad:
         t, k = min(first_bad)
         raise NumericalError(f"step {t}: non-finite diagnostic {k} = {columns[k][t]}")
-    return EpisodeLog(actions, rewards, columns, seed,
-                      getattr(env, "name", type(env).__name__))
-
-
-def replay_episode(env, log: EpisodeLog) -> EpisodeLog:
-    """Re-run a log's action sequence on a fresh env with the log's seed."""
-    return run_episode(env, ScriptedPolicy(log.actions), len(log), log.seed)
+    return EpisodeLog(actions, rewards, columns)
 
 
 def discounted_return(rewards: Sequence[float], discount: float) -> float:
@@ -230,10 +202,6 @@ class MetricsRecord:
     sum_log_throughput: float | None = None
     accuracy: float | None = None
     mean_abs_beam_error: float | None = None
-
-    def __post_init__(self):
-        if self.accuracy is not None and not (0.0 <= self.accuracy <= 1.0):
-            raise ValueError(f"accuracy {self.accuracy} outside [0, 1]")
 
     def to_dict(self) -> dict[str, float]:
         out = {
@@ -278,7 +246,8 @@ def metrics_summary(
     (adds sum over users of log mean throughput, from thr_<u> diagnostics),
     "beam" (adds accuracy and mean absolute beam error, from served_beam and
     optimal_beam diagnostics). A profile that needs diagnostics the logs do
-    not carry raises MissingDiagnosticError naming the key.
+    not carry raises MissingDiagnosticError naming the key; a user whose mean
+    throughput is not positive (never served) raises NumericalError.
     """
     if not logs:
         raise ConfigError("metrics_summary needs at least one episode log")
@@ -299,7 +268,12 @@ def metrics_summary(
             raise MissingDiagnosticError(
                 f"profile 'scheduling' requires '{THROUGHPUT_PREFIX}<user>' diagnostics"
             )
-        rec.sum_log_throughput = float(sum(np.log(_gather(logs, k).mean()) for k in users))
+        means = [_gather(logs, k).mean() for k in users]
+        for k, mean in zip(users, means):
+            if not mean > 0:
+                raise NumericalError(f"{k} has mean throughput {mean}, so sum_log_throughput "
+                                     "is not finite; use metrics: basic")
+        rec.sum_log_throughput = float(sum(np.log(mean) for mean in means))
     elif kind == "beam":
         served = _gather(logs, SERVED_BEAM_KEY)
         optimal = _gather(logs, OPTIMAL_BEAM_KEY)

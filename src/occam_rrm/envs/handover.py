@@ -116,13 +116,7 @@ class HandoverEnv(RrmEnv):
             else:
                 counts[c] = 0
         nb = self._neighbor_cells[serving]
-        return MroObservation(
-            rsrp_serving=serving_level,
-            rsrp_neighbors=meas[nb],
-            exceed_count=np.array(counts)[nb],
-            serving_cell=serving,
-            neighbor_cells=nb,
-        )
+        return MroObservation(serving_level, meas[nb], np.array(counts)[nb], serving, nb)
 
     def _start(self, seed):
         self._rsrp = self.stream(STREAM_EXOGENOUS, per_step=self.n_cells,

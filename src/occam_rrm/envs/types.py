@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,21 +38,13 @@ class ChannelMatrix:
         return self.entries.shape[1]
 
 
-@dataclass
-class MroObservation:
-    """Handover measurement snapshot: serving RSRP, neighbor RSRPs and the
+class MroObservation(NamedTuple):
+    """Handover measurement snapshot: serving RSRP, neighbor RSRPs, the
     per-neighbor count of consecutive steps the neighbor exceeded serving
-    RSRP by the configured hysteresis."""
+    RSRP by the configured hysteresis, the serving and the neighbor cells."""
 
     rsrp_serving: float
     rsrp_neighbors: np.ndarray
     exceed_count: np.ndarray
-    serving_cell: int = 0
-    neighbor_cells: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
-
-    def __post_init__(self):
-        self.rsrp_neighbors = np.asarray(self.rsrp_neighbors, dtype=float)
-        self.exceed_count = np.asarray(self.exceed_count, dtype=int)
-        self.neighbor_cells = np.asarray(self.neighbor_cells, dtype=int)
-        if min(self.exceed_count.ravel().tolist(), default=0) < 0:
-            raise ConfigError("exceed_count must be nonnegative")
+    serving_cell: int
+    neighbor_cells: np.ndarray

@@ -40,10 +40,6 @@ def _q_from_values(mdp: TabularMdp, values: np.ndarray) -> np.ndarray:
     return mdp.reward + mdp.discount * (mdp.transition @ values)
 
 
-def bellman_residual(mdp: TabularMdp, values: np.ndarray) -> float:
-    return float(np.max(np.abs(_q_from_values(mdp, values).max(axis=1) - values)))
-
-
 def value_iteration(mdp: TabularMdp, tol: float = 1e-8) -> ValueTable:
     """Bellman optimality iteration, returning the values and greedy policy
     of the first sweep whose sup-norm change falls below

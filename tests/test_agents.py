@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from occam_rrm import ConfigError, TabularMdp, agents, run_episode, replay_episode
+from occam_rrm import ConfigError, TabularMdp, agents, run_episode
 from occam_rrm.agents import (
     AcceptAllAgent,
     DppEnergyAgent,
@@ -88,7 +88,7 @@ def test_mpc_persistence_predictor_runs():
     env.reset(0)
     agent = MpcEnergyAgent(env, es_persistence_predictor(), horizon=3)
     log = run_episode(spike_env(), agent, horizon=10, seed=0)
-    assert len(log) == 10
+    assert len(log.rewards) == 10
 
 
 def test_dpp_agent_serves_min_energy_agent_drowns():
@@ -209,7 +209,7 @@ def test_accept_all_agent_shape():
         ],
     )
     log = run_episode(env, AcceptAllAgent(2), horizon=100, seed=7)
-    assert len(log) == 100
+    assert len(log.rewards) == 100
 
 
 def test_handover_agents_smoke():
@@ -232,7 +232,9 @@ def test_knn_tracker_reasonable_and_replayable():
     log = knn_beam_tracker(env, budget_per_step=2, horizon=120, seed=10)
     acc = metrics_summary([log], kind="beam").accuracy
     assert acc > 1.0 / 8  # far better than random serving
-    replayed = replay_episode(BeamformingEnv(n_beams=8, ue_speed=1.0), log)
+    logged = iter(log.actions)
+    replayed = run_episode(BeamformingEnv(n_beams=8, ue_speed=1.0), lambda obs: next(logged),
+                           horizon=120, seed=10)
     assert np.array_equal(replayed.rewards, log.rewards)
 
 

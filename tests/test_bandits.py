@@ -9,7 +9,6 @@ from occam_rrm.bandits import (
     BoTrackerAgent,
     GpSurrogate,
     bo_beam_tracker,
-    illa_select,
     thompson_select,
     ucb_acquire,
 )
@@ -127,22 +126,30 @@ def test_olla_state_ratio_validated():
             IllaOllaAgent([0.0, 5.0], step_up, target)
 
 
+def _illa(sinr_report, offset, lookup):
+    """The MCS an ILLA-OLLA agent at `offset` picks for its first report."""
+    agent = IllaOllaAgent(lookup, step_up=0.1, target_bler=0.1)
+    agent.reset(0)
+    agent.offset = offset
+    return agent.act(LaObs(sinr_report, None))
+
+
 def test_illa_below_all_thresholds():
-    assert illa_select(-100.0, 0.0, [0.0, 5.0, 10.0]) == 0
+    assert _illa(-100.0, 0.0, [0.0, 5.0, 10.0]) == 0
 
 
 def test_illa_inclusive_boundary():
-    assert illa_select(5.0, 0.0, [0.0, 5.0, 10.0]) == 1
-    assert illa_select(10.0, 0.0, [0.0, 5.0, 10.0]) == 2
+    assert _illa(5.0, 0.0, [0.0, 5.0, 10.0]) == 1
+    assert _illa(10.0, 0.0, [0.0, 5.0, 10.0]) == 2
 
 
 def test_illa_offset_applied():
-    assert illa_select(7.0, -3.0, [0.0, 5.0, 10.0]) == 0
+    assert _illa(7.0, -3.0, [0.0, 5.0, 10.0]) == 0
 
 
 def test_illa_requires_increasing_table():
-    with pytest.raises(ConfigError):
-        illa_select(0.0, 0.0, [0.0, 0.0, 1.0])
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        _illa(0.0, 0.0, [0.0, 0.0, 1.0])
 
 
 def test_illa_olla_closed_loop_hits_target_bler():

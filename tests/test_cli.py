@@ -633,6 +633,22 @@ def test_advise_rejects_bad_input(capsys, argv):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,refused", [
+    (["advise", "--use-case", "SC", "--jobs", "999999", "--seed", "-5", "--out-dir", ""],
+     "advise does not take --seed, --jobs, --out-dir"),
+    (["--jobs", "3", "advise", "--use-case", "SC"], "advise does not take --jobs"),
+    (["--seed", "1", "plot", "in.json", "--kind", "reward-curve", "--out", "fig.svg",
+      "--jobs", "2"], "plot does not take --seed, --jobs"),
+])
+def test_advise_and_plot_refuse_the_flags_they_ignore(tmp_path, capsys, monkeypatch, argv,
+                                                      refused):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {refused}\n" and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_plot_subcommand_end_to_end(tmp_path, capsys):
     summary = bf_summary(tmp_path)
     svg = tmp_path / "fig.svg"

@@ -295,7 +295,12 @@ REPROS = {
     ),
     "q-learning.reward_noise_std=1e308":
         ("tabular", {**BASE_ENV["tabular"], "reward_noise_std": 1e308}, "q-learning", {}),
+    "scheduling.never-served-user": ("scheduling", {"n_users": 4}, "max-rate", {}),
 }
+# Top-level keys a repro sets besides env and solvers: over three steps
+# max-rate serves at most three of four users, and the scheduling profile
+# once wrote a sum_log_throughput of -Infinity.
+REPRO_TOP = {"scheduling.never-served-user": {"metrics": "scheduling", "horizon": 3}}
 # Repros that fail while Q-learning trains, with exit 3 and not the exit 2
 # of a QTable built from non-finite values.
 Q_LEARNING_OVERFLOW = ["q-learning.value-overflow", "q-learning.reward_noise_std=1e308"]
@@ -314,8 +319,9 @@ TOP_REPROS = {
     "label=a\\n": {"solvers": [{"name": "illa-olla", "label": "a\n"}]},
 }
 
-# Command lines whose flag values once ended in a traceback; `{config}` is
-# a valid run config and `{bad}` a file that is not UTF-8.
+# Command lines whose flag values once ended in a traceback, or whose flags
+# advise and plot once ignored; `{config}` is a valid run config and `{bad}`
+# a file that is not UTF-8.
 CLI_REPROS = {
     "advise --traits 5": ["advise", "--traits", "5"],
     "advise --traits null": ["advise", "--traits", "null"],
@@ -323,6 +329,12 @@ CLI_REPROS = {
     "sweep --values [5000 digits]":
         ["sweep", "{config}", "--param", "horizon", "--values", f"[{'9' * 5000}]"],
     "plot non-UTF-8 input": ["plot", "{bad}", "--kind", "reward-curve", "--out", "{bad}.svg"],
+    "advise --jobs 999999 --seed -5 --out-dir ''":
+        ["advise", "--use-case", "SC", "--jobs", "999999", "--seed", "-5", "--out-dir", ""],
+    "--jobs 3 advise": ["--jobs", "3", "advise", "--use-case", "SC"],
+    "plot --seed 1 --jobs 2":
+        ["plot", "{config}", "--kind", "reward-curve", "--out", "{bad}.svg", "--seed", "1",
+         "--jobs", "2"],
 }
 
 # Plot inputs that once ended in a traceback or, for the 10^7-step heatmap,
@@ -410,8 +422,9 @@ def test_plot_repros_exit_with_one_line(tmp_path):
 
 def test_repros_exit_with_one_line_in_2gib(tmp_path):
     configs = [
-        {"env": {"env": kind, **env}, "solvers": [{"name": solver, "config": solver_cfg}]}
-        for kind, env, solver, solver_cfg in REPROS.values()
+        {"env": {"env": kind, **env}, "solvers": [{"name": solver, "config": solver_cfg}],
+         **REPRO_TOP.get(name, {})}
+        for name, (kind, env, solver, solver_cfg) in REPROS.items()
     ] + [
         {"env": {"env": "link_adaptation"}, "solvers": [{"name": "illa-olla"}], **top}
         for top in TOP_REPROS.values()
@@ -436,6 +449,8 @@ def test_repros_exit_with_one_line_in_2gib(tmp_path):
             assert code == EXIT_RUNTIME and seconds < 1 and "sinr" in err, (name, code, err)
         if name.endswith(".reward-overflow"):
             assert code == EXIT_RUNTIME and err.startswith("runtime error: step "), (name, err)
+        if name in REPRO_TOP:
+            assert code == EXIT_RUNTIME and "thr_" in err and "metrics: basic" in err, (name, err)
 
 
 @pytest.mark.parametrize("case", Q_LEARNING_OVERFLOW)

@@ -6,21 +6,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import occam_rrm
 from occam_rrm import (
     ConfigError,
     EpisodeLog,
     InvalidActionError,
     MissingDiagnosticError,
-    ScriptedPolicy,
     StepOutcome,
     TabularMdp,
     discounted_return,
     metrics_summary,
     run_episode,
 )
+from occam_rrm import bandits, core, planning
 from occam_rrm.core import metric_columns
 from occam_rrm.envs.beamforming import SERVE_BEST, BeamAction
 from occam_rrm.errors import NumericalError
+
+
+PACKAGE_ALL = [
+    "DEFAULT_DISCOUNT", "ConfigError", "EpisodeLog", "GpNumericalError", "InvalidActionError",
+    "MetricsRecord", "MissingDiagnosticError", "NotTractableError", "OccamRrmError",
+    "PlotDataError", "StepOutcome", "TabularMdp", "discounted_return", "metrics_summary",
+    "run_episode", "__version__",
+]
+
+
+def test_package_surface_is_pinned():
+    assert occam_rrm.__all__ == PACKAGE_ALL
+    for name in PACKAGE_ALL:
+        assert hasattr(occam_rrm, name), name
+    # a replay is run_episode with a callable over the logged actions
+    for module, name in [(occam_rrm, "ScriptedPolicy"), (occam_rrm, "replay_episode"),
+                         (core, "ScriptedPolicy"), (core, "replay_episode"),
+                         (planning, "bellman_residual"), (bandits, "illa_select")]:
+        assert not hasattr(module, name), (module.__name__, name)
 
 
 class ConstantRewardEnv:
@@ -125,9 +145,8 @@ def test_horizon_zero_rejected():
 
 def test_constant_env_all_rewards_one():
     log = run_episode(ConstantRewardEnv(), lambda obs: 0, horizon=25, seed=1)
-    assert len(log) == 25
+    assert len(log.rewards) == 25
     assert np.all(log.rewards == 1.0)
-    assert log.env_name == "constant"
 
 
 def test_invalid_action_names_step_index():
@@ -163,15 +182,9 @@ def test_a_plain_callable_gets_no_reset_and_a_non_callable_is_refused():
         return 0
 
     policy.reset = lambda seed: pytest.fail("reset called on a plain callable")
-    assert len(run_episode(ConstantRewardEnv(), policy, horizon=2, seed=0)) == 2
+    assert len(run_episode(ConstantRewardEnv(), policy, horizon=2, seed=0).rewards) == 2
     with pytest.raises(ConfigError, match="not a policy"):
         run_episode(ConstantRewardEnv(), 5, horizon=2, seed=0)
-
-
-def test_scripted_policy_exhaustion():
-    pol = ScriptedPolicy([0, 0])
-    with pytest.raises(ConfigError):
-        run_episode(ConstantRewardEnv(), pol, horizon=5, seed=0)
 
 
 def test_log_holds_one_column_per_diagnostic():
@@ -233,8 +246,6 @@ def test_episode_csv_layout(tmp_path):
         actions=[1, np.array([0.25, 0.75])],
         rewards=np.array([0.5, -1.0]),
         diagnostics={"b": np.array([2.0, 0.1]), "a": np.array([1.0, 3.0])},
-        seed=3,
-        env_name="x",
     )
     out = tmp_path / "ep.csv"
     log.to_csv(out)
@@ -277,7 +288,7 @@ def test_episode_csv_matches_the_reference_writer(tmp_path):
                np.int64(7), np.bool_(False), subset, -0.0, [2, (3, 4.5)], subset, 300, 1]
     n = len(actions)
     log = EpisodeLog(actions, np.linspace(-1.0, 1.0, n),
-                     {"y": np.arange(n) / 3.0, "x": np.full(n, 0.1)}, seed=0, env_name="x")
+                     {"y": np.arange(n) / 3.0, "x": np.full(n, 0.1)})
     log.to_csv(tmp_path / "ep.csv")
     _reference_to_csv(log, tmp_path / "reference.csv")
     assert (tmp_path / "ep.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -288,7 +299,7 @@ def test_episode_csv_matches_the_reference_writer(tmp_path):
 
 def _log(rewards, diags=None):
     columns = {k: np.array([d[k] for d in diags]) for k in diags[0]} if diags else {}
-    return EpisodeLog([0] * len(rewards), np.array(rewards), columns, seed=0, env_name="t")
+    return EpisodeLog([0] * len(rewards), np.array(rewards), columns)
 
 
 def test_metrics_mean_reward():
@@ -302,6 +313,12 @@ def test_metrics_sum_log_throughput_two_users():
     diags = [{"thr_0": e, "thr_1": e}] * 4
     rec = metrics_summary([_log([0.0] * 4, diags)], kind="scheduling")
     assert rec.sum_log_throughput == pytest.approx(2.0, abs=1e-12)
+
+
+def test_metrics_never_served_user_is_named_not_minus_infinity():
+    diags = [{"thr_0": 1.0, "thr_1": 0.0, "thr_2": 0.0}] * 3
+    with pytest.raises(NumericalError, match=r"^thr_1 has mean throughput 0\.0, .*metrics: basic$"):
+        metrics_summary([_log([0.0] * 3, diags)], kind="scheduling")
 
 
 def test_metrics_beam_accuracy():

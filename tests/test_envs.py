@@ -13,7 +13,6 @@ from occam_rrm import (
     ConfigError,
     InvalidActionError,
     NotTractableError,
-    ScriptedPolicy,
     TabularMdp,
     planning,
     run_episode,
@@ -443,6 +442,13 @@ def test_es_malformed_subsets():
 # ================================================================ handover
 
 
+def _scripted(actions):
+    """A plain-callable policy that plays `actions` in order, whatever it
+    observes: a replay of a logged episode."""
+    logged = iter(actions)
+    return lambda obs: next(logged)
+
+
 def _crossing_env(**kw):
     base = dict(
         n_cells=2,
@@ -457,7 +463,7 @@ def _crossing_env(**kw):
 def test_ho_ideal_single_handover_no_penalty():
     env = _crossing_env()
     actions = [0] * 100 + [2] + [0] * 149  # HO to cell 1 at the t=100 crossing
-    log = run_episode(env, ScriptedPolicy(actions), horizon=250, seed=0)
+    log = run_episode(env, _scripted(actions), horizon=250, seed=0)
     assert log.rewards.sum() == 0.0
 
 
@@ -721,10 +727,8 @@ REPLAY_CASES = [
 
 @pytest.mark.parametrize("env_cls,policy_cls", REPLAY_CASES, ids=lambda x: getattr(x, "__name__", ""))
 def test_replay_reproduces_rewards(env_cls, policy_cls):
-    from occam_rrm import replay_episode
-
     log = run_episode(env_cls(), policy_cls(), horizon=120, seed=17)
-    replayed = replay_episode(env_cls(), log)
+    replayed = run_episode(env_cls(), _scripted(log.actions), horizon=120, seed=17)
     assert np.array_equal(replayed.rewards, log.rewards)
     assert log.diagnostics.keys() == replayed.diagnostics.keys()
     for key, column in log.diagnostics.items():
@@ -732,17 +736,23 @@ def test_replay_reproduces_rewards(env_cls, policy_cls):
 
 
 def _arrays(obs):
-    fields = obs.values() if isinstance(obs, dict) else getattr(obs, "__dict__", {}).values()
+    if isinstance(obs, dict):
+        fields = obs.values()
+    elif isinstance(obs, tuple):  # NamedTuple observations have no __dict__
+        fields = obs
+    else:
+        fields = getattr(obs, "__dict__", {}).values()
     return [value for value in fields if isinstance(value, np.ndarray)]
 
 
 class _Recorder:
-    """Acts as `policy` does and keeps a copy of every observation it is
-    shown; with `scribble`, it then overwrites in place every array of the
-    observation that is writable."""
+    """Acts as `policy` (an agent or a plain callable) does and keeps a copy
+    of every observation it is shown; with `scribble`, it then overwrites in
+    place every array of the observation that is writable."""
 
     def __init__(self, policy, scribble):
         self.policy, self.scribble = policy, scribble
+        self._act = getattr(policy, "act", policy)
         self.seen, self.actions = [], []
 
     def reset(self, seed):
@@ -751,7 +761,7 @@ class _Recorder:
 
     def act(self, obs):
         self.seen.append(pickle.dumps(obs))
-        action = self.policy.act(obs)
+        action = self._act(obs)
         self.actions.append(copy.deepcopy(action))
         if self.scribble:
             for arr in _arrays(obs):
@@ -774,7 +784,7 @@ def test_writing_into_observations_changes_nothing(env_cls, policy_cls):
     kwargs = ISOLATION_KWARGS.get(env_cls, {})
     writer = _Recorder(policy_cls(), scribble=True)
     log = run_episode(env_cls(**kwargs), writer, horizon=120, seed=17)
-    reader = _Recorder(ScriptedPolicy(writer.actions), scribble=False)
+    reader = _Recorder(_scripted(writer.actions), scribble=False)
     replayed = run_episode(env_cls(**kwargs), reader, horizon=120, seed=17)
     assert replayed.rewards.tobytes() == log.rewards.tobytes()
     for key, column in log.diagnostics.items():

@@ -8,7 +8,6 @@ from occam_rrm.agents import MpcEnergyAgent
 from occam_rrm.envs import BeamformingEnv, EnergySavingEnv, TabularEnv
 from occam_rrm.planning import (
     DeterministicModel,
-    bellman_residual,
     hyperbolic_schedule,
     mpc_plan,
     policy_iteration,
@@ -67,7 +66,8 @@ def test_vi_bellman_residual_bound():
     for _ in range(20):
         mdp = random_mdp(rng, 5, 3, discount=0.95)
         vt = value_iteration(mdp, tol=1e-6)
-        assert bellman_residual(mdp, vt.values) < 1e-6
+        q = mdp.reward + mdp.discount * (mdp.transition @ vt.values)
+        assert np.max(np.abs(q.max(axis=1) - vt.values)) < 1e-6
 
 
 def test_vi_policy_is_greedy():
