@@ -75,10 +75,12 @@ class AdmissionEnv(RrmEnv):
         self.discount = float(discount)
         if not 0.0 <= self.discount < 1.0:
             raise ConfigError(f"discount must lie in [0, 1), got {self.discount}")
+        # The most of each class that fits, with the 1e-9 slack of an accept.
+        self._most = [int((self.capacity + 1e-9) // c["demand"]) for c in self.classes]
         # Uniformized chain: total event probability must stay below one even
         # at the fullest states (conservative per-class bound).
         worst = sum(c["arrival_rate"] for c in self.classes) + sum(
-            int(self.capacity // c["demand"]) * c["departure_rate"] for c in self.classes
+            n * c["departure_rate"] for n, c in zip(self._most, self.classes)
         )
         if worst > 1.0 + 1e-12:
             raise ConfigError(
@@ -96,7 +98,7 @@ class AdmissionEnv(RrmEnv):
         return {"counts": counts, "used": used, "capacity": self.capacity}
 
     def enumerate_states(self) -> list[tuple]:
-        sizes = [int(self.capacity // c["demand"]) + 1 for c in self.classes]
+        sizes = [n + 1 for n in self._most]
         n = math.prod(sizes)
         self._budget(n, f"capacity {self.capacity:g} spans {n} class count vectors", "capacity")
         feasible = [
@@ -130,9 +132,10 @@ class AdmissionEnv(RrmEnv):
         # the last one checked is kept, as BeamformingEnv._check_beams does.
         if action is self._action_in and type(action) is tuple:
             return self._rule
-        if isinstance(action, (int, np.integer)) and self.n_classes == 1:
-            action = (int(action),)
-        rule = tuple(map(int, action))
+        try:
+            rule = tuple(map(int, action))
+        except (TypeError, ValueError) as exc:
+            raise InvalidActionError(f"malformed rule vector {action!r}") from exc
         if len(rule) != self.n_classes:
             raise InvalidActionError(
                 f"rule vector length {len(rule)} != n_classes {self.n_classes}"
@@ -216,11 +219,17 @@ class AdmissionEnv(RrmEnv):
                 "true_mdp undefined under strict_feasibility: accept rules "
                 "would error on full states instead of transitioning"
             )
-        index = self._state_lookup
         actions = self.action_list()
+        A = len(actions)
+        # The empty state and each one-class state are feasible, so S >= least;
+        # that refuses a large table before its states are listed.
+        least = 1 + sum(self._most)
+        self._budget(least * A * least, f"the exact MDP of at least {least} states and {A} "
+                     f"rules needs at least {least * A * least} transition entries", "capacity")
+        index = self._state_lookup
         used = [self.used_of(s) for s in index]
         qos = [self._qos(u) for u in used]
-        S, A = len(index), len(actions)
+        S = len(index)
         self._budget(S * A * S, f"the exact MDP of {S} states and {A} rules needs {S * A * S} "
                      "transition entries", "capacity")
         P = np.zeros((S, A, S))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .. import planning
+from ..core import DEFAULT_DISCOUNT
 from ..errors import ConfigError
 from ..rng import StepStream
 
@@ -19,6 +20,7 @@ class RrmEnv:
     """
 
     name = "rrm"
+    discount = DEFAULT_DISCOUNT
 
     def __init__(self):
         self._seed: int | None = None

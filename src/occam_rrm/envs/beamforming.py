@@ -6,8 +6,7 @@ A step commits BeamAction(measure, serve): a measurement subset and a served
 beam, with serve="best" meaning the argmax of that subset. A tracker that
 places the served beam from what it measured first calls measure(beams) to
 read the current column, then commits a BeamAction over those same beams;
-the step charges that subset once. A bare beam index after measure() serves
-it with the measured set charged.
+the step charges that subset once. A step takes no other action form.
 """
 
 from __future__ import annotations
@@ -86,17 +85,6 @@ class BeamformingEnv(RrmEnv):
         """True per-beam RSRP (dB) of the current step; hidden state."""
         return self.mean_rsrp + self.rsrp_std * self._field
 
-    def rsrp_trace(self, n_steps: int) -> np.ndarray:
-        """Field in dB for this seed, [n_beams, n_steps], recomputed from the
-        streams. Matches what the env serves while stepping; used by plots."""
-        rho = self.temporal_corr
-        f = self._innovation(0)
-        cols = [f.copy()]
-        for t in range(1, n_steps):
-            f = rho * f + self._mix * self._innovation(t)
-            cols.append(f.copy())
-        return self.mean_rsrp + self.rsrp_std * np.stack(cols, axis=1)
-
     def _check_beams(self, beams) -> tuple:
         # Trackers pass one tuple again and again (full-scan every step,
         # knn-tracker to measure() and then in its BeamAction), so the last
@@ -122,16 +110,14 @@ class BeamformingEnv(RrmEnv):
         return {b: self._rsrp[b] for b in beams}
 
     def _step(self, action):
-        if isinstance(action, BeamAction):
-            measured = self._check_beams(action.measure)
-            if self._pending is not None and set(measured) != set(self._pending):
-                raise InvalidActionError(
-                    f"BeamAction measures {measured} but measure() read {self._pending}"
-                )
-            serve = action.serve
-        else:
-            measured = self._pending if self._pending is not None else ()
-            serve = action
+        if not isinstance(action, BeamAction):
+            raise InvalidActionError(f"beamforming takes a BeamAction, got {action!r}")
+        measured = self._check_beams(action.measure)
+        if self._pending is not None and set(measured) != set(self._pending):
+            raise InvalidActionError(
+                f"BeamAction measures {measured} but measure() read {self._pending}"
+            )
+        serve = action.serve
         self._pending = None
         rsrp = self._rsrp
         if isinstance(serve, str):

@@ -25,15 +25,17 @@ _DEFAULT_TRAFFIC = {
 }
 
 
+def _index(x) -> int:
+    if isinstance(x, (bool, np.bool_)):
+        raise TypeError(f"{x!r} is a mask entry, not a resource index")
+    return int(x)
+
+
 def normalize_subset(action, n: int) -> tuple:
-    """Canonical subset action: sorted tuple of distinct resource indices.
-    Accepts an index iterable or a boolean mask of length n."""
-    if isinstance(action, (list, tuple, np.ndarray)) and len(action) == n and all(
-        isinstance(x, (bool, np.bool_)) for x in action
-    ):
-        return tuple(int(i) for i in range(n) if action[i])
+    """Canonical subset action: sorted tuple of distinct resource indices,
+    from an iterable of indices. A boolean entry, as in a mask, is refused."""
     try:
-        idx = sorted({int(x) for x in action})
+        idx = sorted({_index(x) for x in action})
     except (TypeError, ValueError) as exc:
         raise InvalidActionError(f"malformed resource subset {action!r}") from exc
     for i in idx:

@@ -96,12 +96,6 @@ class HandoverEnv(RrmEnv):
         for cells in self._neighbor_cells:
             cells.flags.writeable = False
 
-    def true_rsrp_at(self, t: int) -> np.ndarray:
-        return self._true_rsrp(np.array([t]))[0]
-
-    def measured_rsrp_at(self, t: int) -> np.ndarray:
-        return self._rsrp.at(t)[self.n_cells:].copy()
-
     def _obs(self, t: int) -> MroObservation:
         meas = self._rsrp.at(t)[self.n_cells:]
         levels = meas.tolist()

@@ -44,14 +44,9 @@ class PowerEnv(RrmEnv):
                 raise ConfigError("fixed_gains must be nonnegative")
             self.fixed_gains.flags.writeable = False
 
-    def gains_at(self, t: int) -> np.ndarray:
-        """Block-fading gains for step t: exponential draws indexed by the
-        coherence block, a pure function of (seed, t). Constant when the env
-        was built with fixed_gains."""
-        return self._gains(t).copy()
-
     def _gains(self, t: int) -> np.ndarray:
-        """gains_at(t) as a read-only array, shared by its coherence interval."""
+        """Read-only gains of step t: exponential draws shared by a coherence
+        block, a pure function of (seed, t); fixed_gains when the env has them."""
         if self.fixed_gains is not None:
             return self.fixed_gains
         return self._gain_stream.at(t // self.coherence)

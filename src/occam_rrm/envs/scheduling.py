@@ -58,9 +58,6 @@ class SchedulingEnv(RrmEnv):
             raise ConfigError("weights needs one entry per user")
         self._thr_keys = [f"thr_{u}" for u in range(self.n_users)]
 
-    def efficiency_at(self, t: int) -> np.ndarray:
-        return self._efficiency_row(t).copy()
-
     def _efficiency_row(self, t: int) -> np.ndarray:
         """Spectral efficiencies of step t as a read-only row."""
         return self._mean_row if self.fading == "none" else self._fade_stream.at(t)

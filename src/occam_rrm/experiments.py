@@ -20,7 +20,7 @@ from . import agents
 from .advisor import advise, usecase_traits
 from .bandits import BoTrackerAgent
 from .config import build_from_config, check_config, check_keys
-from .core import DEFAULT_DISCOUNT, METRIC_PROFILES, metric_columns, metrics_summary, run_episode
+from .core import METRIC_PROFILES, metric_columns, metrics_summary, run_episode
 from .envs import env_true_mdp, make_env
 from .errors import ConfigError
 from .planning import q_learning, value_iteration
@@ -341,7 +341,7 @@ def _run_all(cfgs, out_dir: Path, staging: Path, jobs) -> list[dict]:
         for name, _, solver_cfg in cfg.solvers:
             check_compatibility(name, cfg.env.get("env"))
             check_config(SOLVERS[name].agent, solver_cfg, "solver", ("env", "seed"))
-        discounts.append(float(getattr(make_env(cfg.env), "discount", DEFAULT_DISCOUNT)))
+        discounts.append(float(make_env(cfg.env).discount))
     jobs = resolve_jobs(jobs)
     dests = [staging / Path(cfg.outputs).relative_to(out_dir) for cfg in cfgs]
     cells = [

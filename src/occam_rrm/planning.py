@@ -160,7 +160,7 @@ def q_learning(
     epsilon = epsilon if epsilon is not None else hyperbolic_schedule(EPSILON0_DEFAULT)
     actions = env.action_list()
     n_s, n_a = env.n_states, len(actions)
-    discount = float(getattr(env, "discount", DEFAULT_DISCOUNT))
+    discount = float(env.discount)
     q = [[0.0] * n_a for _ in range(n_s)]
     visits = [[0] * n_a for _ in range(n_s)]
     rng = np.random.default_rng(derive_seed(seed, 1))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .envs import make_env
+from .envs import BeamAction, make_env
 from .errors import ConfigError, PlotDataError
 from .experiments import ExperimentConfig
 
@@ -109,7 +109,11 @@ def _render_heatmap(summary: dict) -> str:
         raise ConfigError(f"{env.n_beams} beams x horizon {cfg.horizon} exceed the heatmap's "
                           f"budget of {HEATMAP_CELL_BUDGET} cells")
     env.reset(cfg.seeds[0])
-    field = env.rsrp_trace(cfg.horizon)  # [n_beams, n_steps]
+    cols = [env.current_rsrp()]
+    for _ in range(cfg.horizon - 1):  # the field ignores actions
+        env.step(BeamAction(measure=(), serve=0))
+        cols.append(env.current_rsrp())
+    field = np.stack(cols, axis=1)  # [n_beams, n_steps]
     n_beams, n_steps = field.shape
 
     cell_w = PLOT_W / n_steps

@@ -12,7 +12,7 @@ import numpy as np
 
 from .bandits import GpSurrogate, ucb_acquire
 from .config import build_from_config, check_keys
-from .core import DEFAULT_DISCOUNT, discounted_return, run_episode
+from .core import discounted_return, run_episode
 from .envs import make_env
 from .errors import ConfigError
 from .experiments import SOLVERS, check_compatibility
@@ -142,7 +142,7 @@ def evaluate_policy(
         env = make_env(env_cfg)
         agent = build_from_config(SOLVERS[solver].agent, solver_cfg, "solver", env=env)
         log = run_episode(env, agent, horizon=horizon, seed=derive_seed(seed, i))
-        returns.append(discounted_return(log.rewards, getattr(env, "discount", DEFAULT_DISCOUNT)))
+        returns.append(discounted_return(log.rewards, env.discount))
     returns = np.asarray(returns)
     std_error = 0.0 if n_episodes == 1 else float(returns.std(ddof=1) / np.sqrt(n_episodes))
     return float(returns.mean()), std_error

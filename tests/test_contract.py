@@ -288,6 +288,9 @@ REPROS = {
     "admission_control.capacity=200": ("admission_control", {"capacity": 200, "classes": [
         {"arrival_rate": 0.25, "departure_rate": 0.001, "reward": r} for r in (2.0, 1.0)
     ]}, "value-iteration", {}),
+    "admission_control.capacity=999": ("admission_control", {"capacity": 999, "classes": [
+        {"arrival_rate": 0.3, "departure_rate": 1e-4, "reward": r} for r in (2.0, 1.0)
+    ]}, "value-iteration", {}),
     "q-learning.value-overflow": (
         "admission_control",
         {"classes": [{"arrival_rate": 0.25, "departure_rate": 0.02, "reward": 1e308}]},
@@ -307,7 +310,8 @@ Q_LEARNING_OVERFLOW = ["q-learning.value-overflow", "q-learning.reward_noise_std
 # Repros refused before any large array is built: exit 2 within a second.
 REFUSED_AT_ONCE = {"illa-olla.step_up=1e308", "power_control.mean_gain=-1",
                    "admission_control.discount=1.0", "admission_control.discount=-0.1",
-                   "illa-olla.s50 with equal thresholds", "admission_control.capacity=200"}
+                   "illa-olla.s50 with equal thresholds", "admission_control.capacity=200",
+                   "admission_control.capacity=999"}
 # Top-level keys over a 20-step illa-olla run, each refused with exit 2
 # within a second: the seed list once took hours to build, the run never
 # ended, a float horizon ended in a traceback, and a label matched its

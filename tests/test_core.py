@@ -20,6 +20,7 @@ from occam_rrm import (
 )
 from occam_rrm import bandits, core, planning
 from occam_rrm.core import metric_columns
+from occam_rrm.envs import ENVS, TabularEnv
 from occam_rrm.envs.beamforming import SERVE_BEST, BeamAction
 from occam_rrm.errors import NumericalError
 
@@ -41,6 +42,11 @@ def test_package_surface_is_pinned():
                          (core, "ScriptedPolicy"), (core, "replay_episode"),
                          (planning, "bellman_residual"), (bandits, "illa_select")]:
         assert not hasattr(module, name), (module.__name__, name)
+    # the envs' tables are read through their observations
+    for cls in [*ENVS.values(), TabularEnv]:
+        for name in ("gains_at", "efficiency_at", "true_rsrp_at", "measured_rsrp_at",
+                     "rsrp_trace"):
+            assert not hasattr(cls, name), (cls.__name__, name)
 
 
 class ConstantRewardEnv:

@@ -2,11 +2,12 @@ import copy
 import gc
 import math
 import pickle
+import time
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from occam_rrm import (
@@ -166,16 +167,19 @@ def test_pc_budget_violation_rejected():
 
 
 def test_pc_block_fading_and_exogeneity():
-    env = PowerEnv(n_channels=3, coherence=10, total_power=1.0)
-    env.reset(5)
-    g0 = env.gains_at(0)
-    assert np.array_equal(g0, env.gains_at(9))
-    assert not np.array_equal(g0, env.gains_at(10))
-    # gains_at is pure in t: action choices cannot move it.
-    before = env.gains_at(123)
-    env.step([1.0, 0.0, 0.0])
-    env.step([0.0, 1.0, 0.0])
-    assert np.array_equal(before, env.gains_at(123))
+    # The observed gains hold for a coherence block, and the allocations
+    # played cannot move them.
+    rollouts = []
+    for power in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]):
+        env = PowerEnv(n_channels=3, coherence=10, total_power=1.0)
+        gains = [env.reset(5)["gains"]]
+        for _ in range(124):
+            gains.append(env.step(power).observation["gains"])
+        rollouts.append(np.array(gains))
+    g = rollouts[0]
+    assert all(np.array_equal(g[0], g[t]) for t in range(10))
+    assert not np.array_equal(g[0], g[10])
+    assert np.array_equal(rollouts[0], rollouts[1])
 
 
 # ================================================================ beamforming
@@ -223,7 +227,7 @@ def test_bf_two_phase_matches_one_shot():
     env2.reset(9)
     for t in range(20):
         vals = env1.measure((0, 2))
-        out1 = env1.step(max(vals, key=lambda b: (vals[b], -b)))
+        out1 = env1.step(BeamAction(measure=(0, 2), serve=max(vals, key=lambda b: (vals[b], -b))))
         out2 = env2.step(BeamAction(measure=(0, 2), serve=SERVE_BEST))
         assert out1.reward == out2.reward
         assert out1.diagnostics == out2.diagnostics
@@ -259,22 +263,11 @@ def test_bf_errors():
         env.measure((1,))
 
 
-def test_bf_trace_consistent_with_stepping():
-    env = BeamformingEnv(n_beams=6)
-    trace = None
-    env.reset(4)
-    trace = env.rsrp_trace(30)
-    for t in range(30):
-        rsrp = env.current_rsrp()
-        assert np.array_equal(rsrp, trace[:, t])
-        env.step(BeamAction(measure=(0,), serve=0))
-
-
 def test_bf_exogenous_field():
     logs = []
     for serve in (0, 3):
         env = BeamformingEnv(n_beams=4)
-        log = run_episode(env, lambda obs, s=serve: s, horizon=50, seed=8)
+        log = run_episode(env, lambda obs, s=serve: BeamAction((), s), horizon=50, seed=8)
         logs.append(log.diagnostics["rsrp_optimal"].tolist())
     assert logs[0] == logs[1]
 
@@ -511,9 +504,8 @@ def test_ho_exceed_count_resets():
     assert np.all(counts[:first] == 0)
     assert np.all(diffs[first:] == 1)
     # The ramp starts strictly after the crossing because of hysteresis.
-    true_gap = [
-        env.true_rsrp_at(t)[1] - env.true_rsrp_at(t)[0] for t in range(first + 1)
-    ]
+    true_rsrp = [env._rsrp.at(t)[: env.n_cells] for t in range(first + 1)]
+    true_gap = [rsrp[1] - rsrp[0] for rsrp in true_rsrp]
     assert true_gap[first] > 3.0 - 1e-9
     assert all(g <= 3.0 + 1e-9 for g in true_gap[:first])
 
@@ -593,6 +585,34 @@ def test_ac_tables_over_the_entries_budget_are_refused_before_building(monkeypat
     monkeypatch.setattr(planning, "MPC_NODE_BUDGET", 66 * 9 * 66 - 1)
     with pytest.raises(ConfigError, match="needs 39204 transition entries"):
         env.true_mdp()
+
+
+def test_ac_large_exact_mdp_is_refused_before_listing_states():
+    # 500,500 count vectors: the lower bound on S refuses the table before
+    # they are listed, which takes seconds
+    unit = {"arrival_rate": 0.3, "departure_rate": 1e-4, "reward": 1.0}
+    env = AdmissionEnv(capacity=999, classes=[unit, unit])
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="at least 1999 states .* needs at least 35964009"):
+        env.true_mdp()
+    assert time.perf_counter() - start < 0.1
+
+
+@settings(max_examples=40, deadline=None)
+@given(capacity=st.floats(0.5, 6.0),
+       demands=st.lists(st.sampled_from([0.7, 1.0, 1.5, 2.5]), min_size=1, max_size=3))
+# two units fit within the 1e-9 slack of an accept, so (2,) is a state
+@example(capacity=1.9999999999999991, demands=[1.0])
+def test_ac_state_lower_bound_never_refuses_a_table_that_fits(capacity, demands):
+    classes = [{"arrival_rate": 0.05, "departure_rate": 0.01, "demand": d, "reward": 1.0}
+               for d in demands]
+    env = AdmissionEnv(capacity=capacity, classes=classes)
+    S, A = len(env.enumerate_states()), 3 ** len(demands)
+    with pytest.MonkeyPatch.context() as mp:
+        # a budget of exactly S x A x S entries: the table is built only if
+        # the lower bound on S is at most S
+        mp.setattr(planning, "MPC_NODE_BUDGET", S * A * S)
+        assert env.true_mdp().transition.shape == (S, A, S)
 
 
 def test_ac_action_check_keeps_only_the_last_tuple():
@@ -801,6 +821,22 @@ def test_step_before_reset_is_refused(kind):
     env = make_env({"env": kind, **REQUIRED_KEYS.get(kind, {})})
     with pytest.raises(ConfigError, match=rf"^{env.name} env stepped before reset\(seed\)$"):
         env.step(0)
+
+
+ONE_CLASS = [{"arrival_rate": 0.3, "departure_rate": 0.05, "reward": 1.0}]
+
+
+@pytest.mark.parametrize("env,action,match", [
+    (BeamformingEnv(), 3, "takes a BeamAction"),
+    (EnergySavingEnv(), [True, False, True, False], "malformed resource subset"),
+    (EnergySavingEnv(), np.array([False, True, True, False]), "malformed resource subset"),
+    (AdmissionEnv(classes=ONE_CLASS), 1, "malformed rule vector"),
+    (AdmissionEnv(), 5, "malformed rule vector"),
+], ids=["beam-index", "energy-mask", "energy-mask-array", "one-class-int", "two-class-int"])
+def test_each_env_takes_one_action_form(env, action, match):
+    env.reset(0)
+    with pytest.raises(InvalidActionError, match=match):
+        env.step(action)
 
 
 @pytest.mark.parametrize("kind", sorted(ENVS))

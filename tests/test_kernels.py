@@ -401,19 +401,25 @@ def test_q_learning_matches_numpy_loop_bits(name, seed):
 
 # ---------------------------------------------------------------- WMMSE
 
-@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 2), (2, 3), (5, 1), (1, 5), (7, 1),
+                                   (1, 7), (2, 4), (4, 2)])
 def test_wmmse_refine_matches_reference_bits(shape):
     # mmse_precoder's starts: matched filter, each single-user beam (which
     # leaves eigenvalues at 0, so the power search divides by zero) and a
-    # random draw
+    # random draw. For three shapes a seventh channel has a zero first row,
+    # so that user's c is 0; like mmse_precoder, it gets no single-user start.
     rng = np.random.default_rng(sum(shape))
     n_users, n_tx = shape
-    for _ in range(6):
+    for k in range(7 if shape in [(2, 2), (3, 2), (2, 3)] else 6):
         E = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+        if k == 6:
+            E[0] = 0.0
         budget = float(10.0 ** rng.uniform(-0.5, 1.5))
         noise = float(10.0 ** rng.uniform(-2.0, 1.0))
         starts = [E.conj().T.copy()]
         for u in range(n_users):
+            if not np.any(E[u]):
+                continue
             W = np.zeros((n_tx, n_users), dtype=complex)
             W[:, u] = E[u].conj()
             starts.append(W)
@@ -455,8 +461,6 @@ def test_handover_rsrp_tables_match_per_step_bits(n_cells, model):
     for t in range(TABLE_STEPS):
         want_true = reference_true_rsrp_at(env, t)
         want_meas = reference_measured_rsrp_at(env, t)
-        assert env.true_rsrp_at(t).tobytes() == want_true.tobytes()
-        assert env.measured_rsrp_at(t).tobytes() == want_meas.tobytes()
         assert obs.rsrp_serving == want_meas[obs.serving_cell]
         assert obs.rsrp_neighbors.tobytes() == want_meas[obs.neighbor_cells].tobytes()
         true_row, meas_row = np.split(env._rsrp.at(t), 2)
@@ -478,7 +482,6 @@ def test_scheduling_efficiency_table_matches_per_step_bits(fading, arrival_rates
     backlogs = np.zeros(4)
     for t in range(TABLE_STEPS):
         want = reference_efficiency_at(env, t)
-        assert env.efficiency_at(t).tobytes() == want.tobytes()
         assert obs["spectral_eff"].tobytes() == want.tobytes()
         assert env._efficiency_row(t).tobytes() == want.tobytes()
         user = t % 4
@@ -498,7 +501,6 @@ def test_power_gain_cache_matches_per_step_bits(coherence):
     obs = env.reset(3)
     for t in range(TABLE_STEPS):
         want = reference_gains_at(env, t)
-        assert env.gains_at(t).tobytes() == want.tobytes()
         assert obs["gains"].tobytes() == want.tobytes()
         out = env.step(np.full(4, 1.0))
         assert out.reward == float(np.sum(np.log2(1.0 + 1.0 * want / env.noise)))
@@ -510,5 +512,5 @@ def test_power_fixed_gains_match_per_step_bits():
     obs = env.reset(3)
     for t in range(50):
         want = reference_gains_at(env, t)
-        assert env.gains_at(t).tobytes() == obs["gains"].tobytes() == want.tobytes()
+        assert obs["gains"].tobytes() == want.tobytes()
         obs = env.step(np.full(3, 1.0)).observation
