@@ -144,18 +144,24 @@ class GpSurrogate:
         points = points.reshape(1, -1) if single else points
         if points.shape[1:] != (self.n_dims,):
             raise ConfigError(f"query points {points.shape} != (m, {self.n_dims})")
-        if not self.points:
-            means = np.full(len(points), float(self.prior_mean))
+        means, k_star = self._means(points)
+        if k_star is None:
             var = np.full(len(points), float(self.signal_var))
         else:
-            xs, chol, alpha = self._factorize()
-            k_star = self.kernel(xs, points)
-            means = self.prior_mean + alpha @ k_star
-            v = np.linalg.solve(chol, k_star)
+            v = np.linalg.solve(self._factorize()[1], k_star)
             var = np.maximum(self.signal_var - np.einsum("ij,ij->j", v, v), 0.0)
         if single:
             return float(means[0]), float(var[0])
         return means, var
+
+    def _means(self, points: np.ndarray):
+        """Posterior means of an (m, n_dims) array, and the kernel matrix
+        against the observed points (None before the first add)."""
+        if not self.points:
+            return np.full(len(points), float(self.prior_mean)), None
+        xs, _, alpha = self._factorize()
+        k_star = self.kernel(xs, points)
+        return self.prior_mean + alpha @ k_star, k_star
 
 
 def ucb_scores(s: GpSurrogate, candidates, kappa: float) -> np.ndarray:
@@ -217,7 +223,7 @@ class BoTrackerAgent:
         chosen = tuple(int(b) for b in order[:self.budget])
         for b, rsrp in self.env.measure(chosen).items():
             self.surrogate.add(beams[b], rsrp, self.obs_noise)
-        means, _ = self.surrogate.posterior(beams)
+        means, _ = self.surrogate._means(beams)  # the variance would cost a solve
         return BeamAction(measure=chosen, serve=int(np.argmax(means)))
 
 

@@ -8,6 +8,7 @@ Infinity, which JSON configs may carry and no parameter takes.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 
@@ -19,7 +20,15 @@ from .errors import ConfigError
 def config_keys(fn, given=()) -> tuple[set, set]:
     """(accepted, required) config keys of `fn`: its parameters other than
     the ones named in `given`, which the caller supplies itself."""
-    return _keys(inspect.signature(fn).parameters, given)
+    return _keys(_parameters(fn), given)
+
+
+@functools.lru_cache(maxsize=256)
+def _parameters(fn):
+    # Every episode of a run or a tune loop builds its env and agent from
+    # config, so each callable's signature is read once per process. The
+    # parameters are a read-only mapping, safe to share between callers.
+    return inspect.signature(fn).parameters
 
 
 def _keys(params, given) -> tuple[set, set]:
@@ -68,7 +77,7 @@ def check_config(fn, cfg: dict, what: str, given=()):
     """Reject keys `fn` does not take, a missing required key and a
     non-finite number anywhere in a value. Returns the parameters of `fn`'s
     signature."""
-    params = inspect.signature(fn).parameters
+    params = _parameters(fn)
     check_keys(cfg, *_keys(params, given), f"{what} config")
     for key, value in cfg.items():
         _check_finite(key, value)

@@ -91,10 +91,11 @@ class EpisodeLog:
 
     def to_csv(self, path) -> None:
         """Write one row per step with columns t, action, reward and the
-        diagnostic keys in sorted order."""
+        diagnostic keys in sorted order, as csv.writer's excel dialect
+        writes them."""
         keys = sorted(self.diagnostics)
-        columns = [list(map(repr, self.rewards.tolist()))]
-        columns += [list(map(repr, self.diagnostics[k].tolist())) for k in keys]
+        columns = [map(repr, self.rewards.tolist())]
+        columns += [map(repr, self.diagnostics[k].tolist()) for k in keys]
         # Agents often repeat one action object (a fixed rule, an allocation
         # kept for a coherence interval), so each distinct object is
         # formatted once. Keyed by id(): the log holds every action for the
@@ -104,12 +105,22 @@ class EpisodeLog:
         for action in self.actions:
             cell = cells.get(id(action))
             if cell is None:
-                cell = cells[id(action)] = _format_action(action)
+                cell = cells[id(action)] = _csv_cell(_format_action(action))
             action_cells.append(cell)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "action", "reward"] + keys)
-            writer.writerows(zip(range(len(action_cells)), action_cells, *columns))
+            csv.writer(fh).writerow(["t", "action", "reward"] + keys)  # keys are any strings
+            # Step indices and float reprs never need quoting, and action
+            # cells are quoted above, so the rows are joined as they stand.
+            rows = zip(map(str, range(len(action_cells))), action_cells, *columns)
+            fh.writelines(map("{}\r\n".format, map(",".join, rows)))
+
+
+def _csv_cell(text: str) -> str:
+    # The excel dialect's QUOTE_MINIMAL: quote a cell holding the delimiter,
+    # the quote character or a line break, and double each quote.
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _format_action(action) -> str:

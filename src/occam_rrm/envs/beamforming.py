@@ -83,6 +83,8 @@ class BeamformingEnv(RrmEnv):
 
     def current_rsrp(self) -> np.ndarray:
         """True per-beam RSRP (dB) of the current step; hidden state."""
+        if self._field is None:
+            raise ConfigError(f"{self.name} env read before reset(seed)")
         return self.mean_rsrp + self.rsrp_std * self._field
 
     def _check_beams(self, beams) -> tuple:
@@ -103,6 +105,8 @@ class BeamformingEnv(RrmEnv):
     def measure(self, beams) -> dict[int, float]:
         """Read the current-step RSRP of the given beams; the per-beam cost is
         charged when the step commits."""
+        if self._rsrp is None:
+            raise ConfigError(f"{self.name} env measured before reset(seed)")
         if self._pending is not None:
             raise InvalidActionError("measure() called twice in one step")
         beams = self._check_beams(beams)

@@ -169,9 +169,25 @@ def _wmmse_refine(E, noise, budget, W, iters, tol):
         if csum == 0:
             break
 
-        def power(mu):  # called under the errstate below: lam + mu may be 0
-            terms = c / (lam[:, None] + mu) ** 2
-            return float(np.where(c > 0, terms, 0.0).sum())
+        if c.size < 8:
+            # As in water_fill: numpy sums fewer than 8 entries left to right,
+            # so this loop on Python floats, in C order, gives the same bits.
+            rows = list(zip(lam.tolist(), c.tolist()))
+
+            def power(mu):
+                mu = float(mu)
+                total = 0.0
+                for lam_i, row in rows:
+                    d = lam_i + mu
+                    sq = d * d
+                    for c_ij in row:
+                        if c_ij > 0.0:  # numpy's where adds 0.0 for the rest
+                            total += c_ij / sq if sq else math.inf  # numpy's c / 0
+                return total
+        else:
+            def power(mu):  # called under the errstate below: lam + mu may be 0
+                terms = c / (lam[:, None] + mu) ** 2
+                return float(np.where(c > 0, terms, 0.0).sum())
 
         with np.errstate(divide="ignore", invalid="ignore"):
             if lam.min() > 0 and power(0.0) <= budget:

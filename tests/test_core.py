@@ -287,11 +287,21 @@ def _reference_to_csv(log, path) -> None:
         )
 
 
-def test_episode_csv_matches_the_reference_writer(tmp_path):
-    powers = np.array([0.5, 1e-17, 2.0])
-    subset = (0, 2)
-    actions = [1, True, 1.0, powers, BeamAction(measure=(1, 3), serve=SERVE_BEST), (), powers,
-               np.int64(7), np.bool_(False), subset, -0.0, [2, (3, 4.5)], subset, 300, 1]
+POWERS = np.array([0.5, 1e-17, 2.0])
+SUBSET = (0, 2)
+CSV_ACTIONS = {
+    "mixed": [1, True, 1.0, POWERS, BeamAction(measure=(1, 3), serve=SERVE_BEST), (), POWERS,
+              np.int64(7), np.bool_(False), SUBSET, -0.0, [2, (3, 4.5)], SUBSET, 300, 1],
+    # strings pass through _format_action, so these cells need csv quoting
+    "quoted": ["a,b", 'say "hi"', "x\ny", "x\r", " lead", "", ("p,q", 1), "a,b", 'say "hi"',
+               SUBSET],
+    "one-step": [POWERS],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CSV_ACTIONS))
+def test_episode_csv_matches_the_reference_writer(tmp_path, kind):
+    actions = CSV_ACTIONS[kind]
     n = len(actions)
     log = EpisodeLog(actions, np.linspace(-1.0, 1.0, n),
                      {"y": np.arange(n) / 3.0, "x": np.full(n, 0.1)})

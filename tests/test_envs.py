@@ -823,6 +823,15 @@ def test_step_before_reset_is_refused(kind):
         env.step(0)
 
 
+@pytest.mark.parametrize("read,verb", [
+    (lambda env: env.measure((0,)), "measured"),
+    (lambda env: env.current_rsrp(), "read"),
+], ids=["measure", "current_rsrp"])
+def test_bf_reads_before_reset_are_refused(read, verb):
+    with pytest.raises(ConfigError, match=rf"^beamforming env {verb} before reset\(seed\)$"):
+        read(BeamformingEnv())
+
+
 ONE_CLASS = [{"arrival_rate": 0.3, "departure_rate": 0.05, "reward": 1.0}]
 
 

@@ -944,7 +944,8 @@ def test_env_config_keys_are_pinned():
 
 
 def test_build_from_config_reads_the_signature_once(monkeypatch):
-    # the tune loop builds an env and an agent for every episode
+    # the tune loop builds an env and an agent for every episode, and each
+    # callable's signature is read once per process
     calls = []
     signature = config.inspect.signature
 
@@ -953,8 +954,10 @@ def test_build_from_config_reads_the_signature_once(monkeypatch):
         return signature(fn)
 
     monkeypatch.setattr(config.inspect, "signature", counted)
-    env = make_env({"env": "handover"})
-    config.build_from_config(SOLVERS["mro"].agent, {"time_to_trigger": 2}, "solver", env=env)
+    config._parameters.cache_clear()
+    for _ in range(2):
+        env = make_env({"env": "handover"})
+        config.build_from_config(SOLVERS["mro"].agent, {"time_to_trigger": 2}, "solver", env=env)
     assert calls == [ENVS["handover"], SOLVERS["mro"].agent]
 
 
