@@ -77,7 +77,10 @@ class GpSurrogate:
     """Squared-exponential GP with per-dimension length scales and optional
     sliding observation window. Exact dense solves; instances stay small.
     `posterior` takes one point or a batch of points; a batch costs one
-    kernel matrix and one solve, whatever its size."""
+    kernel matrix and one solve, whatever its size. A factorization computes
+    kernel entries only for points added since the last one, and a batch
+    byte-equal to the last batch only their rows; the rest are kept, keyed
+    by the point objects, with a rebuild's bits. `add` copies each point."""
 
     length_scales: np.ndarray
     signal_var: float = 1.0
@@ -94,13 +97,15 @@ class GpSurrogate:
         if self.max_points is not None and self.max_points < 1:
             raise ConfigError("max_points must be >= 1 when set")
         self._factor = None
+        self._window = ((), np.empty((0, self.n_dims)), np.empty((0, 0)))  # points, xs, kernel
+        self._rows = ((), None, None)  # points, query shape and bytes, kernel rows
 
     @property
     def n_dims(self) -> int:
         return len(self.length_scales)
 
     def _check_query(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.array(x, dtype=float, ndmin=1)
         if x.shape != (self.n_dims,):
             raise ConfigError(f"query dimension {x.shape} != ({self.n_dims},)")
         return x
@@ -121,16 +126,25 @@ class GpSurrogate:
 
     def _factorize(self):
         if self._factor is None:
-            xs = np.array([p[0] for p in self.points])
-            ys = np.array([p[1] for p in self.points])
-            noise = np.array([p[2] for p in self.points])
-            gram = self.kernel(xs, xs) + np.diag(noise**2) + GP_JITTER * np.eye(len(xs))
+            points = tuple(self.points)
+            old, old_xs, old_gram = self._window
+            drop, kept = _kept(old, points)
+            added = [p[0] for p in points[kept:]]
+            xs = np.concatenate((old_xs[drop:], added)) if added else old_xs[drop:]
+            gram = np.empty((len(xs), len(xs)))
+            gram[:kept, :kept] = old_gram[drop:, drop:]
+            gram[kept:] = self.kernel(xs[kept:], xs)
+            gram[:kept, kept:] = gram[kept:, :kept].T
+            self._window = (points, xs, gram.copy())
+            gram.flat[::len(xs) + 1] += np.array([p[2] for p in points]) ** 2
+            gram.flat[::len(xs) + 1] += GP_JITTER
             try:
                 chol = np.linalg.cholesky(gram)
             except np.linalg.LinAlgError as exc:
                 raise GpNumericalError(
                     f"Gram matrix singular after jitter {GP_JITTER}"
                 ) from exc
+            ys = np.array([p[1] for p in points])
             alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, ys - self.prior_mean))
             self._factor = (xs, chol, alpha)
         return self._factor
@@ -160,8 +174,27 @@ class GpSurrogate:
         if not self.points:
             return np.full(len(points), float(self.prior_mean)), None
         xs, _, alpha = self._factorize()
-        k_star = self.kernel(xs, points)
+        window = self._window[0]
+        # a 1 x 1 kernel may sum its coordinates in another order than a
+        # larger one, so a single point is never pieced together
+        key = (points.shape, points.tobytes()) if len(points) > 1 else None
+        old, old_key, old_rows = self._rows
+        drop, kept = _kept(old, window) if key is not None and key == old_key else (0, 0)
+        k_star = self.kernel(xs[kept:], points)
+        if kept:
+            k_star = np.concatenate((old_rows[drop:], k_star))
+        self._rows = (window, key, k_star)
         return self.prior_mean + alpha @ k_star, k_star
+
+
+def _kept(old: tuple, new: tuple):
+    """(drop, kept): `new` begins with old[drop:], the same objects in
+    order, and kept = len(old) - drop; (len(old), 0) when no such run."""
+    drop = next((i for i, p in enumerate(old) if new and p is new[0]), len(old))
+    kept = len(old) - drop
+    if kept > len(new) or any(a is not b for a, b in zip(old[drop:], new)):
+        return len(old), 0
+    return drop, kept
 
 
 def ucb_scores(s: GpSurrogate, candidates, kappa: float) -> np.ndarray:

@@ -21,6 +21,14 @@ from .plots import PLOT_KINDS, emit_plot
 EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME = 0, 2, 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a config error: one stderr line and exit 2, from
+    the subcommand parsers too, which are made of this class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _common_flags() -> argparse.ArgumentParser:
     # SUPPRESS keeps values set before the subcommand from being clobbered
     # by subparser defaults, so the flags work in either position.
@@ -38,7 +46,7 @@ def _common_flags() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _common_flags()
-    parser = argparse.ArgumentParser(prog="occam-rrm", parents=[common])
+    parser = _Parser(prog="occam-rrm", parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", parents=[common], help="run an experiment config")
@@ -159,9 +167,8 @@ def cmd_plot(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with np.errstate(all="ignore"):
             return args.func(args)
     except ConfigError as exc:

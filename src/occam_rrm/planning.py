@@ -244,24 +244,22 @@ def _merge_rows(rows: np.ndarray):
     return ranked[first], inverse
 
 
-def _expand_level(expand, rows, exo, block: int, merge: bool):
+def _expand_level(expand, rows, exo, block: int):
     """Expand `rows` `block` states at a time, so that a level's temporary
-    arrays stay small. Returns each edge's parent row and reward and, when
-    merging, each edge's index among the distinct next states and those
-    states."""
+    arrays stay small. Returns each edge's parent row and reward, each
+    edge's index among the distinct next states, and those states."""
     parents, rewards, children, distinct, n_distinct = [], [], [], [], 0
     for i in range(0, max(len(rows), 1), block):
         parent, reward, child_rows = expand(rows[i:i + block], exo)
         parents.append(parent + i)
         rewards.append(reward)
-        if merge:
-            unique, index = _merge_rows(child_rows)
-            children.append(index + n_distinct)
-            distinct.append(unique)
-            n_distinct += len(unique)
+        unique, index = _merge_rows(child_rows)
+        children.append(index + n_distinct)
+        distinct.append(unique)
+        n_distinct += len(unique)
     parent, reward = np.concatenate(parents), np.concatenate(rewards)
-    if not merge:
-        return parent, reward, None, None
+    if len(distinct) == 1:  # one block: already distinct and sorted
+        return parent, reward, children[0], distinct[0]
     next_rows, index = _merge_rows(np.concatenate(distinct))
     return parent, reward, index[np.concatenate(children)], next_rows
 
@@ -271,8 +269,9 @@ def _mpc_deterministic(
 ):
     """Level by level: expand every distinct state of a depth against all its
     actions, merge equal next states, then take the best value backward.
-    The budget counts the distinct states at depths 1..H-1, checked before a
-    depth is expanded."""
+    The deepest level below the root is folded into its states' values as
+    it is expanded. The budget counts the distinct states at depths
+    1..H-1, checked before a depth is expanded."""
     if model.expand is None:
         expand, rows = _per_state_expansion(model, state)
     else:
@@ -287,14 +286,20 @@ def _mpc_deterministic(
                     f"lookahead exceeded the node budget {node_budget}; "
                     "reduce the horizon"
                 )
-        merge = k + 1 < len(exo_trajectory)
-        parent, rewards, child, next_rows = _expand_level(expand, rows, exo, block, merge)
-        levels.append((len(rows), parent, rewards, child))
-        rows = next_rows
+            if k + 1 == len(exo_trajectory):  # fold the deepest level, a block at a time
+                value = np.full(len(rows), -np.inf)
+                for i in range(0, len(rows), block):
+                    parent, reward, _ = expand(rows[i:i + block], exo)
+                    np.fmax.at(value, parent + i, reward + discount * 0.0)
+                break
+        n_states = len(rows)
+        parent, rewards, child, rows = _expand_level(expand, rows, exo, block)
+        levels.append((n_states, parent, rewards, child))
+    else:  # a one-step plan: the root's next states have zero value
+        value = np.zeros(len(rows))
 
-    value = 0.0
     for n_states, parent, rewards, child in reversed(levels):
-        q = rewards + discount * (value if child is None else value[child])
+        q = rewards + discount * value[child]
         value = np.full(n_states, -np.inf)
         np.fmax.at(value, parent, q)  # skips NaN, as `max(best, v)` from -inf does
     # q holds the root's edge values; the first strict maximum wins
@@ -318,7 +323,10 @@ def mpc_plan(
     value). The forecast exogenous trajectory's length sets the horizon. The
     model is searched one depth at a time, every distinct state of a depth
     expanded once, and `node_budget` bounds the distinct states at depths
-    1..H-1.
+    1..H-1. The shallower depths keep their (state, action) edges for the
+    backward pass; the deepest one below the root is folded into its
+    states' best values `MPC_BLOCK_EDGES` edges at a time, so its memory is
+    one block.
     """
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")

@@ -339,6 +339,15 @@ CLI_REPROS = {
     "plot --seed 1 --jobs 2":
         ["plot", "{config}", "--kind", "reward-curve", "--out", "{bad}.svg", "--seed", "1",
          "--jobs", "2"],
+    # argparse usage errors, in the top parser and in a subcommand's
+    "no command": [],
+    "run without config": ["run"],
+    "frobnicate": ["frobnicate"],
+    "run --jobs x": ["run", "{config}", "--jobs", "x"],
+    "--seed x run": ["--seed", "x", "run", "{config}"],
+    "sweep without --param": ["sweep", "{config}", "--values", "[1]"],
+    "plot --kind bogus": ["plot", "{config}", "--kind", "bogus", "--out", "{bad}.svg"],
+    "run --frobnicate": ["run", "{config}", "--frobnicate"],
 }
 
 # Plot inputs that once ended in a traceback or, for the 10^7-step heatmap,

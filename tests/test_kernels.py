@@ -1,9 +1,11 @@
 """The known-model kernels against their plain forms: water_fill's bisection
 on Python floats against the numpy one, value_iteration's warm start
 against the plain Bellman loop, AdmissionEnv.true_mdp, q_learning and the
-WMMSE refinement against their numpy-scalar loops, and the per-block
+WMMSE refinement against their numpy-scalar loops, the per-block
 exogenous tables of the handover, scheduling and power envs against the
-per-step formulas. Each reference below is the earlier kernel, kept
+per-step formulas, the GP surrogate's kept kernel entries against a
+rebuild from its points, and the MPC lookahead against its merge-twice,
+keep-every-edge form. Each reference below is the earlier kernel, kept
 verbatim; the fast kernels must give the same bits or the same policy."""
 
 import time
@@ -14,11 +16,21 @@ from test_acceptance import QL_ADMISSION, TRUNK_AC
 from test_experiments import FRACTIONAL_CLASSES, GOLDEN_TABULAR
 
 from occam_rrm import planning
-from occam_rrm.agents import GreedyHoAgent
+from occam_rrm.agents import GreedyHoAgent, MpcEnergyAgent
+from occam_rrm.bandits import GP_JITTER, GpSurrogate
 from occam_rrm.core import DEFAULT_DISCOUNT, TabularMdp
 from occam_rrm.envs import HandoverEnv, PowerEnv, SchedulingEnv, make_env
-from occam_rrm.errors import ConfigError
-from occam_rrm.planning import QTable, ValueTable, _q_from_values, q_learning, value_iteration
+from occam_rrm.errors import ConfigError, GpNumericalError
+from occam_rrm.planning import (
+    DeterministicModel,
+    QTable,
+    ValueTable,
+    _per_state_expansion,
+    _q_from_values,
+    mpc_plan,
+    q_learning,
+    value_iteration,
+)
 from occam_rrm.rng import STREAM_EXOGENOUS, StepStream, derive_seed
 from occam_rrm.static_opt import (
     WATER_FILL_TOL,
@@ -514,3 +526,230 @@ def test_power_fixed_gains_match_per_step_bits():
         want = reference_gains_at(env, t)
         assert obs["gains"].tobytes() == want.tobytes()
         obs = env.step(np.full(3, 1.0)).observation
+
+
+# ---------------------------------------------------------------- GP surrogate
+
+# GpSurrogate's kernel, factorization and posterior, called with the
+# surrogate as self: each call rebuilds the window's arrays, its Gram
+# matrix and the cross-kernel from self.points.
+def reference_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a, b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    d = (a[:, :, None] - b[:, None, :]) / self.length_scales[:, None, None]
+    return self.signal_var * np.exp(-0.5 * np.sum(d * d, axis=0))
+
+
+def reference_factorize(self):
+    xs = np.array([p[0] for p in self.points])
+    ys = np.array([p[1] for p in self.points])
+    noise = np.array([p[2] for p in self.points])
+    gram = reference_kernel(self, xs, xs) + np.diag(noise**2) + GP_JITTER * np.eye(len(xs))
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise GpNumericalError(
+            f"Gram matrix singular after jitter {GP_JITTER}"
+        ) from exc
+    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, ys - self.prior_mean))
+    return xs, chol, alpha
+
+
+def reference_means(self, points: np.ndarray):
+    if not self.points:
+        return np.full(len(points), float(self.prior_mean)), None
+    xs, _, alpha = reference_factorize(self)
+    k_star = reference_kernel(self, xs, points)
+    return self.prior_mean + alpha @ k_star, k_star
+
+
+def reference_posterior(self, query):
+    points = np.asarray(query, dtype=float)
+    single = points.ndim < 2
+    points = points.reshape(1, -1) if single else points
+    if points.shape[1:] != (self.n_dims,):
+        raise ConfigError(f"query points {points.shape} != (m, {self.n_dims})")
+    means, k_star = reference_means(self, points)
+    if k_star is None:
+        var = np.full(len(points), float(self.signal_var))
+    else:
+        v = np.linalg.solve(reference_factorize(self)[1], k_star)
+        var = np.maximum(self.signal_var - np.einsum("ij,ij->j", v, v), 0.0)
+    if single:
+        return float(means[0]), float(var[0])
+    return means, var
+
+
+def assert_gp_matches_reference(gp, queries):
+    if gp.points:
+        got, want = gp._factorize(), reference_factorize(gp)  # (xs, chol, alpha)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    for query in queries:
+        got, want = gp.posterior(query), reference_posterior(gp, query)
+        if np.ndim(query) < 2:
+            assert got == want
+        else:
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            got_means = gp._means(np.asarray(query))[0]
+            assert got_means.tobytes() == reference_means(gp, np.asarray(query))[0].tobytes()
+
+
+def edit_points(gp, step, rng):
+    """Edit the window directly, as a caller may, in a different way at
+    three steps; the next add must not reuse what the edits changed."""
+    n_dims = gp.n_dims
+    if step == 30 and gp.points:  # replace a point
+        gp.points[len(gp.points) // 2] = (rng.uniform(0.0, 4.0, n_dims), 0.5, 0.05)
+    elif step == 35 and gp.points:  # drop the newest
+        del gp.points[-1]
+    elif step == 40:  # put an older point in front
+        gp.points.insert(0, (rng.uniform(0.0, 4.0, n_dims), -0.5, 0.05))
+
+
+# More dimensions than 7 make a 1 x 1 kernel sum its coordinates in another
+# order than a larger kernel does, so 9 checks single-point queries there.
+@pytest.mark.parametrize("n_dims", [1, 2, 3, 9])
+@pytest.mark.parametrize("window", [1, 2, 5, 64, None], ids=str)
+def test_gp_kept_kernel_entries_match_rebuild_bits(window, n_dims):
+    rng = np.random.default_rng(100 * n_dims + (window or 0))
+    gp = GpSurrogate(length_scales=rng.uniform(0.5, 2.0, n_dims), signal_var=1.7,
+                     prior_mean=-0.4, max_points=window)
+    lattice = rng.uniform(0.0, 4.0, size=(30, n_dims))  # queried at every step, as bo_tune's
+    assert_gp_matches_reference(gp, [lattice, lattice[0]])
+    for step in range(45):
+        # as the beam tracker's, queried before and after the step's adds
+        beams = rng.uniform(0.0, 4.0, size=(6, n_dims))
+        queries = [lattice, beams, beams[step % 6], lattice.copy(), beams[:1]]
+        assert_gp_matches_reference(gp, queries)
+        edit_points(gp, step, rng)
+        adds = 1 + step % 4  # budgets 1 to 4
+        if step == 20:  # more adds than the window holds between two factorizations
+            adds += (window or 10) + 3
+        for _ in range(adds):
+            gp.add(rng.uniform(0.0, 4.0, n_dims), rng.normal(), (1e-3, 0.05)[step % 2])
+        assert_gp_matches_reference(gp, queries)
+
+
+def test_gp_keeps_its_own_copy_of_each_point():
+    gp = GpSurrogate(length_scales=[1.0, 2.0], max_points=3)
+    x = np.array([0.5, 1.0])
+    gp.add(x, 1.0, 0.1)
+    x[:] = 3.0  # the caller reuses its array
+    gp.add(x, 2.0, 0.1)
+    assert [p[0].tolist() for p in gp.points] == [[0.5, 1.0], [3.0, 3.0]]
+    assert gp._factorize()[1].tobytes() == reference_factorize(gp)[1].tobytes()
+
+
+# ---------------------------------------------------------------- MPC
+
+def reference_merge_rows(rows: np.ndarray):
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first], inverse
+
+
+def reference_expand_level(expand, rows, exo, block: int, merge: bool):
+    parents, rewards, children, distinct, n_distinct = [], [], [], [], 0
+    for i in range(0, max(len(rows), 1), block):
+        parent, reward, child_rows = expand(rows[i:i + block], exo)
+        parents.append(parent + i)
+        rewards.append(reward)
+        if merge:
+            unique, index = reference_merge_rows(child_rows)
+            children.append(index + n_distinct)
+            distinct.append(unique)
+            n_distinct += len(unique)
+    parent, reward = np.concatenate(parents), np.concatenate(rewards)
+    if not merge:
+        return parent, reward, None, None
+    next_rows, index = reference_merge_rows(np.concatenate(distinct))
+    return parent, reward, index[np.concatenate(children)], next_rows
+
+
+def reference_mpc_deterministic(model, state, exo_trajectory, discount: float, node_budget: int):
+    """The planner with every level merged twice and every edge kept until
+    the backward pass; returns the first action and the root's edge values."""
+    if model.expand is None:
+        expand, rows = _per_state_expansion(model, state)
+    else:
+        expand, rows = model.expand, np.asarray(state, dtype=float)[None, :]
+    block = max(1, planning.MPC_BLOCK_EDGES // max(1, len(model.actions(state))))
+    levels, counted = [], 0
+    for k, exo in enumerate(exo_trajectory):
+        if k:
+            counted += len(rows)
+            if counted > node_budget:
+                raise ConfigError(
+                    f"lookahead exceeded the node budget {node_budget}; "
+                    "reduce the horizon"
+                )
+        merge = k + 1 < len(exo_trajectory)
+        parent, rewards, child, next_rows = reference_expand_level(expand, rows, exo, block, merge)
+        levels.append((len(rows), parent, rewards, child))
+        rows = next_rows
+
+    value = 0.0
+    for n_states, parent, rewards, child in reversed(levels):
+        q = rewards + discount * (value if child is None else value[child])
+        value = np.full(n_states, -np.inf)
+        np.fmax.at(value, parent, q)
+    best_a, best_v = None, -np.inf
+    for a, v in zip(model.actions(state), q.tolist()):
+        if v > best_v:
+            best_a, best_v = a, v
+    return best_a, q
+
+
+class RootValues:
+    """Stands in for np.fmax and keeps the values of its last `at` call:
+    in the planner's backward pass, the root's edge values."""
+
+    def __init__(self, fmax):
+        self.fmax, self.q = fmax, None
+
+    def at(self, value, index, q):
+        self.q = np.array(q)
+        self.fmax.at(value, index, q)
+
+
+def step_model(seed: int) -> DeterministicModel:
+    """A `step`-only model on six integer states with one to three actions
+    each, tied and signed-zero rewards, a NaN one, and moves that depend on
+    the forecast."""
+    rng = np.random.default_rng(seed)
+    moves = rng.integers(6, size=(6, 3, 3))
+    rewards = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0, np.nan], size=(6, 3),
+                         p=[0.25, 0.15, 0.15, 0.2, 0.2, 0.05])
+    return DeterministicModel(actions=lambda s: range(1 + s % 3),
+                              step=lambda s, a, exo: (int(moves[s, a, exo]), float(rewards[s, a])))
+
+
+ES_CAPACITY, ES_POWER = [0.3, 0.9, 1.7, 0.55], [0.1, 0.35, 0.9, 0.2]
+ES_STATES = [(-1, -1, -1, -1, 0.0), (0, 2, -1, 1, 1.25), (0, 0, 0, 0, 4.0), (-1, 1, 0, -1, 1.5)]
+
+
+@pytest.mark.parametrize("discount", [1.0, 0.9, float("nan")])
+@pytest.mark.parametrize("block_edges", [planning.MPC_BLOCK_EDGES, 40, 1])
+def test_mpc_plan_matches_reference_bits(monkeypatch, block_edges, discount):
+    # 40 edges: the energy plans expand two states at a time; 1: every
+    # plan expands one state at a time
+    monkeypatch.setattr(planning, "MPC_BLOCK_EDGES", block_edges)
+    root = RootValues(np.fmax)
+    monkeypatch.setattr(np, "fmax", root)
+    env = make_env({"env": "energy_saving", "capacity": ES_CAPACITY, "power_draw": ES_POWER,
+                    "qos_threshold": 1.5})
+    energy = MpcEnergyAgent(env, None, horizon=1).model
+    traj = [1.5, 2.5, 0.5, 3.0]
+    cases = [(energy, state, traj) for state in ES_STATES]
+    cases += [(step_model(seed), state, [seed % 3, 2, 0, 1]) for seed in range(8)
+              for state in range(6)]
+    for h in range(1, 5):
+        for model, state, exo in cases:
+            want_a, want_q = reference_mpc_deterministic(model, state, exo[:h], discount,
+                                                         planning.MPC_NODE_BUDGET)
+            root.q = None
+            assert mpc_plan(model, state, h, exo_trajectory=exo[:h], discount=discount) == want_a
+            assert root.q.tobytes() == want_q.tobytes()

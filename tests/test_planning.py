@@ -1,10 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from occam_rrm import ConfigError, NotTractableError, TabularMdp, planning
-from occam_rrm.agents import MpcEnergyAgent
+from occam_rrm.agents import MpcEnergyAgent, es_oracle_predictor
 from occam_rrm.envs import BeamformingEnv, EnergySavingEnv, TabularEnv
 from occam_rrm.planning import (
     DeterministicModel,
@@ -235,6 +236,21 @@ def test_mpc_node_budget_counts_distinct_states(monkeypatch, block_edges):
         assert plan == first
         with pytest.raises(ConfigError, match="node budget"):
             mpc_plan(agent.model, state, 4, exo_trajectory=ES_BUDGET_TRAJ, node_budget=n - 1)
+
+
+def test_mpc_energy_decision_holds_one_block_of_deepest_edges():
+    # 2,048 subsets: from the all-off root, the second level holds 2,048
+    # states and 4.2M (state, action) pairs, 16 bytes each if all were kept
+    env = EnergySavingEnv(n_resources=11)
+    agent = MpcEnergyAgent(env, es_oracle_predictor(env), horizon=2)
+    obs = env.reset(0)
+    tracemalloc.start()
+    try:
+        agent.act(obs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 << 20, f"peak {peak / 2**20:.0f} MiB"
 
 
 def test_mpc_deterministic_model_lookahead():
