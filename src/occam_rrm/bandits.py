@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,17 +76,16 @@ def _illa_pick(sinr_report: float, offset: float, lookup: list) -> int:
 class GpSurrogate:
     """Squared-exponential GP with per-dimension length scales and optional
     sliding observation window. Exact dense solves; instances stay small.
-    `posterior` takes one point or a batch of points; a batch costs one
-    kernel matrix and one solve, whatever its size. A factorization computes
-    kernel entries only for points added since the last one, and a batch
-    byte-equal to the last batch only their rows; the rest are kept, keyed
-    by the point objects, with a rebuild's bits. `add` copies each point."""
+    Only `add` changes the window, and it copies each point. `posterior`
+    takes an (m, n_dims) batch, which costs one kernel matrix and one solve
+    whatever its size. A factorization computes kernel entries only for
+    points added since the last one, and a batch byte-equal to the last
+    batch only their rows; the rest are kept, with a rebuild's bits."""
 
     length_scales: np.ndarray
     signal_var: float = 1.0
     prior_mean: float = 0.0
     max_points: int | None = None
-    points: list = field(default_factory=list)
 
     def __post_init__(self):
         self.length_scales = np.atleast_1d(np.asarray(self.length_scales, dtype=float))
@@ -96,19 +95,20 @@ class GpSurrogate:
             raise ConfigError("signal_var must be positive")
         if self.max_points is not None and self.max_points < 1:
             raise ConfigError("max_points must be >= 1 when set")
+        self._points = ()  # (x, y, noise_std), oldest first
+        self._adds = 0  # points ever added; the window starts at add _adds - len(_points)
         self._factor = None
-        self._window = ((), np.empty((0, self.n_dims)), np.empty((0, 0)))  # points, xs, kernel
-        self._rows = ((), None, None)  # points, query shape and bytes, kernel rows
+        self._window = (0, np.empty((0, self.n_dims)), np.empty((0, 0)))  # start, xs, kernel
+        self._rows = (0, None, None)  # window start, query shape and bytes, kernel rows
+
+    @property
+    def points(self) -> tuple:
+        """The window's (x, y, noise_std) triples, oldest first; only `add` changes it."""
+        return self._points
 
     @property
     def n_dims(self) -> int:
         return len(self.length_scales)
-
-    def _check_query(self, x) -> np.ndarray:
-        x = np.array(x, dtype=float, ndmin=1)
-        if x.shape != (self.n_dims,):
-            raise ConfigError(f"query dimension {x.shape} != ({self.n_dims},)")
-        return x
 
     def kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # coordinates first, so each step works on whole (len(a), len(b))
@@ -118,24 +118,30 @@ class GpSurrogate:
         return self.signal_var * np.exp(-0.5 * np.sum(d * d, axis=0))
 
     def add(self, x, y: float, noise_std: float = 0.0) -> None:
-        x = self._check_query(x)
-        self.points.append((x, float(y), float(noise_std)))
-        if self.max_points is not None and len(self.points) > self.max_points:
-            del self.points[0]
+        x = np.array(x, dtype=float, ndmin=1)  # a copy the caller cannot change
+        if x.shape != (self.n_dims,):
+            raise ConfigError(f"query dimension {x.shape} != ({self.n_dims},)")
+        points = (*self._points, (x, float(y), float(noise_std)))
+        if self.max_points is not None and len(points) > self.max_points:
+            points = points[1:]
+        self._points = points
+        self._adds += 1
         self._factor = None
 
     def _factorize(self):
         if self._factor is None:
-            points = tuple(self.points)
-            old, old_xs, old_gram = self._window
-            drop, kept = _kept(old, points)
+            points = self._points
+            start = self._adds - len(points)
+            old_start, old_xs, old_gram = self._window
+            drop = min(start - old_start, len(old_xs))
+            kept = len(old_xs) - drop
             added = [p[0] for p in points[kept:]]
             xs = np.concatenate((old_xs[drop:], added)) if added else old_xs[drop:]
             gram = np.empty((len(xs), len(xs)))
             gram[:kept, :kept] = old_gram[drop:, drop:]
             gram[kept:] = self.kernel(xs[kept:], xs)
             gram[:kept, kept:] = gram[kept:, :kept].T
-            self._window = (points, xs, gram.copy())
+            self._window = (start, xs, gram.copy())
             gram.flat[::len(xs) + 1] += np.array([p[2] for p in points]) ** 2
             gram.flat[::len(xs) + 1] += GP_JITTER
             try:
@@ -150,67 +156,44 @@ class GpSurrogate:
         return self._factor
 
     def posterior(self, query):
-        """Posterior mean and variance. One point (n_dims coordinates) gives
-        (float, float); an (m, n_dims) array gives two length-m arrays, from
-        one kernel matrix and one solve against the cached Cholesky factor."""
+        """Posterior means and variances of an (m, n_dims) array of points,
+        as two length-m arrays, from one kernel matrix and one solve against
+        the cached Cholesky factor."""
         points = np.asarray(query, dtype=float)
-        single = points.ndim < 2
-        points = points.reshape(1, -1) if single else points
         if points.shape[1:] != (self.n_dims,):
             raise ConfigError(f"query points {points.shape} != (m, {self.n_dims})")
         means, k_star = self._means(points)
         if k_star is None:
-            var = np.full(len(points), float(self.signal_var))
-        else:
-            v = np.linalg.solve(self._factorize()[1], k_star)
-            var = np.maximum(self.signal_var - np.einsum("ij,ij->j", v, v), 0.0)
-        if single:
-            return float(means[0]), float(var[0])
-        return means, var
+            return means, np.full(len(points), float(self.signal_var))
+        v = np.linalg.solve(self._factorize()[1], k_star)
+        return means, np.maximum(self.signal_var - np.einsum("ij,ij->j", v, v), 0.0)
 
     def _means(self, points: np.ndarray):
         """Posterior means of an (m, n_dims) array, and the kernel matrix
         against the observed points (None before the first add)."""
-        if not self.points:
+        if not self._points:
             return np.full(len(points), float(self.prior_mean)), None
         xs, _, alpha = self._factorize()
-        window = self._window[0]
+        start = self._window[0]
         # a 1 x 1 kernel may sum its coordinates in another order than a
-        # larger one, so a single point is never pieced together
+        # larger one, so a one-row batch is never pieced together
         key = (points.shape, points.tobytes()) if len(points) > 1 else None
-        old, old_key, old_rows = self._rows
-        drop, kept = _kept(old, window) if key is not None and key == old_key else (0, 0)
+        old_start, old_key, old_rows = self._rows
+        kept = 0
+        if key is not None and key == old_key:
+            old_rows = old_rows[start - old_start:]  # the rows of points still in the window
+            kept = len(old_rows)
         k_star = self.kernel(xs[kept:], points)
         if kept:
-            k_star = np.concatenate((old_rows[drop:], k_star))
-        self._rows = (window, key, k_star)
+            k_star = np.concatenate((old_rows, k_star))
+        self._rows = (start, key, k_star)
         return self.prior_mean + alpha @ k_star, k_star
-
-
-def _kept(old: tuple, new: tuple):
-    """(drop, kept): `new` begins with old[drop:], the same objects in
-    order, and kept = len(old) - drop; (len(old), 0) when no such run."""
-    drop = next((i for i, p in enumerate(old) if new and p is new[0]), len(old))
-    kept = len(old) - drop
-    if kept > len(new) or any(a is not b for a, b in zip(old[drop:], new)):
-        return len(old), 0
-    return drop, kept
 
 
 def ucb_scores(s: GpSurrogate, candidates, kappa: float) -> np.ndarray:
     """mean + kappa * posterior std of each row of `candidates`."""
     means, var = s.posterior(np.asarray(candidates, dtype=float))
     return means + kappa * np.sqrt(var)
-
-
-def ucb_acquire(s: GpSurrogate, candidates, kappa: float):
-    """Argmax of mean + kappa * posterior std over candidates; ties keep the
-    first candidate."""
-    if len(candidates) == 0:
-        raise ConfigError("candidates must be nonempty")
-    if kappa < 0:
-        raise ConfigError("kappa must be nonnegative")
-    return candidates[int(np.argmax(ucb_scores(s, candidates, kappa)))]
 
 
 # ---------------------------------------------------------------- beam tracking

@@ -1,4 +1,4 @@
-"""Seven radio-resource-management environments plus exact-MDP extraction."""
+"""Seven radio-resource-management environments plus explicit tabular MDPs."""
 
 from ..config import build_from_config
 from ..errors import ConfigError
@@ -9,7 +9,7 @@ from .handover import HandoverEnv
 from .link_adaptation import LaObs, LinkAdaptEnv
 from .power import PowerEnv
 from .scheduling import EWMA_FLOOR, SchedulingEnv
-from .tabular import TabularEnv, env_true_mdp, tabular_env
+from .tabular import TabularEnv
 from .types import ChannelMatrix, MroObservation
 
 # Each kind's config keys are the keyword arguments of its constructor.
@@ -21,7 +21,7 @@ ENVS = {
     "energy_saving": EnergySavingEnv,
     "handover": HandoverEnv,
     "admission_control": AdmissionEnv,
-    "tabular": tabular_env,
+    "tabular": TabularEnv,
 }
 
 
@@ -55,9 +55,7 @@ __all__ = [
     "SERVE_BEST",
     "SchedulingEnv",
     "TabularEnv",
-    "env_true_mdp",
     "es_transition",
     "make_env",
     "normalize_subset",
-    "tabular_env",
 ]

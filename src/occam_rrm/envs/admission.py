@@ -113,8 +113,7 @@ class AdmissionEnv(RrmEnv):
         return len(self._state_lookup)
 
     def state_index(self, obs) -> int:
-        counts = tuple(obs["counts"]) if isinstance(obs, dict) else tuple(obs)
-        return self._state_lookup[counts]
+        return self._state_lookup[tuple(obs["counts"])]
 
     def action_list(self) -> list[tuple]:
         self._budget(3**self.n_classes, f"{self.n_classes} classes give {3**self.n_classes} "

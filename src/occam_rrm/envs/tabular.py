@@ -1,25 +1,31 @@
-"""Explicit finite MDPs as environments, plus the exact-extraction hook that
-planners use to obtain transition and reward tables from compatible envs."""
+"""Explicit finite MDPs as environments: the config's transition and reward
+tables are both the env's dynamics and the exact MDP that planners read."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..core import DEFAULT_DISCOUNT, StepOutcome, TabularMdp
-from ..errors import ConfigError, InvalidActionError, NotTractableError
+from ..errors import ConfigError, InvalidActionError
 from ..rng import STREAM_ACTION, substream
 from .base import RrmEnv
 
 
 class TabularEnv(RrmEnv):
-    """Environment driven by an explicit TabularMdp. Observations are state
-    indices; rewards are the table entries plus optional Gaussian noise."""
+    """Environment driven by nested tables transition[s][a][s'] and
+    reward[s][a], checked as a TabularMdp. Observations are state indices;
+    rewards are the table entries plus optional Gaussian noise."""
 
     name = "tabular"
 
-    def __init__(self, mdp: TabularMdp, initial_state: int = 0, reward_noise_std: float = 0.0):
+    def __init__(self, transition, reward, discount=DEFAULT_DISCOUNT, initial_state=0,
+                 reward_noise_std=0.0):
         super().__init__()
-        self.mdp = mdp
+        P = np.asarray(transition, dtype=float)
+        if P.ndim != 3:
+            raise ConfigError("transition must be [n_states][n_actions][n_states]")
+        self.mdp = mdp = TabularMdp(P.shape[0], P.shape[1], P, reward, float(discount))
+        self.discount = mdp.discount
         self.initial_state = int(initial_state)
         if not (0 <= self.initial_state < mdp.n_states):
             raise ConfigError(f"initial_state {initial_state} outside [0, {mdp.n_states})")
@@ -30,10 +36,6 @@ class TabularEnv(RrmEnv):
     @property
     def n_states(self) -> int:
         return self.mdp.n_states
-
-    @property
-    def discount(self) -> float:
-        return self.mdp.discount
 
     def state_index(self, obs) -> int:
         return int(obs)
@@ -63,32 +65,3 @@ class TabularEnv(RrmEnv):
 
     def true_mdp(self) -> TabularMdp:
         return self.mdp
-
-
-def env_true_mdp(env) -> TabularMdp:
-    """Exact (transition, reward, discount) tables of an enumerable env.
-    Envs with continuous or non-enumerated state refuse."""
-    hook = getattr(env, "true_mdp", None)
-    if hook is None:
-        raise NotTractableError(
-            f"{getattr(env, 'name', type(env).__name__)}: not tractable; "
-            "state space is not finitely enumerable"
-        )
-    return hook()
-
-
-def tabular_env(
-    transition, reward, discount=DEFAULT_DISCOUNT, initial_state=0, reward_noise_std=0.0
-) -> TabularEnv:
-    """TabularEnv from nested tables: transition[s][a][s'] and reward[s][a]."""
-    P = np.asarray(transition, dtype=float)
-    if P.ndim != 3:
-        raise ConfigError("transition must be [n_states][n_actions][n_states]")
-    mdp = TabularMdp(
-        n_states=P.shape[0],
-        n_actions=P.shape[1],
-        transition=P,
-        reward=np.asarray(reward, dtype=float),
-        discount=float(discount),
-    )
-    return TabularEnv(mdp, initial_state, reward_noise_std)

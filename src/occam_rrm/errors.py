@@ -14,7 +14,7 @@ class InvalidActionError(OccamRrmError):
 
 
 class NotTractableError(OccamRrmError):
-    """Exact MDP extraction requested on a non-enumerable environment."""
+    """A tabular solver was given an env that does not enumerate its states."""
 
 
 class MissingDiagnosticError(OccamRrmError):

@@ -21,7 +21,7 @@ from .advisor import advise, usecase_traits
 from .bandits import BoTrackerAgent
 from .config import build_from_config, check_config, check_keys
 from .core import METRIC_PROFILES, metric_columns, metrics_summary, run_episode
-from .envs import env_true_mdp, make_env
+from .envs import make_env
 from .errors import ConfigError
 from .planning import q_learning, value_iteration
 from .rng import derive_seed
@@ -76,7 +76,7 @@ def _value_iteration(env, tol=1e-8):
     key = policies is not None and json.dumps([env.config, tol], sort_keys=True)
     policy = policies.get(key) if key else None
     if policy is None:
-        policy = value_iteration(env_true_mdp(env), tol=tol).policy
+        policy = value_iteration(env.true_mdp(), tol=tol).policy
         policy.flags.writeable = False  # the cells of one config share it
         if key:
             policies[key] = policy
@@ -356,7 +356,8 @@ def _run_all(cfgs, out_dir: Path, staging: Path, jobs) -> list[dict]:
         if jobs > 1 and len(cells) > 1:
             from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
 
-            pool = ProcessPoolExecutor(max_workers=jobs)
+            # never more workers than cells or cores: the pool starts them all at once
+            pool = ProcessPoolExecutor(max_workers=min(jobs, len(cells), os.cpu_count() or 1))
             try:
                 results = list(pool.map(_run_cell, cells))
             finally:

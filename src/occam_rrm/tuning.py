@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bandits import GpSurrogate, ucb_acquire
+from .bandits import GpSurrogate, ucb_scores
 from .config import build_from_config, check_keys
 from .core import discounted_return, run_episode
 from .envs import make_env
@@ -297,7 +297,7 @@ def bo_tune(
         surrogate.add(np.asarray(theta), value, 1e-6)
 
     while len(evaluations) < budget:
-        best_point = ucb_acquire(surrogate, candidates, kappa)
+        best_point = candidates[int(np.argmax(ucb_scores(surrogate, candidates, kappa)))]
         value = _record(objective, tuple(best_point), evaluations)
         surrogate.add(np.asarray(best_point), value, 1e-6)
 

@@ -128,7 +128,7 @@ def test_table_policy_agent_follows_vi():
     reward = rng.uniform(0, 1, size=(4, 3))
     mdp = TabularMdp(4, 3, transition, reward, 0.9)
     vt = value_iteration(mdp, 1e-9)
-    env = TabularEnv(mdp)
+    env = TabularEnv(mdp.transition, mdp.reward, mdp.discount)
     agent = TablePolicyAgent(env, vt.policy)
     log = run_episode(env, agent, horizon=50, seed=2)
     # the tabular env logs the state each action was taken in

@@ -10,10 +10,11 @@ from occam_rrm.bandits import (
     GpSurrogate,
     bo_beam_tracker,
     thompson_select,
-    ucb_acquire,
+    ucb_scores,
 )
 from occam_rrm.core import metrics_summary
 from occam_rrm.envs import BeamformingEnv, LaObs, LinkAdaptEnv
+from occam_rrm.tuning import bo_tune
 
 
 # ---------------------------------------------------------------- Thompson
@@ -174,13 +175,13 @@ def test_illa_olla_closed_loop_hits_target_bler():
 
 def test_gp_prior_before_data():
     s = GpSurrogate(length_scales=[1.0], signal_var=2.5, prior_mean=-1.0)
-    assert s.posterior([0.3]) == (-1.0, 2.5)
+    assert [a.tolist() for a in s.posterior([[0.3]])] == [[-1.0], [2.5]]
 
 
 def test_gp_noiseless_interpolation():
     s = GpSurrogate(length_scales=[1.0], signal_var=1.0)
     s.add([0.5], 3.0)
-    mean, var = s.posterior([0.5])
+    (mean,), (var,) = s.posterior([[0.5]])
     assert mean == pytest.approx(3.0, abs=1e-6)
     assert var <= 1e-6
 
@@ -191,13 +192,13 @@ def test_gp_matches_dense_solve_oracle():
     xs = np.array([[0.0], [1.0], [2.5]])
     ys = np.array([1.0, -0.5, 0.7])
     noise = np.array([0.1, 0.2, 0.05])
-    q = np.array([1.7])
+    q = np.array([[1.7]])
 
     def k(a, b):
         return sv * np.exp(-0.5 * ((a - b) / ell) ** 2)
 
     gram = k(xs[:, 0][:, None], xs[:, 0][None, :]) + np.diag(noise**2) + 1e-8 * np.eye(3)
-    k_star = k(xs[:, 0], q[0])
+    k_star = k(xs[:, 0], q[0, 0])
     sol = np.linalg.solve(gram, ys - m0)
     want_mean = m0 + k_star @ sol
     want_var = sv - k_star @ np.linalg.solve(gram, k_star)
@@ -205,7 +206,7 @@ def test_gp_matches_dense_solve_oracle():
     s = GpSurrogate(length_scales=[ell], signal_var=sv, prior_mean=m0)
     for x, y, nz in zip(xs, ys, noise):
         s.add(x, y, nz)
-    mean, var = s.posterior(q)
+    (mean,), (var,) = s.posterior(q)
     assert mean == pytest.approx(want_mean, abs=1e-9)
     assert var == pytest.approx(want_var, abs=1e-9)
 
@@ -234,14 +235,14 @@ def test_gp_batch_posterior_matches_dense_closed_form():
     assert means.shape == var.shape == (25,)
     np.testing.assert_allclose(means, want_mean, rtol=0, atol=1e-12)
     np.testing.assert_allclose(var, want_var, rtol=0, atol=1e-12)
-    one = s.posterior(queries[3])
-    assert type(one[0]) is float and type(one[1]) is float
-    assert one == pytest.approx((means[3], var[3]), abs=1e-12)
+    one = s.posterior(queries[3:4])  # a one-row batch, computed whole
+    assert one[0].shape == one[1].shape == (1,)
+    np.testing.assert_allclose(np.concatenate(one), [means[3], var[3]], rtol=0, atol=1e-12)
 
 
 def test_gp_variance_shrinks_with_data():
     s = GpSurrogate(length_scales=[1.0], signal_var=1.0)
-    q = [0.4]
+    q = [[0.4]]
     _, v0 = s.posterior(q)
     s.add([0.4], 1.0, 0.3)
     _, v1 = s.posterior(q)
@@ -254,7 +255,7 @@ def test_gp_variance_shrinks_with_data():
 def test_gp_far_point_recovers_prior_variance():
     s = GpSurrogate(length_scales=[1.0], signal_var=1.7)
     s.add([0.0], 5.0, 0.1)
-    _, var = s.posterior([1000.0])
+    _, (var,) = s.posterior([[1000.0]])
     assert var <= 1.7 + 1e-9
 
 
@@ -265,12 +266,17 @@ def test_gp_window_evicts_oldest():
     s.add([2.0], 3.0)
     assert len(s.points) == 2
     assert s.points[0][0][0] == 1.0
+    assert type(s.points) is tuple
+    with pytest.raises(AttributeError):
+        s.points = ()
 
 
 def test_gp_query_dimension_checked():
     s = GpSurrogate(length_scales=[1.0, 1.0])
     with pytest.raises(ConfigError):
-        s.posterior([1.0])
+        s.posterior([[1.0]])
+    with pytest.raises(ConfigError):  # a batch of points, never one bare point
+        s.posterior([1.0, 2.0])
 
 
 # ---------------------------------------------------------------- UCB
@@ -280,19 +286,27 @@ def test_ucb_pure_exploitation():
     s = GpSurrogate(length_scales=[1.0], signal_var=1.0)
     s.add([0.0], 1.0, 0.01)
     s.add([2.0], 5.0, 0.01)
-    assert ucb_acquire(s, [[0.0], [2.0]], kappa=0.0) == [2.0]
+    scores = ucb_scores(s, [[0.0], [2.0]], kappa=0.0)
+    assert scores.tolist() == s.posterior([[0.0], [2.0]])[0].tolist()
+    assert int(np.argmax(scores)) == 1
 
 
-def test_ucb_no_data_takes_first():
+def test_ucb_no_data_scores_every_candidate_alike():
     s = GpSurrogate(length_scales=[1.0])
-    assert ucb_acquire(s, [[3.0], [1.0], [2.0]], kappa=1.0) == [3.0]
+    assert ucb_scores(s, [[3.0], [1.0], [2.0]], kappa=1.0).tolist() == [1.0, 1.0, 1.0]
+
+
+def test_bo_tune_ties_pick_the_first_candidate():
+    # a constant objective gives every candidate the prior mean, so at
+    # kappa 0 each acquisition ties and takes the lattice's first point
+    res = bo_tune(lambda th: 2.5, ((0.0, 1.0),), budget=6, kappa=0.0, seed=0)
+    assert [theta for theta, _, _ in res.evaluations[2:]] == [(0.0,)] * 4
 
 
 def test_ucb_huge_kappa_prefers_unobserved():
     s = GpSurrogate(length_scales=[0.5], signal_var=1.0)
     s.add([0.0], 100.0, 1e-3)
-    chosen = ucb_acquire(s, [[0.0], [10.0]], kappa=1e6)
-    assert chosen == [10.0]
+    assert int(np.argmax(ucb_scores(s, [[0.0], [10.0]], kappa=1e6))) == 1
 
 
 # ---------------------------------------------------------------- beam tracker

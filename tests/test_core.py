@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -18,9 +19,9 @@ from occam_rrm import (
     metrics_summary,
     run_episode,
 )
-from occam_rrm import bandits, core, planning
+from occam_rrm import bandits, core, envs, planning
 from occam_rrm.core import metric_columns
-from occam_rrm.envs import ENVS, TabularEnv
+from occam_rrm.envs import ENVS
 from occam_rrm.envs.beamforming import SERVE_BEST, BeamAction
 from occam_rrm.errors import NumericalError
 
@@ -40,10 +41,18 @@ def test_package_surface_is_pinned():
     # a replay is run_episode with a callable over the logged actions
     for module, name in [(occam_rrm, "ScriptedPolicy"), (occam_rrm, "replay_episode"),
                          (core, "ScriptedPolicy"), (core, "replay_episode"),
-                         (planning, "bellman_residual"), (bandits, "illa_select")]:
+                         (planning, "bellman_residual"), (bandits, "illa_select"),
+                         # one way in: TabularEnv takes the tables, envs give
+                         # true_mdp() themselves, bo_tune scores candidates
+                         (envs, "tabular_env"), (envs, "env_true_mdp"),
+                         (bandits, "ucb_acquire")]:
         assert not hasattr(module, name), (module.__name__, name)
+    # only add writes a GP window
+    assert "points" not in {f.name for f in dataclasses.fields(bandits.GpSurrogate)}
+    with pytest.raises(AttributeError):
+        bandits.GpSurrogate([1.0]).points = []
     # the envs' tables are read through their observations
-    for cls in [*ENVS.values(), TabularEnv]:
+    for cls in ENVS.values():
         for name in ("gains_at", "efficiency_at", "true_rsrp_at", "measured_rsrp_at",
                      "rsrp_trace"):
             assert not hasattr(cls, name), (cls.__name__, name)

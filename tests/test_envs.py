@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 from occam_rrm import (
     ConfigError,
     InvalidActionError,
-    NotTractableError,
-    TabularMdp,
     planning,
     run_episode,
 )
@@ -30,7 +28,6 @@ from occam_rrm.envs import (
     PowerEnv,
     SchedulingEnv,
     TabularEnv,
-    env_true_mdp,
     make_env,
 )
 from occam_rrm.envs.energy import OFF, es_transition, es_transition_batch
@@ -651,7 +648,7 @@ def test_ac_three_state_birth_death():
         capacity=2,
         classes=[{"arrival_rate": 0.3, "departure_rate": 0.2, "reward": 1.0, "reject_penalty": 0.5}],
     )
-    mdp = env_true_mdp(env)
+    mdp = env.true_mdp()
     assert mdp.n_states == 3
     assert mdp.n_actions == 3
     assert np.allclose(mdp.transition.sum(axis=2), 1.0, atol=1e-12)
@@ -668,7 +665,7 @@ def test_ac_accept_transition_probabilities():
         capacity=2,
         classes=[{"arrival_rate": 0.3, "departure_rate": 0.2, "reward": 1.0, "reject_penalty": 0.5}],
     )
-    mdp = env_true_mdp(env)
+    mdp = env.true_mdp()
     accept = env.action_list().index((1,))
     # From empty: accept moves up with the arrival probability.
     assert mdp.transition[0, accept, 1] == pytest.approx(0.3)
@@ -679,17 +676,11 @@ def test_ac_accept_transition_probabilities():
     assert mdp.reward[2, accept] == pytest.approx(0.3 * -(0.5 + 0.05))
 
 
-def test_continuous_env_not_tractable():
-    with pytest.raises(NotTractableError, match="not tractable"):
-        env_true_mdp(BeamformingEnv())
-
-
 def test_single_state_env_extraction():
-    mdp = TabularMdp(1, 3, np.ones((1, 3, 1)), np.array([[1.0, -2.0, 0.5]]), 0.9)
-    env = TabularEnv(mdp)
-    got = env_true_mdp(env)
-    assert got.reward.shape == (1, 3)
-    assert np.array_equal(got.reward, mdp.reward)
+    env = TabularEnv(np.ones((1, 3, 1)), [[1.0, -2.0, 0.5]], 0.9)
+    got = env.true_mdp()
+    assert (got.n_states, got.n_actions, got.discount) == (1, 3, 0.9) == (1, 3, env.discount)
+    assert got.reward.tolist() == [[1.0, -2.0, 0.5]]
 
 
 # ================================================================ replay determinism

@@ -1,10 +1,14 @@
 """Experiment runner: config validation, output layout, determinism,
 solver/env compatibility, parallel execution, and sweeps."""
 
+import concurrent.futures
 import csv
 import hashlib
+import inspect
 import json
 import math
+import os
+import re
 import shutil
 from pathlib import Path
 
@@ -188,6 +192,33 @@ def test_parallel_jobs_match_serial(tmp_path):
     serial = json.loads(run_experiment(la_config(tmp_path / "s")).read_text())
     parallel = json.loads(run_experiment(la_config(tmp_path / "p"), jobs=2).read_text())
     assert serial["solvers"] == parallel["solvers"]
+
+
+@pytest.mark.parametrize("via", ["argument", "environment"])
+def test_pool_gets_at_most_one_worker_per_cell_and_core(tmp_path, monkeypatch, via):
+    # a pool starts all of its workers at its first map, so a huge --jobs
+    # must not become a huge pool; this one maps serially and starts nothing
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("OCCAM_RRM_JOBS", str(10**6))
+    jobs = 10**6 if via == "argument" else None
+    serial = json.loads(run_experiment(la_config(tmp_path / "s"), jobs=1).read_text())
+    pooled = json.loads(run_experiment(la_config(tmp_path / "p"), jobs=jobs).read_text())
+    assert workers == [min(6, os.cpu_count() or 1)]  # 2 solvers x 3 seeds
+    assert pooled["solvers"] == serial["solvers"]
+    sweep(la_config(tmp_path / "w", seeds=(1,)), "horizon", [10, 20], jobs=jobs)
+    assert workers[1:] == [min(4, os.cpu_count() or 1)]
 
 
 def test_beam_experiment_profile(tmp_path):
@@ -500,6 +531,19 @@ def test_value_iteration_solver_on_admission_env(tmp_path):
     # same seeds, same trajectories: VI only improves on accept-all by
     # rejecting (instead of bouncing off) arrivals at full capacity
     assert vi >= aa
+
+
+def test_exact_rows_list_only_enumerable_env_kinds():
+    # a row that reads env.true_mdp() or plays a TablePolicyAgent needs a
+    # kind that enumerates its states and actions; check_compatibility
+    # refuses every kind a row does not list, before any cell runs
+    exact = {name for name, spec in SOLVERS.items()
+             if re.search(r"true_mdp\(|TablePolicyAgent\(", inspect.getsource(spec.agent))}
+    assert exact == {"value-iteration", "q-learning"}
+    for name in exact:
+        for kind in SOLVERS[name].envs:
+            for attr in ("true_mdp", "n_states", "state_index", "action_list"):
+                assert hasattr(ENVS[kind], attr), (name, kind, attr)
 
 
 def admission_vi_config(out_dir):

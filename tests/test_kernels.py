@@ -564,19 +564,13 @@ def reference_means(self, points: np.ndarray):
 
 def reference_posterior(self, query):
     points = np.asarray(query, dtype=float)
-    single = points.ndim < 2
-    points = points.reshape(1, -1) if single else points
     if points.shape[1:] != (self.n_dims,):
         raise ConfigError(f"query points {points.shape} != (m, {self.n_dims})")
     means, k_star = reference_means(self, points)
     if k_star is None:
-        var = np.full(len(points), float(self.signal_var))
-    else:
-        v = np.linalg.solve(reference_factorize(self)[1], k_star)
-        var = np.maximum(self.signal_var - np.einsum("ij,ij->j", v, v), 0.0)
-    if single:
-        return float(means[0]), float(var[0])
-    return means, var
+        return means, np.full(len(points), float(self.signal_var))
+    v = np.linalg.solve(reference_factorize(self)[1], k_star)
+    return means, np.maximum(self.signal_var - np.einsum("ij,ij->j", v, v), 0.0)
 
 
 def assert_gp_matches_reference(gp, queries):
@@ -585,28 +579,13 @@ def assert_gp_matches_reference(gp, queries):
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     for query in queries:
         got, want = gp.posterior(query), reference_posterior(gp, query)
-        if np.ndim(query) < 2:
-            assert got == want
-        else:
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-            got_means = gp._means(np.asarray(query))[0]
-            assert got_means.tobytes() == reference_means(gp, np.asarray(query))[0].tobytes()
-
-
-def edit_points(gp, step, rng):
-    """Edit the window directly, as a caller may, in a different way at
-    three steps; the next add must not reuse what the edits changed."""
-    n_dims = gp.n_dims
-    if step == 30 and gp.points:  # replace a point
-        gp.points[len(gp.points) // 2] = (rng.uniform(0.0, 4.0, n_dims), 0.5, 0.05)
-    elif step == 35 and gp.points:  # drop the newest
-        del gp.points[-1]
-    elif step == 40:  # put an older point in front
-        gp.points.insert(0, (rng.uniform(0.0, 4.0, n_dims), -0.5, 0.05))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        got_means = gp._means(np.asarray(query))[0]
+        assert got_means.tobytes() == reference_means(gp, np.asarray(query))[0].tobytes()
 
 
 # More dimensions than 7 make a 1 x 1 kernel sum its coordinates in another
-# order than a larger kernel does, so 9 checks single-point queries there.
+# order than a larger kernel does, so 9 checks one-row batches there.
 @pytest.mark.parametrize("n_dims", [1, 2, 3, 9])
 @pytest.mark.parametrize("window", [1, 2, 5, 64, None], ids=str)
 def test_gp_kept_kernel_entries_match_rebuild_bits(window, n_dims):
@@ -614,13 +593,12 @@ def test_gp_kept_kernel_entries_match_rebuild_bits(window, n_dims):
     gp = GpSurrogate(length_scales=rng.uniform(0.5, 2.0, n_dims), signal_var=1.7,
                      prior_mean=-0.4, max_points=window)
     lattice = rng.uniform(0.0, 4.0, size=(30, n_dims))  # queried at every step, as bo_tune's
-    assert_gp_matches_reference(gp, [lattice, lattice[0]])
+    assert_gp_matches_reference(gp, [lattice, lattice[:1]])
     for step in range(45):
         # as the beam tracker's, queried before and after the step's adds
         beams = rng.uniform(0.0, 4.0, size=(6, n_dims))
-        queries = [lattice, beams, beams[step % 6], lattice.copy(), beams[:1]]
+        queries = [lattice, beams, beams[step % 6:][:1], lattice.copy(), beams[:1]]
         assert_gp_matches_reference(gp, queries)
-        edit_points(gp, step, rng)
         adds = 1 + step % 4  # budgets 1 to 4
         if step == 20:  # more adds than the window holds between two factorizations
             adds += (window or 10) + 3

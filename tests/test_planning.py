@@ -127,8 +127,7 @@ def test_pi_stops_immediately_when_optimal():
 
 
 def test_q_learning_bandit_matches_sample_mean():
-    mdp = TabularMdp(1, 2, np.ones((1, 2, 1)), np.array([[0.3, 0.7]]), 0.0)
-    env = TabularEnv(mdp, reward_noise_std=0.3)
+    env = TabularEnv(np.ones((1, 2, 1)), [[0.3, 0.7]], 0.0, reward_noise_std=0.3)
     table = q_learning(
         env,
         episodes=1,
@@ -147,7 +146,7 @@ def test_q_learning_greedy_lock_in_pathology():
     rng = np.random.default_rng(7)
     transition = rng.dirichlet(np.ones(3), size=(3, 2))
     reward = rng.uniform(0.5, 1.0, size=(3, 2))
-    env = TabularEnv(TabularMdp(3, 2, transition, reward, 0.9))
+    env = TabularEnv(transition, reward, 0.9)
     table = q_learning(env, episodes=2, horizon=500, epsilon=0.0, seed=1)
     assert np.all(table.visits[:, 1] == 0)
     assert table.visits[:, 0].sum() == 1000
@@ -161,23 +160,23 @@ def test_q_learning_recovers_optimal_policy():
         transition[s, 1, (s + 2) % 3] = 1.0
     reward = np.array([[0.0, 1.0], [0.1, 0.8], [0.0, 0.9]])
     mdp = TabularMdp(3, 2, transition, reward, 0.9)
-    env = TabularEnv(mdp)
+    env = TabularEnv(mdp.transition, mdp.reward, mdp.discount)
     table = q_learning(env, episodes=4, horizon=5000, epsilon=0.3, seed=2)
     want = value_iteration(mdp, 1e-9).policy
     assert np.array_equal(table.greedy_policy(), want)
 
 
 def test_q_learning_deterministic_in_seed():
-    mdp = TabularMdp(2, 2, np.ones((2, 2, 2)) / 2, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.9)
-    t1 = q_learning(TabularEnv(mdp), episodes=2, horizon=200, seed=3)
-    t2 = q_learning(TabularEnv(mdp), episodes=2, horizon=200, seed=3)
+    tables = np.ones((2, 2, 2)) / 2, [[0.0, 1.0], [1.0, 0.0]], 0.9
+    t1 = q_learning(TabularEnv(*tables), episodes=2, horizon=200, seed=3)
+    t2 = q_learning(TabularEnv(*tables), episodes=2, horizon=200, seed=3)
     assert np.array_equal(t1.q, t2.q)
     assert np.array_equal(t1.visits, t2.visits)
 
 
 def test_q_learning_zero_learning_rate_leaves_q_at_zero():
-    mdp = TabularMdp(2, 2, np.ones((2, 2, 2)) / 2, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.9)
-    table = q_learning(TabularEnv(mdp), episodes=2, horizon=200, alpha=0.0, seed=3)
+    env = TabularEnv(np.ones((2, 2, 2)) / 2, [[0.0, 1.0], [1.0, 0.0]], 0.9)
+    table = q_learning(env, episodes=2, horizon=200, alpha=0.0, seed=3)
     assert np.all(table.q == 0.0)
     assert table.visits.sum() == 400
 
