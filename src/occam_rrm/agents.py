@@ -6,14 +6,11 @@ range checks live there, and the rules take plain numbers."""
 
 from __future__ import annotations
 
-import math
-import numbers
-import operator
-
 import numpy as np
 
 from . import planning
 from .bandits import _arm_values, _illa_pick, _illa_table, _thompson_pick
+from .config import as_count, as_real
 from .core import EpisodeLog, run_episode
 from .envs.beamforming import SERVE_BEST, BeamAction
 from .envs.energy import OFF, es_transition_batch
@@ -34,16 +31,11 @@ class IllaOllaAgent:
     """
 
     def __init__(self, lookup, step_up: float, target_bler: float):
-        if not 0.0 < target_bler < 1.0:
-            raise ConfigError("target_bler must lie in (0, 1)")
+        target_bler = as_real(target_bler, "target_bler", gt=0, lt=1)
         self.lookup = _illa_table(lookup)  # checked once, here
-        self.step_up = step_up
-        self.step_down = step_up * (1.0 - target_bler) / target_bler
-        if step_up <= 0 or self.step_down <= 0:
-            raise ConfigError("step sizes must be positive")
-        if not math.isfinite(self.step_down):
-            raise ConfigError(f"step_down = step_up * (1 - target_bler) / target_bler must be "
-                              f"finite, got {self.step_down} from step_up {step_up}")
+        self.step_up = as_real(step_up, "step_up", gt=0)
+        self.step_down = as_real(self.step_up * (1.0 - target_bler) / target_bler,
+                                 "step_down = step_up * (1 - target_bler) / target_bler", gt=0)
 
     def reset(self, seed):
         self.offset = 0.0
@@ -79,7 +71,7 @@ class ThompsonMcsAgent:
 
 class FixedMcsAgent:
     def __init__(self, mcs: int):
-        self.mcs = int(mcs)
+        self.mcs = as_count(mcs, "mcs", 0)
 
     def act(self, obs):
         return self.mcs
@@ -144,9 +136,7 @@ class DppEnergyAgent:
     is its energy draw, fixed per subset and so summed once."""
 
     def __init__(self, env, v_weight: float = 0.0):
-        self.v_weight = float(v_weight)
-        if self.v_weight < 0:
-            raise ConfigError("v_weight must be nonnegative")
+        self.v_weight = as_real(v_weight, "v_weight", ge=0)
         self.actions = env.all_actions()
         self.capacity = env.capacity.tolist()
         self.penalties = [float(sum(env.power_draw[r] for r in sub)) for sub in self.actions]
@@ -199,20 +189,16 @@ class MpcEnergyAgent:
     k)` gives the traffic of the next k steps."""
 
     def __init__(self, env, forecast, horizon: int = 5, discount: float = 1.0):
-        if not isinstance(horizon, numbers.Integral):
-            raise ConfigError(f"horizon must be an integer, got {horizon!r}")
-        if horizon < 1:
-            raise ConfigError("horizon must be >= 1")
+        self.horizon = as_count(horizon, "horizon", 1)
         # each depth holds at least one state, so a longer forecast, which
         # the forecaster would build first, can never plan
-        if horizon > planning.MPC_NODE_BUDGET:
+        if self.horizon > planning.MPC_NODE_BUDGET:
             raise ConfigError(
                 f"horizon {horizon} is over the node budget {planning.MPC_NODE_BUDGET}; "
                 "reduce the horizon"
             )
         self.forecast = forecast
-        self.horizon = int(horizon)
-        self.discount = float(discount)
+        self.discount = as_real(discount, "discount")
         actions = env.all_actions()
         step = es_transition_batch(actions, env.capacity, env.power_draw, env.activation_delay)
         qos_threshold, qos_weight = env.qos_threshold, env.qos_weight
@@ -255,9 +241,7 @@ class MroAgent:
     the hysteresis when it counts."""
 
     def __init__(self, time_to_trigger: int = 3):
-        if time_to_trigger < 1:
-            raise ConfigError("time_to_trigger must be >= 1")
-        self.time_to_trigger = time_to_trigger
+        self.time_to_trigger = as_count(time_to_trigger, "time_to_trigger", 1)
 
     def act(self, obs):
         return mro_policy(obs, self.time_to_trigger)
@@ -341,9 +325,7 @@ class KnnTrackerAgent:
     beams round-robin and the freshest picture's argmax is served."""
 
     def __init__(self, env, budget_per_step: int):
-        self.budget = operator.index(budget_per_step)
-        if self.budget < 1:
-            raise ConfigError("budget_per_step must be >= 1")
+        self.budget = as_count(budget_per_step, "budget_per_step", 1)
         self.env = env
 
     def reset(self, seed):

@@ -6,13 +6,12 @@ tracker agent.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_keys
+from .config import as_count, as_real, check_keys
 from .core import EpisodeLog, run_episode
 from .errors import ConfigError, GpNumericalError
 from .envs.beamforming import BeamAction
@@ -91,10 +90,10 @@ class GpSurrogate:
         self.length_scales = np.atleast_1d(np.asarray(self.length_scales, dtype=float))
         if np.any(self.length_scales <= 0):
             raise ConfigError("length scales must be positive")
-        if self.signal_var <= 0:
-            raise ConfigError("signal_var must be positive")
-        if self.max_points is not None and self.max_points < 1:
-            raise ConfigError("max_points must be >= 1 when set")
+        self.signal_var = as_real(self.signal_var, "signal_var", gt=0)
+        self.prior_mean = as_real(self.prior_mean, "prior_mean")
+        if self.max_points is not None:
+            self.max_points = as_count(self.max_points, "max_points", 1)
         self._points = ()  # (x, y, noise_std), oldest first
         self._adds = 0  # points ever added; the window starts at add _adds - len(_points)
         self._factor = None
@@ -210,21 +209,17 @@ class BoTrackerAgent:
 
     def __init__(self, env, budget_per_step: int, kernel: dict | None = None,
                  kappa: float = 2.0, window: int = TRACKER_WINDOW):
-        self.budget = operator.index(budget_per_step)
-        if self.budget < 1:
-            raise ConfigError("budget_per_step must be >= 1")
-        if kappa < 0:
-            raise ConfigError("kappa must be nonnegative")
+        self.budget = as_count(budget_per_step, "budget_per_step", 1)
+        self.kappa = as_real(kappa, "kappa", ge=0)
         kernel = kernel or {}
         check_keys(kernel, ("length_scales", "signal_var", "prior_mean"), (), "kernel")
         self.gp = dict(
             length_scales=np.asarray(kernel.get("length_scales", (2.0, 10.0)), dtype=float),
-            signal_var=float(kernel.get("signal_var", getattr(env, "rsrp_std", 10.0) ** 2)),
-            prior_mean=float(kernel.get("prior_mean", getattr(env, "mean_rsrp", 0.0))),
+            signal_var=kernel.get("signal_var", getattr(env, "rsrp_std", 10.0) ** 2),
+            prior_mean=kernel.get("prior_mean", getattr(env, "mean_rsrp", 0.0)),
             max_points=window,
         )
         self.env = env
-        self.kappa = kappa
         self.reset(0)  # a bad kernel or window fails here, not at the first step
 
     def reset(self, seed):

@@ -1,9 +1,11 @@
-"""Config dicts checked against the keyword signature that consumes them.
+"""Config dicts checked against the keyword signature that consumes them,
+and the two rules every scalar parameter is checked by.
 
 A constructor's keyword parameters are the one definition of its config:
 their names are the accepted keys, their defaults the defaults, and a
 parameter without a default is a required key. No value may hold NaN or
-Infinity, which JSON configs may carry and no parameter takes.
+Infinity, which JSON configs may carry and no parameter takes. A count
+passes `as_count`, a real `as_real`.
 """
 
 from __future__ import annotations
@@ -11,16 +13,37 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import operator
 
 import numpy as np
 
 from .errors import ConfigError
 
 
-def config_keys(fn, given=()) -> tuple[set, set]:
-    """(accepted, required) config keys of `fn`: its parameters other than
-    the ones named in `given`, which the caller supplies itself."""
-    return _keys(_parameters(fn), given)
+def as_count(value, name: str, minimum: int) -> int:
+    """`value` as an int of at least `minimum`. It must be an integer, not a
+    bool and not a float, even an integral one; numpy integers pass through
+    operator.index."""
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return n
+
+
+def as_real(value, name: str, *, gt=None, ge=None, lt=None, le=None) -> float:
+    """float(value), which must be finite and lie in the interval the bounds
+    give: above `gt` or at least `ge`, below `lt` or at most `le`. Every
+    interval is refused in one form, as "discount must lie in [0, 1), got 1.0"."""
+    x = float(value)
+    if (math.isfinite(x) and (gt is None or x > gt) and (ge is None or x >= ge)
+            and (lt is None or x < lt) and (le is None or x <= le)):
+        return x
+    low = f"({gt:g}" if gt is not None else f"[{ge:g}" if ge is not None else "(-inf"
+    high = f"{lt:g})" if lt is not None else f"{le:g}]" if le is not None else "inf)"
+    raise ConfigError(f"{name} must lie in {low}, {high}, got {x!r}")
 
 
 @functools.lru_cache(maxsize=256)
@@ -29,12 +52,6 @@ def _parameters(fn):
     # config, so each callable's signature is read once per process. The
     # parameters are a read-only mapping, safe to share between callers.
     return inspect.signature(fn).parameters
-
-
-def _keys(params, given) -> tuple[set, set]:
-    accepted = {name for name in params if name not in given}
-    required = {name for name in accepted if params[name].default is inspect.Parameter.empty}
-    return accepted, required
 
 
 def check_keys(cfg, accepted, required, what: str) -> None:
@@ -78,7 +95,9 @@ def check_config(fn, cfg: dict, what: str, given=()):
     non-finite number anywhere in a value. Returns the parameters of `fn`'s
     signature."""
     params = _parameters(fn)
-    check_keys(cfg, *_keys(params, given), f"{what} config")
+    accepted = {name for name in params if name not in given}
+    required = {name for name in accepted if params[name].default is inspect.Parameter.empty}
+    check_keys(cfg, accepted, required, f"{what} config")
     for key, value in cfg.items():
         _check_finite(key, value)
     return params
@@ -87,9 +106,9 @@ def check_config(fn, cfg: dict, what: str, given=()):
 def build_from_config(fn, cfg: dict, what: str, **given):
     """fn(**given, **cfg) once cfg passes check_config, passing only the
     given values whose names `fn` takes. A TypeError, ValueError or
-    OverflowError (int() of an infinite float) from the call means a value
-    of the wrong type or form came in from outside, so it becomes a one-line
-    ConfigError."""
+    OverflowError (float() of an integer past the float range) from the
+    call means a value of the wrong type or form came in from outside, so
+    it becomes a one-line ConfigError."""
     params = check_config(fn, cfg, what, given)
     given = {name: value for name, value in given.items() if name in params}
     try:

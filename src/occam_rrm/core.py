@@ -11,6 +11,7 @@ from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
+from .config import as_count, as_real
 from .errors import ConfigError, InvalidActionError, MissingDiagnosticError, NumericalError
 from .rng import STREAM_POLICY, derive_seed
 
@@ -44,8 +45,9 @@ class TabularMdp:
     def __post_init__(self):
         self.transition = np.asarray(self.transition, dtype=float)
         self.reward = np.asarray(self.reward, dtype=float)
-        if self.n_states < 1 or self.n_actions < 1:
-            raise ConfigError("n_states and n_actions must be positive")
+        self.n_states = as_count(self.n_states, "n_states", 1)
+        self.n_actions = as_count(self.n_actions, "n_actions", 1)
+        self.discount = as_real(self.discount, "discount", ge=0, lt=1)
         if self.transition.shape != (self.n_states, self.n_actions, self.n_states):
             raise ConfigError(
                 f"transition shape {self.transition.shape} != "
@@ -55,8 +57,6 @@ class TabularMdp:
             raise ConfigError(
                 f"reward shape {self.reward.shape} != {(self.n_states, self.n_actions)}"
             )
-        if not (0.0 <= self.discount < 1.0):
-            raise ConfigError(f"discount must lie in [0, 1), got {self.discount}")
         if np.any(self.transition < -_ROW_SUM_TOL):
             raise ConfigError("transition probabilities must be nonnegative")
         row_sums = self.transition.sum(axis=2)
@@ -155,8 +155,7 @@ def run_episode(env, policy, horizon: int, seed: int) -> EpisodeLog:
     reward raises NumericalError naming its first such step, and then a NaN
     or infinite value in a diagnostic column does.
     """
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    horizon = as_count(horizon, "horizon", 1)
     act = getattr(policy, "act", policy)
     if not callable(act):
         raise ConfigError(f"not a policy: {policy!r}")
@@ -198,8 +197,7 @@ def run_episode(env, policy, horizon: int, seed: int) -> EpisodeLog:
 
 def discounted_return(rewards: Sequence[float], discount: float) -> float:
     """Sum of discount**t * rewards[t]; the finite-horizon objective."""
-    if not (0.0 <= discount < 1.0):
-        raise ConfigError(f"discount must lie in [0, 1), got {discount}")
+    discount = as_real(discount, "discount", ge=0, lt=1)
     r = np.asarray(rewards, dtype=float)
     if r.size == 0:
         return 0.0

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..config import check_keys
+from ..config import as_real, check_keys
 from ..core import DEFAULT_DISCOUNT, StepOutcome, TabularMdp
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STREAM_EXOGENOUS, scalars
@@ -27,14 +27,15 @@ _DEFAULT_CLASSES = [
     {"arrival_rate": 0.25, "departure_rate": 0.02, "demand": 1, "reward": 1.0, "reject_penalty": 0.2},
 ]
 
+# Each class key, with the bounds of its value.
 _CLASS_KEYS = {
-    "arrival_rate",
-    "departure_rate",
-    "demand",
-    "reward",
-    "reject_penalty",
-    "delay_penalty",
-    "blocked_penalty",
+    "arrival_rate": {"ge": 0},
+    "departure_rate": {"gt": 0},
+    "demand": {"gt": 0},
+    "reward": {},
+    "reject_penalty": {},
+    "delay_penalty": {},
+    "blocked_penalty": {},
 }
 
 
@@ -51,9 +52,7 @@ class AdmissionEnv(RrmEnv):
         discount=DEFAULT_DISCOUNT,
     ):
         super().__init__()
-        self.capacity = float(capacity)
-        if self.capacity <= 0:
-            raise ConfigError("capacity must be positive")
+        self.capacity = as_real(capacity, "capacity", gt=0)
         raw = classes if classes is not None else _DEFAULT_CLASSES
         if not raw:
             raise ConfigError("at least one priority class required")
@@ -61,20 +60,14 @@ class AdmissionEnv(RrmEnv):
         for i, c in enumerate(raw):
             check_keys(c, _CLASS_KEYS, ("arrival_rate", "departure_rate", "reward"), f"class {i}")
             cc = {"demand": 1, "reject_penalty": 0.0, "delay_penalty": 0.1, **c}
-            cc = {k: float(v) for k, v in cc.items()}
+            cc = {k: as_real(v, f"class {i} {k}", **_CLASS_KEYS[k]) for k, v in cc.items()}
             cc.setdefault("blocked_penalty", cc["reject_penalty"] + 0.05)
-            if cc["demand"] <= 0:
-                raise ConfigError(f"class {i}: demand must be positive")
-            if cc["arrival_rate"] < 0 or cc["departure_rate"] <= 0:
-                raise ConfigError(f"class {i}: need arrival_rate >= 0, departure_rate > 0")
             self.classes.append(cc)
         self.n_classes = len(self.classes)
         self.strict_feasibility = bool(strict_feasibility)
-        self.safety_margin = float(safety_margin)
-        self.qos_penalty = float(qos_penalty)
-        self.discount = float(discount)
-        if not 0.0 <= self.discount < 1.0:
-            raise ConfigError(f"discount must lie in [0, 1), got {self.discount}")
+        self.safety_margin = as_real(safety_margin, "safety_margin")
+        self.qos_penalty = as_real(qos_penalty, "qos_penalty")
+        self.discount = as_real(discount, "discount", ge=0, lt=1)
         # The most of each class that fits, with the 1e-9 slack of an accept.
         self._most = [int((self.capacity + 1e-9) // c["demand"]) for c in self.classes]
         # Uniformized chain: total event probability must stay below one even

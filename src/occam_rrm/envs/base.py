@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .. import planning
+from ..config import as_count
 from ..core import DEFAULT_DISCOUNT
 from ..errors import ConfigError
 from ..rng import StepStream
@@ -33,11 +34,9 @@ class RrmEnv:
         return self._seed
 
     def size(self, name: str, value, minimum: int, entries=None) -> int:
-        """`value` as an int of at least `minimum`, whose largest env array
+        """`value` as a count of at least `minimum`, whose largest env array
         holds `entries(n)` entries (n when not given), checked by _budget."""
-        n = int(value)
-        if n < minimum:
-            raise ConfigError(f"{name} must be >= {minimum}")
+        n = as_count(value, name, minimum)
         count = n if entries is None else entries(n)
         self._budget(count, f"{name} {n} needs {count} array entries", name)
         return n

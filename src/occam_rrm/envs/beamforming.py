@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..config import as_real
 from ..core import StepOutcome
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STEP_BLOCK, STREAM_EXOGENOUS
@@ -48,21 +49,15 @@ class BeamformingEnv(RrmEnv):
         super().__init__()
         # an n x n covariance and a stream block of n beams per step
         self.n_beams = self.size("n_beams", n_beams, 2, lambda n: max(n * n, STEP_BLOCK * n))
-        self.ue_speed = float(ue_speed)
-        self.spatial_corr = float(spatial_corr)
-        if self.spatial_corr <= 0:
-            raise ConfigError("spatial_corr must be > 0")
+        self.ue_speed = as_real(ue_speed, "ue_speed")
+        self.spatial_corr = as_real(spatial_corr, "spatial_corr", gt=0)
         if temporal_corr is None:
-            temporal_corr = max(0.0, 1.0 - float(speed_to_corr) * self.ue_speed)
-        self.temporal_corr = float(temporal_corr)
-        if not (0.0 <= self.temporal_corr < 1.0):
-            raise ConfigError(f"temporal_corr must lie in [0, 1), got {self.temporal_corr}")
+            temporal_corr = max(0.0, 1.0 - as_real(speed_to_corr, "speed_to_corr") * self.ue_speed)
+        self.temporal_corr = as_real(temporal_corr, "temporal_corr", ge=0, lt=1)
         self._mix = np.sqrt(1.0 - self.temporal_corr**2)
-        self.measure_cost = float(measure_cost)
-        self.mean_rsrp = float(mean_rsrp)
-        self.rsrp_std = float(rsrp_std)
-        if self.rsrp_std < 0:
-            raise ConfigError("rsrp_std must be >= 0")
+        self.measure_cost = as_real(measure_cost, "measure_cost")
+        self.mean_rsrp = as_real(mean_rsrp, "mean_rsrp")
+        self.rsrp_std = as_real(rsrp_std, "rsrp_std", ge=0)
         idx = np.arange(self.n_beams, dtype=float)
         cov = np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * self.spatial_corr**2))
         self._chol = np.linalg.cholesky(cov + _JITTER * np.eye(self.n_beams))

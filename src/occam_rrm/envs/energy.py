@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import check_keys
+from ..config import as_count, as_real, check_keys
 from ..core import StepOutcome
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STREAM_EXOGENOUS, scalars
@@ -115,9 +115,7 @@ class EnergySavingEnv(RrmEnv):
         self.n_resources = self.size("n_resources", n_resources, 1)
         self.capacity = self._per_resource(capacity, "capacity")
         self.power_draw = self._per_resource(power_draw, "power_draw")
-        self.activation_delay = int(activation_delay)
-        if self.activation_delay < 0:
-            raise ConfigError("activation_delay must be >= 0")
+        self.activation_delay = as_count(activation_delay, "activation_delay", 0)
         traffic = dict(traffic) if traffic is not None else dict(_DEFAULT_TRAFFIC)
         self._trace = None
         if "trace" in traffic:
@@ -127,22 +125,21 @@ class EnergySavingEnv(RrmEnv):
                 raise ConfigError("traffic trace must be a nonempty 1-D sequence")
             if np.any(self._trace < 0):
                 raise ConfigError("traffic trace must be nonnegative")
-            self._trace_noise = float(traffic.get("noise_std", 0.0))
+            self._trace_noise = as_real(traffic.get("noise_std", 0.0), "traffic noise_std", ge=0)
         else:
             check_keys(traffic, _DEFAULT_TRAFFIC, (), "traffic")
             kind = traffic.get("kind", "sinusoid")
             if kind not in ("sinusoid", "constant"):
                 raise ConfigError(f"unknown traffic kind {kind!r}")
-            cfg = {**_DEFAULT_TRAFFIC, **traffic}
-            self._traffic_cfg = {k: v if k == "kind" else float(v) for k, v in cfg.items()}
-            if kind == "sinusoid" and not self._traffic_cfg["period"] > 0:
-                raise ConfigError("traffic period must be > 0")
-        noise_std = self._trace_noise if self._trace is not None else self._traffic_cfg["noise_std"]
-        if noise_std < 0:
-            raise ConfigError("traffic noise_std must be >= 0")
-        self.qos_threshold = float(qos_threshold)
-        self.qos_weight = float(qos_weight)
-        self.energy_weight = float(energy_weight)
+            # a constant traffic has no period to check
+            bounds = {"period": {"gt": 0} if kind == "sinusoid" else {}, "noise_std": {"ge": 0}}
+            self._traffic_cfg = {
+                k: v if k == "kind" else as_real(v, f"traffic {k}", **bounds.get(k, {}))
+                for k, v in {**_DEFAULT_TRAFFIC, **traffic}.items()
+            }
+        self.qos_threshold = as_real(qos_threshold, "qos_threshold")
+        self.qos_weight = as_real(qos_weight, "qos_weight")
+        self.energy_weight = as_real(energy_weight, "energy_weight")
 
     def _per_resource(self, value, name) -> np.ndarray:
         arr = np.asarray(value, dtype=float)

@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 
-from ..config import check_keys
+from ..config import as_count, as_real, check_keys
 from ..core import StepOutcome
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STEP_BLOCK, STREAM_EXOGENOUS
@@ -74,22 +74,18 @@ class HandoverEnv(RrmEnv):
             self._true_rsrp = partial(np.take, self._trace, axis=0, mode="wrap")
         elif kind == "crossing":
             check_keys(model, _DEFAULT_MODEL, (), "model")
-            model = {**_DEFAULT_MODEL, **model}
-            self._model = {k: v if k == "kind" else float(v) for k, v in model.items()}
-            if self._model["period"] < 2:
-                raise ConfigError("crossing period must be >= 2")
+            self._model = {
+                k: v if k == "kind" else as_real(v, f"model {k}", ge=2 if k == "period" else None)
+                for k, v in {**_DEFAULT_MODEL, **model}.items()
+            }
             self._phases = 2 * np.pi * np.arange(self.n_cells) / self.n_cells
             self._true_rsrp = partial(_crossing_rsrp, self._model, self._phases)
         else:
             raise ConfigError(f"unknown mobility model kind {kind!r}")
-        self.noise_std = float(noise_std)
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be >= 0")
-        self.rlf_threshold = float(rlf_threshold)
-        self.pingpong_window = int(pingpong_window)
-        self.hysteresis = float(hysteresis)
-        if self.pingpong_window < 1:
-            raise ConfigError("pingpong_window must be >= 1")
+        self.noise_std = as_real(noise_std, "noise_std", ge=0)
+        self.rlf_threshold = as_real(rlf_threshold, "rlf_threshold")
+        self.pingpong_window = as_count(pingpong_window, "pingpong_window", 1)
+        self.hysteresis = as_real(hysteresis, "hysteresis")
         # The cells other than serving cell s, in order; shared by every
         # observation, so read-only.
         self._neighbor_cells = [np.delete(np.arange(self.n_cells), s) for s in range(self.n_cells)]

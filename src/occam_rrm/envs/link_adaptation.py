@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..config import as_real
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STREAM_ACTION, STREAM_EXOGENOUS, scalars
 from .base import RrmEnv
@@ -54,18 +55,11 @@ class LinkAdaptEnv(RrmEnv):
             raise ConfigError("rates must be strictly increasing with MCS index")
         if np.any(np.diff(self.s50) < 0):
             raise ConfigError("s50 thresholds must be nondecreasing with MCS index")
-        self.bler_slope = float(bler_slope)
-        if self.bler_slope <= 0:
-            raise ConfigError("bler_slope must be > 0 (BLER decreasing in SINR)")
-        self.sinr_mean = float(sinr_mean)
-        self.ar_coeff = float(ar_coeff)
-        if not (0.0 <= self.ar_coeff < 1.0):
-            raise ConfigError("ar_coeff must lie in [0, 1)")
-        self.innovation_std = float(innovation_std)
-        self.report_noise_std = float(report_noise_std)
-        for name in ("innovation_std", "report_noise_std"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+        self.bler_slope = as_real(bler_slope, "bler_slope", gt=0)  # BLER decreasing in SINR
+        self.sinr_mean = as_real(sinr_mean, "sinr_mean")
+        self.ar_coeff = as_real(ar_coeff, "ar_coeff", ge=0, lt=1)
+        self.innovation_std = as_real(innovation_std, "innovation_std", ge=0)
+        self.report_noise_std = as_real(report_noise_std, "report_noise_std", ge=0)
         self._sinr = 0.0
 
     def bler(self, mcs: int, sinr_db: float) -> float:

@@ -8,6 +8,7 @@ from functools import partial
 
 import numpy as np
 
+from ..config import as_count, as_real
 from ..core import StepOutcome
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STEP_BLOCK, STREAM_EXOGENOUS, exponential
@@ -21,18 +22,10 @@ class PowerEnv(RrmEnv):
                  mean_gain=1.0, fixed_gains=None):
         super().__init__()
         self.n_channels = self.size("n_channels", n_channels, 1, lambda n: STEP_BLOCK * n)
-        self.total_power = float(total_power)
-        self.noise = float(noise)
-        self.coherence = int(coherence)
-        self.mean_gain = float(mean_gain)
-        if self.total_power <= 0:
-            raise ConfigError("total_power must be > 0")
-        if self.noise <= 0:
-            raise ConfigError("noise must be > 0")
-        if self.coherence < 1:
-            raise ConfigError("coherence must be >= 1")
-        if self.mean_gain < 0:
-            raise ConfigError("mean_gain must be nonnegative")
+        self.total_power = as_real(total_power, "total_power", gt=0)
+        self.noise = as_real(noise, "noise", gt=0)
+        self.coherence = as_count(coherence, "coherence", 1)
+        self.mean_gain = as_real(mean_gain, "mean_gain", ge=0)
         if fixed_gains is None:
             self.fixed_gains = None
         else:

@@ -9,6 +9,7 @@ from functools import partial
 
 import numpy as np
 
+from ..config import as_real
 from ..core import StepOutcome
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STEP_BLOCK, STREAM_EXOGENOUS, exponential
@@ -50,9 +51,7 @@ class SchedulingEnv(RrmEnv):
                 raise ConfigError("arrival_rates needs one entry per user")
             if np.any(self.arrival_rates < 0):
                 raise ConfigError("arrival_rates entries must be >= 0")
-        self.ewma_alpha = float(ewma_alpha)
-        if not (0.0 < self.ewma_alpha <= 1.0):
-            raise ConfigError("ewma_alpha must lie in (0, 1]")
+        self.ewma_alpha = as_real(ewma_alpha, "ewma_alpha", gt=0, le=1)
         self.weights = np.asarray(np.ones(self.n_users) if weights is None else weights, dtype=float)
         if self.weights.shape != (self.n_users,):
             raise ConfigError("weights needs one entry per user")

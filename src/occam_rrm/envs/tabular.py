@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import as_count, as_real
 from ..core import DEFAULT_DISCOUNT, StepOutcome, TabularMdp
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STREAM_ACTION, substream
@@ -24,14 +25,12 @@ class TabularEnv(RrmEnv):
         P = np.asarray(transition, dtype=float)
         if P.ndim != 3:
             raise ConfigError("transition must be [n_states][n_actions][n_states]")
-        self.mdp = mdp = TabularMdp(P.shape[0], P.shape[1], P, reward, float(discount))
+        self.mdp = mdp = TabularMdp(P.shape[0], P.shape[1], P, reward, discount)
         self.discount = mdp.discount
-        self.initial_state = int(initial_state)
-        if not (0 <= self.initial_state < mdp.n_states):
+        self.initial_state = as_count(initial_state, "initial_state", 0)
+        if self.initial_state >= mdp.n_states:
             raise ConfigError(f"initial_state {initial_state} outside [0, {mdp.n_states})")
-        self.reward_noise_std = float(reward_noise_std)
-        if self.reward_noise_std < 0:
-            raise ConfigError("reward_noise_std must be >= 0")
+        self.reward_noise_std = as_real(reward_noise_std, "reward_noise_std", ge=0)
 
     @property
     def n_states(self) -> int:

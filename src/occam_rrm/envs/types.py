@@ -7,6 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..config import as_real
 from ..errors import ConfigError
 
 
@@ -25,9 +26,7 @@ class ChannelMatrix:
             raise ConfigError(f"channel matrix must be 2-D, got shape {self.entries.shape}")
         if not np.all(np.isfinite(self.entries.view(float))):
             raise ConfigError("channel entries must be finite")
-        self.noise_power = float(self.noise_power)
-        if self.noise_power <= 0:
-            raise ConfigError(f"noise_power must be > 0, got {self.noise_power}")
+        self.noise_power = as_real(self.noise_power, "noise_power", gt=0)
 
     @property
     def n_users(self) -> int:

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import agents
 from .advisor import advise, usecase_traits
 from .bandits import BoTrackerAgent
-from .config import build_from_config, check_config, check_keys
+from .config import as_count, build_from_config, check_config, check_keys
 from .core import METRIC_PROFILES, metric_columns, metrics_summary, run_episode
 from .envs import make_env
 from .errors import ConfigError
@@ -176,18 +176,18 @@ class ExperimentConfig:
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate solver labels: {sorted(labels)}")
         given = {f.name: raw.get(f.name, f.default) for f in fields(cls)}
-        horizon = _integer(given["horizon"], "horizon", 1)
-        n_episodes = _integer(given["n_episodes"], "n_episodes", 1)
+        horizon = as_count(given["horizon"], "horizon", 1)
+        n_episodes = as_count(given["n_episodes"], "n_episodes", 1)
         outputs, metrics = _text(given["outputs"], "outputs"), given["metrics"]
         if metrics not in METRIC_PROFILES:
             raise ConfigError(f"metrics must be one of {list(METRIC_PROFILES)}, got {metrics!r}")
         seeds = given["seeds"]
         if isinstance(seeds, dict):
             check_keys(seeds, ("base", "count"), ("base", "count"), "seeds")
-            base = _integer(seeds["base"], "seeds.base", 0)
-            count = _integer(seeds["count"], "seeds.count", 1)
+            base = as_count(seeds["base"], "seeds.base", 0)
+            count = as_count(seeds["count"], "seeds.count", 1)
         elif isinstance(seeds, (list, tuple)) and seeds:
-            seeds = tuple(_integer(s, f"seeds[{i}]", 0) for i, s in enumerate(seeds))
+            seeds = tuple(as_count(s, f"seeds[{i}]", 0) for i, s in enumerate(seeds))
             count = len(seeds)
         else:
             raise ConfigError("seeds must be a nonempty list or an object {base, count}")
@@ -229,12 +229,6 @@ def _solver_entry(entry, what: str) -> tuple:
     return name, label, dict(solver_cfg)
 
 
-def _integer(value, what: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
 def _text(value, what: str) -> str:
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{what} must be a nonempty string, got {value!r}")
@@ -274,13 +268,11 @@ def _episode_file(label, seed, ep) -> str:
 def resolve_jobs(jobs=None) -> int:
     if jobs is None:
         jobs = os.environ.get("OCCAM_RRM_JOBS", "1")
-    try:
-        jobs = int(jobs)
-    except (TypeError, ValueError):
-        raise ConfigError(f"jobs must be an integer, got {jobs!r}")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    return jobs
+        try:
+            jobs = int(jobs)
+        except ValueError:
+            raise ConfigError(f"OCCAM_RRM_JOBS must be an integer, got {jobs!r}") from None
+    return as_count(jobs, "jobs", 1)
 
 
 def run_experiment(cfg: ExperimentConfig, jobs=None) -> Path:

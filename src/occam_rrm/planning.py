@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import as_count, as_real
 from .core import DEFAULT_DISCOUNT, TabularMdp
 from .errors import ConfigError, NotTractableError, NumericalError
 from .rng import derive_seed
@@ -54,8 +55,7 @@ def value_iteration(mdp: TabularMdp, tol: float = 1e-8) -> ValueTable:
     rewards at a discount near one); the loop stops there too, and the
     returned values are then within beta/(1-beta) times that change of the
     fixed point. A sweep whose values overflow raises NumericalError."""
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
+    tol = as_real(tol, "tol", gt=0)
     beta = mdp.discount
     stop = tol if beta == 0 else tol * (1.0 - beta) / (2.0 * beta)
     states = np.arange(mdp.n_states)
@@ -123,8 +123,8 @@ class QTable:
 def hyperbolic_schedule(x0: float, tau: float = SCHEDULE_TAU_DEFAULT):
     """x_t = x0 / (1 + t / tau), the default decay for both learning rate
     and exploration."""
-    if x0 < 0 or tau <= 0:
-        raise ConfigError("schedule needs x0 >= 0 and tau > 0")
+    x0 = as_real(x0, "x0", ge=0)
+    tau = as_real(tau, "tau", gt=0)
     return lambda t: x0 / (1.0 + t / tau)
 
 
@@ -152,8 +152,8 @@ def q_learning(
     maximizer, as argmax picks it. An update that leaves a Q value NaN or
     infinite raises NumericalError naming the training step."""
     _require_enumerable(env)
-    if episodes < 1 or horizon < 1:
-        raise ConfigError("episodes and horizon must be >= 1")
+    episodes = as_count(episodes, "episodes", 1)
+    horizon = as_count(horizon, "horizon", 1)
     if episodes * horizon > Q_LEARNING_STEP_BUDGET:
         raise ConfigError(f"{episodes} x {horizon} training steps exceed {Q_LEARNING_STEP_BUDGET}")
     alpha = alpha if alpha is not None else hyperbolic_schedule(ALPHA0_DEFAULT)
@@ -328,8 +328,7 @@ def mpc_plan(
     states' best values `MPC_BLOCK_EDGES` edges at a time, so its memory is
     one block.
     """
-    if horizon < 1:
-        raise ConfigError("horizon must be >= 1")
+    horizon = as_count(horizon, "horizon", 1)
     if not isinstance(model, DeterministicModel):
         raise ConfigError(f"cannot plan over model type {type(model).__name__}")
     if exo_trajectory is None:

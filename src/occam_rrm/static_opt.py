@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import as_real
 from .envs.types import ChannelMatrix
 from .errors import ConfigError, NumericalError
 
@@ -54,11 +55,9 @@ def water_fill(gains, noise: float, total_power: float) -> PowerAllocation:
     inverse effective gain sits above the water level stay off (KKT).
     """
     gains = np.asarray(gains, dtype=float)
-    # written so that NaN fails each test
-    if not 0 < total_power < math.inf:
-        raise ConfigError(f"total_power must be finite and > 0, got {total_power}")
-    if not 0 < noise < math.inf:
-        raise ConfigError(f"noise must be finite and > 0, got {noise}")
+    total_power = as_real(total_power, "total_power", gt=0)
+    noise = as_real(noise, "noise", gt=0)
+    # written so that NaN fails the test
     if not ((gains >= 0) & (gains < math.inf)).all():
         raise ConfigError("gains must be finite and nonnegative")
     active = gains > 0
@@ -108,8 +107,7 @@ def rzf_precoder(H: ChannelMatrix, power_budget: float, loading: float | None = 
     """Regularized zero-forcing: W proportional to H^H (H H^H + loading I)^-1,
     scaled so the budget is met with equality. Default loading is
     n_users * noise / power_budget."""
-    if power_budget <= 0:
-        raise ConfigError(f"power_budget must be > 0, got {power_budget}")
+    power_budget = as_real(power_budget, "power_budget", gt=0)
     E = H.entries
     if not np.any(E):
         raise ConfigError("channel matrix is zero")
@@ -246,8 +244,7 @@ def mmse_precoder(
     and seeded random draws) and the best fixed point is kept. Deterministic
     given the seed.
     """
-    if power_budget <= 0:
-        raise ConfigError(f"power_budget must be > 0, got {power_budget}")
+    power_budget = as_real(power_budget, "power_budget", gt=0)
     E = H.entries
     if not np.any(E):
         raise ConfigError("channel matrix is zero")

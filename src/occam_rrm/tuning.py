@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bandits import GpSurrogate, ucb_scores
-from .config import build_from_config, check_keys
+from .config import as_count, as_real, build_from_config, check_keys
 from .core import discounted_return, run_episode
 from .envs import make_env
 from .errors import ConfigError
@@ -129,8 +129,7 @@ def evaluate_policy(
     at theta, on an env kind that solver supports. Episode i always uses the
     seed derived from (seed, i), never from theta, so evaluations at
     different theta share their noise (common random numbers)."""
-    if n_episodes < 1:
-        raise ConfigError("n_episodes must be >= 1")
+    n_episodes = as_count(n_episodes, "n_episodes", 1)
     if policy.family not in FAMILIES:
         raise ConfigError(f"unknown policy family {policy.family!r}; known: {sorted(FAMILIES)}")
     overrides, solver, solver_cfg = FAMILIES[policy.family](policy.theta)
@@ -257,10 +256,8 @@ def bo_tune(
     linear matrix scramble and digital shift (`sobol.scrambled_sobol`), so
     it supports at most 16 dimensions; more raise ConfigError before any
     evaluation. Beyond 2 dimensions the candidates are 512 Sobol' points."""
-    if budget < 2:
-        raise ConfigError("budget must be >= 2")
-    if kappa < 0:
-        raise ConfigError("kappa must be nonnegative")
+    budget = as_count(budget, "budget", 2)
+    kappa = as_real(kappa, "kappa", ge=0)
     bounds = _check_bounds(bounds)
     dim = len(bounds)
     lows = np.array([lo for lo, _ in bounds])

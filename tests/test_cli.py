@@ -2,6 +2,7 @@
 and the three SVG renderers."""
 
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -16,7 +17,6 @@ import pytest
 import occam_rrm
 from occam_rrm import cli, planning
 from occam_rrm.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from occam_rrm.config import config_keys
 from occam_rrm.envs import ENVS
 from occam_rrm.errors import ConfigError, PlotDataError
 from occam_rrm.experiments import SOLVERS, ExperimentConfig, run_experiment, sweep
@@ -279,7 +279,9 @@ CHEAP_SOLVER = {
     "admission_control": "accept-all",
 }
 WRONG_TYPED = [
-    (kind, key) for kind in CHEAP_SOLVER for key in sorted(config_keys(ENVS[kind])[0])
+    (kind, key)
+    for kind in CHEAP_SOLVER
+    for key in sorted(inspect.signature(ENVS[kind]).parameters)
 ]
 
 
@@ -426,7 +428,7 @@ REQUIRED_SOLVER_VALUES = {"budget_per_step": 2, "mcs": 1, "thresholds": [0, 2]}
 WRONG_TYPED_SOLVER = [
     (name, key)
     for name, spec in SOLVERS.items()
-    for key in sorted(config_keys(spec.agent, ("env", "seed"))[0])
+    for key in sorted(set(inspect.signature(spec.agent).parameters) - {"env", "seed"})
 ]
 
 
@@ -434,7 +436,8 @@ WRONG_TYPED_SOLVER = [
                          ids=[f"{n}.{key}" for n, key in WRONG_TYPED_SOLVER])
 def test_wrong_typed_solver_value_exits_config_without_traceback(tmp_path, capsys, name, key):
     spec = SOLVERS[name]
-    required = config_keys(spec.agent, ("env", "seed"))[1]
+    params = inspect.signature(spec.agent).parameters.values()
+    required = {p.name for p in params if p.default is p.empty} - {"env", "seed"}
     solver_cfg = {k: REQUIRED_SOLVER_VALUES[k] for k in required}
     solver_cfg[key] = "abc"
     cfg = write_config(tmp_path / "cfg.json", {

@@ -5,6 +5,7 @@ stderr line, `config error: ...` or `runtime error: ...`; and a run or
 sweep that succeeds writes only finite metrics."""
 
 import csv
+import inspect
 import json
 import math
 import resource
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 
 import occam_rrm
 from occam_rrm.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from occam_rrm.config import config_keys
 from occam_rrm.envs import ENVS
 from occam_rrm.experiments import SOLVERS, ExperimentConfig
 
@@ -42,14 +42,20 @@ BASE_ENV = {"tabular": {"transition": [[[1.0]]], "reward": [[1.0]]}}
 BASE_SOLVER = {"budget_per_step": 2, "mcs": 1, "thresholds": [0, 2],
                "train_episodes": 2, "train_horizon": 5, "plan_horizon": 2}
 
+
+
+def config_keys(fn) -> list:
+    """The config keys of an env constructor or solver row: its parameters
+    other than the env and seed a row is given."""
+    return sorted(set(inspect.signature(fn).parameters) - {"env", "seed"})
+
+
 # (domain, env kind or solver, key, nested field, base of the nested dict)
-ENV_CASES = [
-    ("env", kind, key, None, None) for kind in ENVS for key in sorted(config_keys(ENVS[kind])[0])
-]
+ENV_CASES = [("env", kind, key, None, None) for kind in ENVS for key in config_keys(ENVS[kind])]
 SOLVER_CASES = [
     ("solver", name, key, None, None)
     for name, spec in SOLVERS.items()
-    for key in sorted(config_keys(spec.agent, ("env", "seed"))[0])
+    for key in config_keys(spec.agent)
 ]
 # Each field of a nested dict, under a base that is valid without it.
 NESTED_CASES = [
@@ -79,7 +85,7 @@ def case_config(domain, target, key, field, base, value, out) -> dict:
         solver = {"name": CHEAP_SOLVER[target]}
     else:
         spec = SOLVERS[target]
-        accepted = config_keys(spec.agent, ("env", "seed"))[0]
+        accepted = config_keys(spec.agent)
         env = {"env": spec.envs[-1]}
         solver_cfg = {k: v for k, v in BASE_SOLVER.items() if k in accepted}
         solver = {"name": target, "config": {**solver_cfg, key: value}}
@@ -120,6 +126,12 @@ def run_case(tmp_path, capsys, case, value, jobs):
 
 
 CASES = ENV_CASES + SOLVER_CASES + NESTED_CASES
+
+
+def test_every_config_key_is_a_case():
+    # 53 env keys, 19 solver keys and 18 nested fields: a key added or
+    # dropped changes the count
+    assert (len(ENV_CASES), len(SOLVER_CASES), len(NESTED_CASES)) == (53, 19, 18)
 
 
 def case_id(case) -> str:
@@ -245,6 +257,37 @@ def test_any_value_keeps_the_error_contract_in_a_pool(tmp_path, capsys, case, va
     run_case(tmp_path, capsys, case, value, jobs=2)
 
 
+# Every count key, as (domain, env kind or solver, key). Each once
+# truncated a float, kept it, or read true as 1.
+COUNT_KEYS = [("env", kind, key) for kind, key in [
+    ("scheduling", "n_users"), ("beamforming", "n_beams"), ("handover", "n_cells"),
+    ("power_control", "n_channels"), ("energy_saving", "n_resources"),
+    ("link_adaptation", "n_mcs"), ("power_control", "coherence"),
+    ("energy_saving", "activation_delay"), ("handover", "pingpong_window"),
+    ("tabular", "initial_state"),
+]] + [("solver", name, key) for name, key in [
+    ("fixed-mcs", "mcs"), ("mro", "time_to_trigger"), ("knn-tracker", "budget_per_step"),
+    ("bo-tracker", "budget_per_step"), ("bo-tracker", "window"),
+    ("mpc-energy", "plan_horizon"), ("q-learning", "train_episodes"),
+    ("q-learning", "train_horizon"),
+]]
+
+
+@pytest.mark.parametrize("value", [2.5, 4.0, True], ids=["2.5", "4.0", "true"])
+@pytest.mark.parametrize("domain,target,key", COUNT_KEYS,
+                         ids=[f"{target}.{key}" for _, target, key in COUNT_KEYS])
+def test_a_count_refuses_a_float_and_a_bool(tmp_path, capsys, domain, target, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(case_config(domain, target, key, None, None, value,
+                                           tmp_path / "out")))
+    capsys.readouterr()
+    code = main(["run", str(path), "--jobs", "1", "--quiet"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and len(err.splitlines()) == 1, (code, err)
+    assert err.startswith("config error:") and "must be an integer >= " in err, err
+    assert not (tmp_path / "out").exists()
+
+
 NAN = float("nan")
 BO = {"budget_per_step": 2}
 # (env kind, env config, solver, solver config): each once exited 0, ran
@@ -299,6 +342,9 @@ REPROS = {
     "q-learning.reward_noise_std=1e308":
         ("tabular", {**BASE_ENV["tabular"], "reward_noise_std": 1e308}, "q-learning", {}),
     "scheduling.never-served-user": ("scheduling", {"n_users": 4}, "max-rate", {}),
+    # a window of 2.5 once ran as 2 points, and one of 1e308 as unbounded
+    "bo-tracker.window=2.5": ("beamforming", {}, "bo-tracker", {**BO, "window": 2.5}),
+    "bo-tracker.window=1e308": ("beamforming", {}, "bo-tracker", {**BO, "window": 1e308}),
 }
 # Top-level keys a repro sets besides env and solvers: over three steps
 # max-rate serves at most three of four users, and the scheduling profile
@@ -311,7 +357,8 @@ Q_LEARNING_OVERFLOW = ["q-learning.value-overflow", "q-learning.reward_noise_std
 REFUSED_AT_ONCE = {"illa-olla.step_up=1e308", "power_control.mean_gain=-1",
                    "admission_control.discount=1.0", "admission_control.discount=-0.1",
                    "illa-olla.s50 with equal thresholds", "admission_control.capacity=200",
-                   "admission_control.capacity=999"}
+                   "admission_control.capacity=999", "bo-tracker.window=2.5",
+                   "bo-tracker.window=1e308"}
 # Top-level keys over a 20-step illa-olla run, each refused with exit 2
 # within a second: the seed list once took hours to build, the run never
 # ended, a float horizon ended in a traceback, and a label matched its

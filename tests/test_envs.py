@@ -337,7 +337,7 @@ def test_sc_reward_is_utility_increment():
 
 def test_es_sinusoid_period_must_be_positive():
     # period 0 used to end in a ZeroDivisionError at the first step
-    with pytest.raises(ConfigError, match="traffic period must be > 0"):
+    with pytest.raises(ConfigError, match=r"^traffic period must lie in \(0, inf\), got 0\.0$"):
         EnergySavingEnv(traffic={"kind": "sinusoid", "period": 0})
     EnergySavingEnv(traffic={"kind": "constant", "period": 0})  # constant ignores it
 
@@ -812,6 +812,51 @@ def test_step_before_reset_is_refused(kind):
     env = make_env({"env": kind, **REQUIRED_KEYS.get(kind, {})})
     with pytest.raises(ConfigError, match=rf"^{env.name} env stepped before reset\(seed\)$"):
         env.step(0)
+
+
+# Each scalar parameter of each env kind, as (kind, key, None, None), and
+# each scalar field of a nested dict, as (kind, key, base of the dict, field).
+SCALARS = [(kind, key, None, None) for kind, keys in {
+    "link_adaptation": ("n_mcs", "bler_slope", "sinr_mean", "ar_coeff", "innovation_std",
+                        "report_noise_std"),
+    "power_control": ("n_channels", "total_power", "noise", "coherence", "mean_gain"),
+    "beamforming": ("n_beams", "ue_speed", "spatial_corr", "temporal_corr", "measure_cost",
+                    "mean_rsrp", "rsrp_std", "speed_to_corr"),
+    "scheduling": ("n_users", "ewma_alpha"),
+    "energy_saving": ("n_resources", "activation_delay", "qos_threshold", "qos_weight",
+                      "energy_weight"),
+    "handover": ("n_cells", "noise_std", "rlf_threshold", "pingpong_window", "hysteresis"),
+    "admission_control": ("capacity", "safety_margin", "qos_penalty", "discount"),
+    "tabular": ("discount", "initial_state", "reward_noise_std"),
+}.items() for key in keys] + [
+    (kind, key, base, field) for kind, key, base, fields in [
+        ("energy_saving", "traffic", {"kind": "sinusoid"},
+         ("base", "amplitude", "period", "noise_std")),
+        ("energy_saving", "traffic", {"trace": [1.0]}, ("noise_std",)),
+        ("handover", "model", {"kind": "crossing"}, ("period", "near_rsrp", "far_rsrp")),
+        ("admission_control", "classes",
+         {"arrival_rate": 0.1, "departure_rate": 0.01, "reward": 1},
+         ("arrival_rate", "departure_rate", "demand", "reward", "reject_penalty",
+          "delay_penalty", "blocked_penalty")),
+    ] for field in fields
+]
+
+
+def scalar_id(kind, key, base, field) -> str:
+    name = f"{kind}.{key}" if field is None else f"{kind}.{key}.{field}"
+    return name + ("[trace]" if base and "trace" in base else "")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("kind,key,base,field", SCALARS, ids=[scalar_id(*s) for s in SCALARS])
+def test_a_direct_constructor_call_refuses_a_non_finite_scalar(kind, key, base, field, value):
+    # A config refuses these in check_config. A direct call once took NaN
+    # past `x <= 0` checks, or raised ValueError or OverflowError.
+    if field is not None:
+        value = {**base, field: value}
+        value = [value] if key == "classes" else value
+    with pytest.raises(ConfigError, match=f"{field or key} must "):
+        ENVS[kind](**{**REQUIRED_KEYS.get(kind, {}), key: value})
 
 
 @pytest.mark.parametrize("read,verb", [

@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from occam_rrm import cli, config, experiments
-from occam_rrm.config import config_keys
 from occam_rrm.envs import ENVS, make_env
 from occam_rrm.errors import ConfigError, InvalidActionError, NumericalError
 from occam_rrm.experiments import (
@@ -977,10 +976,17 @@ SOLVER_KEYS = {
 }
 
 
+def signature_keys(fn, given=()) -> tuple[set, set]:
+    """(accepted, required) config keys of `fn`, read from its signature:
+    its parameters other than those named in `given`."""
+    params = [p for p in inspect.signature(fn).parameters.values() if p.name not in given]
+    return {p.name for p in params}, {p.name for p in params if p.default is p.empty}
+
+
 def test_env_config_keys_are_pinned():
     assert set(ENVS) == set(ENV_KEYS)
     for kind, keys in ENV_KEYS.items():
-        assert config_keys(ENVS[kind]) == (keys, REQUIRED_ENV_KEYS.get(kind, set())), kind
+        assert signature_keys(ENVS[kind]) == (keys, REQUIRED_ENV_KEYS.get(kind, set())), kind
         with pytest.raises(ConfigError, match=f"unknown {kind} config keys: \\['bogus'\\]"):
             make_env({"env": kind, "bogus": 1})
     with pytest.raises(ConfigError, match="missing required key 'reward'"):
@@ -1009,7 +1015,7 @@ def test_solver_config_keys_are_pinned():
     assert set(SOLVERS) == set(SOLVER_KEYS)
     for name, keys in SOLVER_KEYS.items():
         spec = SOLVERS[name]
-        assert config_keys(spec.agent, ("env", "seed")) == keys, name
+        assert signature_keys(spec.agent, ("env", "seed")) == keys, name
         accepted, required = keys
         env_cfg = {"env": spec.envs[-1]}
         full = {key: None for key in accepted}
