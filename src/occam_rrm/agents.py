@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import planning
-from .bandits import _arm_values, _illa_pick, _illa_table, _thompson_pick
-from .config import as_count, as_real
+from .bandits import _illa_pick, _thompson_pick
+from .config import as_count, as_real, as_reals
 from .core import EpisodeLog, run_episode
 from .envs.beamforming import SERVE_BEST, BeamAction
 from .envs.energy import OFF, es_transition_batch
@@ -32,7 +32,10 @@ class IllaOllaAgent:
 
     def __init__(self, lookup, step_up: float, target_bler: float):
         target_bler = as_real(target_bler, "target_bler", gt=0, lt=1)
-        self.lookup = _illa_table(lookup)  # checked once, here
+        lookup = as_reals(lookup, "lookup")  # checked once, here
+        if np.any(np.diff(lookup) <= 0):
+            raise ConfigError("lookup thresholds must be strictly increasing")
+        self.lookup = lookup.tolist()
         self.step_up = as_real(step_up, "step_up", gt=0)
         self.step_down = as_real(self.step_up * (1.0 - target_bler) / target_bler,
                                  "step_down = step_up * (1 - target_bler) / target_bler", gt=0)
@@ -51,7 +54,7 @@ class ThompsonMcsAgent:
     uniform; picks the throughput maximizer under sampled success rates."""
 
     def __init__(self, rates):
-        self.rates = _arm_values(rates)  # checked once, here
+        self.rates = as_reals(rates, "rates", ge=0).tolist()  # checked once, here
 
     def reset(self, seed):
         self.rng = np.random.default_rng(seed)
@@ -265,15 +268,11 @@ class TrunkAgent:
     admitted while the bandwidth left after it covers thresholds[k]."""
 
     def __init__(self, env, thresholds):
-        self.thresholds = np.asarray(thresholds, dtype=float)
         self.demands = [c["demand"] for c in env.classes]
-        if len(self.thresholds) != len(self.demands):
-            raise ConfigError("one threshold per priority class required")
+        self.thresholds = as_reals(thresholds, "thresholds", (len(self.demands),), ge=0)
         # rank 0 = highest priority = smallest reserve, so entries grow with rank
         if np.any(np.diff(self.thresholds) < 0):
             raise ConfigError("thresholds must not decrease with priority rank")
-        if np.any(self.thresholds < 0):
-            raise ConfigError("thresholds must be nonnegative")
 
     def act(self, obs):
         free = float(obs["capacity"]) - float(obs["used"])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import as_count, as_real, check_keys
+from .config import as_count, as_real, as_reals, check_keys
 from .core import EpisodeLog, run_episode
 from .errors import ConfigError, GpNumericalError
 from .envs.beamforming import BeamAction
@@ -26,44 +26,22 @@ def thompson_select(alpha, beta, values, rng) -> int:
     """Sample each arm's success probability from its Beta(alpha, beta)
     posterior, in arm order, and pick the arm maximizing sampled probability
     times its value. Ties break to the lowest index."""
-    values = _arm_values(values)
-    if len(values) != len(alpha) or len(beta) != len(alpha):
-        raise ConfigError("one value per arm required")
-    if min(alpha) <= 0 or min(beta) <= 0:
-        raise ConfigError("Beta parameters must be positive")
-    return _thompson_pick(alpha, beta, values, rng)
-
-
-def _arm_values(values) -> list:
-    """`values` as a list of floats, after the checks thompson_select makes."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or len(values) == 0:
-        raise ConfigError("need one value per arm, and at least one arm")
-    if not np.all(values >= 0):
-        raise ConfigError("arm values must be nonnegative")
-    return values.tolist()
+    values = as_reals(values, "values", ge=0)
+    alpha = as_reals(alpha, "alpha", values.shape, gt=0)
+    beta = as_reals(beta, "beta", values.shape, gt=0)
+    return _thompson_pick(alpha.tolist(), beta.tolist(), values.tolist(), rng)
 
 
 def _thompson_pick(alpha, beta, values, rng) -> int:
-    """thompson_select on arms _arm_values checked, alpha and beta positive."""
+    """thompson_select on checked arms: values nonnegative, alpha and beta positive."""
     scores = [v * rng.beta(a, b) for v, a, b in zip(values, alpha, beta)]
     return scores.index(max(scores))
 
 
 # ---------------------------------------------------------------- ILLA lookup
 
-def _illa_table(lookup) -> list:
-    """`lookup` as a list of floats, checked nonempty, 1-D and strictly increasing."""
-    lookup = np.asarray(lookup, dtype=float)
-    if lookup.ndim != 1 or len(lookup) == 0:
-        raise ConfigError("lookup must be a nonempty 1-D threshold table")
-    if not np.all(np.diff(lookup) > 0):
-        raise ConfigError("lookup thresholds must be strictly increasing")
-    return lookup.tolist()
-
-
 def _illa_pick(sinr_report: float, offset: float, lookup: list) -> int:
-    """Highest MCS whose threshold in `lookup` (checked by _illa_table) is
+    """Highest MCS whose threshold in `lookup` (strictly increasing) is
     <= the offset-corrected report; the boundary is inclusive, and reports
     below every threshold map to MCS 0."""
     return max(bisect_right(lookup, sinr_report + offset) - 1, 0)
@@ -87,9 +65,7 @@ class GpSurrogate:
     max_points: int | None = None
 
     def __post_init__(self):
-        self.length_scales = np.atleast_1d(np.asarray(self.length_scales, dtype=float))
-        if np.any(self.length_scales <= 0):
-            raise ConfigError("length scales must be positive")
+        self.length_scales = as_reals(np.atleast_1d(self.length_scales), "length scales", gt=0)
         self.signal_var = as_real(self.signal_var, "signal_var", gt=0)
         self.prior_mean = as_real(self.prior_mean, "prior_mean")
         if self.max_points is not None:
@@ -217,7 +193,7 @@ class BoTrackerAgent:
             length_scales=np.asarray(kernel.get("length_scales", (2.0, 10.0)), dtype=float),
             signal_var=kernel.get("signal_var", getattr(env, "rsrp_std", 10.0) ** 2),
             prior_mean=kernel.get("prior_mean", getattr(env, "mean_rsrp", 0.0)),
-            max_points=window,
+            max_points=as_count(window, "window", 1),
         )
         self.env = env
         self.reset(0)  # a bad kernel or window fails here, not at the first step

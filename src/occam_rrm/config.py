@@ -1,11 +1,11 @@
 """Config dicts checked against the keyword signature that consumes them,
-and the two rules every scalar parameter is checked by.
+and the rules every parameter is checked by.
 
 A constructor's keyword parameters are the one definition of its config:
 their names are the accepted keys, their defaults the defaults, and a
 parameter without a default is a required key. No value may hold NaN or
 Infinity, which JSON configs may carry and no parameter takes. A count
-passes `as_count`, a real `as_real`.
+passes `as_count`, a real `as_real` and an array of reals `as_reals`.
 """
 
 from __future__ import annotations
@@ -44,6 +44,21 @@ def as_real(value, name: str, *, gt=None, ge=None, lt=None, le=None) -> float:
     low = f"({gt:g}" if gt is not None else f"[{ge:g}" if ge is not None else "(-inf"
     high = f"{lt:g})" if lt is not None else f"{le:g}]" if le is not None else "inf)"
     raise ConfigError(f"{name} must lie in {low}, {high}, got {x!r}")
+
+
+def as_reals(value, name: str, shape=(None,), *, gt=None, ge=None, lt=None, le=None) -> np.ndarray:
+    """np.asarray(value, dtype=float), which must have `shape` (a None
+    dimension takes any nonzero length; by default any nonempty 1-D array)
+    and whose entries must each pass `as_real`'s rule, as in "weights needs
+    shape (4,), got (3,)" and "capacity entries must lie in [0, inf), got nan"."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim != len(shape) or not all(
+            n > 0 if want is None else n == want for n, want in zip(arr.shape, shape)):
+        raise ConfigError(f"{name} needs shape {shape}, got {arr.shape}")
+    # min and max carry any NaN, and an interval holds every entry once it holds both
+    for x in (arr.min(), arr.max()):
+        as_real(x, f"{name} entries", gt=gt, ge=ge, lt=lt, le=le)
+    return arr
 
 
 @functools.lru_cache(maxsize=256)

@@ -11,7 +11,7 @@ from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import as_count, as_real
+from .config import as_count, as_real, as_reals
 from .errors import ConfigError, InvalidActionError, MissingDiagnosticError, NumericalError
 from .rng import STREAM_POLICY, derive_seed
 
@@ -43,22 +43,13 @@ class TabularMdp:
     discount: float = DEFAULT_DISCOUNT
 
     def __post_init__(self):
-        self.transition = np.asarray(self.transition, dtype=float)
-        self.reward = np.asarray(self.reward, dtype=float)
         self.n_states = as_count(self.n_states, "n_states", 1)
         self.n_actions = as_count(self.n_actions, "n_actions", 1)
         self.discount = as_real(self.discount, "discount", ge=0, lt=1)
-        if self.transition.shape != (self.n_states, self.n_actions, self.n_states):
-            raise ConfigError(
-                f"transition shape {self.transition.shape} != "
-                f"{(self.n_states, self.n_actions, self.n_states)}"
-            )
-        if self.reward.shape != (self.n_states, self.n_actions):
-            raise ConfigError(
-                f"reward shape {self.reward.shape} != {(self.n_states, self.n_actions)}"
-            )
-        if np.any(self.transition < -_ROW_SUM_TOL):
-            raise ConfigError("transition probabilities must be nonnegative")
+        shape = (self.n_states, self.n_actions)
+        self.transition = as_reals(self.transition, "transition", (*shape, self.n_states),
+                                   ge=-_ROW_SUM_TOL)
+        self.reward = as_reals(self.reward, "reward", shape)
         row_sums = self.transition.sum(axis=2)
         bad = np.abs(row_sums - 1.0) > _ROW_SUM_TOL
         if np.any(bad):
@@ -66,8 +57,6 @@ class TabularMdp:
             raise ConfigError(
                 f"transition row (state={s}, action={a}) sums to {row_sums[s, a]!r}"
             )
-        if not np.all(np.isfinite(self.reward)):
-            raise ConfigError("reward table must be finite")
 
 
 class StepOutcome(NamedTuple):

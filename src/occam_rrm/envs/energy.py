@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import as_count, as_real, check_keys
+from ..config import as_count, as_real, as_reals, check_keys
 from ..core import StepOutcome
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STREAM_EXOGENOUS, scalars
@@ -120,11 +120,7 @@ class EnergySavingEnv(RrmEnv):
         self._trace = None
         if "trace" in traffic:
             check_keys(traffic, ("trace", "noise_std"), (), "traffic")
-            self._trace = np.asarray(traffic["trace"], dtype=float)
-            if self._trace.ndim != 1 or self._trace.size == 0:
-                raise ConfigError("traffic trace must be a nonempty 1-D sequence")
-            if np.any(self._trace < 0):
-                raise ConfigError("traffic trace must be nonnegative")
+            self._trace = as_reals(traffic["trace"], "traffic trace", ge=0)
             self._trace_noise = as_real(traffic.get("noise_std", 0.0), "traffic noise_std", ge=0)
         else:
             check_keys(traffic, _DEFAULT_TRAFFIC, (), "traffic")
@@ -142,14 +138,9 @@ class EnergySavingEnv(RrmEnv):
         self.energy_weight = as_real(energy_weight, "energy_weight")
 
     def _per_resource(self, value, name) -> np.ndarray:
-        arr = np.asarray(value, dtype=float)
-        if arr.ndim == 0:
-            arr = np.full(self.n_resources, arr)
-        if arr.shape != (self.n_resources,):
-            raise ConfigError(f"{name} needs one entry per resource")
-        if np.any(arr < 0):
-            raise ConfigError(f"{name} entries must be nonnegative")
-        return arr
+        if np.ndim(value) == 0:
+            value = np.full(self.n_resources, value, dtype=float)
+        return as_reals(value, name, (self.n_resources,), ge=0)
 
     def traffic_at(self, t: int) -> float:
         """Offered load at step t; pure in t, so predictors may peek ahead."""

@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 
-from ..config import as_count, as_real, check_keys
+from ..config import as_count, as_real, as_reals, check_keys
 from ..core import StepOutcome
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STEP_BLOCK, STREAM_EXOGENOUS
@@ -66,11 +66,7 @@ class HandoverEnv(RrmEnv):
         self._trace = None
         if kind == "trace":
             check_keys(model, ("kind", "values"), ("values",), "model")
-            self._trace = np.asarray(model["values"], dtype=float)
-            if self._trace.ndim != 2 or self._trace.shape[1] != self.n_cells:
-                raise ConfigError(
-                    f"trace shape {self._trace.shape} != (n_steps, {self.n_cells})"
-                )
+            self._trace = as_reals(model["values"], "model values", (None, self.n_cells))
             self._true_rsrp = partial(np.take, self._trace, axis=0, mode="wrap")
         elif kind == "crossing":
             check_keys(model, _DEFAULT_MODEL, (), "model")

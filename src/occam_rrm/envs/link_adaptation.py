@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..config import as_real
+from ..config import as_real, as_reals
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STREAM_ACTION, STREAM_EXOGENOUS, scalars
 from .base import RrmEnv
@@ -47,10 +47,8 @@ class LinkAdaptEnv(RrmEnv):
             rates = 0.5 * (1 + np.arange(self.n_mcs))
         if s50 is None:
             s50 = np.linspace(0.0, 14.0, self.n_mcs)
-        self.rates = np.asarray(rates, dtype=float)
-        self.s50 = np.asarray(s50, dtype=float)
-        if self.rates.shape != (self.n_mcs,) or self.s50.shape != (self.n_mcs,):
-            raise ConfigError("rates and s50 must have one entry per MCS")
+        self.rates = as_reals(rates, "rates", (self.n_mcs,))
+        self.s50 = as_reals(s50, "s50", (self.n_mcs,))
         if np.any(np.diff(self.rates) <= 0):
             raise ConfigError("rates must be strictly increasing with MCS index")
         if np.any(np.diff(self.s50) < 0):

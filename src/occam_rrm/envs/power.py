@@ -8,9 +8,9 @@ from functools import partial
 
 import numpy as np
 
-from ..config import as_count, as_real
+from ..config import as_count, as_real, as_reals
 from ..core import StepOutcome
-from ..errors import ConfigError, InvalidActionError
+from ..errors import InvalidActionError
 from ..rng import STEP_BLOCK, STREAM_EXOGENOUS, exponential
 from .base import RrmEnv
 
@@ -29,12 +29,8 @@ class PowerEnv(RrmEnv):
         if fixed_gains is None:
             self.fixed_gains = None
         else:
-            # shared by every observation, so a read-only copy
-            self.fixed_gains = np.array(fixed_gains, dtype=float)
-            if self.fixed_gains.shape != (self.n_channels,):
-                raise ConfigError("fixed_gains must list one gain per channel")
-            if np.any(self.fixed_gains < 0):
-                raise ConfigError("fixed_gains must be nonnegative")
+            gains = as_reals(fixed_gains, "fixed_gains", (self.n_channels,), ge=0)
+            self.fixed_gains = gains.copy()  # shared by every observation, so read-only
             self.fixed_gains.flags.writeable = False
 
     def _gains(self, t: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from functools import partial
 
 import numpy as np
 
-from ..config import as_real
+from ..config import as_real, as_reals
 from ..core import StepOutcome
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STEP_BLOCK, STREAM_EXOGENOUS, exponential
@@ -34,27 +34,18 @@ class SchedulingEnv(RrmEnv):
         self.n_users = self.size("n_users", n_users, 2, lambda n: STEP_BLOCK * n)
         if mean_efficiency is None:
             mean_efficiency = np.ones(self.n_users)
-        self.mean_efficiency = np.asarray(mean_efficiency, dtype=float)
-        if self.mean_efficiency.shape != (self.n_users,):
-            raise ConfigError("mean_efficiency needs one entry per user")
-        if np.any(self.mean_efficiency <= 0):
-            raise ConfigError("mean_efficiency entries must be > 0")
+        self.mean_efficiency = as_reals(mean_efficiency, "mean_efficiency", (self.n_users,), gt=0)
         if fading not in ("exponential", "none"):
             raise ConfigError(f"unknown fading model {fading!r}")
         self._mean_row = self.mean_efficiency.copy()
         self._mean_row.flags.writeable = False
         self.fading = fading
         self.full_buffer = arrival_rates is None
-        self.arrival_rates = None if self.full_buffer else np.asarray(arrival_rates, dtype=float)
-        if not self.full_buffer:
-            if self.arrival_rates.shape != (self.n_users,):
-                raise ConfigError("arrival_rates needs one entry per user")
-            if np.any(self.arrival_rates < 0):
-                raise ConfigError("arrival_rates entries must be >= 0")
+        self.arrival_rates = (None if self.full_buffer else
+                              as_reals(arrival_rates, "arrival_rates", (self.n_users,), ge=0))
         self.ewma_alpha = as_real(ewma_alpha, "ewma_alpha", gt=0, le=1)
-        self.weights = np.asarray(np.ones(self.n_users) if weights is None else weights, dtype=float)
-        if self.weights.shape != (self.n_users,):
-            raise ConfigError("weights needs one entry per user")
+        self.weights = as_reals(np.ones(self.n_users) if weights is None else weights,
+                                "weights", (self.n_users,))
         self._thr_keys = [f"thr_{u}" for u in range(self.n_users)]
 
     def _efficiency_row(self, t: int) -> np.ndarray:

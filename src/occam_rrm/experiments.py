@@ -68,7 +68,8 @@ def _mpc_energy(env, predictor="oracle", plan_horizon=5, discount=1.0):
         forecast = agents.es_persistence_predictor()
     else:
         raise ConfigError(f"unknown predictor {predictor!r}; known: ['oracle', 'persistence']")
-    return agents.MpcEnergyAgent(env, forecast, horizon=plan_horizon, discount=discount)
+    horizon = as_count(plan_horizon, "plan_horizon", 1)
+    return agents.MpcEnergyAgent(env, forecast, horizon=horizon, discount=discount)
 
 
 def _value_iteration(env, tol=1e-8):
@@ -84,7 +85,9 @@ def _value_iteration(env, tol=1e-8):
 
 
 def _q_learning(env, seed, train_episodes=100, train_horizon=200):
-    qt = q_learning(env, episodes=train_episodes, horizon=train_horizon, seed=derive_seed(seed, 7))
+    episodes = as_count(train_episodes, "train_episodes", 1)
+    horizon = as_count(train_horizon, "train_horizon", 1)
+    qt = q_learning(env, episodes=episodes, horizon=horizon, seed=derive_seed(seed, 7))
     return agents.TablePolicyAgent(env, qt.greedy_policy())
 
 

@@ -33,6 +33,18 @@ def _check_bounds(bounds) -> tuple:
     return bounds
 
 
+def _check_theta(theta, bounds: tuple, name: str) -> tuple:
+    """`theta` as floats, refused unless it has one component per bound, at
+    least one, and each component lies inside its bound."""
+    theta = tuple(float(x) for x in theta)
+    if not theta or len(theta) != len(bounds):
+        raise ConfigError(f"{name} has {len(theta)} components for {len(bounds)} bounds")
+    for x, (lo, hi) in zip(theta, bounds):
+        if not lo <= x <= hi:
+            raise ConfigError(f"{name} component {x} outside [{lo}, {hi}]")
+    return theta
+
+
 @dataclass(frozen=True)
 class ParamPolicy:
     """A policy family member: family name plus a parameter vector inside
@@ -44,15 +56,9 @@ class ParamPolicy:
     bounds: tuple
 
     def __post_init__(self):
-        theta = tuple(float(x) for x in self.theta)
         bounds = _check_bounds(self.bounds)
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "theta", _check_theta(self.theta, bounds, "theta"))
         object.__setattr__(self, "bounds", bounds)
-        if len(theta) != len(bounds):
-            raise ConfigError("theta and bounds must have matching dimensions")
-        for x, (lo, hi) in zip(theta, bounds):
-            if not lo <= x <= hi:
-                raise ConfigError(f"theta component {x} outside [{lo}, {hi}]")
 
 
 @dataclass
@@ -172,15 +178,8 @@ def nelder_mead(objective, theta0, bounds, max_evals: int = 200, tol: float = 1e
     coefficients; candidate points are projected into the bounds. Stops on
     simplex diameter < tol, or flags truncation at the eval budget."""
     bounds = _check_bounds(bounds)
+    theta0 = _check_theta(theta0, bounds, "theta0")
     dim = len(theta0)
-    if dim < 1:
-        raise ConfigError("need at least one dimension")
-    if len(bounds) != dim:
-        raise ConfigError(f"theta0 has {dim} components for {len(bounds)} bounds")
-    for x, (lo, hi) in zip(theta0, bounds):
-        if not lo <= x <= hi:
-            raise ConfigError(f"theta0 component {x} outside [{lo}, {hi}]")
-    theta0 = tuple(float(x) for x in theta0)
     evaluations = []
 
     def f(theta):

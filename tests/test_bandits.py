@@ -364,7 +364,7 @@ def test_tracker_budget_validated():
     ({"kappa": -1.0}, "kappa"),
     ({"kernel": {"length_scale": 1.0}}, "kernel keys"),
     ({"kernel": {"length_scales": (0.0, 1.0)}}, "length scales"),
-    ({"window": 0}, "max_points"),
+    ({"window": 0}, "window"),
 ])
 def test_tracker_agent_checks_config_when_built(kwargs, fragment):
     # an unreset env: nothing may be stepped or measured to find the error

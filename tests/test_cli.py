@@ -479,6 +479,24 @@ def test_degenerate_solver_input_exits_config(tmp_path, capsys, env, solver):
     assert err.startswith("config error:")
 
 
+@pytest.mark.parametrize("env,name,key,value", [
+    ("admission_control", "q-learning", "train_episodes", 2.5),
+    ("admission_control", "q-learning", "train_horizon", 0),
+    ("energy_saving", "mpc-energy", "plan_horizon", 2.5),
+    ("beamforming", "bo-tracker", "window", 2.5),
+], ids=["train_episodes", "train_horizon", "plan_horizon", "window"])
+def test_a_bad_count_is_reported_under_its_config_key(tmp_path, capsys, env, name, key, value):
+    # these once named the callee's parameter: episodes, horizon or max_points
+    solver_cfg = {key: value, **({"budget_per_step": 2} if name == "bo-tracker" else {})}
+    cfg = write_config(tmp_path / "cfg.json", {
+        "env": {"env": env}, "solvers": [{"name": name, "config": solver_cfg}],
+        "horizon": 3, "seeds": [0], "outputs": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg, "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: {key} must be an integer >= 1, got {value!r}\n"
+
+
 @pytest.mark.parametrize("solver", ["dpp-energy", "mpc-energy"])
 def test_subset_count_over_budget_exits_config(tmp_path, capsys, monkeypatch, solver):
     # 2**10 subsets against a budget of 1000: refused before any is built.
@@ -515,6 +533,14 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
+def _child_env(src: str) -> dict:
+    """A subprocess's whole environment: src on the path, one BLAS thread,
+    and the caller's PYTHONDONTWRITEBYTECODE, so a run that asks for no
+    bytecode leaves none in src/."""
+    keep = {k: os.environ[k] for k in ("PYTHONDONTWRITEBYTECODE",) if k in os.environ}
+    return {"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", **keep}
+
+
 def _run_in_2gib(tmp_path, env, solver):
     """`occam-rrm run` of a 2-step config in a subprocess limited to a 2 GiB
     address space; asserts a one-line config error."""
@@ -530,7 +556,7 @@ def _run_in_2gib(tmp_path, env, solver):
     proc = subprocess.run(
         [sys.executable, "-c", code, "run", cfg, "--jobs", "1", "--quiet"],
         capture_output=True, text=True, timeout=120, preexec_fn=_limit_address_space,
-        env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        env=_child_env(src),
     )
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert len(proc.stderr.splitlines()) == 1
@@ -731,6 +757,6 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     src = str(Path(occam_rrm.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}, timeout=120)
+                          env=_child_env(src), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]", "[]"]

@@ -8,6 +8,7 @@ import csv
 import inspect
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
@@ -438,6 +439,14 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
+def _child_env(src: str) -> dict:
+    """A subprocess's whole environment: src on the path, one BLAS thread,
+    and the caller's PYTHONDONTWRITEBYTECODE, so a run that asks for no
+    bytecode leaves none in src/."""
+    keep = {k: os.environ[k] for k in ("PYTHONDONTWRITEBYTECODE",) if k in os.environ}
+    return {"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", **keep}
+
+
 def drive(argvs) -> list:
     """[exit code, stderr, seconds] of each argv, run by DRIVER under a
     2 GiB address-space limit."""
@@ -445,7 +454,7 @@ def drive(argvs) -> list:
     proc = subprocess.run(
         [sys.executable, "-c", DRIVER, *map(json.dumps, argvs)], capture_output=True, text=True,
         timeout=120, preexec_fn=_limit_address_space,
-        env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        env=_child_env(src),
     )
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     return [json.loads(line) for line in proc.stdout.splitlines()]

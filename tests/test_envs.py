@@ -16,6 +16,9 @@ from occam_rrm import (
     planning,
     run_episode,
 )
+from occam_rrm.agents import IllaOllaAgent, ThompsonMcsAgent, TrunkAgent
+from occam_rrm.bandits import GpSurrogate
+from occam_rrm.core import TabularMdp
 from occam_rrm.envs import (
     ENVS,
     SERVE_BEST,
@@ -857,6 +860,69 @@ def test_a_direct_constructor_call_refuses_a_non_finite_scalar(kind, key, base, 
         value = [value] if key == "classes" else value
     with pytest.raises(ConfigError, match=f"{field or key} must "):
         ENVS[kind](**{**REQUIRED_KEYS.get(kind, {}), key: value})
+
+
+# Each array parameter of each env kind, and of each agent or table that
+# takes one, as (id, its name in messages, a call that builds with it, a
+# valid value). Free-length arrays hold one entry, so dropping the last
+# entry makes every 1-D array the wrong length.
+ARRAYS = [
+    ("link_adaptation.rates", "rates", lambda a: ENVS["link_adaptation"](rates=a),
+     0.5 * np.arange(1, 9)),
+    ("link_adaptation.s50", "s50", lambda a: ENVS["link_adaptation"](s50=a),
+     np.linspace(0.0, 14.0, 8)),
+    ("power_control.fixed_gains", "fixed_gains",
+     lambda a: ENVS["power_control"](fixed_gains=a), np.ones(4)),
+    *[(f"scheduling.{key}", key, lambda a, key=key: ENVS["scheduling"](**{key: a}), np.ones(4))
+      for key in ("mean_efficiency", "arrival_rates", "weights")],
+    *[(f"energy_saving.{key}", key, lambda a, key=key: ENVS["energy_saving"](**{key: a}),
+       np.ones(4)) for key in ("capacity", "power_draw")],
+    ("energy_saving.traffic.trace", "traffic trace",
+     lambda a: ENVS["energy_saving"](traffic={"trace": a}), np.ones(1)),
+    ("handover.model.values", "model values",
+     lambda a: ENVS["handover"](model={"kind": "trace", "values": a}), np.full((3, 2), -80.0)),
+    ("tabular.transition", "transition",
+     lambda a: ENVS["tabular"](transition=a, reward=np.zeros((1, 2))), np.ones((1, 2, 1))),
+    ("tabular.reward", "reward",
+     lambda a: ENVS["tabular"](transition=np.ones((1, 2, 1)), reward=a), np.zeros((1, 2))),
+    ("TrunkAgent.thresholds", "thresholds", lambda a: TrunkAgent(AdmissionEnv(), a),
+     np.array([0.0, 2.0])),
+    ("IllaOllaAgent.lookup", "lookup", lambda a: IllaOllaAgent(a, 0.01, 0.1), np.zeros(1)),
+    ("ThompsonMcsAgent.rates", "rates", ThompsonMcsAgent, np.ones(1)),
+    ("GpSurrogate.length_scales", "length scales", GpSurrogate, np.full(1, 2.0)),
+    ("TabularMdp.transition", "transition",
+     lambda a: TabularMdp(1, 2, a, np.zeros((1, 2))), np.ones((1, 2, 1))),
+    ("TabularMdp.reward", "reward",
+     lambda a: TabularMdp(1, 2, np.ones((1, 2, 1)), a), np.zeros((1, 2))),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name,build,good", [a[1:] for a in ARRAYS], ids=[a[0] for a in ARRAYS])
+def test_a_direct_call_refuses_a_non_finite_array_entry(name, build, good, value):
+    # A config refuses these in check_config. A direct call once took NaN
+    # past `< 0` and `np.diff` checks.
+    build(good)
+    bad = good.copy()
+    bad.flat[-1] = value
+    with pytest.raises(ConfigError, match=rf"^{name} entries must lie in .*, got {value}$"):
+        build(bad)
+
+
+ONE_D = [a for a in ARRAYS if a[3].ndim == 1]
+
+
+@pytest.mark.parametrize("name,build,good", [a[1:] for a in ONE_D], ids=[a[0] for a in ONE_D])
+def test_a_direct_call_refuses_an_array_of_the_wrong_length(name, build, good):
+    wrong = good[:-1]
+    with pytest.raises(ConfigError, match=rf"^{name} needs shape \(\w+,\), got \({len(wrong)},\)$"):
+        build(wrong)
+
+
+def test_ho_trace_without_rows_is_refused():
+    # it was once built, to fail with an IndexError at reset
+    with pytest.raises(ConfigError, match=r"^model values needs shape \(None, 2\), got \(0, 2\)$"):
+        HandoverEnv(model={"kind": "trace", "values": np.empty((0, 2))})
 
 
 @pytest.mark.parametrize("read,verb", [

@@ -149,7 +149,7 @@ def test_trunk_threshold_order_validated():
     env = AdmissionEnv()  # two priority classes
     with pytest.raises(ConfigError, match="must not decrease"):
         TrunkAgent(env, [2.0, 0.0])
-    with pytest.raises(ConfigError, match="nonnegative"):
+    with pytest.raises(ConfigError, match=r"thresholds entries must lie in \[0, inf\)"):
         TrunkAgent(env, [-1.0, 0.0])
 
 

@@ -296,6 +296,16 @@ def test_bad_bounds_rejected_before_any_evaluation(tuner, bounds):
     assert calls == []
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ParamPolicy("mro", (), ()),
+    lambda: nelder_mead(lambda th: 0.0, (), ()),
+], ids=["ParamPolicy", "nelder_mead"])
+def test_zero_components_are_refused(make):
+    # an empty ParamPolicy was once built, to fail with an IndexError in its family
+    with pytest.raises(ConfigError, match=r"^theta0? has 0 components for 0 bounds$"):
+        make()
+
+
 @pytest.mark.parametrize(
     "theta0,bounds",
     [((0.5, 0.5), ((0.0, 1.0),)), ((0.5,), ((0.0, 1.0), (0.0, 1.0)))],
