@@ -3,24 +3,27 @@ on Python floats against the numpy one, value_iteration's warm start
 against the plain Bellman loop, AdmissionEnv.true_mdp, q_learning and the
 WMMSE refinement against their numpy-scalar loops, the per-block
 exogenous tables of the handover, scheduling and power envs against the
-per-step formulas, the GP surrogate's kept kernel entries against a
-rebuild from its points, and the MPC lookahead against its merge-twice,
-keep-every-edge form. Each reference below is the earlier kernel, kept
+per-step formulas, handover episodes and their MRO and greedy decisions
+against the numpy observations and rules, the GP surrogate's kept kernel
+entries against a rebuild from its points, and the MPC lookahead against
+its merge-twice, keep-every-edge form. Each reference below is the earlier kernel, kept
 verbatim; the fast kernels must give the same bits or the same policy."""
 
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_acceptance import QL_ADMISSION, TRUNK_AC
 from test_experiments import FRACTIONAL_CLASSES, GOLDEN_TABULAR
 
 from occam_rrm import planning
-from occam_rrm.agents import GreedyHoAgent, MpcEnergyAgent
+from occam_rrm.agents import GreedyHoAgent, MpcEnergyAgent, MroAgent
 from occam_rrm.bandits import GP_JITTER, GpSurrogate
-from occam_rrm.core import DEFAULT_DISCOUNT, TabularMdp
-from occam_rrm.envs import HandoverEnv, PowerEnv, SchedulingEnv, make_env
-from occam_rrm.errors import ConfigError, GpNumericalError
+from occam_rrm.core import DEFAULT_DISCOUNT, StepOutcome, TabularMdp
+from occam_rrm.envs import HandoverEnv, MroObservation, PowerEnv, SchedulingEnv, make_env
+from occam_rrm.errors import ConfigError, GpNumericalError, InvalidActionError
 from occam_rrm.planning import (
     DeterministicModel,
     QTable,
@@ -32,6 +35,7 @@ from occam_rrm.planning import (
     value_iteration,
 )
 from occam_rrm.rng import STREAM_EXOGENOUS, StepStream, derive_seed
+from occam_rrm.rules import STAY, mro_policy
 from occam_rrm.static_opt import (
     WATER_FILL_TOL,
     PowerAllocation,
@@ -482,6 +486,148 @@ def test_handover_rsrp_tables_match_per_step_bits(n_cells, model):
         # the true RSRP of step t at the serving cell after the action
         assert out.diagnostics["rsrp_serving_true"] == want_true[out.observation.serving_cell]
         obs = out.observation
+
+
+# ---------------------------------------------------------------- handover decisions
+
+def reference_mro_policy(obs, time_to_trigger) -> int:
+    counts = np.asarray(obs.exceed_count)
+    # the usual step: no neighbor qualifies, decided on Python ints
+    if not any(count > time_to_trigger for count in counts.ravel().tolist()):
+        return STAY
+    qualifying = np.flatnonzero(counts > time_to_trigger)
+    rsrp = np.asarray(obs.rsrp_neighbors, dtype=float)
+    slot = qualifying[np.argmax(rsrp[qualifying])]
+    return int(obs.neighbor_cells[slot]) + 1
+
+
+def reference_greedy_ho_act(obs) -> int:
+    best = int(np.argmax(obs.rsrp_neighbors))
+    if obs.rsrp_neighbors[best] > obs.rsrp_serving:
+        return int(obs.neighbor_cells[best]) + 1
+    return 0
+
+
+class ReferenceHandoverEnv(HandoverEnv):
+    """The env with numpy observations and a second stream read per step;
+    only the neighbor arrays are built here instead of in the constructor."""
+
+    def _obs(self, t: int) -> MroObservation:
+        meas = self._rsrp.at(t)[self.n_cells:]
+        levels = meas.tolist()
+        serving = self._serving
+        serving_level = levels[serving]
+        # Consecutive-exceed bookkeeping against the serving cell, hysteresis
+        # applied to the noisy measurements; reset on non-exceed.
+        counts = self._counts
+        for c, level in enumerate(levels):
+            if c != serving and level - self.hysteresis > serving_level:
+                counts[c] += 1
+            else:
+                counts[c] = 0
+        nb = np.delete(np.arange(self.n_cells), serving)
+        return MroObservation(serving_level, meas[nb], np.array(counts)[nb], serving, nb)
+
+    def _step(self, action):
+        action = int(action)
+        if not (0 <= action <= self.n_cells):
+            raise InvalidActionError(f"action {action} outside [0, {self.n_cells}]")
+        true_now = self._rsrp.at(self.t)[: self.n_cells].tolist()
+        pingpong = too_early = too_late = 0
+        if action == 0:
+            if true_now[self._serving] < self.rlf_threshold and any(
+                level >= self.rlf_threshold
+                for c, level in enumerate(true_now) if c != self._serving
+            ):
+                too_late = 1
+        else:
+            target = action - 1
+            if target == self._serving:
+                raise InvalidActionError(f"handover to current serving cell {target}")
+            if true_now[target] < self.rlf_threshold:
+                too_early = 1
+            if self._pp_armed and self._last_ho_t is not None and (
+                self.t - self._last_ho_t <= self.pingpong_window
+            ):
+                pingpong = 1
+                self._pp_armed = False
+            else:
+                self._pp_armed = True
+            self._last_ho_t = self.t
+            self._serving = target
+            self._counts = [0] * self.n_cells
+        reward = -float(pingpong + too_early + too_late)
+        diagnostics = {
+            "pingpong": float(pingpong),
+            "too_early": float(too_early),
+            "too_late": float(too_late),
+            "serving": float(self._serving),
+            "rsrp_serving_true": float(true_now[self._serving]),
+        }
+        return StepOutcome(self._obs(self.t + 1), reward, diagnostics)
+
+
+HO_POLICIES = {
+    "mro-ttt1": (MroAgent(time_to_trigger=1).act, lambda obs: reference_mro_policy(obs, 1)),
+    "mro-ttt3": (MroAgent(time_to_trigger=3).act, lambda obs: reference_mro_policy(obs, 3)),
+    "greedy-ho": (GreedyHoAgent().act, reference_greedy_ho_act),
+}
+# past the first 1024-step stream block
+HO_STEPS = 1100
+
+
+@pytest.mark.parametrize("policy", sorted(HO_POLICIES))
+@pytest.mark.parametrize("hysteresis", [0.0, 3.0])
+@pytest.mark.parametrize("model", ["period-40", "trace-300"])
+@pytest.mark.parametrize("n_cells", [2, 3, 5, 8])
+def test_handover_episode_matches_numpy_reference_bits(n_cells, model, hysteresis, policy):
+    act, reference_act = HO_POLICIES[policy]
+    kwargs = dict(n_cells=n_cells, model=HO_MODELS[model](n_cells), hysteresis=hysteresis)
+    env, ref = HandoverEnv(**kwargs), ReferenceHandoverEnv(**kwargs)
+    obs, want = env.reset(5), ref.reset(5)
+    handovers = 0
+    for _ in range(HO_STEPS):
+        assert (obs.rsrp_serving, obs.serving_cell) == (want.rsrp_serving, want.serving_cell)
+        assert np.array(obs.rsrp_neighbors, dtype=float).tobytes() == want.rsrp_neighbors.tobytes()
+        assert list(obs.exceed_count) == want.exceed_count.tolist()
+        assert list(obs.neighbor_cells) == want.neighbor_cells.tolist()
+        action = act(obs)
+        assert action == reference_act(want)
+        out, want_out = env.step(action), ref.step(action)
+        assert list(out.diagnostics) == list(want_out.diagnostics)
+        got_bits = np.array([out.reward, *out.diagnostics.values()]).tobytes()
+        assert got_bits == np.array([want_out.reward, *want_out.diagnostics.values()]).tobytes()
+        handovers += action != STAY
+        obs, want = out.observation, want_out.observation
+    assert handovers > 0
+
+
+# RSRP values drawn from a short list, so that qualifying neighbors tie often
+HO_RSRP = st.one_of(st.sampled_from([-80.0, -70.0, -60.0]), st.floats(-120.0, -40.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ttt=st.integers(1, 4), serving=HO_RSRP, order=st.permutations(range(8)),
+       rows=st.lists(st.tuples(st.integers(0, 5), HO_RSRP), max_size=7))
+@example(ttt=3, serving=-80.0, order=list(range(8)), rows=[])  # no neighbors
+@example(ttt=3, serving=-80.0, order=list(range(8)),
+         rows=[(3, -60.0), (0, -50.0), (2, -70.0)])  # every count at or below the TTT
+@example(ttt=1, serving=-80.0, order=[3, 0, 1, 2, 4, 5, 6, 7],
+         rows=[(2, -70.0), (5, -60.0), (4, -60.0)])  # qualifying neighbors tie
+def test_mro_policy_matches_numpy_reference_on_tuples_and_arrays(ttt, serving, order, rows):
+    counts = [count for count, _ in rows]
+    rsrp = [level for _, level in rows]
+    cells = order[: len(rows)]
+    as_tuples = MroObservation(serving, tuple(rsrp), tuple(counts), 0, tuple(cells))
+    as_arrays = MroObservation(serving, np.array(rsrp, dtype=float), np.array(counts, dtype=int),
+                               0, np.array(cells, dtype=int))
+    want = reference_mro_policy(as_arrays, ttt)
+    assert mro_policy(as_tuples, ttt) == mro_policy(as_arrays, ttt) == want
+    if all(count <= ttt for count in counts):
+        assert want == STAY
+    if rows:
+        want = reference_greedy_ho_act(as_arrays)
+        assert GreedyHoAgent().act(as_tuples) == GreedyHoAgent().act(as_arrays) == want
 
 
 @pytest.mark.parametrize("arrival_rates", [None, [0.2, 0.3, 0.25, 0.4]],
