@@ -255,8 +255,9 @@ class GreedyHoAgent:
     baseline MRO parameters exist to beat."""
 
     def act(self, obs):
-        best = int(np.argmax(obs.rsrp_neighbors))
-        if obs.rsrp_neighbors[best] > obs.rsrp_serving:
+        rsrp = obs.rsrp_neighbors  # the first best neighbor wins; no neighbor stays
+        best = max(range(len(rsrp)), key=rsrp.__getitem__, default=None)
+        if best is not None and rsrp[best] > obs.rsrp_serving:
             return int(obs.neighbor_cells[best]) + 1
         return 0
 

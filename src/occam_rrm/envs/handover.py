@@ -82,15 +82,13 @@ class HandoverEnv(RrmEnv):
         self.rlf_threshold = as_real(rlf_threshold, "rlf_threshold")
         self.pingpong_window = as_count(pingpong_window, "pingpong_window", 1)
         self.hysteresis = as_real(hysteresis, "hysteresis")
-        # The cells other than serving cell s, in order; shared by every
-        # observation, so read-only.
-        self._neighbor_cells = [np.delete(np.arange(self.n_cells), s) for s in range(self.n_cells)]
-        for cells in self._neighbor_cells:
-            cells.flags.writeable = False
+        # The cells other than serving cell s, in order; shared by every observation.
+        self._neighbor_cells = [tuple(c for c in range(self.n_cells) if c != s)
+                                for s in range(self.n_cells)]
 
     def _obs(self, t: int) -> MroObservation:
-        meas = self._rsrp.at(t)[self.n_cells:]
-        levels = meas.tolist()
+        row = self._rsrp.at(t).tolist()  # true RSRP, which _step scores at t, then measured
+        self._true_now, levels = row[: self.n_cells], row[self.n_cells:]
         serving = self._serving
         serving_level = levels[serving]
         # Consecutive-exceed bookkeeping against the serving cell, hysteresis
@@ -102,7 +100,8 @@ class HandoverEnv(RrmEnv):
             else:
                 counts[c] = 0
         nb = self._neighbor_cells[serving]
-        return MroObservation(serving_level, meas[nb], np.array(counts)[nb], serving, nb)
+        return MroObservation(serving_level, tuple([levels[c] for c in nb]),
+                              tuple([counts[c] for c in nb]), serving, nb)
 
     def _start(self, seed):
         self._rsrp = self.stream(STREAM_EXOGENOUS, per_step=self.n_cells,
@@ -117,7 +116,7 @@ class HandoverEnv(RrmEnv):
         action = int(action)
         if not (0 <= action <= self.n_cells):
             raise InvalidActionError(f"action {action} outside [0, {self.n_cells}]")
-        true_now = self._rsrp.at(self.t)[: self.n_cells].tolist()
+        true_now = self._true_now
         pingpong = too_early = too_late = 0
         if action == 0:
             if true_now[self._serving] < self.rlf_threshold and any(

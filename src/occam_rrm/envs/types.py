@@ -38,12 +38,12 @@ class ChannelMatrix:
 
 
 class MroObservation(NamedTuple):
-    """Handover measurement snapshot: serving RSRP, neighbor RSRPs, the
-    per-neighbor count of consecutive steps the neighbor exceeded serving
-    RSRP by the configured hysteresis, the serving and the neighbor cells."""
+    """Handover measurement snapshot: serving RSRP, then per neighbor (tuples
+    of Python numbers) its RSRP and its count of consecutive steps above the
+    serving RSRP by the configured hysteresis; the serving and neighbor cells."""
 
     rsrp_serving: float
-    rsrp_neighbors: np.ndarray
-    exceed_count: np.ndarray
+    rsrp_neighbors: tuple
+    exceed_count: tuple
     serving_cell: int
-    neighbor_cells: np.ndarray
+    neighbor_cells: tuple

@@ -67,15 +67,13 @@ def trunk_admit(free: float, demand: float, reserve: float) -> bool:
 
 def mro_policy(obs: MroObservation, time_to_trigger) -> int:
     """Hand over once a neighbor's exceed count strictly surpasses the
-    time-to-trigger; among qualifying neighbors, the best-RSRP one wins.
+    time-to-trigger; among qualifying neighbors, the best-RSRP one wins, the
+    first on a tie. The per-neighbor fields may be sequences or arrays.
     Returns the env action encoding: 0 stays, cell k maps to k + 1."""
-    counts = np.asarray(obs.exceed_count)
-    # the usual step: no neighbor qualifies, decided on Python ints
-    if not any(count > time_to_trigger for count in counts.ravel().tolist()):
+    qualifying = [slot for slot, count in enumerate(obs.exceed_count) if count > time_to_trigger]
+    if not qualifying:
         return STAY
-    qualifying = np.flatnonzero(counts > time_to_trigger)
-    rsrp = np.asarray(obs.rsrp_neighbors, dtype=float)
-    slot = qualifying[np.argmax(rsrp[qualifying])]
+    slot = max(qualifying, key=obs.rsrp_neighbors.__getitem__)
     return int(obs.neighbor_cells[slot]) + 1
 
 

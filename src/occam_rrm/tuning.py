@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bandits import GpSurrogate, ucb_scores
-from .config import as_count, as_real, build_from_config, check_keys
+from .config import as_count, as_real, as_reals, build_from_config, check_keys
 from .core import discounted_return, run_episode
 from .envs import make_env
 from .errors import ConfigError
@@ -263,10 +263,10 @@ def bo_tune(
     highs = np.array([hi for _, hi in bounds])
     kernel_cfg = kernel_cfg or {}
     check_keys(kernel_cfg, ("length_scales", "signal_var"), (), "kernel")
-    length_scales = np.asarray(
-        kernel_cfg.get("length_scales", 0.15 * np.maximum(highs - lows, 1e-12))
-    )
-    signal_var = float(kernel_cfg.get("signal_var", 1.0))
+    length_scales = as_reals(
+        np.atleast_1d(kernel_cfg.get("length_scales", 0.15 * np.maximum(highs - lows, 1e-12))),
+        "length_scales", (dim,), gt=0)
+    signal_var = as_real(kernel_cfg.get("signal_var", 1.0), "signal_var", gt=0)
 
     n_init = min(budget, max(2, round(0.25 * budget)))
     # draw a power-of-two block (Sobol balance), keep the first n_init

@@ -16,7 +16,7 @@ from occam_rrm import (
     planning,
     run_episode,
 )
-from occam_rrm.agents import IllaOllaAgent, ThompsonMcsAgent, TrunkAgent
+from occam_rrm.agents import GreedyHoAgent, IllaOllaAgent, ThompsonMcsAgent, TrunkAgent
 from occam_rrm.bandits import GpSurrogate
 from occam_rrm.core import TabularMdp
 from occam_rrm.envs import (
@@ -487,6 +487,22 @@ def test_ho_to_current_cell_rejected():
     env.reset(0)
     with pytest.raises(InvalidActionError, match="current serving"):
         env.step(1)  # serving cell 0
+
+
+@pytest.mark.parametrize("n_cells", [2, 5])
+def test_ho_observation_carries_python_numbers(n_cells):
+    # per-neighbor fields are tuples of floats and ints, never per-step arrays
+    env = HandoverEnv(n_cells=n_cells)
+    obs = env.reset(0)
+    greedy = GreedyHoAgent()  # hands over often, so the serving cell changes
+    for _ in range(200):
+        assert type(obs.rsrp_serving) is float and type(obs.serving_cell) is int
+        for field, kind in [("rsrp_neighbors", float), ("exceed_count", int),
+                            ("neighbor_cells", int)]:
+            values = getattr(obs, field)
+            assert type(values) is tuple and len(values) == n_cells - 1
+            assert all(type(v) is kind for v in values), field
+        obs = env.step(greedy.act(obs)).observation
 
 
 def test_ho_exceed_count_resets():

@@ -6,8 +6,9 @@ exogenous tables of the handover, scheduling and power envs against the
 per-step formulas, handover episodes and their MRO and greedy decisions
 against the numpy observations and rules, the GP surrogate's kept kernel
 entries against a rebuild from its points, and the MPC lookahead against
-its merge-twice, keep-every-edge form. Each reference below is the earlier kernel, kept
-verbatim; the fast kernels must give the same bits or the same policy."""
+its merge-twice, keep-every-edge form. Each reference below is the earlier
+kernel, kept verbatim; the fast kernels must give the same bits or the same
+policy."""
 
 import time
 
@@ -478,7 +479,7 @@ def test_handover_rsrp_tables_match_per_step_bits(n_cells, model):
         want_true = reference_true_rsrp_at(env, t)
         want_meas = reference_measured_rsrp_at(env, t)
         assert obs.rsrp_serving == want_meas[obs.serving_cell]
-        assert obs.rsrp_neighbors.tobytes() == want_meas[obs.neighbor_cells].tobytes()
+        assert np.array(obs.rsrp_neighbors).tobytes() == want_meas[list(obs.neighbor_cells)].tobytes()
         true_row, meas_row = np.split(env._rsrp.at(t), 2)
         assert true_row.tobytes() == want_true.tobytes()
         assert meas_row.tobytes() == want_meas.tobytes()

@@ -238,6 +238,20 @@ def test_bo_over_16_dimensions_rejected_before_any_evaluation():
     assert calls == []
 
 
+@pytest.mark.parametrize("kernel,message", [
+    ({"length_scales": [0.5]}, r"^length_scales needs shape \(2,\), got \(1,\)$"),
+    ({"length_scales": [0.5, 0.5, 0.5]}, r"^length_scales needs shape \(2,\), got \(3,\)$"),
+    ({"length_scales": [0.0, 1.0]}, r"^length_scales entries must lie in \(0, inf\), got 0.0$"),
+    ({"signal_var": -1}, r"^signal_var must lie in \(0, inf\), got -1.0$"),
+], ids=["one-scale", "three-scales", "zero-scale", "negative-signal-var"])
+def test_bo_kernel_checked_before_any_evaluation(kernel, message):
+    # each once spent the 5-point design before the surrogate refused it
+    calls = []
+    with pytest.raises(ConfigError, match=message):
+        bo_tune(lambda th: calls.append(th) or 0.0, MRO_BOUNDS, budget=20, kernel_cfg=kernel)
+    assert calls == []
+
+
 # ---------------------------------------------------------------- sobol
 
 # scipy is the reference for the design bo_tune draws, not a dependency.
