@@ -4,11 +4,12 @@ against the plain Bellman loop, AdmissionEnv.true_mdp, q_learning and the
 WMMSE refinement against their numpy-scalar loops, the per-block
 exogenous tables of the handover, scheduling and power envs against the
 per-step formulas, handover episodes and their MRO and greedy decisions
-against the numpy observations and rules, the GP surrogate's kept kernel
-entries against a rebuild from its points, and the MPC lookahead against
-its merge-twice, keep-every-edge form. Each reference below is the earlier
-kernel, kept verbatim; the fast kernels must give the same bits or the same
-policy."""
+against the numpy observations and rules, scheduling episodes and their
+PF and max-rate decisions against the whole-array numpy step and argmax,
+the GP surrogate's kept kernel entries against a rebuild from its points,
+and the MPC lookahead against its merge-twice, keep-every-edge form. Each
+reference below is the earlier kernel, kept verbatim; the fast kernels must
+give the same bits or the same policy."""
 
 import time
 
@@ -20,10 +21,18 @@ from test_acceptance import QL_ADMISSION, TRUNK_AC
 from test_experiments import FRACTIONAL_CLASSES, GOLDEN_TABULAR
 
 from occam_rrm import planning
-from occam_rrm.agents import GreedyHoAgent, MpcEnergyAgent, MroAgent
+from occam_rrm.agents import (
+    GreedyHoAgent,
+    MaxRateAgent,
+    MpcEnergyAgent,
+    MroAgent,
+    PfAgent,
+    RoundRobinAgent,
+)
 from occam_rrm.bandits import GP_JITTER, GpSurrogate
 from occam_rrm.core import DEFAULT_DISCOUNT, StepOutcome, TabularMdp
 from occam_rrm.envs import HandoverEnv, MroObservation, PowerEnv, SchedulingEnv, make_env
+from occam_rrm.envs.scheduling import EWMA_FLOOR
 from occam_rrm.errors import ConfigError, GpNumericalError, InvalidActionError
 from occam_rrm.planning import (
     DeterministicModel,
@@ -653,6 +662,118 @@ def test_scheduling_efficiency_table_matches_per_step_bits(fading, arrival_rates
             assert out.diagnostics["achieved"] == min(backlogs[user], want[user])
             backlogs[user] -= out.diagnostics["achieved"]
         obs = out.observation
+
+
+# ---------------------------------------------------------------- scheduling episodes
+
+def reference_pf_select(spectral_eff, avg_throughput) -> int:
+    eff = np.asarray(spectral_eff, dtype=float)
+    avg = np.asarray(avg_throughput, dtype=float)
+    if eff.shape != avg.shape or eff.size == 0:
+        raise ConfigError("need one spectral efficiency per user")
+    return int(np.argmax(eff / avg))
+
+
+def reference_max_rate_act(obs) -> int:
+    return int(np.argmax(obs["spectral_eff"]))
+
+
+class ReferenceSchedulingEnv(SchedulingEnv):
+    """The env with the whole-array numpy utility, EWMA and diagnostics."""
+
+    def _utility(self) -> float:
+        return float((self.weights * np.log(self._avg + EWMA_FLOOR)).sum())
+
+    def _obs(self, t: int) -> dict:
+        # the next _step serves the row it observed, so it is looked up once
+        self._eff = self._efficiency_row(t)
+        return {
+            "spectral_eff": self._eff,
+            "avg_throughput": self._avg.copy(),
+            "backlogs": None if self.full_buffer else self._backlogs.copy(),
+        }
+
+    def _step(self, action):
+        user = int(action)
+        if not (0 <= user < self.n_users):
+            raise InvalidActionError(f"user {user} outside [0, {self.n_users})")
+        eff = self._eff
+        if self.full_buffer:
+            achieved = float(eff[user])
+        else:
+            self._backlogs += self.arrival_rates
+            achieved = float(min(self._backlogs[user], eff[user]))
+            self._backlogs[user] -= achieved
+        before = self._utility_now
+        # the unserved users' EWMA terms add alpha * 0.0, which changes no bit
+        avg = (1 - self.ewma_alpha) * self._avg
+        avg[user] += self.ewma_alpha * achieved
+        self._avg = np.maximum(avg, EWMA_FLOOR)
+        self._utility_now = self._utility()
+        reward = self._utility_now - before
+        diagnostics = {"served_user": float(user), "achieved": achieved}
+        diagnostics.update(dict.fromkeys(self._thr_keys, 0.0))
+        diagnostics[self._thr_keys[user]] = achieved
+        return StepOutcome(self._obs(self.t + 1), reward, diagnostics)
+
+
+SC_AGENTS = {
+    "pf": (PfAgent, lambda obs: reference_pf_select(obs["spectral_eff"], obs["avg_throughput"])),
+    "round-robin": (RoundRobinAgent, None),
+    "max-rate": (MaxRateAgent, reference_max_rate_act),
+}
+SC_SETTINGS = {
+    "full-buffer": {},
+    "arrivals": {"arrival_rates": "arrivals"},
+    "weights": {"weights": "weights"},
+    "no-fading": {"fading": "none", "mean_efficiency": "means"},
+    "alpha-1": {"ewma_alpha": 1.0, "arrival_rates": "arrivals"},
+}
+
+
+def scheduling_kwargs(setting: str, n_users: int) -> dict:
+    rng = np.random.default_rng(n_users)
+    arrays = {"arrivals": rng.uniform(0.05, 0.6, n_users).tolist(),
+              "weights": rng.uniform(0.2, 3.0, n_users).tolist(),
+              "means": rng.uniform(0.3, 2.5, n_users).tolist()}
+    return {key: arrays.get(value, value) for key, value in SC_SETTINGS[setting].items()}
+
+
+# 1,100 steps cross the first 1024-step stream block; 2, 3 and 7 users sum
+# below numpy's 8-entry pairwise switch, 8, 9 and 16 at or above it
+@pytest.mark.parametrize("agent", sorted(SC_AGENTS))
+@pytest.mark.parametrize("setting", sorted(SC_SETTINGS))
+@pytest.mark.parametrize("n_users", [2, 3, 7, 8, 9, 16])
+def test_scheduling_episode_matches_numpy_reference_bits(n_users, setting, agent):
+    make_agent, reference_act = SC_AGENTS[agent]
+    kwargs = dict(n_users=n_users, **scheduling_kwargs(setting, n_users))
+    env, ref = SchedulingEnv(**kwargs), ReferenceSchedulingEnv(**kwargs)
+    policy, ref_policy = make_agent(), make_agent()
+    for p in (policy, ref_policy):
+        if hasattr(p, "reset"):
+            p.reset(5)
+    obs, want = env.reset(5), ref.reset(5)
+    served = set()
+    for _ in range(HO_STEPS):
+        assert list(obs) == list(want)
+        for key in ("spectral_eff", "avg_throughput"):
+            assert obs[key].tobytes() == want[key].tobytes()
+        if want["backlogs"] is None:
+            assert obs["backlogs"] is None
+        else:
+            assert obs["backlogs"].tobytes() == want["backlogs"].tobytes()
+        action = policy.act(obs)
+        want_action = ref_policy.act(want) if reference_act is None else reference_act(want)
+        assert type(action) is int and action == want_action
+        out, want_out = env.step(action), ref.step(action)
+        assert list(out.diagnostics) == list(want_out.diagnostics)
+        got_bits = np.array([out.reward, *out.diagnostics.values()]).tobytes()
+        assert got_bits == np.array([want_out.reward, *want_out.diagnostics.values()]).tobytes()
+        served.add(action)
+        obs, want = out.observation, want_out.observation
+    assert env._utility_now == ref._utility_now
+    # max-rate on unfaded rows serves the best-mean user every step
+    assert len(served) > 1 or (agent, setting) == ("max-rate", "no-fading")
 
 
 @pytest.mark.parametrize("coherence", [1, 7, 50, 1500])
