@@ -127,7 +127,7 @@ class RoundRobinAgent:
 
 class MaxRateAgent:
     def act(self, obs):
-        return int(np.argmax(obs["spectral_eff"]))
+        return int(np.asarray(obs["spectral_eff"]).argmax())
 
 
 # ---------------------------------------------------------------- energy saving

@@ -47,13 +47,19 @@ class SchedulingEnv(RrmEnv):
         self.weights = as_reals(np.ones(self.n_users) if weights is None else weights,
                                 "weights", (self.n_users,))
         self._thr_keys = [f"thr_{u}" for u in range(self.n_users)]
+        # each step copies it and sets the served user's entries
+        self._zero_diagnostics = dict.fromkeys(["served_user", "achieved", *self._thr_keys], 0.0)
 
     def _efficiency_row(self, t: int) -> np.ndarray:
         """Spectral efficiencies of step t as a read-only row."""
         return self._mean_row if self.fading == "none" else self._fade_stream.at(t)
 
     def _utility(self) -> float:
-        return float((self.weights * np.log(self._avg + EWMA_FLOOR)).sum())
+        # the ufuncs of (weights * log(avg + floor)).sum(), in that order, on one buffer
+        terms = np.add(self._avg, EWMA_FLOOR)
+        np.log(terms, out=terms)
+        np.multiply(self.weights, terms, out=terms)
+        return float(np.add.reduce(terms))
 
     def _obs(self, t: int) -> dict:
         # the next _step serves the row it observed, so it is looked up once
@@ -87,12 +93,12 @@ class SchedulingEnv(RrmEnv):
             self._backlogs[user] -= achieved
         before = self._utility_now
         # the unserved users' EWMA terms add alpha * 0.0, which changes no bit
-        avg = (1 - self.ewma_alpha) * self._avg
+        avg = np.multiply(1 - self.ewma_alpha, self._avg)
         avg[user] += self.ewma_alpha * achieved
-        self._avg = np.maximum(avg, EWMA_FLOOR)
+        self._avg = np.maximum(avg, EWMA_FLOOR, out=avg)
         self._utility_now = self._utility()
         reward = self._utility_now - before
-        diagnostics = {"served_user": float(user), "achieved": achieved}
-        diagnostics.update(dict.fromkeys(self._thr_keys, 0.0))
-        diagnostics[self._thr_keys[user]] = achieved
+        diagnostics = self._zero_diagnostics.copy()
+        diagnostics["served_user"] = float(user)
+        diagnostics["achieved"] = diagnostics[self._thr_keys[user]] = achieved
         return StepOutcome(self._obs(self.t + 1), reward, diagnostics)

@@ -23,7 +23,7 @@ def pf_select(spectral_eff, avg_throughput) -> int:
     avg = np.asarray(avg_throughput, dtype=float)
     if eff.shape != avg.shape or eff.size == 0:
         raise ConfigError("need one spectral efficiency per user")
-    return int(np.argmax(eff / avg))
+    return int((eff / avg).argmax())
 
 
 # ---------------------------------------------------------------- drift plus penalty
