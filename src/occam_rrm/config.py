@@ -20,14 +20,20 @@ import numpy as np
 from .errors import ConfigError
 
 
-def as_count(value, name: str, minimum: int) -> int:
-    """`value` as an int of at least `minimum`. It must be an integer, not a
-    bool and not a float, even an integral one; numpy integers pass through
-    operator.index."""
+def _integer(value) -> int | None:
+    """`value` as an int if it is an integer, not a bool and not a float,
+    even an integral one; numpy integers pass through operator.index. None
+    otherwise."""
     try:
-        n = None if isinstance(value, bool) else operator.index(value)
+        return None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        n = None
+        return None
+
+
+def as_count(value, name: str, minimum: int) -> int:
+    """`value` as an int of at least `minimum`, which must pass `_integer`'s
+    rule."""
+    n = _integer(value)
     if n is None or n < minimum:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return n

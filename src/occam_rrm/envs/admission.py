@@ -17,7 +17,7 @@ from ..config import as_real, check_keys
 from ..core import DEFAULT_DISCOUNT, StepOutcome, TabularMdp
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STREAM_EXOGENOUS, scalars
-from .base import RrmEnv
+from .base import RrmEnv, _action_index
 
 REJECT, ACCEPT, DELAY = 0, 1, 2
 
@@ -125,13 +125,14 @@ class AdmissionEnv(RrmEnv):
         if action is self._action_in and type(action) is tuple:
             return self._rule
         try:
-            rule = tuple(map(int, action))
-        except (TypeError, ValueError) as exc:
+            rule = tuple(action)
+        except TypeError as exc:
             raise InvalidActionError(f"malformed rule vector {action!r}") from exc
         if len(rule) != self.n_classes:
             raise InvalidActionError(
                 f"rule vector length {len(rule)} != n_classes {self.n_classes}"
             )
+        rule = tuple([_action_index(a, "rule entry") for a in rule])
         for a in rule:
             if a not in (REJECT, ACCEPT, DELAY):
                 raise InvalidActionError(f"rule entry {a} not in {{0, 1, 2}}")

@@ -3,10 +3,21 @@
 from __future__ import annotations
 
 from .. import planning
-from ..config import as_count
+from ..config import _integer, as_count
 from ..core import DEFAULT_DISCOUNT
-from ..errors import ConfigError
+from ..errors import ConfigError, InvalidActionError
 from ..rng import StepStream
+
+
+def _action_index(action, what: str) -> int:
+    """An integer action, or an integer entry of one, as an int: it must
+    pass the rule of config.as_count, so a bool, a float and a numeric
+    string are refused, naming `what` and the action. Callers keep a plain
+    int without this call, so its step costs no more than int(action)."""
+    n = _integer(action)
+    if n is None:
+        raise InvalidActionError(f"{what} {action!r} is not an integer")
+    return n
 
 
 class RrmEnv:

@@ -15,7 +15,7 @@ from ..config import as_count, as_real, as_reals, check_keys
 from ..core import StepOutcome
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STEP_BLOCK, STREAM_EXOGENOUS
-from .base import RrmEnv
+from .base import RrmEnv, _action_index
 from .types import MroObservation
 
 
@@ -113,7 +113,7 @@ class HandoverEnv(RrmEnv):
         return self._obs(0)
 
     def _step(self, action):
-        action = int(action)
+        action = action if type(action) is int else _action_index(action, "action")
         if not (0 <= action <= self.n_cells):
             raise InvalidActionError(f"action {action} outside [0, {self.n_cells}]")
         true_now = self._true_now

@@ -16,7 +16,7 @@ import numpy as np
 from ..config import as_real, as_reals
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STREAM_ACTION, STREAM_EXOGENOUS, scalars
-from .base import RrmEnv
+from .base import RrmEnv, _action_index
 from ..core import StepOutcome
 
 _STREAM_REPORT = 2
@@ -82,7 +82,7 @@ class LinkAdaptEnv(RrmEnv):
         return LaObs(self._report(0), None)
 
     def _step(self, action):
-        mcs = int(action)
+        mcs = action if type(action) is int else _action_index(action, "mcs")
         if not (0 <= mcs < self.n_mcs):
             raise InvalidActionError(f"mcs {mcs} outside [0, {self.n_mcs})")
         bler = self.bler(mcs, self._sinr)

@@ -13,7 +13,7 @@ from ..config import as_real, as_reals
 from ..core import StepOutcome
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STEP_BLOCK, STREAM_EXOGENOUS, exponential
-from .base import RrmEnv
+from .base import RrmEnv, _action_index
 
 EWMA_FLOOR = 1e-6
 
@@ -81,7 +81,7 @@ class SchedulingEnv(RrmEnv):
         return self._obs(0)
 
     def _step(self, action):
-        user = int(action)
+        user = action if type(action) is int else _action_index(action, "user")
         if not (0 <= user < self.n_users):
             raise InvalidActionError(f"user {user} outside [0, {self.n_users})")
         eff = self._eff

@@ -9,7 +9,7 @@ from ..config import as_count, as_real
 from ..core import DEFAULT_DISCOUNT, StepOutcome, TabularMdp
 from ..errors import ConfigError, InvalidActionError
 from ..rng import STREAM_ACTION, substream
-from .base import RrmEnv
+from .base import RrmEnv, _action_index
 
 
 class TabularEnv(RrmEnv):
@@ -48,7 +48,7 @@ class TabularEnv(RrmEnv):
         return self._state
 
     def _step(self, action):
-        a = int(action)
+        a = action if type(action) is int else _action_index(action, "action")
         if not (0 <= a < self.mdp.n_actions):
             raise InvalidActionError(f"action {a} outside [0, {self.mdp.n_actions})")
         s = self._state

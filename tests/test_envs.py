@@ -2,6 +2,7 @@ import copy
 import gc
 import math
 import pickle
+import re
 import time
 import weakref
 
@@ -964,6 +965,37 @@ def test_each_env_takes_one_action_form(env, action, match):
     env.reset(0)
     with pytest.raises(InvalidActionError, match=match):
         env.step(action)
+
+
+# Per env kind: a constructor, how an integer i becomes an action, and the
+# name its refusal gives. Action 2, then action 1, is valid in each.
+INTEGER_ACTIONS = {
+    "scheduling": (SchedulingEnv, lambda i: i, "user"),
+    "handover": (lambda: HandoverEnv(n_cells=3), lambda i: i, "action"),
+    "link_adaptation": (LinkAdaptEnv, lambda i: i, "mcs"),
+    "tabular": (lambda: TabularEnv(np.ones((1, 3, 1)), [[1.0, -2.0, 0.5]], 0.9),
+                lambda i: i, "action"),
+    "admission_control": (AdmissionEnv, lambda i: (0, i), "rule entry"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INTEGER_ACTIONS))
+def test_integer_actions_refuse_floats_strings_and_bools(kind):
+    make, action, what = INTEGER_ACTIONS[kind]
+    env = make()
+    env.reset(0)
+    # int() read 1.5 as 1, "1" as 1 and True as 1
+    for bad in (1.5, 1.0, "1", True, np.float64(1.0), np.True_):
+        with pytest.raises(InvalidActionError, match=rf"^{what} {re.escape(repr(bad))} "
+                                                     "is not an integer$"):
+            env.step(action(bad))
+    assert env.t == 0
+    want = make()
+    want.reset(0)
+    for i in (2, 1):
+        out, want_out = env.step(action(np.int64(i))), want.step(action(i))
+        assert out.reward == want_out.reward
+        assert out.diagnostics == want_out.diagnostics
 
 
 @pytest.mark.parametrize("kind", sorted(ENVS))

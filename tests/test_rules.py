@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from occam_rrm import ConfigError, run_episode
-from occam_rrm.agents import EsThresholdAgent, MroAgent, TrunkAgent
+from occam_rrm.agents import EsThresholdAgent, MaxRateAgent, MroAgent, PfAgent, TrunkAgent
 from occam_rrm.envs import AdmissionEnv, EnergySavingEnv, HandoverEnv
 from occam_rrm.experiments import SOLVERS
 from occam_rrm.rules import (
@@ -24,6 +24,33 @@ def test_pf_select_direct_ratio():
 
 def test_pf_select_tie_lowest_index():
     assert pf_select([2.0, 2.0, 2.0], np.array([1.0, 1.0, 1.0])) == 0
+
+
+FORMS = {"list": list, "tuple": tuple, "array": np.array}
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+def test_pf_select_needs_one_efficiency_per_user(form):
+    as_form = FORMS[form]
+    for eff, avg in (([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0]), ([], []),
+                     ([[1.0, 2.0]], [1.0, 2.0])):
+        with pytest.raises(ConfigError, match="^need one spectral efficiency per user$"):
+            pf_select(as_form(eff), as_form(avg))
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+def test_pf_and_max_rate_ties_take_the_lowest_index(form):
+    as_form = FORMS[form]
+    eff, ones = as_form([1.0, 3.0, 2.0, 3.0, 3.0]), as_form([1.0] * 5)
+    picks = (MaxRateAgent().act({"spectral_eff": eff}),
+             PfAgent().act({"spectral_eff": eff, "avg_throughput": ones}),
+             pf_select(eff, ones))
+    assert picks == (1, 1, 1) and {type(p) for p in picks} == {int}
+    # PF ties on the rate-to-average ratio: 2 = 2/1 = 4/2 here
+    ratios_tie = {"spectral_eff": as_form([2.0, 2.0, 4.0]),
+                  "avg_throughput": as_form([1.0, 1.0, 2.0])}
+    assert PfAgent().act(ratios_tie) == 0
+    assert MaxRateAgent().act(ratios_tie) == 2
 
 
 def test_pf_select_matches_brute_force():
