@@ -16,6 +16,10 @@ from ..rng import STEP_BLOCK, STREAM_EXOGENOUS, exponential
 from .base import RrmEnv, _action_index
 
 EWMA_FLOOR = 1e-6
+# The floor as a float64 array operand, which a ufunc takes without the
+# per-call conversion of a Python float; the sums are the same.
+_FLOOR = np.array(EWMA_FLOOR)
+_FLOOR.flags.writeable = False
 
 
 class SchedulingEnv(RrmEnv):
@@ -44,6 +48,7 @@ class SchedulingEnv(RrmEnv):
         self.arrival_rates = (None if self.full_buffer else
                               as_reals(arrival_rates, "arrival_rates", (self.n_users,), ge=0))
         self.ewma_alpha = as_real(ewma_alpha, "ewma_alpha", gt=0, le=1)
+        self._decay = np.array(1 - self.ewma_alpha)  # an array operand, as _FLOOR is
         self.weights = as_reals(np.ones(self.n_users) if weights is None else weights,
                                 "weights", (self.n_users,))
         self._thr_keys = [f"thr_{u}" for u in range(self.n_users)]
@@ -56,7 +61,7 @@ class SchedulingEnv(RrmEnv):
 
     def _utility(self) -> float:
         # the ufuncs of (weights * log(avg + floor)).sum(), in that order, on one buffer
-        terms = np.add(self._avg, EWMA_FLOOR)
+        terms = np.add(self._avg, _FLOOR)
         np.log(terms, out=terms)
         np.multiply(self.weights, terms, out=terms)
         return float(np.add.reduce(terms))
@@ -93,9 +98,9 @@ class SchedulingEnv(RrmEnv):
             self._backlogs[user] -= achieved
         before = self._utility_now
         # the unserved users' EWMA terms add alpha * 0.0, which changes no bit
-        avg = np.multiply(1 - self.ewma_alpha, self._avg)
+        avg = np.multiply(self._decay, self._avg)
         avg[user] += self.ewma_alpha * achieved
-        self._avg = np.maximum(avg, EWMA_FLOOR, out=avg)
+        self._avg = np.maximum(avg, _FLOOR, out=avg)
         self._utility_now = self._utility()
         reward = self._utility_now - before
         diagnostics = self._zero_diagnostics.copy()
