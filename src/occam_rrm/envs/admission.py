@@ -125,14 +125,13 @@ class AdmissionEnv(RrmEnv):
         if action is self._action_in and type(action) is tuple:
             return self._rule
         try:
-            rule = tuple(action)
+            rule = tuple([a if type(a) is int else _action_index(a, "rule entry") for a in action])
         except TypeError as exc:
             raise InvalidActionError(f"malformed rule vector {action!r}") from exc
         if len(rule) != self.n_classes:
             raise InvalidActionError(
                 f"rule vector length {len(rule)} != n_classes {self.n_classes}"
             )
-        rule = tuple([_action_index(a, "rule entry") for a in rule])
         for a in rule:
             if a not in (REJECT, ACCEPT, DELAY):
                 raise InvalidActionError(f"rule entry {a} not in {{0, 1, 2}}")
