@@ -984,7 +984,7 @@ def test_integer_actions_refuse_floats_strings_and_bools(kind):
     make, action, what = INTEGER_ACTIONS[kind]
     env = make()
     env.reset(0)
-    # int() read 1.5 as 1, "1" as 1 and True as 1
+    # under int() each would be action 1, which every env takes
     for bad in (1.5, 1.0, "1", True, np.float64(1.0), np.True_):
         with pytest.raises(InvalidActionError, match=rf"^{what} {re.escape(repr(bad))} "
                                                      "is not an integer$"):
